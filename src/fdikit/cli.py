@@ -21,8 +21,7 @@ from .fdi_sim import (
     mc_trajectories,
 )
 from .fuzzy_num import FuzzyVector, fuzzy_from_json, fuzzy_to_json
-from .interval_linalg import sample_matrix, vertex_count, vertex_matrices
-from .stability import StabilityStatus, analyze, spectral_radii
+from .stability import StabilityStatus, analyze, member_radius_scan
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -30,6 +29,9 @@ EXIT_FALSIFIED = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_PRECONDITION = 4
 EXIT_IO = 5
+
+#: Vertex budget of the oracle's spectral-radius report.
+ORACLE_VERTEX_BUDGET = 1024
 
 
 class SystemFileError(ValueError):
@@ -218,17 +220,12 @@ def cmd_oracle(args) -> int:
             "max_violation": float(violation.max()),
         }
 
-    m0 = level_matrix(system, 0.0)
-    members = []
-    if vertex_count(m0) <= 1024:
-        members.extend(vertex_matrices(m0, 1024))
-    rng = np.random.default_rng(args.seed)
-    members.extend(sample_matrix(m0, rng) for _ in range(args.n))
-    radii = spectral_radii(np.stack(members))
+    scan = member_radius_scan(level_matrix(system, 0.0), args.n, args.seed,
+                              ORACLE_VERTEX_BUDGET)
     report["spectral_radius"] = {
-        "max": float(radii.max()),
-        "count_exceeding_one": int(np.count_nonzero(radii > 1.0)),
-        "n_checked": len(members),
+        "max": scan.max_radius,
+        "count_exceeding_one": scan.n_above_one,
+        "n_checked": scan.n_checked,
     }
     print(json.dumps(report))
     return EXIT_OK

@@ -4,7 +4,6 @@ member selection."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -12,6 +11,10 @@ import numpy as np
 
 #: Default cap on how many vertex matrices may be enumerated.
 DEFAULT_VERTEX_BUDGET = 2 ** 16
+
+#: Matrix entries materialised at once by chunked member scans (2 MiB of
+#: float64), so memory stays flat however many members are scanned.
+CHUNK_ENTRIES = 2 ** 18
 
 
 class VertexBudgetError(ValueError):
@@ -164,16 +167,43 @@ def gershgorin_rows(m) -> list[tuple[float, float]]:
 
 
 def vertex_count(m: IntervalMatrix) -> int:
-    """Number of distinct endpoint-choice matrices."""
-    return int(2 ** np.count_nonzero(m.hi > m.lo))
+    """Number of distinct endpoint-choice matrices (an exact Python int)."""
+    return 2 ** int(np.count_nonzero(m.hi > m.lo))
+
+
+def chunk_rows(m: IntervalMatrix) -> int:
+    """Matrices of m's shape per chunk: CHUNK_ENTRIES entries, at least one."""
+    return max(1, CHUNK_ENTRIES // m.lo.size)
+
+
+def vertex_stack(m: IntervalMatrix, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Vertices ``start..stop-1`` of m as one (stop - start, rows, cols) array.
+
+    Vertex k takes hi at the wide entries (hi > lo, row-major) where the
+    binary digits of k are 1, the first wide entry being the most
+    significant digit: the order of ``itertools.product((0, 1), ...)``.
+    Degenerate entries contribute one choice, so a crisp matrix has the
+    single vertex lo.
+    """
+    count = vertex_count(m)
+    stop = count if stop is None else stop
+    if not 0 <= start <= stop <= count:
+        raise ValueError(f"vertex range [{start}, {stop}) outside [0, {count})")
+    wide = np.flatnonzero(m.hi > m.lo)
+    shifts = np.arange(wide.size - 1, -1, -1)
+    bits = (np.arange(start, stop, dtype=np.int64)[:, None] >> shifts) & 1
+    lo, hi = m.lo.ravel(), m.hi.ravel()
+    stack = np.tile(lo, (stop - start, 1))
+    stack[:, wide] = np.where(bits == 1, hi[wide], lo[wide])
+    return stack.reshape(stop - start, *m.shape)
 
 
 def vertex_matrices(m: IntervalMatrix,
                     max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Iterator[np.ndarray]:
-    """Enumerate all matrices whose entries are each lo or hi.
+    """Enumerate all matrices whose entries are each lo or hi, in the order
+    of :func:`vertex_stack`.
 
-    Degenerate entries contribute one choice, so a crisp matrix yields a
-    single vertex.  Raises VertexBudgetError beyond ``max_vertices``.
+    Raises VertexBudgetError beyond ``max_vertices``.
     """
     count = vertex_count(m)
     if count > max_vertices:
@@ -181,17 +211,9 @@ def vertex_matrices(m: IntervalMatrix,
             f"{count} vertex matrices exceed the budget of {max_vertices}; "
             "use sample_matrix instead"
         )
-    wide = np.argwhere(m.hi > m.lo)
-    base = np.array(m.lo)
-    if wide.size == 0:
-        yield base.copy()
-        return
-    for picks in itertools.product((0, 1), repeat=len(wide)):
-        v = base.copy()
-        for (i, j), pick in zip(wide, picks):
-            if pick:
-                v[i, j] = m.hi[i, j]
-        yield v
+    step = chunk_rows(m)
+    for start in range(0, count, step):
+        yield from vertex_stack(m, start, min(start + step, count))
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -200,13 +222,17 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def sample_matrix(m: IntervalMatrix, rng) -> np.ndarray:
-    """Entrywise uniform member of the interval matrix.
+def sample_matrix(m: IntervalMatrix, rng, size: int | None = None) -> np.ndarray:
+    """Entrywise uniform member(s) of the interval matrix; shape
+    (size, rows, cols) when batched.
 
-    ``rng`` is a seed or a numpy Generator; fixed seeds reproduce exactly.
+    ``rng`` is a seed or a numpy Generator; fixed seeds reproduce exactly,
+    and a batch of ``size`` draws the same stream as ``size`` single calls.
     """
     gen = _as_rng(rng)
-    return gen.uniform(m.lo, m.hi)
+    if size is None:
+        return gen.uniform(m.lo, m.hi)
+    return gen.uniform(m.lo, m.hi, size=(size, *m.shape))
 
 
 def sample_vector(v: IntervalVector, rng, size: int | None = None) -> np.ndarray:

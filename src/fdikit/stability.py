@@ -20,10 +20,11 @@ import numpy as np
 from .interval_linalg import (
     DEFAULT_VERTEX_BUDGET,
     IntervalMatrix,
+    chunk_rows,
     mid_rad,
     sample_matrix,
     vertex_count,
-    vertex_matrices,
+    vertex_stack,
 )
 
 #: Slack required before a sampled member counts as a falsification witness.
@@ -40,6 +41,10 @@ ORDER_SLACK = 1e-12
 
 #: Matrix size up to which spectral radii use a dense eigensolve.
 DENSE_EIG_LIMIT = 512
+
+
+class SpectralRadiusError(ArithmeticError):
+    """The sparse eigensolver did not converge to a dominant eigenvalue."""
 
 
 class StabilityStatus(Enum):
@@ -115,14 +120,20 @@ def spectral_radius(m, dense_limit: int = DENSE_EIG_LIMIT) -> float:
     """Spectral radius of a crisp matrix.
 
     Dense eigensolve up to ``dense_limit``; larger matrices fall back to a
-    sparse dominant-eigenvalue iteration.
+    sparse dominant-eigenvalue iteration, which raises SpectralRadiusError
+    when it does not converge.
     """
     m = np.asarray(m, dtype=float)
     if m.shape[0] <= dense_limit:
         return float(np.max(np.abs(np.linalg.eigvals(m))))
-    from scipy.sparse.linalg import eigs
+    from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
-    vals = eigs(m, k=1, which="LM", return_eigenvectors=False, maxiter=10000)
+    try:
+        vals = eigs(m, k=1, which="LM", return_eigenvectors=False, maxiter=10000)
+    except ArpackNoConvergence as exc:
+        raise SpectralRadiusError(
+            f"ARPACK found no dominant eigenvalue of the {m.shape[0]}x{m.shape[1]} "
+            f"matrix: {exc}") from exc
     return float(np.abs(vals[0]))
 
 
@@ -377,6 +388,50 @@ def marginal_test(m: IntervalMatrix, t, shape_tol: float = SHAPE_TOL,
 
 # -- sampling -------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class MemberScan:
+    """Spectral radii over the vertices (when within budget), then seeded
+    random members, of an interval matrix."""
+
+    n_checked: int
+    max_radius: float
+    worst: np.ndarray  # first member attaining max_radius
+    n_above_one: int  # members with spectral radius > 1
+
+
+def _member_chunks(m: IntervalMatrix, n_vertices: int, n_samples: int, seed):
+    step = chunk_rows(m)
+    for start in range(0, n_vertices, step):
+        yield vertex_stack(m, start, min(start + step, n_vertices))
+    rng = np.random.default_rng(seed)
+    for start in range(0, n_samples, step):
+        yield sample_matrix(m, rng, size=min(step, n_samples - start))
+
+
+def member_radius_scan(m: IntervalMatrix, n_samples: int, seed,
+                       max_vertices: int = DEFAULT_VERTEX_BUDGET) -> MemberScan:
+    """Spectral radius of every vertex (if there are at most ``max_vertices``)
+    and of ``n_samples`` uniform members drawn from ``seed``.
+
+    Members are built and solved in chunks of ``chunk_rows(m)``, so memory
+    does not grow with the member count.  Ties keep the first member in
+    vertex-then-sample order.
+    """
+    count = vertex_count(m)
+    n_vertices = count if count <= max_vertices else 0
+    if n_vertices + n_samples == 0:
+        raise ValueError(f"{count} vertices exceed the budget of {max_vertices} "
+                         "and no samples were requested: no member to check")
+    best, worst, above = -np.inf, None, 0
+    for stack in _member_chunks(m, n_vertices, n_samples, seed):
+        radii = spectral_radii(stack)
+        i = int(np.argmax(radii))
+        if worst is None or radii[i] > best:
+            best, worst = float(radii[i]), stack[i].copy()
+        above += int(np.count_nonzero(radii > 1.0))
+    return MemberScan(n_vertices + n_samples, best, worst, above)
+
+
 def sampled_falsifier(m: IntervalMatrix, n_samples: int = 1000, seed: int = 0,
                       max_vertices: int = DEFAULT_VERTEX_BUDGET) -> StabilityVerdict:
     """Search vertices and random members for one with spectral radius > 1.
@@ -385,23 +440,14 @@ def sampled_falsifier(m: IntervalMatrix, n_samples: int = 1000, seed: int = 0,
     the non-finding verdict is Inconclusive.  A Falsified verdict carries
     the witness matrix and its spectral radius, recomputable on its own.
     """
-    mats = []
-    if vertex_count(m) <= max_vertices:
-        mats.extend(vertex_matrices(m, max_vertices))
-    if n_samples > 0:
-        rng = np.random.default_rng(seed)
-        mats.extend(sample_matrix(m, rng) for _ in range(n_samples))
-    stack = np.stack(mats)
-    radii = spectral_radii(stack)
-    worst = int(np.argmax(radii))
-    if radii[worst] > 1.0 + FALSIFY_TOL:
+    scan = member_radius_scan(m, n_samples, seed, max_vertices)
+    if scan.max_radius > 1.0 + FALSIFY_TOL:
         return StabilityVerdict(
             StabilityStatus.FALSIFIED, "sampled_falsifier",
-            {"matrix": stack[worst].tolist(),
-             "spectral_radius": float(radii[worst])})
+            {"matrix": scan.worst.tolist(), "spectral_radius": scan.max_radius})
     return StabilityVerdict(
         StabilityStatus.INCONCLUSIVE, "sampled_falsifier",
-        {"max_sampled_radius": float(radii[worst]), "n_checked": len(mats)})
+        {"max_sampled_radius": scan.max_radius, "n_checked": scan.n_checked})
 
 
 def analyze(m: IntervalMatrix, t=None, n_samples: int = 1000,

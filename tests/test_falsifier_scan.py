@@ -1,0 +1,305 @@
+"""Bounded, vectorised member scans: exact vertex counts, the bit-mask vertex
+stack, batched draws and the chunked spectral-radius scan shared by the
+falsifier and the oracle, each checked against a plain reference copy of
+the per-member loop they replace."""
+
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fdikit import (
+    IntervalMatrix,
+    SpectralRadiusError,
+    member_radius_scan,
+    sample_matrix,
+    sampled_falsifier,
+    spectral_radius,
+    vertex_count,
+    vertex_matrices,
+    vertex_stack,
+)
+from fdikit import interval_linalg
+from fdikit.cli import EXIT_FALSIFIED, EXIT_INCONCLUSIVE, EXIT_OK
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Wall-clock bound on a CLI run that must finish (a hang fails, not stalls).
+CLI_TIMEOUT_S = 30
+
+
+# -- reference copy of the per-member loop ---------------------------------------------
+
+def reference_vertices(m: IntervalMatrix) -> np.ndarray:
+    wide = np.argwhere(m.hi > m.lo)
+    mats = []
+    for picks in itertools.product((0, 1), repeat=len(wide)):
+        v = np.array(m.lo)
+        for (i, j), pick in zip(wide, picks):
+            if pick:
+                v[i, j] = m.hi[i, j]
+        mats.append(v)
+    return np.stack(mats)
+
+
+def reference_falsifier(m: IntervalMatrix, n_samples: int, seed: int,
+                        max_vertices: int = 2 ** 16) -> dict:
+    mats = []
+    if 2 ** int(np.count_nonzero(m.hi > m.lo)) <= max_vertices:
+        mats.extend(reference_vertices(m))
+    rng = np.random.default_rng(seed)
+    mats.extend(rng.uniform(m.lo, m.hi) for _ in range(n_samples))
+    stack = np.stack(mats)
+    radii = np.max(np.abs(np.linalg.eigvals(stack)), axis=-1)
+    worst = int(np.argmax(radii))
+    if radii[worst] > 1.0 + 1e-9:
+        return {"status": "Falsified", "criterion": "sampled_falsifier",
+                "witness": {"matrix": stack[worst].tolist(),
+                            "spectral_radius": float(radii[worst])}}
+    return {"status": "Inconclusive", "criterion": "sampled_falsifier",
+            "witness": {"max_sampled_radius": float(radii[worst]),
+                        "n_checked": len(mats)}}
+
+
+def partly_fuzzy(rng, n: int, n_wide: int, scale: float = 0.6) -> IntervalMatrix:
+    """Random family with exactly ``n_wide`` wide entries; the rest are crisp."""
+    center = rng.normal(0.0, scale, size=(n, n))
+    radius = np.zeros(n * n)
+    radius[rng.choice(n * n, size=n_wide, replace=False)] = rng.uniform(0.05, 0.3, n_wide)
+    radius = radius.reshape(n, n)
+    return IntervalMatrix(center - radius, center + radius)
+
+
+# -- exact vertex count ----------------------------------------------------------------
+
+@pytest.mark.parametrize("n, crisp, wide", [(8, 1, 63), (8, 0, 64), (10, 0, 100)])
+def test_vertex_count_exact_past_int64(n, crisp, wide):
+    lo, hi = np.zeros((n, n)), np.ones((n, n))
+    hi.flat[:crisp] = 0.0
+    m = IntervalMatrix(lo, hi)
+    assert vertex_count(m) == 2 ** wide
+    with pytest.raises(interval_linalg.VertexBudgetError):
+        next(vertex_matrices(m))
+
+
+# -- CLI runs that used to hang ---------------------------------------------------------
+
+def _tfn_doc(lo, c, hi) -> dict:
+    n = lo.shape[0]
+    return {"n": n,
+            "H": [[{"tfn": [float(lo[i, j]), float(c[i, j]), float(hi[i, j])]}
+                   for j in range(n)] for i in range(n)],
+            "x0": [{"tfn": [0.5, 1.0, 1.5]}] * n}
+
+
+def _rho(a) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def unstable_doc(n: int = 8) -> dict:
+    """Fully fuzzy non-negative family whose lower matrix has radius 1.2."""
+    rng = np.random.default_rng(11)
+    b = rng.uniform(0.2, 1.0, (n, n))
+    lo = b * (1.2 / _rho(b))
+    hi = lo * rng.uniform(1.1, 1.4, (n, n))
+    return _tfn_doc(lo, (lo + hi) / 2, hi)
+
+
+def nearbound_doc(n: int = 8) -> dict:
+    """Fully fuzzy non-negative family with rho(hi) = 0.97 (no member is
+    unstable) made non-normal so that no criterion certifies it."""
+    rng = np.random.default_rng(12)
+    g = 10.0 ** (np.arange(n) / (n - 1))
+    while True:
+        a = rng.uniform(0.05, 1.0, (n, n)) * g[:, None] / g[None, :]
+        hi = a * (0.97 / _rho(a))
+        lo = hi * rng.uniform(0.85, 0.95, (n, n))
+        c = (lo + hi) / 2
+        if hi.sum(axis=1).max() > 1.02 and np.linalg.eigvalsh((c + c.T) / 2)[-1] > 1.02:
+            return _tfn_doc(lo, c, hi)
+
+
+def run_cli(tmp_path, doc, *args) -> subprocess.CompletedProcess:
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "fdikit.cli", args[0], str(path), *args[1:]],
+                          capture_output=True, text=True, env=env, timeout=CLI_TIMEOUT_S)
+
+
+def test_analyze_fully_fuzzy_8x8_unstable_finishes(tmp_path):
+    proc = run_cli(tmp_path, unstable_doc(), "analyze", "--n", "200")
+    assert proc.returncode == EXIT_FALSIFIED, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["criterion"] == "sampled_falsifier"
+    assert out["witness"]["spectral_radius"] > 1.0
+
+
+def test_analyze_fully_fuzzy_8x8_nearbound_finishes(tmp_path):
+    proc = run_cli(tmp_path, nearbound_doc(), "analyze", "--n", "200")
+    assert proc.returncode == EXIT_INCONCLUSIVE, proc.stderr
+    falsifier = json.loads(proc.stdout)["witness"]["sub_reports"][-1]
+    assert falsifier["witness"]["n_checked"] == 200  # 2^64 vertices: sampling only
+    assert falsifier["witness"]["max_sampled_radius"] <= 0.97 + 1e-9
+
+
+def test_oracle_fully_fuzzy_8x8_finishes(tmp_path):
+    proc = run_cli(tmp_path, nearbound_doc(), "oracle", "--k", "5", "--n", "50",
+                   "--out", str(tmp_path / "runs.csv"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    report = json.loads(proc.stdout)["spectral_radius"]
+    assert report["n_checked"] == 50
+    assert report["count_exceeding_one"] == 0
+
+
+# -- equivalence with the per-member loop ------------------------------------------------
+
+@pytest.mark.parametrize("lo, hi", [
+    ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 1.0], [2.5, 3.0]]),           # degenerate entries
+    ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]),           # crisp
+    ([[-1.0, 0.0, 0.5], [0.0, 0.2, 0.1], [0.3, 0.0, -0.4]],
+     [[1.0, 0.0, 0.7], [0.5, 0.2, 0.1], [0.3, 0.9, -0.1]]),
+    ([[0.0, 0.0, 0.0]], [[1.0, 0.0, 2.0]]),                         # rectangular
+])
+def test_vertex_stack_matches_product_order(lo, hi):
+    m = IntervalMatrix(np.asarray(lo, float), np.asarray(hi, float))
+    ref = reference_vertices(m)
+    assert np.array_equal(vertex_stack(m), ref)
+    assert np.array_equal(np.stack(list(vertex_matrices(m))), ref)
+    count = vertex_count(m)
+    for start, stop in ((0, 0), (count // 2, count), (count - 1, count)):
+        assert np.array_equal(vertex_stack(m, start, stop), ref[start:stop])
+
+
+def test_vertex_stack_rejects_out_of_range():
+    m = IntervalMatrix(np.zeros((1, 2)), np.ones((1, 2)))
+    with pytest.raises(ValueError):
+        vertex_stack(m, 0, 5)
+
+
+def test_vertex_matrices_chunked_matches_reference(monkeypatch):
+    monkeypatch.setattr(interval_linalg, "CHUNK_ENTRIES", 27)  # 3 matrices per chunk
+    m = partly_fuzzy(np.random.default_rng(3), 3, 5)
+    assert np.array_equal(np.stack(list(vertex_matrices(m))), reference_vertices(m))
+
+
+def test_batched_draw_matches_sequential_calls():
+    m = partly_fuzzy(np.random.default_rng(4), 3, 6)
+    n = 37
+    seq_rng = np.random.default_rng(9)
+    sequential = np.stack([sample_matrix(m, seq_rng) for _ in range(n)])
+    assert np.array_equal(sample_matrix(m, np.random.default_rng(9), size=n), sequential)
+    split_rng = np.random.default_rng(9)
+    split = np.concatenate([sample_matrix(m, split_rng, size=k) for k in (5, 30, 2)])
+    assert np.array_equal(split, sequential)
+
+
+def _families():
+    rng = np.random.default_rng(2024)
+    fams = []
+    for i in range(12):
+        n = 2 + i % 3
+        n_wide = int(rng.integers(0, n * n + 1)) if n < 4 else int(rng.integers(0, 11))
+        scale = 0.9 if i % 2 else 0.4  # mix of Falsified and Inconclusive
+        fams.append((partly_fuzzy(rng, n, n_wide, scale), int(rng.integers(0, 60)),
+                     int(rng.integers(2 ** 31))))
+    return fams
+
+
+@pytest.mark.parametrize("chunk_entries", [interval_linalg.CHUNK_ENTRIES, 40])
+def test_falsifier_matches_reference(monkeypatch, chunk_entries):
+    monkeypatch.setattr(interval_linalg, "CHUNK_ENTRIES", chunk_entries)
+    statuses = set()
+    for m, n_samples, seed in _families():
+        got = sampled_falsifier(m, n_samples=n_samples, seed=seed).to_json_obj()
+        assert got == reference_falsifier(m, n_samples, seed)
+        statuses.add(got["status"])
+    assert statuses == {"Falsified", "Inconclusive"}
+
+
+def test_falsifier_matches_reference_on_partial_last_chunk():
+    # 2^16 vertices then 1000 samples: the sample chunk is a partial one.
+    m = IntervalMatrix(np.full((4, 4), 0.05), np.full((4, 4), 0.2))
+    assert (vertex_count(m) + 1000) % interval_linalg.chunk_rows(m) != 0
+    got = sampled_falsifier(m, n_samples=1000, seed=5).to_json_obj()
+    assert got == reference_falsifier(m, 1000, 5)
+
+
+def test_falsifier_matches_reference_beyond_vertex_budget(monkeypatch):
+    monkeypatch.setattr(interval_linalg, "CHUNK_ENTRIES", 40)
+    m = partly_fuzzy(np.random.default_rng(6), 3, 7, 0.9)
+    got = sampled_falsifier(m, n_samples=23, seed=1, max_vertices=64).to_json_obj()
+    assert got == reference_falsifier(m, 23, 1, max_vertices=64)
+
+
+def test_tied_maximum_across_chunk_boundary_keeps_first(monkeypatch):
+    # Diagonal family: radii of the vertices (a, c) in product order are
+    # 0.1, 1.5, 1.5, 1.5.  With two matrices per chunk the tie straddles
+    # the boundary between members 1 and 2; member 1 must win.
+    monkeypatch.setattr(interval_linalg, "CHUNK_ENTRIES", 8)
+    m = IntervalMatrix(np.diag([0.1, 0.1]), np.diag([1.5, 1.5]))
+    assert interval_linalg.chunk_rows(m) == 2
+    got = sampled_falsifier(m, n_samples=0, seed=0).to_json_obj()
+    assert got == reference_falsifier(m, 0, 0)
+    assert got["witness"]["matrix"] == [[0.1, 0.0], [0.0, 1.5]]
+
+
+def test_member_scan_counts_members_above_one():
+    m = IntervalMatrix(np.array([[0.5]]), np.array([[1.5]]))
+    scan = member_radius_scan(m, n_samples=1000, seed=0, max_vertices=1024)
+    draws = np.random.default_rng(0).uniform(0.5, 1.5, size=1000)
+    assert scan.n_checked == 1002
+    assert scan.n_above_one == 1 + int(np.count_nonzero(draws > 1.0))
+    assert scan.max_radius == 1.5
+    assert scan.worst.tolist() == [[1.5]]
+
+
+def test_member_scan_without_members_is_an_error():
+    m = IntervalMatrix(np.zeros((5, 5)), np.ones((5, 5)))
+    with pytest.raises(ValueError, match="no member"):
+        member_radius_scan(m, n_samples=0, seed=0, max_vertices=16)
+
+
+# -- bounded memory ---------------------------------------------------------------------
+
+def test_falsifier_memory_stays_below_full_stack():
+    n, n_wide = 16, 14
+    m = partly_fuzzy(np.random.default_rng(8), n, n_wide, 0.1)
+    full_stack_bytes = vertex_count(m) * n * n * 8  # 16,384 vertices: 33.5 MB
+    tracemalloc.start()
+    try:
+        verdict = sampled_falsifier(m, n_samples=10, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.witness["n_checked"] == vertex_count(m) + 10
+    assert peak < full_stack_bytes / 2, f"peak {peak / 1e6:.1f} MB"
+
+
+# -- sparse eigensolve failure --------------------------------------------------------------
+
+def test_arpack_no_convergence_raises_named_error(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def no_convergence(*args, **kwargs):
+        raise sla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                      np.array([]), np.array([]))
+
+    monkeypatch.setattr(sla, "eigs", no_convergence)
+    with pytest.raises(SpectralRadiusError, match="5x5"):
+        spectral_radius(np.eye(5), dense_limit=4)
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, fdikit.cli; print(any(k.startswith('scipy') for k in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=CLI_TIMEOUT_S)
+    assert proc.stdout.strip() == "False", proc.stderr
