@@ -15,6 +15,7 @@ from fdikit import (
     d_fuzzy_vec,
     envelope_propagate,
     level_matrix,
+    level_state,
     mc_trajectories,
     transition_envelope,
 )
@@ -38,7 +39,7 @@ for k in (0, 1, 2, 4, 8, 12):
 
 print("\nthe same bounds come from the endpoint powers of the matrix family:")
 phis = transition_envelope(system, 0.0, K)
-x_lo = system.x0.cut(0.0)[0]
+x_lo = level_state(system, 0.0).lo
 print(f"  k=4 via powers: lo = {(phis[4].lo @ x_lo)[0]:.6f} "
       f"(envelope says {tr.steps[4].lo[0]:.6f})")
 
@@ -57,7 +58,7 @@ print(f"\n5000 time-varying member trajectories: worst excursion "
       f"{violation:.2e} (non-positive means inside)")
 
 m = level_matrix(system, 0.0)
-x = system.x0.cut(0.0)[0]
+x = level_state(system, 0.0).lo
 for k in range(K + 1):
     assert abs(x[0] - tr.steps[k].lo[0]) < 1e-12
     x = m.lo @ x

@@ -1,8 +1,8 @@
 """Command-line front end: JSON system files in, verdict JSON and CSV out.
 
 Subcommands: analyze, simulate, oracle, distance.  Exit codes: 0 stable
-verdicts / success, 1 input error, 2 falsified, 3 inconclusive,
-4 sign-precondition violation, 5 I/O failure.
+verdicts / success, 1 input error (a malformed file or a bad argument),
+2 falsified, 3 inconclusive, 4 sign-precondition violation, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ import sys
 import numpy as np
 
 from .fdi_sim import (
+    DEFAULT_ALPHAS,
     FuzzySystem,
     SignPreconditionError,
-    envelope_propagate,
+    envelope_endpoints,
     level_matrix,
     mc_trajectories,
 )
-from .fuzzy_num import FuzzyVector, fuzzy_from_json, fuzzy_to_json
+from .fuzzy_num import FuzzyNumber, FuzzyVector, fuzzy_to_json, interp_levels
 from .stability import StabilityStatus, analyze, member_radius_scan
 
 EXIT_OK = 0
@@ -34,10 +35,6 @@ EXIT_IO = 5
 ORACLE_VERTEX_BUDGET = 1024
 
 
-class SystemFileError(ValueError):
-    """Malformed system file; the message names the offending JSON path."""
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -47,77 +44,70 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise SystemFileError(f"{path}: cannot read file: {exc}") from exc
+        raise ValueError(f"{path}: cannot read file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SystemFileError(f"{path}: not valid JSON: {exc}") from exc
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def parse_system_obj(obj) -> tuple[FuzzySystem, np.ndarray | None]:
-    """Build a FuzzySystem (and optional transform) from a parsed document."""
+    """Build a FuzzySystem (and optional transform) from a parsed document.
+
+    A malformed document raises ValueError naming the offending JSON path.
+    """
     if not isinstance(obj, dict):
-        raise SystemFileError("top level: expected a JSON object")
+        raise ValueError("top level: expected a JSON object")
     try:
         n = int(obj["n"])
     except KeyError:
-        raise SystemFileError('top level: missing "n"') from None
+        raise ValueError('top level: missing "n"') from None
     except (TypeError, ValueError):
-        raise SystemFileError('"n": must be an integer') from None
+        raise ValueError('"n": must be an integer') from None
     if n <= 0:
-        raise SystemFileError('"n": must be positive')
+        raise ValueError('"n": must be positive')
 
     h_rows = obj.get("H")
     if not isinstance(h_rows, list) or len(h_rows) != n:
-        raise SystemFileError(f'"H": expected {n} rows')
-    h = []
+        raise ValueError(f'"H": expected {n} rows')
     for i, row in enumerate(h_rows):
         if not isinstance(row, list) or len(row) != n:
-            raise SystemFileError(f'"H"[{i}]: expected {n} entries')
-        entries = []
-        for j, cell in enumerate(row):
-            try:
-                entries.append(fuzzy_from_json(cell))
-            except ValueError as exc:
-                raise SystemFileError(f'"H"[{i}][{j}]: {exc}') from exc
-        h.append(entries)
-
+            raise ValueError(f'"H"[{i}]: expected {n} entries')
     x0_rows = obj.get("x0")
     if not isinstance(x0_rows, list) or len(x0_rows) != n:
-        raise SystemFileError(f'"x0": expected {n} entries')
-    x0 = []
-    for i, cell in enumerate(x0_rows):
-        try:
-            x0.append(fuzzy_from_json(cell))
-        except ValueError as exc:
-            raise SystemFileError(f'"x0"[{i}]: {exc}') from exc
+        raise ValueError(f'"x0": expected {n} entries')
 
-    kwargs = {}
-    if "alphas" in obj:
-        grid = obj["alphas"]
-        if not isinstance(grid, list) or not all(isinstance(a, (int, float)) for a in grid):
-            raise SystemFileError('"alphas": must be a list of numbers')
-        kwargs["alphas"] = np.asarray(grid, dtype=float)
-
-    try:
-        system = FuzzySystem(h=h, x0=FuzzyVector(x0), **kwargs)
-    except ValueError as exc:
-        raise SystemFileError(str(exc)) from exc
+    alphas = obj.get("alphas", DEFAULT_ALPHAS.tolist())
+    if not isinstance(alphas, list) or not all(isinstance(a, (int, float)) for a in alphas):
+        raise ValueError('"alphas": must be a list of numbers')
+    system = FuzzySystem(h=h_rows, x0=x0_rows, alphas=alphas)
 
     transform = None
     if "T" in obj:
         t_rows = obj["T"]
         if (not isinstance(t_rows, list) or len(t_rows) != n
                 or any(not isinstance(r, list) or len(r) != n for r in t_rows)):
-            raise SystemFileError(f'"T": expected an {n}x{n} matrix')
+            raise ValueError(f'"T": expected an {n}x{n} matrix')
         transform = np.asarray(t_rows, dtype=float)
     return system, transform
 
 
+def _cell_json(grid, lo, hi) -> dict:
+    # A cell linear in alpha is written by its two end levels (as a "tfn"
+    # when its core is a point), any other cell by every level of the grid.
+    ends = [0, -1]
+    linear = all(np.array_equal(interp_levels(grid, grid[ends], v[ends]), v)
+                 for v in (lo, hi))
+    rows = ends if linear else slice(None)
+    return fuzzy_to_json(FuzzyNumber(grid[rows], lo[rows], hi[rows]))
+
+
 def dump_system_obj(system: FuzzySystem, transform=None) -> dict:
     """Canonical JSON document for a system (round-trips through parse)."""
+    g, n = system.grid, system.n
     out = {
-        "n": system.n,
-        "H": [[fuzzy_to_json(e) for e in row] for row in system.h],
-        "x0": [fuzzy_to_json(c) for c in system.x0],
+        "n": n,
+        "H": [[_cell_json(g, system.h_lo[:, i, j], system.h_hi[:, i, j]) for j in range(n)]
+              for i in range(n)],
+        "x0": [_cell_json(g, system.x0_lo[:, i], system.x0_hi[:, i]) for i in range(n)],
         "alphas": [float(a) for a in system.alphas],
     }
     if transform is not None:
@@ -127,13 +117,6 @@ def dump_system_obj(system: FuzzySystem, transform=None) -> dict:
 
 def load_system(path: str) -> tuple[FuzzySystem, np.ndarray | None]:
     return parse_system_obj(_load_json(path))
-
-
-def _parse_alpha_list(text: str) -> np.ndarray:
-    try:
-        return np.asarray([float(v) for v in text.split(",")], dtype=float)
-    except ValueError:
-        raise SystemFileError(f"--alphas: cannot parse {text!r}") from None
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -151,34 +134,31 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    system, _ = load_system(args.file)
-    if args.alphas:
-        system = FuzzySystem(h=system.h, x0=system.x0,
-                             alphas=_parse_alpha_list(args.alphas))
-    try:
-        trajectories = [envelope_propagate(system, a, args.k) for a in system.alphas]
-    except SignPreconditionError as exc:
-        print(f"precondition violated ({exc.condition}): {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    doc = _load_json(args.file)
+    if args.alphas and isinstance(doc, dict):
+        try:
+            doc["alphas"] = [float(v) for v in args.alphas.split(",")]
+        except ValueError:
+            raise ValueError(f"--alphas: cannot parse {args.alphas!r}") from None
+    system, _ = parse_system_obj(doc)
+    lo, hi = envelope_endpoints(system, system.alphas, args.k)
+    alphas = system.alphas.tolist()
+    labels = [_fmt(a) for a in alphas]
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write("k,alpha,i,lo,hi\n")
             for k in range(args.k + 1):
-                for tr in trajectories:
-                    box = tr.steps[k]
-                    for i in range(box.n):
-                        fh.write(f"{k},{_fmt(tr.alpha)},{i + 1},"
-                                 f"{_fmt(box.lo[i])},{_fmt(box.hi[i])}\n")
+                for a, lo_a, hi_a in zip(labels, lo[k].tolist(), hi[k].tolist()):
+                    for i, (l, h) in enumerate(zip(lo_a, hi_a), 1):
+                        fh.write(f"{k},{a},{i},{_fmt(l)},{_fmt(h)}\n")
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
     summary = {
         "k": args.k,
         "out": args.out,
-        "final_widths": [
-            {"alpha": float(tr.alpha), "width": tr.steps[-1].width.tolist()}
-            for tr in trajectories
-        ],
+        "final_widths": [{"alpha": a, "width": w}
+                         for a, w in zip(alphas, (hi[-1] - lo[-1]).tolist())],
     }
     print(json.dumps(summary))
     return EXIT_OK
@@ -202,13 +182,11 @@ def cmd_oracle(args) -> int:
     report = {"n_trajectories": args.n, "k": args.k, "mode": args.mode,
               "out": args.out}
     try:
-        envelope = envelope_propagate(system, 0.0, args.k)
+        lo, hi = envelope_endpoints(system, 0.0, args.k)
     except SignPreconditionError as exc:
         report["containment"] = None
         report["containment_skipped"] = str(exc)
     else:
-        lo = envelope.lo_array()[np.newaxis]
-        hi = envelope.hi_array()[np.newaxis]
         below = np.maximum(lo - runs, 0.0)
         above = np.maximum(runs - hi, 0.0)
         violation = np.maximum(below, above)
@@ -233,14 +211,10 @@ def cmd_oracle(args) -> int:
 
 def _load_fuzzy_vector(path: str) -> FuzzyVector:
     obj = _load_json(path)
-    if isinstance(obj, dict):
-        return FuzzyVector([fuzzy_from_json(obj)])
-    if isinstance(obj, list):
-        try:
-            return FuzzyVector([fuzzy_from_json(cell) for cell in obj])
-        except ValueError as exc:
-            raise SystemFileError(f"{path}: {exc}") from exc
-    raise SystemFileError(f"{path}: expected a fuzzy number or a list of them")
+    try:
+        return FuzzyVector(obj if isinstance(obj, list) else [obj])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_distance(args) -> int:
@@ -298,12 +272,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemFileError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SignPreconditionError as exc:
         print(f"precondition violated ({exc.condition}): {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except ValueError as exc:
+        # fdikit raises ValueError for every malformed input and bad argument
+        # value, such as --k -1 or --n 0 with no member left to check.
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entry() -> None:

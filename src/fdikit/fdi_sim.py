@@ -1,21 +1,22 @@
 """Level-wise simulation of linear stationary fuzzy dynamics.
 
 A fuzzy system x(k+1) = H x(k) is evaluated per alpha level as an
-interval difference inclusion.  For non-negative families the exact
-solution-set envelope separates: the lower endpoints evolve under the
-lower matrix and the upper endpoints under the upper matrix.  Monte
+interval difference inclusion.  The system is stored as a level stack:
+the cut endpoints of every entry of H and x0 on one grid of levels, so a
+level's interval system is a row lookup.  For non-negative families the
+exact solution-set envelope separates: the lower endpoints evolve under
+the lower matrix and the upper endpoints under the upper matrix.  Monte
 Carlo member trajectories serve as an independent containment oracle and
 work for sign-indefinite systems too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fuzzy_num import FuzzyNumber, FuzzyVector, as_fuzzy, validate_nested
+from .fuzzy_num import FuzzyNumber, FuzzyVector, breakpoints, interp_levels, stack_fault
 from .interval_linalg import (
     IntervalMatrix,
     IntervalVector,
@@ -35,55 +36,136 @@ class SignPreconditionError(ValueError):
 
 
 def _check_alphas(alphas) -> np.ndarray:
-    grid = np.asarray(alphas, dtype=float)
+    grid = np.array(alphas, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("alpha grid must be a vector with at least two levels")
-    if np.any(np.diff(grid) <= 0):
+    if not np.all(np.diff(grid) > 0):
         raise ValueError("alpha grid must be strictly increasing")
     if grid[0] != 0.0 or grid[-1] != 1.0:
         raise ValueError("alpha grid must contain 0 and 1")
     return grid
 
 
-@dataclass
+def _group_cells(cells, label) -> list:
+    """Cells grouped by breakpoint grid, as (alphas, indices, lo, hi) with
+    lo and hi of shape (len(indices), len(alphas)).
+
+    The checks of :class:`FuzzyNumber` run once per group.  The first
+    malformed cell raises ValueError (StackingViolation for cuts that are
+    not nested) prefixed with ``label(index)``.
+    """
+    groups, faults = {}, []
+    for p, cell in enumerate(cells):
+        try:
+            alphas, lo, hi = breakpoints(cell)
+        except (TypeError, ValueError) as exc:
+            faults.append((p, ValueError(exc)))
+            break
+        groups.setdefault(alphas, []).append((p, lo, hi))
+    out = []
+    for alphas, members in groups.items():
+        a, index, lo, hi = (np.array(v) for v in (alphas, *zip(*members)))
+        fault = stack_fault(a, lo, hi)
+        if fault is not None:
+            faults.append((index[fault[0]], fault[1]))
+        out.append((a, index, lo, hi))
+    if faults:
+        p, exc = min(faults, key=lambda fault: fault[0])
+        raise type(exc)(f"{label(p)}: {exc}")
+    return out
+
+
 class FuzzySystem:
-    """Linear stationary system with fuzzy matrix and fuzzy initial state."""
+    """Linear stationary system with fuzzy matrix and fuzzy initial state.
 
-    h: Sequence[Sequence[FuzzyNumber]]
-    x0: FuzzyVector
-    alphas: np.ndarray = field(default_factory=lambda: DEFAULT_ALPHAS.copy())
+    ``h`` is an n x n grid and ``x0`` a sequence of n entries, each a
+    FuzzyNumber, Tfn, real number or JSON object (``{"tfn": ...}`` or
+    ``{"levels": ...}``).  The system keeps only the level stack: ``grid``
+    is the union of ``alphas`` and every entry's breakpoints, ``h_lo`` and
+    ``h_hi`` (shape (G, n, n)) and ``x0_lo`` and ``x0_hi`` (shape (G, n))
+    are the cut endpoints at each level of ``grid``.  Every entry is
+    stored exactly, since linear interpolation along ``grid`` reproduces it.
+    """
 
-    def __post_init__(self):
-        rows = [tuple(as_fuzzy(e) for e in row) for row in self.h]
+    def __init__(self, h, x0, alphas=DEFAULT_ALPHAS):
+        rows = [list(row) for row in h]
         n = len(rows)
-        if any(len(row) != n for row in rows):
+        if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("dynamic matrix must be square")
-        self.h = tuple(rows)
-        if not isinstance(self.x0, FuzzyVector):
-            self.x0 = FuzzyVector(self.x0)
-        if self.x0.n != n:
-            raise ValueError(f"initial state has length {self.x0.n}, expected {n}")
-        self.alphas = _check_alphas(self.alphas)
+        x0 = list(x0)
+        if len(x0) != n:
+            raise ValueError(f"initial state has length {len(x0)}, expected {n}")
+        cells = [cell for row in rows for cell in row] + x0
 
-    @property
-    def n(self) -> int:
-        return len(self.h)
+        def label(p):
+            return f'"H"[{p // n}][{p % n}]' if p < n * n else f'"x0"[{p - n * n}]'
+
+        groups = _group_cells(cells, label)
+        self.n = n
+        self.alphas = _check_alphas(alphas)
+        self.grid = np.union1d(self.alphas, np.concatenate([a for a, *_ in groups]))
+        lo = np.empty((self.grid.size, len(cells)))
+        hi = np.empty_like(lo)
+        for a, index, glo, ghi in groups:
+            lo[:, index] = interp_levels(self.grid, a, glo.T)
+            hi[:, index] = interp_levels(self.grid, a, ghi.T)
+        self.h_lo = lo[:, :n * n].reshape(-1, n, n).copy()
+        self.h_hi = hi[:, :n * n].reshape(-1, n, n).copy()
+        self.x0_lo = lo[:, n * n:].copy()
+        self.x0_hi = hi[:, n * n:].copy()
+        for a in (self.alphas, self.grid, self.h_lo, self.h_hi, self.x0_lo, self.x0_hi):
+            a.setflags(write=False)
 
 
 def level_matrix(sys: FuzzySystem, alpha: float) -> IntervalMatrix:
-    """Entrywise alpha-cuts of the dynamic matrix as an interval matrix."""
-    lo = np.empty((sys.n, sys.n))
-    hi = np.empty((sys.n, sys.n))
-    for i, row in enumerate(sys.h):
-        for j, entry in enumerate(row):
-            lo[i, j], hi[i, j] = entry.cut(alpha)
-    return IntervalMatrix(lo, hi)
+    """Entrywise alpha-cuts of the dynamic matrix as an interval matrix.
+
+    A level of ``sys.grid`` is a row lookup; between levels the endpoints
+    are interpolated linearly along the grid.
+    """
+    return IntervalMatrix(interp_levels(alpha, sys.grid, sys.h_lo),
+                          interp_levels(alpha, sys.grid, sys.h_hi))
 
 
 def level_state(sys: FuzzySystem, alpha: float) -> IntervalVector:
     """Alpha-cut box of the initial state."""
-    lo, hi = sys.x0.cut(alpha)
-    return IntervalVector(lo, hi)
+    return IntervalVector(interp_levels(alpha, sys.grid, sys.x0_lo),
+                          interp_levels(alpha, sys.grid, sys.x0_hi))
+
+
+def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
+    """Exact envelope endpoints (lo, hi) at each level of ``alphas``.
+
+    ``alphas`` is one level or an array of levels; lo and hi have shape
+    (horizon + 1, *np.shape(alphas), n).  The endpoint systems
+    lo' = M_lo lo and hi' = M_hi hi bound the solution set exactly when
+    the lower matrix and the lower state are non-negative; at the first
+    level where either is not, SignPreconditionError is raised.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    levels = np.asarray(alphas, dtype=float)
+    m_lo = interp_levels(levels, sys.grid, sys.h_lo)
+    x_lo = interp_levels(levels, sys.grid, sys.x0_lo)
+    bad_m = np.any(m_lo < 0, axis=(-2, -1)).ravel()
+    bad = bad_m | np.any(x_lo < 0, axis=-1).ravel()
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        condition, what = (("matrix_nonneg", "dynamic-matrix") if bad_m[i]
+                           else ("state_nonneg", "initial-state"))
+        raise SignPreconditionError(
+            condition, f"{what} lower bound has a negative entry at alpha="
+            f"{levels.ravel()[i]:g}; use mc_trajectories, or overapproximate=True "
+            "for an outer box")
+    m_hi = interp_levels(levels, sys.grid, sys.h_hi)
+    lo = np.empty((horizon + 1, *x_lo.shape))
+    hi = np.empty_like(lo)
+    lo[0] = x_lo
+    hi[0] = interp_levels(levels, sys.grid, sys.x0_hi)
+    for k in range(horizon):
+        lo[k + 1] = (m_lo @ lo[k][..., None])[..., 0]
+        hi[k + 1] = (m_hi @ hi[k][..., None])[..., 0]
+    return lo, hi
 
 
 @dataclass
@@ -98,10 +180,6 @@ class EnvelopeTrajectory:
     alpha: float
     steps: list[IntervalVector]
     exact: bool = True
-
-    @property
-    def horizon(self) -> int:
-        return len(self.steps) - 1
 
     def lo_array(self) -> np.ndarray:
         return np.vstack([s.lo for s in self.steps])
@@ -120,28 +198,14 @@ def envelope_propagate(sys: FuzzySystem, alpha: float, horizon: int,
     either raises SignPreconditionError (Monte Carlo still applies, and
     ``overapproximate=True`` switches to the interval-product outer box).
     """
+    if not overapproximate:
+        lo, hi = envelope_endpoints(sys, alpha, horizon)
+        return EnvelopeTrajectory(alpha=float(alpha), exact=True,
+                                  steps=[IntervalVector(l, h) for l, h in zip(lo, hi)])
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     m = level_matrix(sys, alpha)
     x = level_state(sys, alpha)
-    if not overapproximate:
-        if np.any(m.lo < 0):
-            raise SignPreconditionError(
-                "matrix_nonneg",
-                f"dynamic-matrix lower bound has a negative entry at alpha={alpha:g}; "
-                "use mc_trajectories, or overapproximate=True for an outer box")
-        if np.any(x.lo < 0):
-            raise SignPreconditionError(
-                "state_nonneg",
-                f"initial-state lower bound has a negative entry at alpha={alpha:g}; "
-                "use mc_trajectories, or overapproximate=True for an outer box")
-        steps = [x]
-        lo, hi = x.lo, x.hi
-        for _ in range(horizon):
-            lo = m.lo @ lo
-            hi = m.hi @ hi
-            steps.append(IntervalVector(lo, hi))
-        return EnvelopeTrajectory(alpha=float(alpha), steps=steps, exact=True)
     steps = [x]
     for _ in range(horizon):
         x = interval_matvec(m, x)
@@ -162,17 +226,16 @@ class FuzzyAttainable:
 
 
 def assemble_fuzzy_attainable(sys: FuzzySystem, horizon: int) -> FuzzyAttainable:
-    """Propagate every grid level and stack the boxes into fuzzy vectors.
+    """Propagate every level of ``sys.alphas`` and stack the boxes into fuzzy
+    vectors.
 
-    Stacking validates nestedness across alpha at every step; a violation
-    here would indicate an implementation bug, not bad input.
+    Each component is checked as a FuzzyNumber, so cuts that are not
+    nested across alpha raise StackingViolation; that would indicate an
+    implementation bug, not bad input.
     """
-    trajectories = [envelope_propagate(sys, a, horizon) for a in sys.alphas]
-    steps = []
-    for k in range(horizon + 1):
-        levels = [(a, tr.steps[k].lo, tr.steps[k].hi)
-                  for a, tr in zip(sys.alphas, trajectories)]
-        steps.append(validate_nested(levels))
+    lo, hi = envelope_endpoints(sys, sys.alphas, horizon)
+    steps = [FuzzyVector([FuzzyNumber(sys.alphas, l, h) for l, h in zip(lo_k.T, hi_k.T)])
+             for lo_k, hi_k in zip(lo, hi)]
     return FuzzyAttainable(alphas=sys.alphas.copy(), steps=steps)
 
 

@@ -79,6 +79,27 @@ def _sup_alpha_at_most(vals: np.ndarray, alphas: np.ndarray, p: float,
     return float(alphas[j - 1] + t * (alphas[j] - alphas[j - 1]))
 
 
+def stack_fault(alphas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """First failed check of fuzzy numbers sharing the grid ``alphas``, whose
+    cut endpoints are the rows of ``lo`` and ``hi``: (row, exception) for the
+    first malformed row, or None.  A row failing several checks reports the
+    first, in the order grid, finiteness, ordering, nestedness.
+    """
+    if alphas.size < 2 or alphas[0] != 0.0 or alphas[-1] != 1.0:
+        return 0, ValueError("alpha grid must run from 0 to 1")
+    if not np.all(np.diff(alphas) > 0):
+        return 0, ValueError("alpha grid must be strictly increasing")
+    checks = (
+        (~(np.isfinite(lo) & np.isfinite(hi)).all(axis=1), ValueError,
+         "support must be bounded (finite endpoints)"),
+        ((hi - lo < -ORDER_TOL).any(axis=1), ValueError, "every level must satisfy lo <= hi"),
+        (((np.diff(lo, axis=1) < -ORDER_TOL) | (np.diff(hi, axis=1) > ORDER_TOL)).any(axis=1),
+         StackingViolation, "alpha-cuts must be nested (nonincreasing in alpha)"),
+    )
+    faults = [(int(np.argmax(bad)), kind(message)) for bad, kind, message in checks if bad.any()]
+    return min(faults, key=lambda fault: fault[0], default=None)
+
+
 class FuzzyNumber:
     """Piecewise-linear fuzzy number over a finite grid of alpha levels.
 
@@ -96,16 +117,9 @@ class FuzzyNumber:
         hi = np.array(hi, dtype=float)
         if alphas.ndim != 1 or alphas.shape != lo.shape or alphas.shape != hi.shape:
             raise ValueError("alphas, lo, hi must be one-dimensional and equally long")
-        if alphas.size < 2 or alphas[0] != 0.0 or alphas[-1] != 1.0:
-            raise ValueError("alpha grid must run from 0 to 1")
-        if np.any(np.diff(alphas) <= 0):
-            raise ValueError("alpha grid must be strictly increasing")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("support must be bounded (finite endpoints)")
-        if np.any(hi - lo < -ORDER_TOL):
-            raise ValueError("every level must satisfy lo <= hi")
-        if np.any(np.diff(lo) < -ORDER_TOL) or np.any(np.diff(hi) > ORDER_TOL):
-            raise StackingViolation("alpha-cuts must be nested (nonincreasing in alpha)")
+        fault = stack_fault(alphas, lo[np.newaxis], hi[np.newaxis])
+        if fault is not None:
+            raise fault[1]
         for a in (alphas, lo, hi):
             a.setflags(write=False)
         self.alphas = alphas
@@ -120,11 +134,6 @@ class FuzzyNumber:
             raise ValueError("empty level list")
         alphas, lo, hi = zip(*rows)
         return cls(alphas, lo, hi)
-
-    @classmethod
-    def crisp(cls, value: float) -> "FuzzyNumber":
-        """Embedding of a plain real number."""
-        return Tfn(value, value, value).to_fuzzy()
 
     # -- cuts ---------------------------------------------------------------
 
@@ -147,16 +156,6 @@ class FuzzyNumber:
     @property
     def support(self) -> tuple[float, float]:
         return float(self.lo[0]), float(self.hi[0])
-
-    @property
-    def core(self) -> tuple[float, float]:
-        return float(self.lo[-1]), float(self.hi[-1])
-
-    def refine(self, alphas) -> "FuzzyNumber":
-        """Same number on the union of its grid with ``alphas``."""
-        grid = np.union1d(self.alphas, np.asarray(alphas, dtype=float))
-        lo, hi = self.cuts(grid)
-        return FuzzyNumber(grid, lo, hi)
 
     # -- membership ---------------------------------------------------------
 
@@ -221,14 +220,8 @@ class FuzzyNumber:
 
 
 def as_fuzzy(x) -> FuzzyNumber:
-    """Coerce a Tfn, real number, or FuzzyNumber to a FuzzyNumber."""
-    if isinstance(x, FuzzyNumber):
-        return x
-    if isinstance(x, Tfn):
-        return x.to_fuzzy()
-    if isinstance(x, (int, float)):
-        return FuzzyNumber.crisp(float(x))
-    raise TypeError(f"cannot interpret {type(x).__name__} as a fuzzy number")
+    """Coerce a Tfn, real number, JSON object or FuzzyNumber to a FuzzyNumber."""
+    return x if isinstance(x, FuzzyNumber) else FuzzyNumber(*breakpoints(x))
 
 
 def _merged(a: FuzzyNumber, b: FuzzyNumber):
@@ -350,18 +343,59 @@ def fuzzy_to_json(x) -> dict:
 
 def fuzzy_from_json(obj) -> FuzzyNumber:
     """Parse the JSON encoding produced by :func:`fuzzy_to_json`."""
+    return FuzzyNumber(*_json_breakpoints(obj))
+
+
+def _json_breakpoints(obj):
     if not isinstance(obj, dict):
         raise ValueError(f"fuzzy number must be a JSON object, got {type(obj).__name__}")
     if "tfn" in obj:
         triple = obj["tfn"]
         if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
             raise ValueError('"tfn" must be a list [l, c, r]')
-        return Tfn(*(float(v) for v in triple)).to_fuzzy()
+        return breakpoints(Tfn(*(float(v) for v in triple)))
     if "levels" in obj:
         rows = obj["levels"]
         if not isinstance(rows, list) or not all(
             isinstance(r, (list, tuple)) and len(r) == 3 for r in rows
         ):
             raise ValueError('"levels" must be a list of [alpha, lo, hi] rows')
-        return FuzzyNumber.from_levels((float(a), float(l), float(h)) for a, l, h in rows)
+        if not rows:
+            raise ValueError("empty level list")
+        return tuple(zip(*((float(a), float(l), float(h)) for a, l, h in rows)))
     raise ValueError('fuzzy number object needs a "tfn" or "levels" field')
+
+
+def breakpoints(x) -> tuple[tuple, tuple, tuple]:
+    """(alphas, lo, hi) tuples of a FuzzyNumber, Tfn, real number or JSON object.
+
+    The JSON object is read as :func:`fuzzy_from_json` reads it, but the
+    numeric checks of :class:`FuzzyNumber` are left to the caller, so that
+    many numbers can be checked at once.
+    """
+    if isinstance(x, FuzzyNumber):
+        return tuple(x.alphas.tolist()), tuple(x.lo.tolist()), tuple(x.hi.tolist())
+    if isinstance(x, (int, float)):
+        x = Tfn(float(x), float(x), float(x))
+    if isinstance(x, Tfn):
+        return (0.0, 1.0), (x.l, x.c), (x.r, x.c)
+    return _json_breakpoints(x)
+
+
+def interp_levels(x, xp, fp) -> np.ndarray:
+    """``np.interp(x, xp, f)`` for every column ``f`` of ``fp``, bit for bit.
+
+    ``fp`` holds levels on its first axis and ``xp`` is a strictly
+    increasing grid of alpha levels; the result has shape ``x.shape +
+    fp.shape[1:]``.  Like ``np.interp``, this is the stored value at a
+    breakpoint and ``slope * (x - xp[j]) + fp[j]`` between breakpoints.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all((xp[0] <= x) & (x <= xp[-1])):
+        raise ValueError(f"alpha must lie in [{xp[0]:g}, {xp[-1]:g}], got {x}")
+    j = np.searchsorted(xp, x, side="right") - 1
+    k = np.minimum(j, xp.size - 2)
+    col = x.shape + (1,) * (fp.ndim - 1)
+    slope = (fp[k + 1] - fp[k]) / (xp[k + 1] - xp[k]).reshape(col)
+    between = slope * (x - xp[k]).reshape(col) + fp[k]
+    return np.where((xp[j] == x).reshape(col), fp[j], between)

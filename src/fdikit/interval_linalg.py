@@ -5,7 +5,7 @@ member selection."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -91,26 +91,15 @@ class IntervalVector:
         z = np.asarray(z, dtype=float)
         return bool(np.all(z >= self.lo - tol) and np.all(z <= self.hi + tol))
 
-    @property
-    def width(self) -> np.ndarray:
-        return self.hi - self.lo
-
     def __repr__(self):
         return f"IntervalVector(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
 
 
-@dataclass(frozen=True, eq=False)
-class MidRad:
+class MidRad(NamedTuple):
     """Midpoint/radius split of an interval matrix: center +- radius."""
 
     center: np.ndarray
     radius: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _freeze(self.center))
-        object.__setattr__(self, "radius", _freeze(self.radius))
-        if np.any(self.radius < 0):
-            raise ValueError("radius must be non-negative")
 
 
 def mid_rad(m: IntervalMatrix) -> MidRad:
@@ -216,12 +205,6 @@ def vertex_matrices(m: IntervalMatrix,
         yield from vertex_stack(m, start, min(start + step, count))
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def sample_matrix(m: IntervalMatrix, rng, size: int | None = None) -> np.ndarray:
     """Entrywise uniform member(s) of the interval matrix; shape
     (size, rows, cols) when batched.
@@ -229,15 +212,8 @@ def sample_matrix(m: IntervalMatrix, rng, size: int | None = None) -> np.ndarray
     ``rng`` is a seed or a numpy Generator; fixed seeds reproduce exactly,
     and a batch of ``size`` draws the same stream as ``size`` single calls.
     """
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(rng)
     if size is None:
         return gen.uniform(m.lo, m.hi)
     return gen.uniform(m.lo, m.hi, size=(size, *m.shape))
 
-
-def sample_vector(v: IntervalVector, rng, size: int | None = None) -> np.ndarray:
-    """Uniform point(s) in an interval vector; shape (size, n) when batched."""
-    gen = _as_rng(rng)
-    if size is None:
-        return gen.uniform(v.lo, v.hi)
-    return gen.uniform(v.lo, v.hi, size=(size, v.n))

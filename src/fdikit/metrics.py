@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fuzzy_num import FuzzyNumber, FuzzyVector, as_fuzzy
+from .fuzzy_num import FuzzyVector, as_fuzzy
+from .interval_linalg import IntervalVector
 
 
 def dist_rn(z1, z2) -> float:
@@ -31,32 +32,7 @@ def hausdorff_interval(a, b) -> float:
     return max(abs(alo - blo), abs(ahi - bhi))
 
 
-class Box:
-    """Axis-aligned box in R^N given by per-coordinate closed intervals."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lo and hi must be equally long vectors")
-        if np.any(lo > hi):
-            raise ValueError("box needs lo <= hi in every coordinate")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        self.lo = lo
-        self.hi = hi
-
-    @property
-    def n(self) -> int:
-        return self.lo.size
-
-    def __repr__(self):
-        return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
-
-
-def _directed_box_sep(a: Box, b: Box) -> float:
+def _directed_box_sep(a: IntervalVector, b: IntervalVector) -> float:
     # sup over points of a of their sum-distance to b; the inner distance
     # separates per coordinate and each 1-D sup sits at an endpoint.
     from_lo = np.maximum(0.0, np.maximum(b.lo - a.lo, a.lo - b.hi))
@@ -64,7 +40,7 @@ def _directed_box_sep(a: Box, b: Box) -> float:
     return float(np.sum(np.maximum(from_lo, from_hi)))
 
 
-def hausdorff_box(a: Box, b: Box) -> float:
+def hausdorff_box(a: IntervalVector, b: IntervalVector) -> float:
     """Hausdorff distance between boxes under the coordinate-sum distance.
 
     Each directed separation decomposes into a sum of per-coordinate

@@ -144,50 +144,44 @@ def spectral_radii(stack: np.ndarray) -> np.ndarray:
 
 # -- Gershgorin tests for sign-definite families ------------------------------
 
+def _row_test(lo: np.ndarray, hi: np.ndarray, sign: float, criterion: str,
+              reason: str) -> StabilityVerdict:
+    """Strict row test on the non-negative family [lo, hi], which is the
+    tested family times ``sign``; witness values carry the tested signs."""
+    if np.any(lo < 0):
+        i, j = np.argwhere(lo < 0)[0]
+        return StabilityVerdict(
+            StabilityStatus.INCONCLUSIVE, criterion,
+            {"reason": reason, "entry": [int(i), int(j)], "value": sign * float(lo[i, j])})
+    off = hi.sum(axis=1) - np.diag(hi)
+    slack = 1.0 - np.diag(hi) - off
+    if np.all(slack > 0):
+        return StabilityVerdict(
+            StabilityStatus.ASYMPTOTICALLY_STABLE, criterion,
+            {"row_margins": slack.tolist()})
+    i = int(np.argmin(slack))
+    # "+ 0.0" keeps an exactly zero sum unsigned after the sign flip.
+    return StabilityVerdict(
+        StabilityStatus.INCONCLUSIVE, criterion,
+        {"reason": "row condition fails (not strict)", "row": i,
+         "offdiag_sum": sign * float(off[i]) + 0.0, "diag": sign * float(hi[i, i])})
+
+
 def gershgorin_nonneg_test(m: IntervalMatrix) -> StabilityVerdict:
     """Row test for non-negative families: certifies when lo >= 0 and every
     row of hi has off-diagonal sum strictly below 1 minus its diagonal."""
     m.n  # rejects non-square input
-    if np.any(m.lo < 0):
-        i, j = np.argwhere(m.lo < 0)[0]
-        return StabilityVerdict(
-            StabilityStatus.INCONCLUSIVE, "gershgorin_nonneg",
-            {"reason": "lower bound matrix has a negative entry",
-             "entry": [int(i), int(j)], "value": float(m.lo[i, j])})
-    off = m.hi.sum(axis=1) - np.diag(m.hi)
-    slack = 1.0 - np.diag(m.hi) - off
-    if np.all(slack > 0):
-        return StabilityVerdict(
-            StabilityStatus.ASYMPTOTICALLY_STABLE, "gershgorin_nonneg",
-            {"row_margins": slack.tolist()})
-    i = int(np.argmin(slack))
-    return StabilityVerdict(
-        StabilityStatus.INCONCLUSIVE, "gershgorin_nonneg",
-        {"reason": "row condition fails (not strict)", "row": i,
-         "offdiag_sum": float(off[i]), "diag": float(m.hi[i, i])})
+    return _row_test(m.lo, m.hi, 1.0, "gershgorin_nonneg",
+                     "lower bound matrix has a negative entry")
 
 
 def gershgorin_nonpos_test(m: IntervalMatrix) -> StabilityVerdict:
-    """Mirror row test for non-positive families: certifies when hi <= 0 and
-    every row of lo has off-diagonal sum strictly above -1 minus its diagonal."""
+    """Mirror row test for non-positive families: the non-negative test on
+    the exactly negated family [-hi, -lo], whose members have the same
+    spectral radii; the row margins are those of the mirror rule."""
     m.n  # rejects non-square input
-    if np.any(m.hi > 0):
-        i, j = np.argwhere(m.hi > 0)[0]
-        return StabilityVerdict(
-            StabilityStatus.INCONCLUSIVE, "gershgorin_nonpos",
-            {"reason": "upper bound matrix has a positive entry",
-             "entry": [int(i), int(j)], "value": float(m.hi[i, j])})
-    off = m.lo.sum(axis=1) - np.diag(m.lo)
-    slack = off - (-1.0 - np.diag(m.lo))
-    if np.all(slack > 0):
-        return StabilityVerdict(
-            StabilityStatus.ASYMPTOTICALLY_STABLE, "gershgorin_nonpos",
-            {"row_margins": slack.tolist()})
-    i = int(np.argmin(slack))
-    return StabilityVerdict(
-        StabilityStatus.INCONCLUSIVE, "gershgorin_nonpos",
-        {"reason": "row condition fails (not strict)", "row": i,
-         "offdiag_sum": float(off[i]), "diag": float(m.lo[i, i])})
+    return _row_test(-m.hi, -m.lo, -1.0, "gershgorin_nonpos",
+                     "upper bound matrix has a positive entry")
 
 
 # -- eigenvalue box ------------------------------------------------------------
@@ -338,28 +332,18 @@ def marginal_test(m: IntervalMatrix, t, shape_tol: float = SHAPE_TOL,
     t_inv = np.linalg.inv(t)
 
     reasons = []
-    if np.all(m.lo >= 0):
-        block, why = _transformed_block(m.hi, t_inv, t, shape_tol)
-        if block is None:
-            reasons.append(f"non-negative case: {why}")
-        else:
+    for case, label, applies, bound in (("nonneg", "non-negative", np.all(m.lo >= 0), m.hi),
+                                        ("nonpos", "non-positive", np.all(m.hi <= 0), m.lo)):
+        if not applies:
+            continue
+        block, why = _transformed_block(bound, t_inv, t, shape_tol)
+        if block is not None:
             ok, why = _strict_gershgorin_abs(block)
             if ok:
                 return StabilityVerdict(
                     StabilityStatus.STABLE, "marginal_transform",
-                    {"case": "nonneg", "reduced": block.tolist()})
-            reasons.append(f"non-negative case: {why}")
-    if np.all(m.hi <= 0):
-        block, why = _transformed_block(m.lo, t_inv, t, shape_tol)
-        if block is None:
-            reasons.append(f"non-positive case: {why}")
-        else:
-            ok, why = _strict_gershgorin_abs(block)
-            if ok:
-                return StabilityVerdict(
-                    StabilityStatus.STABLE, "marginal_transform",
-                    {"case": "nonpos", "reduced": block.tolist()})
-            reasons.append(f"non-positive case: {why}")
+                    {"case": case, "reduced": block.tolist()})
+        reasons.append(f"{label} case: {why}")
 
     block_lo, why_lo = _transformed_block(m.lo, t_inv, t, shape_tol)
     block_hi, why_hi = _transformed_block(m.hi, t_inv, t, shape_tol)

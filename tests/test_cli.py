@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and file formats."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -42,6 +43,11 @@ def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 # -- analyze ------------------------------------------------------------------------
@@ -99,6 +105,31 @@ def test_analyze_malformed_fuzzy_names_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_INPUT
     assert '"H"[0][0]' in err
+
+
+@pytest.mark.parametrize("cells, expected", [
+    # a nesting fault before a malformed "tfn"
+    ({(0, 1): {"levels": [[0.0, 0.0, 1.0], [1.0, -1.0, 2.0]]}, (1, 0): {"tfn": [1, 2]}},
+     '"H"[0][1]: alpha-cuts must be nested (nonincreasing in alpha)'),
+    # an unordered triple before a nesting fault
+    ({(0, 1): {"tfn": [3, 2, 1]}, (1, 1): {"levels": [[0.0, 0.0, 1.0], [1.0, -1.0, 2.0]]}},
+     '"H"[0][1]: triple must satisfy l <= c <= r, got (3.0, 2.0, 1.0)'),
+    # a fault in the "tfn" cells, checked after another breakpoint grid
+    ({(0, 1): {"levels": [[0.0, 0.0, 1.0], [0.5, 0.6, 0.4], [1.0, 0.5, 0.5]]},
+      (1, 0): {"tfn": [0.0, 0.0, float("inf")]}},
+     '"H"[0][1]: every level must satisfy lo <= hi'),
+    ({(1, 1): {"tfn": [0.0, 0.0, float("inf")]},
+      (0, 1): {"levels": [[0.0, 0.0, 1.0], [0.6, 0.6, 0.4], [1.0, 0.5, 0.5]]}},
+     '"H"[0][1]: every level must satisfy lo <= hi'),
+])
+def test_analyze_names_first_malformed_cell(tmp_path, capsys, cells, expected):
+    h = [[{"tfn": [0.1, 0.2, 0.3]} for _ in range(2)] for _ in range(2)]
+    for (i, j), cell in cells.items():
+        h[i][j] = cell
+    doc = {"n": 2, "H": h, "x0": [{"tfn": [0.5, 1.0, 1.5]}] * 2}
+    rc = main(["analyze", write(tmp_path, "s.json", doc)])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {expected}\n"
 
 
 def test_analyze_missing_file(capsys):
@@ -224,6 +255,67 @@ def test_oracle_skips_containment_when_sign_indefinite(tmp_path, capsys):
     assert "containment_skipped" in report
 
 
+# -- output digests and argument errors -------------------------------------------------
+
+# simulate and oracle CSVs of two documents, digests taken before the system
+# became a level stack.  The CSVs print 12 significant digits, so last-ulp
+# BLAS differences between hosts do not reach them.
+GOLDEN = {
+    "tfn": ({
+        "n": 2,
+        "H": [[{"tfn": [0.2, 0.3, 0.4]}, {"tfn": [0.0, 0.1, 0.2]}],
+              [{"tfn": [0.1, 0.15, 0.2]}, {"tfn": [0.3, 0.4, 0.5]}]],
+        "x0": [{"tfn": [0.5, 1.0, 1.5]}, {"tfn": [0.25, 0.5, 0.75]}],
+    }, [], "214772d723e95ffa10dddd61937268b17f95e1b0e808d1b3304bae98a7381297",
+        "2d70491e190ea8ddcb2cc621c6944ac65c8f5a4af117605e0f088771a3ec2d18"),
+    # one cell with a breakpoint (alpha 0.3) off the --alphas grid
+    "mixed-grid": ({
+        "n": 2,
+        "H": [[{"tfn": [0.2, 0.3, 0.4]},
+               {"levels": [[0.0, 0.0, 0.25], [0.3, 0.05, 0.15], [1.0, 0.1, 0.1]]}],
+              [{"tfn": [0.1, 0.15, 0.2]}, {"tfn": [0.3, 0.4, 0.5]}]],
+        "x0": [{"tfn": [0.5, 1.0, 1.5]}, {"tfn": [0.25, 0.5, 0.75]}],
+    }, ["--alphas", "0,0.25,0.5,0.75,1"],
+        "5730a8cd866343511f753e1cc6b7c46ec02238c947d7235613a4d1bed1908756",
+        "0739277afdd76b07aa0584e38c1fb48d92aeed5ad33f4b63c333014fd81ce5b9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_csv_golden_digests(tmp_path, capsys, name):
+    doc, alphas, env_digest, runs_digest = GOLDEN[name]
+    sys_file = write(tmp_path, "s.json", doc)
+    env, runs = tmp_path / "env.csv", tmp_path / "runs.csv"
+    assert main(["simulate", sys_file, "--k", "12", "--out", str(env)] + alphas) == EXIT_OK
+    assert main(["oracle", sys_file, "--k", "12", "--n", "200", "--seed", "99",
+                 "--mode", "timevarying", "--out", str(runs)]) == EXIT_OK
+    assert sha256(env) == env_digest
+    assert sha256(runs) == runs_digest
+
+
+FULLY_FUZZY_5 = {"n": 5, "H": [[{"tfn": [-1.0, 0.0, 1.0]}] * 5] * 5,
+                 "x0": [{"tfn": [0.0, 1.0, 2.0]}] * 5}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{wide}", "--n", "0"],  # 2^25 vertices over budget, no samples
+    ["oracle", "{scalar}", "--n", "0", "--out", "{out}"],
+    ["oracle", "{scalar}", "--k", "-1", "--out", "{out}"],
+    ["simulate", "{scalar}", "--k", "-1", "--out", "{out}"],
+    ["simulate", "{scalar}", "--alphas", "0.5,1", "--out", "{out}"],
+])
+def test_bad_argument_is_input_error(tmp_path, capsys, argv):
+    files = {"wide": write(tmp_path, "w.json", FULLY_FUZZY_5),
+             "scalar": write(tmp_path, "s.json", SCALAR_STABLE),
+             "out": str(tmp_path / "out.csv")}
+    rc = main([a.format(**files) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("input error: ")
+
+
 # -- distance ------------------------------------------------------------------------
 
 def test_distance_disjoint_core(tmp_path, capsys):
@@ -280,8 +372,8 @@ def test_round_trip_parse_dump_parse():
     doc = dump_system_obj(system, transform)
     system2, transform2 = parse_system_obj(doc)
     assert dump_system_obj(system2, transform2) == doc
-    assert system2.h == system.h
-    assert system2.x0 == system.x0
+    for name in ("grid", "h_lo", "h_hi", "x0_lo", "x0_hi"):
+        assert np.array_equal(getattr(system2, name), getattr(system, name)), name
     assert np.array_equal(system2.alphas, system.alphas)
     assert np.array_equal(transform2, transform)
 

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from fdikit import (
+    FuzzyNumber,
     FuzzySystem,
     FuzzyVector,
     SignPreconditionError,
     StabilityStatus,
     Tfn,
     analyze,
+    as_fuzzy,
     assemble_fuzzy_attainable,
     d_fuzzy_vec,
     envelope_propagate,
+    fuzzy_from_json,
+    fuzzy_to_json,
     level_matrix,
     level_state,
     mc_trajectories,
@@ -20,7 +24,12 @@ from fdikit import (
     validate_nested,
 )
 
-from conftest import make_certified_nonneg_system, make_nonneg_system
+from conftest import (
+    make_certified_nonneg_system,
+    make_nonneg_system,
+    rand_fuzzy_levels,
+    rand_tfn_nonneg,
+)
 
 
 def scalar_system(alphas=(0.0, 0.5, 1.0)) -> FuzzySystem:
@@ -55,6 +64,74 @@ def test_level_matrix_scalar_midlevel():
     m = level_matrix(scalar_system(), 0.5)
     assert m.lo[0, 0] == pytest.approx(0.45, abs=1e-15)
     assert m.hi[0, 0] == pytest.approx(0.55, abs=1e-15)
+
+
+# -- level stack --------------------------------------------------------------------
+
+def random_entries(rng: np.random.Generator, mixed: bool, count: int) -> list:
+    """TFN entries, or (``mixed``) a mix of level stacks with their own grids,
+    TFNs, real numbers and JSON objects."""
+    out = []
+    for _ in range(count):
+        kind = int(rng.integers(4)) if mixed else 0
+        if kind == 0:
+            out.append(rand_tfn_nonneg(rng))
+        elif kind == 1:
+            out.append(FuzzyNumber.from_levels(rand_fuzzy_levels(rng)))
+        elif kind == 2:
+            out.append(float(rng.uniform(-2.0, 2.0)))
+        else:
+            out.append(fuzzy_to_json(FuzzyNumber.from_levels(rand_fuzzy_levels(rng))))
+    return out
+
+
+def random_level_systems(seed: int, mixed: bool, count: int = 30):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 6))
+        h = random_entries(rng, mixed, n * n)
+        x0 = random_entries(rng, mixed, n)
+        alphas = np.round(np.linspace(0.0, 1.0, int(rng.integers(2, 12))), 12)
+        system = FuzzySystem(h=[h[i * n:(i + 1) * n] for i in range(n)], x0=x0, alphas=alphas)
+        yield h, x0, system
+
+
+def reference_cuts(entries, alpha):
+    """Per-entry reference: every entry cut with np.interp on its own grid."""
+    cuts = np.array([(fuzzy_from_json(e) if isinstance(e, dict) else as_fuzzy(e)).cut(alpha)
+                     for e in entries])
+    return cuts[:, 0], cuts[:, 1]
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_level_stack_equals_per_entry_cuts_on_grid(mixed):
+    for h, x0, s in random_level_systems(20 + mixed, mixed):
+        assert np.all(np.isin(s.alphas, s.grid))
+        for alpha in s.grid:
+            m, x = level_matrix(s, alpha), level_state(s, alpha)
+            h_lo, h_hi = reference_cuts(h, alpha)
+            x_lo, x_hi = reference_cuts(x0, alpha)
+            assert m.lo.tobytes() == h_lo.tobytes() and m.hi.tobytes() == h_hi.tobytes()
+            assert x.lo.tobytes() == x_lo.tobytes() and x.hi.tobytes() == x_hi.tobytes()
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_level_stack_interpolates_off_grid(mixed):
+    # Off the grid the stack interpolates between two levels of one linear
+    # piece: exact in real arithmetic, so the gap to the per-entry cut is
+    # rounding, bounded relative to each entry's largest endpoint.
+    rng = np.random.default_rng(40 + mixed)
+    for h, x0, s in random_level_systems(30 + mixed, mixed):
+        scale_h = np.maximum(np.abs(s.h_lo), np.abs(s.h_hi)).max(axis=0).ravel()
+        scale_x = np.maximum(np.abs(s.x0_lo), np.abs(s.x0_hi)).max(axis=0)
+        mids = (s.grid[1:] + s.grid[:-1]) / 2.0
+        for alpha in np.concatenate([mids, rng.uniform(0.0, 1.0, 5)]):
+            m, x = level_matrix(s, alpha), level_state(s, alpha)
+            h_lo, h_hi = reference_cuts(h, alpha)
+            x_lo, x_hi = reference_cuts(x0, alpha)
+            for got, want, scale in ((m.lo.ravel(), h_lo, scale_h), (m.hi.ravel(), h_hi, scale_h),
+                                     (x.lo, x_lo, scale_x), (x.hi, x_hi, scale_x)):
+                assert np.all(np.abs(got - want) <= 1e-15 * scale), alpha
 
 
 def test_system_validation():
@@ -145,8 +222,9 @@ def test_envelope_precondition_checked_per_level():
 def test_assemble_step_zero_equals_initial_state():
     s = scalar_system()
     att = assemble_fuzzy_attainable(s, 0)
-    assert att.steps[0][0].cut(0.0) == s.x0[0].cut(0.0)
-    assert att.steps[0][0].cut(0.5) == s.x0[0].cut(0.5)
+    for alpha in (0.0, 0.5):
+        x = level_state(s, alpha)
+        assert att.steps[0][0].cut(alpha) == (x.lo[0], x.hi[0])
 
 
 def test_assemble_crisp_levels_identical():

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fdikit import (
-    Box,
     FuzzyNumber,
     FuzzyVector,
+    IntervalVector,
     Tfn,
     as_fuzzy,
     d_fuzzy_vec,
@@ -102,23 +102,23 @@ def test_hausdorff_interval_rejects_empty():
 # -- box Hausdorff --------------------------------------------------------------------
 
 def test_hausdorff_box_identity():
-    a = Box([0, 0], [1, 1])
+    a = IntervalVector([0, 0], [1, 1])
     assert hausdorff_box(a, a) == 0.0
 
 
 def test_hausdorff_box_shifted_square():
-    got = hausdorff_box(Box([0, 0], [1, 1]), Box([2, 0], [3, 1]))
+    got = hausdorff_box(IntervalVector([0, 0], [1, 1]), IntervalVector([2, 0], [3, 1]))
     assert got == pytest.approx(2.0, abs=1e-12)
 
 
 def test_hausdorff_box_point_inside():
-    got = hausdorff_box(Box([0, 0], [2, 2]), Box([1, 1], [1, 1]))
+    got = hausdorff_box(IntervalVector([0, 0], [2, 2]), IntervalVector([1, 1], [1, 1]))
     assert got == pytest.approx(2.0, abs=1e-12)
 
 
 def test_hausdorff_box_dimension_mismatch():
     with pytest.raises(ValueError):
-        hausdorff_box(Box([0], [1]), Box([0, 0], [1, 1]))
+        hausdorff_box(IntervalVector([0], [1]), IntervalVector([0, 0], [1, 1]))
 
 
 def test_hausdorff_box_matches_sampled_sup_inf():
@@ -131,7 +131,7 @@ def test_hausdorff_box_matches_sampled_sup_inf():
         ahi = alo + rng.uniform(0, 2, n)
         blo = rng.uniform(-2, 2, n)
         bhi = blo + rng.uniform(0, 2, n)
-        a, b = Box(alo, ahi), Box(blo, bhi)
+        a, b = IntervalVector(alo, ahi), IntervalVector(blo, bhi)
         got = hausdorff_box(a, b)
         a_grid, b_grid = box_grid(alo, ahi), box_grid(blo, bhi)
         estimate = sampled_hausdorff(a_grid, b_grid)
@@ -143,8 +143,8 @@ def test_hausdorff_box_matches_sampled_sup_inf():
 def test_hausdorff_box_directed_mismatch_case():
     # coordinate-wise max directions differ; the metric is the max of the
     # two directed sums (1), not the sum of per-coordinate maxima (2)
-    a = Box([0, 0], [1, 2])
-    b = Box([0, 0], [2, 1])
+    a = IntervalVector([0, 0], [1, 2])
+    b = IntervalVector([0, 0], [2, 1])
     got = hausdorff_box(a, b)
     assert got == pytest.approx(1.0, abs=1e-12)
     oracle = sampled_hausdorff(box_grid(a.lo, a.hi, 41), box_grid(b.lo, b.hi, 41))

@@ -1,5 +1,7 @@
 """Unit tests for the stability criteria, validated against spectral oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fdikit import (
     EigenBox,
     IntervalMatrix,
     StabilityStatus,
+    StabilityVerdict,
     analyze,
     condeig_check,
     eigen_box_bounds,
@@ -101,6 +104,44 @@ def test_nonpos_rows_boundary_inconclusive():
     lo = np.array([[-1.0, 0.0], [0.0, -1.0]])
     v = gershgorin_nonpos_test(imat(lo, np.zeros((2, 2))))
     assert v.status is StabilityStatus.INCONCLUSIVE
+
+
+def reference_nonpos_test(m: IntervalMatrix) -> StabilityVerdict:
+    """The mirror row rule written out on lo and hi, as it was before the
+    non-positive test became the non-negative test on the negated family."""
+    if np.any(m.hi > 0):
+        i, j = np.argwhere(m.hi > 0)[0]
+        return StabilityVerdict(
+            StabilityStatus.INCONCLUSIVE, "gershgorin_nonpos",
+            {"reason": "upper bound matrix has a positive entry",
+             "entry": [int(i), int(j)], "value": float(m.hi[i, j])})
+    off = m.lo.sum(axis=1) - np.diag(m.lo)
+    slack = off - (-1.0 - np.diag(m.lo))
+    if np.all(slack > 0):
+        return StabilityVerdict(StabilityStatus.ASYMPTOTICALLY_STABLE, "gershgorin_nonpos",
+                                {"row_margins": slack.tolist()})
+    i = int(np.argmin(slack))
+    return StabilityVerdict(
+        StabilityStatus.INCONCLUSIVE, "gershgorin_nonpos",
+        {"reason": "row condition fails (not strict)", "row": i,
+         "offdiag_sum": float(off[i]), "diag": float(m.lo[i, i])})
+
+
+def test_nonpos_witness_matches_mirror_rule():
+    rng = np.random.default_rng(31)
+    cases = [imat([[-1.5]], [[-0.2]]), imat([[-0.5]], [[0.0]]), imat([[-0.0]], [[0.0]]),
+             imat([[-1.0, 0.0], [-0.0, -1.0]], np.zeros((2, 2)))]
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        m = interval_matrix_nonneg_rows(rng, n, row_sum_max=float(rng.uniform(0.5, 1.5)))
+        cases.append(imat(-m.hi, -m.lo))
+        cases.append(random_interval_matrix(rng, n))
+    statuses = set()
+    for m in cases:
+        got, want = gershgorin_nonpos_test(m), reference_nonpos_test(m)
+        assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+        statuses.add((got.status, got.witness.get("reason")))
+    assert len(statuses) == 3  # certified, positive entry, failing row
 
 
 # -- eigenvalue box -------------------------------------------------------------------
