@@ -56,12 +56,13 @@ def parse_system_obj(obj) -> tuple[FuzzySystem, np.ndarray | None]:
     """
     if not isinstance(obj, dict):
         raise ValueError("top level: expected a JSON object")
-    try:
-        n = int(obj["n"])
-    except KeyError:
-        raise ValueError('top level: missing "n"') from None
-    except (TypeError, ValueError):
-        raise ValueError('"n": must be an integer') from None
+    if "n" not in obj:
+        raise ValueError('top level: missing "n"')
+    n = obj["n"]
+    # JSON true is a Python int and 2.5 truncates under int(); reject both.
+    if isinstance(n, bool) or not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
+        raise ValueError('"n": must be an integer')
+    n = int(n)
     if n <= 0:
         raise ValueError('"n": must be positive')
 

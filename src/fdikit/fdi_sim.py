@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fuzzy_num import FuzzyNumber, FuzzyVector, breakpoints, interp_levels, stack_fault
+from .fuzzy_num import FuzzyVector, interp_levels, level_stack
 from .interval_linalg import (
     IntervalMatrix,
     IntervalVector,
+    chunk_rows,
     interval_matvec,
     matpow_envelope_nonneg,
 )
@@ -44,35 +45,6 @@ def _check_alphas(alphas) -> np.ndarray:
     if grid[0] != 0.0 or grid[-1] != 1.0:
         raise ValueError("alpha grid must contain 0 and 1")
     return grid
-
-
-def _group_cells(cells, label) -> list:
-    """Cells grouped by breakpoint grid, as (alphas, indices, lo, hi) with
-    lo and hi of shape (len(indices), len(alphas)).
-
-    The checks of :class:`FuzzyNumber` run once per group.  The first
-    malformed cell raises ValueError (StackingViolation for cuts that are
-    not nested) prefixed with ``label(index)``.
-    """
-    groups, faults = {}, []
-    for p, cell in enumerate(cells):
-        try:
-            alphas, lo, hi = breakpoints(cell)
-        except (TypeError, ValueError) as exc:
-            faults.append((p, ValueError(exc)))
-            break
-        groups.setdefault(alphas, []).append((p, lo, hi))
-    out = []
-    for alphas, members in groups.items():
-        a, index, lo, hi = (np.array(v) for v in (alphas, *zip(*members)))
-        fault = stack_fault(a, lo, hi)
-        if fault is not None:
-            faults.append((index[fault[0]], fault[1]))
-        out.append((a, index, lo, hi))
-    if faults:
-        p, exc = min(faults, key=lambda fault: fault[0])
-        raise type(exc)(f"{label(p)}: {exc}")
-    return out
 
 
 class FuzzySystem:
@@ -100,15 +72,9 @@ class FuzzySystem:
         def label(p):
             return f'"H"[{p // n}][{p % n}]' if p < n * n else f'"x0"[{p - n * n}]'
 
-        groups = _group_cells(cells, label)
         self.n = n
         self.alphas = _check_alphas(alphas)
-        self.grid = np.union1d(self.alphas, np.concatenate([a for a, *_ in groups]))
-        lo = np.empty((self.grid.size, len(cells)))
-        hi = np.empty_like(lo)
-        for a, index, glo, ghi in groups:
-            lo[:, index] = interp_levels(self.grid, a, glo.T)
-            hi[:, index] = interp_levels(self.grid, a, ghi.T)
+        self.grid, lo, hi = level_stack(cells, label, self.alphas)
         self.h_lo = lo[:, :n * n].reshape(-1, n, n).copy()
         self.h_hi = hi[:, :n * n].reshape(-1, n, n).copy()
         self.x0_lo = lo[:, n * n:].copy()
@@ -229,13 +195,12 @@ def assemble_fuzzy_attainable(sys: FuzzySystem, horizon: int) -> FuzzyAttainable
     """Propagate every level of ``sys.alphas`` and stack the boxes into fuzzy
     vectors.
 
-    Each component is checked as a FuzzyNumber, so cuts that are not
-    nested across alpha raise StackingViolation; that would indicate an
-    implementation bug, not bad input.
+    Each step's stack is checked once, so cuts that are not nested across
+    alpha raise StackingViolation; that would indicate an implementation
+    bug, not bad input.
     """
     lo, hi = envelope_endpoints(sys, sys.alphas, horizon)
-    steps = [FuzzyVector([FuzzyNumber(sys.alphas, l, h) for l, h in zip(lo_k.T, hi_k.T)])
-             for lo_k, hi_k in zip(lo, hi)]
+    steps = [FuzzyVector.from_stack(sys.alphas, lo_k, hi_k) for lo_k, hi_k in zip(lo, hi)]
     return FuzzyAttainable(alphas=sys.alphas.copy(), steps=steps)
 
 
@@ -277,11 +242,22 @@ def mc_trajectories(sys: FuzzySystem, alpha: float, horizon: int, n: int,
     x = rng.uniform(x0.lo, x0.hi, size=(n, dim))
     out = np.empty((n, horizon + 1, dim))
     out[:, 0] = x
+    # member matrices chunk_rows(m) runs at a time, in the order of one draw
+    step = chunk_rows(m)
+    chunks = [slice(start, start + step) for start in range(0, n, step)]
+
+    def draw(rows):
+        return rng.uniform(m.lo, m.hi, size=(len(x[rows]), dim, dim))
+
     if mode == "constant":
-        u = rng.uniform(m.lo, m.hi, size=(n, dim, dim))
-    for k in range(1, horizon + 1):
-        if mode == "timevarying":
-            u = rng.uniform(m.lo, m.hi, size=(n, dim, dim))
-        x = np.einsum("nij,nj->ni", u, x)
-        out[:, k] = x
+        for rows in chunks:
+            u = draw(rows)
+            for k in range(1, horizon + 1):
+                x[rows] = np.einsum("nij,nj->ni", u, x[rows])
+                out[rows, k] = x[rows]
+    else:
+        for k in range(1, horizon + 1):
+            for rows in chunks:
+                x[rows] = np.einsum("nij,nj->ni", draw(rows), x[rows])
+            out[:, k] = x
     return out

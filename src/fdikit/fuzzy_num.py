@@ -55,28 +55,40 @@ def tfn_alpha_cut(t: Tfn, alpha: float) -> tuple[float, float]:
     )
 
 
-def _sup_alpha_at_most(vals: np.ndarray, alphas: np.ndarray, p: float,
-                       strict: bool) -> float | None:
-    """sup{alpha : vals(alpha) <= p} for a nondecreasing polyline vals(alpha).
-
-    With ``strict`` the condition is ``vals(alpha) < p``.  Returns None when
-    the set is empty and 1.0 when the condition holds on the whole grid.
+def membership_limits(alphas, lo, hi, p) -> np.ndarray:
+    """Membership grades of the fuzzy numbers whose cut endpoints are the
+    columns of ``lo`` and ``hi`` (L, n), at the points ``p`` (m, n) of each
+    column: an (3, m, n) array of the grade sup{alpha : p in cut(alpha)},
+    its limit from the left and its limit from the right.  The limits
+    differ from the grade where repeated endpoints make the grade jump.
+    One-dimensional ``lo``, ``hi`` and ``p`` are one fuzzy number.
     """
-    if strict:
-        if p <= vals[0]:
-            return None
-        if p > vals[-1]:
-            return 1.0
-        j = int(np.searchsorted(vals, p, side="left"))  # first vals[j] >= p
-    else:
-        if p < vals[0]:
-            return None
-        if p >= vals[-1]:
-            return 1.0
-        j = int(np.searchsorted(vals, p, side="right"))  # first vals[j] > p
-    # vals[j-1] and vals[j] straddle p strictly on one side, so no 0/0.
-    t = (p - vals[j - 1]) / (vals[j] - vals[j - 1])
-    return float(alphas[j - 1] + t * (alphas[j] - alphas[j - 1]))
+    lo, hi = lo.reshape(alphas.size, -1), hi.reshape(alphas.size, -1)
+    p = np.reshape(p, (-1, lo.shape[1]))
+    # sup{alpha : vals(alpha) <= p} ("right") and sup{alpha : vals(alpha) < p}
+    # ("left") for the nondecreasing columns vals of lo and of -hi.
+    vals, p = np.concatenate([lo, -hi], axis=1), np.concatenate([p, -p], axis=1)
+    size, cols = vals.shape
+    base = np.arange(cols) * size  # flat index of each column's first level
+    flat = vals.T.ravel()
+    # np.searchsorted in every column at once: numpy orders complex numbers
+    # by real part first, so (column + 1j * value) keys run column by column.
+    keys = np.repeat(np.arange(cols), size) + 1j * flat
+    sups = []
+    for side in ("right", "left"):
+        j = np.searchsorted(keys, np.arange(cols) + 1j * p, side=side) - base
+        k = np.minimum(np.maximum(j, 1), size - 1)
+        below, above = flat[base + k - 1], flat[base + k]
+        # Where 0 < j < size, vals[k-1] and vals[k] straddle p strictly on
+        # one side, so no 0/0; elsewhere the quotient is discarded.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (p - below) / (above - below)
+        a = alphas[k - 1] + t * (alphas[k] - alphas[k - 1])
+        sup = np.where(j == 0, 0.0, np.where(j == size, 1.0, a))  # empty set: 0, all: 1
+        sups.append((sup[:, :cols // 2], sup[:, cols // 2:]))
+    (left, right), (left_strict, right_strict) = sups
+    return np.array([np.minimum(left, right), np.minimum(left_strict, right),
+                     np.minimum(left, right_strict)])
 
 
 def stack_fault(alphas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -100,6 +112,21 @@ def stack_fault(alphas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return min(faults, key=lambda fault: fault[0], default=None)
 
 
+def _freeze(x, alphas, lo, hi):
+    # a level stack's arrays, read-only, as the attributes of x
+    for a in (alphas, lo, hi):
+        a.setflags(write=False)
+    x.alphas, x.lo, x.hi = alphas, lo, hi
+    return x
+
+
+def _same_stack(a, b):
+    # __eq__ of level stacks
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in a.__slots__)
+
+
 class FuzzyNumber:
     """Piecewise-linear fuzzy number over a finite grid of alpha levels.
 
@@ -112,46 +139,29 @@ class FuzzyNumber:
     __slots__ = ("alphas", "lo", "hi")
 
     def __init__(self, alphas, lo, hi):
-        alphas = np.array(alphas, dtype=float)
-        lo = np.array(lo, dtype=float)
-        hi = np.array(hi, dtype=float)
+        alphas, lo, hi = (np.array(v, dtype=float) for v in (alphas, lo, hi))
         if alphas.ndim != 1 or alphas.shape != lo.shape or alphas.shape != hi.shape:
             raise ValueError("alphas, lo, hi must be one-dimensional and equally long")
         fault = stack_fault(alphas, lo[np.newaxis], hi[np.newaxis])
         if fault is not None:
             raise fault[1]
-        for a in (alphas, lo, hi):
-            a.setflags(write=False)
-        self.alphas = alphas
-        self.lo = lo
-        self.hi = hi
+        _freeze(self, alphas, lo, hi)
 
     @classmethod
     def from_levels(cls, levels: Iterable[tuple[float, float, float]]) -> "FuzzyNumber":
         """Build from an iterable of (alpha, lo, hi) rows."""
-        rows = list(levels)
-        if not rows:
-            raise ValueError("empty level list")
-        alphas, lo, hi = zip(*rows)
-        return cls(alphas, lo, hi)
+        return validate_nested(levels)[0]
 
     # -- cuts ---------------------------------------------------------------
 
     def cut(self, alpha: float) -> tuple[float, float]:
         """Exact alpha-cut, interpolating endpoints between grid levels."""
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-        return (
-            float(np.interp(alpha, self.alphas, self.lo)),
-            float(np.interp(alpha, self.alphas, self.hi)),
-        )
+        lo, hi = self.cuts(alpha)
+        return float(lo), float(hi)
 
     def cuts(self, alphas) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`cut` over an array of levels."""
-        alphas = np.asarray(alphas, dtype=float)
-        if np.any(alphas < 0.0) or np.any(alphas > 1.0):
-            raise ValueError("alpha values must lie in [0, 1]")
-        return np.interp(alphas, self.alphas, self.lo), np.interp(alphas, self.alphas, self.hi)
+        return tuple(interp_levels(alphas, self.alphas, v) for v in (self.lo, self.hi))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -159,30 +169,12 @@ class FuzzyNumber:
 
     # -- membership ---------------------------------------------------------
 
-    def membership(self, p: float) -> float:
-        """Grade of membership of the point ``p``: sup{alpha : p in cut(alpha)}."""
-        a_left = _sup_alpha_at_most(self.lo, self.alphas, p, strict=False)
-        a_right = _sup_alpha_at_most(-self.hi, self.alphas, -p, strict=False)
-        if a_left is None or a_right is None:
-            return 0.0
-        return min(a_left, a_right)
-
-    def membership_limit(self, p: float, side: int) -> float:
-        """One-sided limit of the membership function at ``p``.
-
-        ``side`` < 0 gives the limit from the left, > 0 from the right.
-        Needed because stacks with repeated endpoints (flat runs, crisp
-        points) have jump discontinuities.
-        """
-        if side < 0:
-            a_left = _sup_alpha_at_most(self.lo, self.alphas, p, strict=True)
-            a_right = _sup_alpha_at_most(-self.hi, self.alphas, -p, strict=False)
-        else:
-            a_left = _sup_alpha_at_most(self.lo, self.alphas, p, strict=False)
-            a_right = _sup_alpha_at_most(-self.hi, self.alphas, -p, strict=True)
-        if a_left is None or a_right is None:
-            return 0.0
-        return min(a_left, a_right)
+    def membership(self, p):
+        """Grade of membership sup{alpha : p in cut(alpha)} of the point
+        ``p``, or an array of the grades of an array of points."""
+        p = np.asarray(p, dtype=float)
+        grades = membership_limits(self.alphas, self.lo, self.hi, p)[0, :, 0]
+        return float(grades[0]) if p.ndim == 0 else grades.reshape(p.shape)
 
     # -- conveniences ---------------------------------------------------------
 
@@ -202,13 +194,7 @@ class FuzzyNumber:
 
     __mul__ = __rmul__
 
-    def __eq__(self, other):
-        if not isinstance(other, FuzzyNumber):
-            return NotImplemented
-        return (self.alphas.shape == other.alphas.shape
-                and bool(np.all(self.alphas == other.alphas))
-                and bool(np.all(self.lo == other.lo))
-                and bool(np.all(self.hi == other.hi)))
+    __eq__ = _same_stack
 
     def __hash__(self):
         return hash((self.alphas.tobytes(), self.lo.tobytes(), self.hi.tobytes()))
@@ -224,17 +210,10 @@ def as_fuzzy(x) -> FuzzyNumber:
     return x if isinstance(x, FuzzyNumber) else FuzzyNumber(*breakpoints(x))
 
 
-def _merged(a: FuzzyNumber, b: FuzzyNumber):
-    grid = np.union1d(a.alphas, b.alphas)
-    alo, ahi = a.cuts(grid)
-    blo, bhi = b.cuts(grid)
-    return grid, alo, ahi, blo, bhi
-
-
 def fn_add(a, b) -> FuzzyNumber:
     """Level-wise sum: cut endpoints add.  Grids are merged by interpolation."""
-    grid, alo, ahi, blo, bhi = _merged(as_fuzzy(a), as_fuzzy(b))
-    return FuzzyNumber(grid, alo + blo, ahi + bhi)
+    v = FuzzyVector([a, b])
+    return FuzzyNumber(v.alphas, v.lo[:, 0] + v.lo[:, 1], v.hi[:, 0] + v.hi[:, 1])
 
 
 def fn_scale(beta: float, a) -> FuzzyNumber:
@@ -262,39 +241,58 @@ def fn_mul_approx(a: Tfn, b: Tfn) -> Tfn:
 
 
 class FuzzyVector:
-    """Vector of fuzzy numbers; its alpha-cut is the box of component cuts."""
+    """Vector of fuzzy numbers stored as one level stack.
 
-    __slots__ = ("components",)
+    ``alphas`` (L,) is the union of the components' grids and ``lo`` and
+    ``hi`` (L, n) are the cut endpoints of component i in column i, read-only.
+    Components on a coarser grid are stored exactly, since linear
+    interpolation along ``alphas`` reproduces them.  The alpha-cut of the
+    vector is the box of component cuts.
+    """
 
-    def __init__(self, components: Sequence[FuzzyNumber]):
-        comps = tuple(as_fuzzy(c) for c in components)
-        if not comps:
+    __slots__ = ("alphas", "lo", "hi")
+
+    def __init__(self, components: Sequence):
+        cells = list(components)
+        if not cells:
             raise ValueError("fuzzy vector needs at least one component")
-        self.components = comps
+        _freeze(self, *level_stack(cells, lambda p: f"component {p}"))
+
+    @classmethod
+    def from_stack(cls, alphas, lo, hi) -> "FuzzyVector":
+        """Vector whose component i has the cut endpoints lo[:, i] and hi[:, i]
+        at the levels ``alphas``; every component is checked at once."""
+        alphas, lo, hi = (np.array(v, dtype=float) for v in (alphas, lo, hi))
+        if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[0] != alphas.size or not lo.size:
+            raise ValueError("lo and hi must be (L, n) arrays for L alpha levels, n >= 1")
+        fault = stack_fault(alphas, lo.T, hi.T)
+        if fault is not None:
+            raise type(fault[1])(f"component {fault[0]}: {fault[1]}")
+        return _freeze(cls.__new__(cls), alphas, lo, hi)
 
     @property
     def n(self) -> int:
-        return len(self.components)
+        return self.lo.shape[1]
+
+    @property
+    def components(self) -> tuple:
+        return tuple(self)
 
     def cut(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """Box cut: per-coordinate lower and upper endpoint vectors."""
-        pairs = [c.cut(alpha) for c in self.components]
-        lo, hi = zip(*pairs)
-        return np.array(lo), np.array(hi)
+        return tuple(interp_levels(alpha, self.alphas, v) for v in (self.lo, self.hi))
 
     def __len__(self):
-        return len(self.components)
+        return self.n
 
     def __getitem__(self, i) -> FuzzyNumber:
-        return self.components[i]
+        """Component i, built from column i of the stack (already checked)."""
+        return _freeze(FuzzyNumber.__new__(FuzzyNumber), self.alphas, self.lo[:, i], self.hi[:, i])
 
     def __iter__(self):
-        return iter(self.components)
+        return (self[i] for i in range(self.n))
 
-    def __eq__(self, other):
-        if not isinstance(other, FuzzyVector):
-            return NotImplemented
-        return self.components == other.components
+    __eq__ = _same_stack
 
     def __repr__(self):
         return f"FuzzyVector(n={self.n})"
@@ -308,24 +306,55 @@ def validate_nested(levels) -> FuzzyVector:
     boxes are nonincreasing; on failure raises StackingViolation naming
     the offending alpha pair.
     """
-    rows = [(float(a), np.atleast_1d(np.asarray(lo, dtype=float)),
-             np.atleast_1d(np.asarray(hi, dtype=float))) for a, lo, hi in levels]
+    rows = list(levels)
     if not rows:
         raise ValueError("empty level list")
-    n = rows[0][1].size
-    if any(lo.size != n or hi.size != n for _, lo, hi in rows):
-        raise ValueError("all boxes must share one dimension")
-    alphas = np.array([a for a, _, _ in rows])
+    alphas, lo, hi = (np.array(v, dtype=float) for v in zip(*rows))
+    lo, hi = lo.reshape(alphas.size, -1), hi.reshape(alphas.size, -1)
     if np.any(np.diff(alphas) <= 0):
         raise ValueError("alphas must be strictly increasing")
-    for (a1, lo1, hi1), (a2, lo2, hi2) in zip(rows, rows[1:]):
-        if np.any(lo2 - lo1 < -ORDER_TOL) or np.any(hi2 - hi1 > ORDER_TOL):
-            raise StackingViolation(
-                f"box at alpha={a2:g} is not contained in box at alpha={a1:g}"
-            )
-    los = np.vstack([lo for _, lo, _ in rows])
-    his = np.vstack([hi for _, _, hi in rows])
-    return FuzzyVector([FuzzyNumber(alphas, los[:, i], his[:, i]) for i in range(n)])
+    wider = ((np.diff(lo, axis=0) < -ORDER_TOL) | (np.diff(hi, axis=0) > ORDER_TOL)).any(axis=1)
+    if wider.any():
+        i = int(np.argmax(wider))
+        raise StackingViolation(
+            f"box at alpha={alphas[i + 1]:g} is not contained in box at alpha={alphas[i]:g}")
+    return FuzzyVector.from_stack(alphas, lo, hi)
+
+
+def level_stack(cells, label, base=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level stack (grid, lo, hi) of cells, each a FuzzyNumber, Tfn, real
+    number or JSON object: ``grid`` is the union of ``base`` and every
+    cell's breakpoints, and column i of lo and hi (len(grid), len(cells))
+    is cell i interpolated to ``grid`` as ``np.interp`` would, bit for bit.
+
+    The checks of :class:`FuzzyNumber` run once per breakpoint grid.  The
+    first malformed cell raises ValueError (StackingViolation for cuts that
+    are not nested) prefixed with ``label(index)``.
+    """
+    groups, faults = {}, []
+    for p, cell in enumerate(cells):
+        try:
+            alphas, lo, hi = breakpoints(cell)
+        except (TypeError, ValueError) as exc:
+            faults.append((p, ValueError(exc)))
+            break
+        groups.setdefault(alphas, []).append((p, lo, hi))
+    stacks = [tuple(np.array(v) for v in (alphas, *zip(*members)))
+              for alphas, members in groups.items()]
+    for a, index, lo, hi in stacks:
+        fault = stack_fault(a, lo, hi)
+        if fault is not None:
+            faults.append((index[fault[0]], fault[1]))
+    if faults:
+        p, exc = min(faults, key=lambda fault: fault[0])
+        raise type(exc)(f"{label(p)}: {exc}")
+    grid = np.union1d(base, np.concatenate([a for a, *_ in stacks]))
+    lo = np.empty((grid.size, len(cells)))
+    hi = np.empty_like(lo)
+    for a, index, glo, ghi in stacks:
+        lo[:, index] = interp_levels(grid, a, glo.T)
+        hi[:, index] = interp_levels(grid, a, ghi.T)
+    return grid, lo, hi
 
 
 # -- JSON encoding -----------------------------------------------------------
@@ -343,43 +372,36 @@ def fuzzy_to_json(x) -> dict:
 
 def fuzzy_from_json(obj) -> FuzzyNumber:
     """Parse the JSON encoding produced by :func:`fuzzy_to_json`."""
-    return FuzzyNumber(*_json_breakpoints(obj))
-
-
-def _json_breakpoints(obj):
-    if not isinstance(obj, dict):
-        raise ValueError(f"fuzzy number must be a JSON object, got {type(obj).__name__}")
-    if "tfn" in obj:
-        triple = obj["tfn"]
-        if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
-            raise ValueError('"tfn" must be a list [l, c, r]')
-        return breakpoints(Tfn(*(float(v) for v in triple)))
-    if "levels" in obj:
-        rows = obj["levels"]
-        if not isinstance(rows, list) or not all(
-            isinstance(r, (list, tuple)) and len(r) == 3 for r in rows
-        ):
-            raise ValueError('"levels" must be a list of [alpha, lo, hi] rows')
-        if not rows:
-            raise ValueError("empty level list")
-        return tuple(zip(*((float(a), float(l), float(h)) for a, l, h in rows)))
-    raise ValueError('fuzzy number object needs a "tfn" or "levels" field')
+    return FuzzyNumber(*breakpoints(obj))
 
 
 def breakpoints(x) -> tuple[tuple, tuple, tuple]:
     """(alphas, lo, hi) tuples of a FuzzyNumber, Tfn, real number or JSON object.
 
-    The JSON object is read as :func:`fuzzy_from_json` reads it, but the
-    numeric checks of :class:`FuzzyNumber` are left to the caller, so that
-    many numbers can be checked at once.
+    The numeric checks of :class:`FuzzyNumber` are left to the caller, so
+    that many numbers can be checked at once.
     """
     if isinstance(x, FuzzyNumber):
         return tuple(x.alphas.tolist()), tuple(x.lo.tolist()), tuple(x.hi.tolist())
+    if isinstance(x, dict) and "tfn" in x:
+        if not (isinstance(x["tfn"], (list, tuple)) and len(x["tfn"]) == 3):
+            raise ValueError('"tfn" must be a list [l, c, r]')
+        x = Tfn(*(float(v) for v in x["tfn"]))
     if isinstance(x, (int, float)):
         x = Tfn(float(x), float(x), float(x))
     if isinstance(x, Tfn):
         return (0.0, 1.0), (x.l, x.c), (x.r, x.c)
-    return _json_breakpoints(x)
+    if not isinstance(x, dict):
+        raise ValueError(f"fuzzy number must be a JSON object, got {type(x).__name__}")
+    if "levels" not in x:
+        raise ValueError('fuzzy number object needs a "tfn" or "levels" field')
+    rows = x["levels"]
+    if not isinstance(rows, list) or not all(isinstance(r, (list, tuple)) and len(r) == 3
+                                             for r in rows):
+        raise ValueError('"levels" must be a list of [alpha, lo, hi] rows')
+    if not rows:
+        raise ValueError("empty level list")
+    return tuple(zip(*((float(a), float(l), float(h)) for a, l, h in rows)))
 
 
 def interp_levels(x, xp, fp) -> np.ndarray:

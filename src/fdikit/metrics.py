@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fuzzy_num import FuzzyVector, as_fuzzy
+from .fuzzy_num import FuzzyVector, as_fuzzy, interp_levels, membership_limits
 from .interval_linalg import IntervalVector
 
 
@@ -52,6 +52,22 @@ def hausdorff_box(a: IntervalVector, b: IntervalVector) -> float:
     return max(_directed_box_sep(a, b), _directed_box_sep(b, a))
 
 
+def _membership_gaps(x, y) -> np.ndarray:
+    # Per component of two fuzzy vectors (a fuzzy number is one component):
+    # the largest gap of grades and one-sided limits over every cut endpoint.
+    p = np.concatenate([x.lo, x.hi, y.lo, y.hi])
+    gaps = membership_limits(x.alphas, x.lo, x.hi, p) - membership_limits(y.alphas, y.lo, y.hi, p)
+    return np.abs(gaps).max(axis=(0, 1))
+
+
+def _levelwise_gaps(x, y) -> np.ndarray:
+    # Per component: the largest endpoint gap over the union of both grids.
+    grid = np.union1d(x.alphas, y.alphas)
+    lo = np.abs(interp_levels(grid, x.alphas, x.lo) - interp_levels(grid, y.alphas, y.lo))
+    hi = np.abs(interp_levels(grid, x.alphas, x.hi) - interp_levels(grid, y.alphas, y.hi))
+    return np.maximum(lo, hi).reshape(grid.size, -1).max(axis=0)
+
+
 def d_membership(x1, x2) -> float:
     """Largest pointwise gap between two membership functions, in [0, 1].
 
@@ -60,17 +76,7 @@ def d_membership(x1, x2) -> float:
     or approached one-sidedly at a jump; evaluating values and one-sided
     limits at every breakpoint of either number is exact.
     """
-    x1, x2 = as_fuzzy(x1), as_fuzzy(x2)
-    points = np.unique(np.concatenate([x1.lo, x1.hi, x2.lo, x2.hi]))
-    best = 0.0
-    for p in points:
-        best = max(
-            best,
-            abs(x1.membership(p) - x2.membership(p)),
-            abs(x1.membership_limit(p, -1) - x2.membership_limit(p, -1)),
-            abs(x1.membership_limit(p, +1) - x2.membership_limit(p, +1)),
-        )
-    return best
+    return float(_membership_gaps(as_fuzzy(x1), as_fuzzy(x2))[0])
 
 
 def d_levelwise(x1, x2) -> float:
@@ -80,24 +86,18 @@ def d_levelwise(x1, x2) -> float:
     is attained on the union of both grids (alpha 0 included as the
     limit from above).
     """
-    x1, x2 = as_fuzzy(x1), as_fuzzy(x2)
-    grid = np.union1d(x1.alphas, x2.alphas)
-    lo1, hi1 = x1.cuts(grid)
-    lo2, hi2 = x2.cuts(grid)
-    return float(np.max(np.maximum(np.abs(lo1 - lo2), np.abs(hi1 - hi2))))
+    return float(_levelwise_gaps(as_fuzzy(x1), as_fuzzy(x2))[0])
 
 
 def d_fuzzy_vec(x: FuzzyVector, y: FuzzyVector, which: str = "membership") -> float:
     """Distance between fuzzy vectors: componentwise scalar metric, summed.
 
     ``which`` selects the scalar metric: "membership" or "levelwise".
+    Components are added left to right, as the scalar distances would be.
     """
-    if which == "membership":
-        scalar = d_membership
-    elif which == "levelwise":
-        scalar = d_levelwise
-    else:
+    gaps = {"membership": _membership_gaps, "levelwise": _levelwise_gaps}.get(which)
+    if gaps is None:
         raise ValueError(f'metric must be "membership" or "levelwise", got {which!r}')
     if x.n != y.n:
         raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
-    return float(sum(scalar(a, b) for a, b in zip(x, y)))
+    return float(sum(gaps(x, y).tolist()))

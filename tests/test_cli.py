@@ -132,6 +132,17 @@ def test_analyze_names_first_malformed_cell(tmp_path, capsys, cells, expected):
     assert capsys.readouterr().err == f"input error: {expected}\n"
 
 
+
+@pytest.mark.parametrize("n", [2.5, "2", True, None, [2], float("inf")])
+def test_non_integer_n_is_input_error(tmp_path, capsys, n):
+    h = [[{"tfn": [0.1, 0.2, 0.3]}] * 2] * 2
+    doc = {"n": n, "H": h, "x0": [{"tfn": [0.5, 1.0, 1.5]}] * 2}
+    rc = main(["analyze", write(tmp_path, "s.json", doc)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == 'input error: "n": must be an integer\n'
+
 def test_analyze_missing_file(capsys):
     rc = main(["analyze", "/nonexistent/system.json"])
     assert rc == EXIT_INPUT

@@ -1,5 +1,7 @@
 """Unit tests for level-wise envelopes, stacking, and Monte Carlo oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from fdikit import (
     transition_envelope,
     validate_nested,
 )
+
+from fdikit import interval_linalg
 
 from conftest import (
     make_certified_nonneg_system,
@@ -331,6 +335,63 @@ def test_mc_deterministic_under_seed():
     b = mc_trajectories(s, 0.5, 6, 30, seed=9, mode="timevarying")
     assert np.array_equal(a, b)
 
+
+
+def reference_mc_trajectories(sys, alpha, horizon, n, seed=0, mode="constant"):
+    """The one-shot version: every member matrix of a step in one draw."""
+    m, x0 = level_matrix(sys, alpha), level_state(sys, alpha)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(x0.lo, x0.hi, size=(n, sys.n))
+    out = np.empty((n, horizon + 1, sys.n))
+    out[:, 0] = x
+    if mode == "constant":
+        u = rng.uniform(m.lo, m.hi, size=(n, sys.n, sys.n))
+    for k in range(1, horizon + 1):
+        if mode == "timevarying":
+            u = rng.uniform(m.lo, m.hi, size=(n, sys.n, sys.n))
+        x = np.einsum("nij,nj->ni", u, x)
+        out[:, k] = x
+    return out
+
+
+def signed_tfn_system(rng, n, alphas=(0.0, 0.5, 1.0)) -> FuzzySystem:
+    c = rng.normal(0.0, 1.0 / n, size=(n, n))
+    w = rng.uniform(0.0, 0.2 / n, size=(2, n, n))
+    h = [[Tfn(c[i, j] - w[0, i, j], c[i, j], c[i, j] + w[1, i, j]) for j in range(n)]
+         for i in range(n)]
+    return FuzzySystem(h=h, x0=[Tfn(v - 0.5, v, v + 0.5) for v in rng.normal(size=n)],
+                       alphas=np.asarray(alphas))
+
+
+@pytest.mark.parametrize("mode", ["constant", "timevarying"])
+@pytest.mark.parametrize("n, runs, chunk_entries", [
+    (8, 5000, None),  # 4096 runs per chunk, then 904
+    (30, 700, None),  # 291, 291, 118
+    (3, 50, 40),      # 4 runs per chunk, a partial last chunk
+])
+def test_mc_chunked_draws_equal_one_shot_draws(monkeypatch, mode, n, runs, chunk_entries):
+    if chunk_entries is not None:
+        monkeypatch.setattr(interval_linalg, "CHUNK_ENTRIES", chunk_entries)
+    s = signed_tfn_system(np.random.default_rng(n), n)
+    for alpha in (0.0, 0.5):
+        got = mc_trajectories(s, alpha, 4, runs, seed=n + runs, mode=mode)
+        ref = reference_mc_trajectories(s, alpha, 4, runs, seed=n + runs, mode=mode)
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["constant", "timevarying"])
+def test_mc_memory_stays_below_member_stack(mode):
+    runs, n = 4096, 32
+    s = signed_tfn_system(np.random.default_rng(12), n)
+    stack = runs * n * n * 8  # the (runs, n, n) member matrices: 33.5 MB
+    tracemalloc.start()
+    try:
+        out = mc_trajectories(s, 0.0, 1, runs, seed=1, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (runs, 2, n)
+    assert peak < stack / 3  # 7.4 and 5.3 MB; drawing all members at once peaked at 37.8 MB
 
 # -- link between certified stability and envelope decay -------------------------------------
 

@@ -179,7 +179,7 @@ def test_d_membership_grid_search_oracle():
         got = d_membership(x, y)
         ps = np.linspace(min(x.lo[0], y.lo[0]) - 0.5,
                          max(x.hi[0], y.hi[0]) + 0.5, 4001)
-        oracle = max(abs(x.membership(p) - y.membership(p)) for p in ps)
+        oracle = float(np.max(np.abs(x.membership(ps) - y.membership(ps))))
         assert got >= oracle - 1e-9
         assert got <= oracle + 0.05
 
