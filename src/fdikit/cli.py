@@ -22,6 +22,7 @@ from .fdi_sim import (
     mc_trajectories,
 )
 from .fuzzy_num import FuzzyNumber, FuzzyVector, fuzzy_to_json, interp_levels
+from .metrics import d_fuzzy_vec
 from .stability import StabilityStatus, analyze, member_radius_scan
 
 EXIT_OK = 0
@@ -37,6 +38,23 @@ ORACLE_VERTEX_BUDGET = 1024
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _write_csv(path: str, header: str, keys, n: int, blocks) -> bool:
+    """Write ``header``, then per ``(label, values)`` of ``blocks`` rows ``label,key,i,v...``
+    (keys outer, i = 1..n inner, values in C order as ``%.12g``); False on I/O failure."""
+    fields = ",%.12g" * (header.count(",") - 2)
+    body = "\n".join(f"{key},{i}{fields}" for key in keys for i in range(1, n + 1))
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(header)
+            for label, values in blocks:
+                template = f"{label}," + body.replace("\n", f"\n{label},") + "\n"
+                fh.write(template % tuple(values.ravel().tolist()))
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _load_json(path: str):
@@ -143,23 +161,14 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"--alphas: cannot parse {args.alphas!r}") from None
     system, _ = parse_system_obj(doc)
     lo, hi = envelope_endpoints(system, system.alphas, args.k)
-    alphas = system.alphas.tolist()
-    labels = [_fmt(a) for a in alphas]
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("k,alpha,i,lo,hi\n")
-            for k in range(args.k + 1):
-                for a, lo_a, hi_a in zip(labels, lo[k].tolist(), hi[k].tolist()):
-                    for i, (l, h) in enumerate(zip(lo_a, hi_a), 1):
-                        fh.write(f"{k},{a},{i},{_fmt(l)},{_fmt(h)}\n")
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+    steps = ((k, np.stack((lo[k], hi[k]), axis=-1)) for k in range(args.k + 1))
+    if not _write_csv(args.out, "k,alpha,i,lo,hi\n", map(_fmt, system.alphas), system.n, steps):
         return EXIT_IO
     summary = {
         "k": args.k,
         "out": args.out,
         "final_widths": [{"alpha": a, "width": w}
-                         for a, w in zip(alphas, (hi[-1] - lo[-1]).tolist())],
+                         for a, w in zip(system.alphas.tolist(), (hi[-1] - lo[-1]).tolist())],
     }
     print(json.dumps(summary))
     return EXIT_OK
@@ -169,15 +178,8 @@ def cmd_oracle(args) -> int:
     system, _ = load_system(args.file)
     runs = mc_trajectories(system, alpha=0.0, horizon=args.k, n=args.n,
                            seed=args.seed, mode=args.mode)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("run,k,i,value\n")
-            for r in range(runs.shape[0]):
-                for k in range(runs.shape[1]):
-                    for i in range(runs.shape[2]):
-                        fh.write(f"{r + 1},{k},{i + 1},{_fmt(runs[r, k, i])}\n")
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+    if not _write_csv(args.out, "run,k,i,value\n", range(args.k + 1), system.n,
+                      enumerate(runs, 1)):
         return EXIT_IO
 
     report = {"n_trajectories": args.n, "k": args.k, "mode": args.mode,
@@ -188,9 +190,9 @@ def cmd_oracle(args) -> int:
         report["containment"] = None
         report["containment_skipped"] = str(exc)
     else:
-        below = np.maximum(lo - runs, 0.0)
-        above = np.maximum(runs - hi, 0.0)
-        violation = np.maximum(below, above)
+        violation = lo - runs
+        np.maximum(violation, runs - hi, out=violation)
+        np.maximum(violation, 0.0, out=violation)
         outside = int(np.count_nonzero(violation.max(axis=2) > 1e-12))
         report["containment"] = {
             "points_checked": int(runs.shape[0] * runs.shape[1]),
@@ -219,8 +221,6 @@ def _load_fuzzy_vector(path: str) -> FuzzyVector:
 
 
 def cmd_distance(args) -> int:
-    from .metrics import d_fuzzy_vec
-
     x = _load_fuzzy_vector(args.file_a)
     y = _load_fuzzy_vector(args.file_b)
     if x.n != y.n:

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fdikit import cli
 from fdikit.cli import (
     EXIT_FALSIFIED,
     EXIT_INCONCLUSIVE,
@@ -18,6 +20,7 @@ from fdikit.cli import (
     main,
     parse_system_obj,
 )
+from fdikit.fdi_sim import envelope_endpoints, mc_trajectories
 
 SCALAR_STABLE = {
     "n": 1,
@@ -221,6 +224,32 @@ def test_simulate_io_failure_exit5(tmp_path, capsys):
     assert rc == EXIT_IO
 
 
+def test_simulate_writer_streams(tmp_path, capsys, monkeypatch):
+    # n = 64, 51 levels, k = 40: 133,824 rows.  Building the whole file as
+    # one string would take more memory than the text itself.
+    doc = random_nonneg_doc(np.random.default_rng(8), 64, 51)
+    sys_file, out_csv = write(tmp_path, "s.json", doc), tmp_path / "env.csv"
+    before_writer = []
+
+    def endpoints_then_reset_peak(*args):
+        out = envelope_endpoints(*args)
+        before_writer.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(cli, "envelope_endpoints", endpoints_then_reset_peak)
+    tracemalloc.start()
+    try:
+        rc = main(["simulate", sys_file, "--k", "40", "--out", str(out_csv)])
+        writer_peak = tracemalloc.get_traced_memory()[1] - before_writer[0]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    size = out_csv.stat().st_size
+    assert size > 5_000_000
+    assert writer_peak < size / 10, (writer_peak, size)
+
+
 # -- oracle --------------------------------------------------------------------------
 
 def test_oracle_containment_clean(tmp_path, capsys):
@@ -254,6 +283,15 @@ def test_oracle_deterministic_bytes(tmp_path, capsys):
                    "--seed", "11", "--mode", "timevarying", "--out", str(out)])
         assert rc == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_oracle_io_failure_exit5(tmp_path, capsys):
+    rc = main(["oracle", write(tmp_path, "s.json", SCALAR_STABLE), "--k", "2",
+               "--n", "5", "--out", str(tmp_path / "missing" / "runs.csv")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_IO
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write ")
 
 
 def test_oracle_skips_containment_when_sign_indefinite(tmp_path, capsys):
@@ -302,6 +340,115 @@ def test_csv_golden_digests(tmp_path, capsys, name):
                  "--mode", "timevarying", "--out", str(runs)]) == EXIT_OK
     assert sha256(env) == env_digest
     assert sha256(runs) == runs_digest
+
+
+# -- CSV writers against the row-at-a-time reference -------------------------------------
+
+def fmt_ref(x) -> str:
+    return format(float(x), ".12g")
+
+
+def simulate_csv_ref(doc, k: int) -> str:
+    """The simulate CSV as the row-at-a-time writer printed it."""
+    system, _ = parse_system_obj(doc)
+    lo, hi = envelope_endpoints(system, system.alphas, k)
+    labels = [fmt_ref(a) for a in system.alphas.tolist()]
+    rows = ["k,alpha,i,lo,hi\n"]
+    for step in range(k + 1):
+        for a, lo_a, hi_a in zip(labels, lo[step].tolist(), hi[step].tolist()):
+            for i, (l, h) in enumerate(zip(lo_a, hi_a), 1):
+                rows.append(f"{step},{a},{i},{fmt_ref(l)},{fmt_ref(h)}\n")
+    return "".join(rows)
+
+
+def oracle_ref(doc, k: int, n_runs: int, seed: int, mode: str):
+    """The oracle CSV and containment report as the row-at-a-time code made them."""
+    system, _ = parse_system_obj(doc)
+    runs = mc_trajectories(system, alpha=0.0, horizon=k, n=n_runs, seed=seed, mode=mode)
+    rows = ["run,k,i,value\n"]
+    for r in range(runs.shape[0]):
+        for step in range(runs.shape[1]):
+            for i in range(runs.shape[2]):
+                rows.append(f"{r + 1},{step},{i + 1},{fmt_ref(runs[r, step, i])}\n")
+    lo, hi = envelope_endpoints(system, 0.0, k)
+    with np.errstate(invalid="ignore"):
+        below = np.maximum(lo - runs, 0.0)
+        above = np.maximum(runs - hi, 0.0)
+        violation = np.maximum(below, above)
+    outside = int(np.count_nonzero(violation.max(axis=2) > 1e-12))
+    points = int(runs.shape[0] * runs.shape[1])
+    containment = {"points_checked": points, "inside": points - outside,
+                   "outside": outside, "max_violation": float(violation.max())}
+    return "".join(rows), containment
+
+
+def random_nonneg_doc(rng, n: int, levels: int) -> dict:
+    def tfn():
+        c = rng.uniform(0.0, 1.0 / n)
+        return {"tfn": [c * rng.uniform(), c, c + rng.uniform(0.0, 0.5 / n)]}
+
+    inner = np.sort(rng.uniform(0.0, 1.0, size=levels - 2)).tolist()
+    return {"n": n, "H": [[tfn() for _ in range(n)] for _ in range(n)],
+            "x0": [tfn() for _ in range(n)], "alphas": [0.0] + inner + [1.0]}
+
+
+# H entries of 1e200 overflow the envelope to inf by step 2; the zero lower
+# bound of H[0][0] then meets an infinite state (0 * inf = nan).
+OVERFLOWING = {"n": 2,
+               "H": [[{"tfn": [0.0, 1e200, 2e200]}, {"tfn": [1e200, 1e200, 1e200]}],
+                     [{"tfn": [1e200, 1e200, 1e200]}, {"tfn": [0.0, 0.0, 1e200]}]],
+               "x0": [{"tfn": [1e200, 1e200, 1e200]}, {"tfn": [0.0, 1.0, 1e300]}]}
+# signed zeros and subnormals in H, x0 and the level grid
+TINY = {"n": 2,
+        "H": [[{"tfn": [-0.0, 5e-324, 1e-310]}, {"tfn": [0.0, 0.0, 0.0]}],
+              [{"tfn": [-0.0, -0.0, -0.0]}, {"tfn": [1e-320, 0.5, 1.0]}]],
+        "x0": [{"tfn": [-0.0, -0.0, 5e-324]}, {"tfn": [1e-308, 2e-308, 3e-308]}],
+        "alphas": [0.0, 5e-324, 1e-310, 0.5, 1.0]}
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_simulate_csv_matches_row_reference(tmp_path, capsys, case):
+    rng = np.random.default_rng(100 + case)
+    n, levels = int(rng.integers(1, 17)), int(rng.integers(2, 102))
+    doc = random_nonneg_doc(rng, n, levels)
+    k = int(rng.integers(0, 6))
+    argv = ["simulate", write(tmp_path, "s.json", doc), "--k", str(k),
+            "--out", str(tmp_path / "env.csv")]
+    if case % 2:
+        # the override grid replaces the document's own
+        doc["alphas"] = [0.0] + np.sort(rng.uniform(size=levels - 2)).tolist() + [1.0]
+        argv += ["--alphas", ",".join(repr(a) for a in doc["alphas"])]
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "env.csv").read_text() == simulate_csv_ref(doc, k)
+
+
+@pytest.mark.parametrize("doc", [OVERFLOWING, TINY], ids=["overflow", "tiny"])
+def test_simulate_csv_special_values_match_row_reference(tmp_path, capsys, doc):
+    out_csv = tmp_path / "env.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", write(tmp_path, "s.json", doc), "--k", "4",
+                     "--out", str(out_csv)]) == EXIT_OK
+        expected = simulate_csv_ref(doc, 4)
+    text = out_csv.read_text()
+    assert text == expected
+    special = ("inf", "nan") if doc is OVERFLOWING else ("-0", "4.94065645841e-324")
+    assert all(s in text for s in special)
+
+
+@pytest.mark.parametrize("mode", ["constant", "timevarying"])
+@pytest.mark.parametrize("case", ["random", "overflow", "tiny"])
+def test_oracle_csv_and_report_match_row_reference(tmp_path, capsys, mode, case):
+    doc = {"random": random_nonneg_doc(np.random.default_rng(7), 5, 3),
+           "overflow": OVERFLOWING, "tiny": TINY}[case]
+    out_csv = tmp_path / "runs.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["oracle", write(tmp_path, "s.json", doc), "--k", "6", "--n", "40",
+                   "--seed", "4", "--mode", mode, "--out", str(out_csv)])
+        csv_ref, containment_ref = oracle_ref(doc, 6, 40, 4, mode)
+    report = json.loads(capsys.readouterr().out)
+    assert rc == EXIT_OK
+    assert out_csv.read_text() == csv_ref
+    assert json.dumps(report["containment"]) == json.dumps(containment_ref)
 
 
 FULLY_FUZZY_5 = {"n": 5, "H": [[{"tfn": [-1.0, 0.0, 1.0]}] * 5] * 5,
