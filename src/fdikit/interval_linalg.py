@@ -1,6 +1,5 @@
 """Interval matrices and vectors: exact products, powers of non-negative
-families, midpoint/radius splits, Gershgorin row data, vertex and random
-member selection."""
+families, midpoint/radius splits, vertex and random member selection."""
 
 from __future__ import annotations
 
@@ -143,16 +142,6 @@ def matpow_envelope_nonneg(m: IntervalMatrix, k: int) -> IntervalMatrix:
         np.linalg.matrix_power(m.lo, int(k)),
         np.linalg.matrix_power(m.hi, int(k)),
     )
-
-
-def gershgorin_rows(m) -> list[tuple[float, float]]:
-    """Per-row disc data (center, radius) of a crisp square matrix:
-    center is the diagonal entry, radius the absolute off-diagonal row sum."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("square matrix required")
-    radii = np.sum(np.abs(m), axis=1) - np.abs(np.diag(m))
-    return [(float(c), float(r)) for c, r in zip(np.diag(m), radii)]
 
 
 def vertex_count(m: IntervalMatrix) -> int:

@@ -11,6 +11,7 @@ for positive verdicts; falsification requires slack FALSIFY_TOL.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -41,6 +42,9 @@ ORDER_SLACK = 1e-12
 
 #: Matrix size up to which spectral radii use a dense eigensolve.
 DENSE_EIG_LIMIT = 512
+
+#: Sign patterns the eigenvalue-box cross-check tries before sign ascent.
+SIGN_BUDGET = 2 ** 12
 
 
 class SpectralRadiusError(ArithmeticError):
@@ -155,11 +159,14 @@ def _row_test(lo: np.ndarray, hi: np.ndarray, sign: float, criterion: str,
             {"reason": reason, "entry": [int(i), int(j)], "value": sign * float(lo[i, j])})
     off = hi.sum(axis=1) - np.diag(hi)
     slack = 1.0 - np.diag(hi) - off
-    if np.all(slack > 0):
+    # fsum rounds correctly, so < 1 proves the exact sum < 1; float-passed rows cannot overflow.
+    passed = bool(np.all(slack > 0))
+    exact = passed and [math.fsum(row) < 1.0 for row in hi.tolist()]
+    if passed and all(exact):
         return StabilityVerdict(
             StabilityStatus.ASYMPTOTICALLY_STABLE, criterion,
             {"row_margins": slack.tolist()})
-    i = int(np.argmin(slack))
+    i = exact.index(False) if passed else int(np.argmin(slack))
     # "+ 0.0" keeps an exactly zero sum unsigned after the sign flip.
     return StabilityVerdict(
         StabilityStatus.INCONCLUSIVE, criterion,
@@ -200,72 +207,67 @@ def eigen_box_bounds(m: IntervalMatrix) -> EigenBox:
     The rectangle is symmetric about the real axis (real data).
     """
     n = m.n
-    mr = mid_rad(m)
-    c, d = mr.center, mr.radius
+    c, d = mid_rad(m)
     sym_c = np.linalg.eigvalsh(_sym(c))
     spread = float(np.linalg.eigvalsh(_sym(d))[-1])
-    r_lo = float(sym_c[0]) - spread
-    r_hi = float(sym_c[-1]) + spread
+    r_lo, r_hi = float(sym_c[0]) - spread, float(sym_c[-1]) + spread
     skew = (c - c.T) / 2.0
     emb = np.block([[np.zeros((n, n)), skew], [skew.T, np.zeros((n, n))]])
     i_hi = float(np.linalg.eigvalsh(emb)[-1]) + spread
     return EigenBox(r_lo, r_hi, -i_hi, i_hi)
 
 
-def _maximize_on_sphere(f, dim: int, n_starts: int, rng: np.random.Generator) -> float:
-    """Best value of f over the unit sphere found by multi-start local search.
+def _sign_vertex_max(objective, k: int, n_starts: int, rng: np.random.Generator) -> float:
+    """Largest ``objective`` over sign patterns t in {-1, 1}^k: exact up to
+    SIGN_BUDGET patterns, else a lower bound from ``n_starts`` seeded ascents.
 
-    Always a lower bound on the true maximum, which is what a cross-check
-    needs: found values can only shrink the reported box.
-    """
-    from scipy.optimize import minimize
-
-    def neg(y):
-        nrm = np.linalg.norm(y)
-        if nrm < 1e-12:
-            return 0.0
-        return -f(y / nrm)
-
-    best = -np.inf
-    for _ in range(n_starts):
-        y0 = rng.standard_normal(dim)
-        y0 /= np.linalg.norm(y0)
-        res = minimize(neg, y0, method="Nelder-Mead",
-                       options={"maxiter": 120 * dim, "xatol": 1e-8, "fatol": 1e-10})
-        best = max(best, -float(res.fun))
-        best = max(best, f(y0))
-    return best
+    ``objective`` maps a (P, k) stack of patterns to their values and the
+    patterns of their maximisers, which never score lower."""
+    if 2 ** k <= SIGN_BUDGET:
+        bits = np.arange(2 ** k)[:, None] >> np.arange(k) & 1
+        return float(np.max(objective(1.0 - 2.0 * bits)[0]))
+    if n_starts < 1:
+        raise ValueError(f"2^{k} sign patterns exceed SIGN_BUDGET; ascent needs n_starts >= 1")
+    best = np.full(n_starts, -np.inf)
+    values, t = objective(rng.choice([-1.0, 1.0], size=(n_starts, k)))
+    while np.any(values > best):
+        best = np.maximum(best, values)
+        values, t = objective(t)
+    return float(np.max(best))
 
 
 def eigen_box_rayleigh(m: IntervalMatrix, n_starts: int = 8, seed: int = 0) -> EigenBox:
-    """Sampled Rayleigh-quotient cross-check of :func:`eigen_box_bounds`.
-
-    Optimizes the quadratic-form bounds over the unit sphere from random
-    starts.  Local search only ever undershoots the true extrema, so the
-    resulting box always lies inside the closed-form box.
-    """
+    """Sign-vertex cross-check of :func:`eigen_box_bounds`, with center C
+    and radius D: the real bounds are the extreme lambda_max(+-sym(C) +
+    S sym(D) S) over sign matrices S (Hertz 1992; Rohn 1994), the imaginary
+    bound the largest ||A_t||_2 / 2 over antisymmetric A_t with upper
+    entries (C - C')_ij + t_ij (D_ij + D_ji).  Sign ascent beyond
+    SIGN_BUDGET patterns only undershoots, so the box always lies inside
+    the closed-form box."""
     n = m.n
-    mr = mid_rad(m)
-    c, d = mr.center, mr.radius
-    skew2 = c - c.T
+    c, d = mid_rad(m)
+    i, j = np.triu_indices(n, 1)
+    skew2, wide = (c - c.T)[i, j], (d + d.T)[i, j]
     rng = np.random.default_rng(seed)
 
-    def re_high(x):
-        ax = np.abs(x)
-        return float(x @ c @ x + ax @ d @ ax)
+    def real(sym_c):
+        def objective(t):  # s and -s give one matrix, so s_0 = 1
+            s = np.hstack([np.ones((len(t), 1)), t])
+            w, v = np.linalg.eigh(sym_c + s[:, :, None] * _sym(d) * s[:, None, :])
+            top = np.where(v[:, :, -1] >= 0, 1.0, -1.0)
+            return w[:, -1], top[:, 1:] * top[:, :1]
+        return _sign_vertex_max(objective, n - 1, n_starts, rng)
 
-    def re_low_neg(x):
-        ax = np.abs(x)
-        return float(-(x @ c @ x - ax @ d @ ax))
+    def imag(t):
+        a = np.zeros((len(t), n, n))
+        a[:, i, j] = skew2 + t * wide
+        u, sv, vt = np.linalg.svd(a - a.transpose(0, 2, 1))
+        x1, x2 = u[:, :, 0], vt[:, 0]
+        w = x1[:, i] * x2[:, j] - x2[:, i] * x1[:, j]  # upper entries of x1 x2' - x2 x1'
+        return sv[:, 0] / 2.0, np.where(w >= 0, 1.0, -1.0)
 
-    def im_high(z):
-        x1, x2 = z[:n], z[n:]
-        cross = np.abs(np.outer(x1, x2) - np.outer(x2, x1))
-        return float(x1 @ skew2 @ x2 + np.sum(d * cross))
-
-    r_hi = _maximize_on_sphere(re_high, n, n_starts, rng)
-    r_lo = -_maximize_on_sphere(re_low_neg, n, n_starts, rng)
-    i_hi = _maximize_on_sphere(im_high, 2 * n, n_starts, rng)
+    r_hi, r_lo = real(_sym(c)), -real(-_sym(c))
+    i_hi = _sign_vertex_max(imag, len(skew2), n_starts, rng)
     return EigenBox(min(r_lo, r_hi), r_hi, -i_hi, i_hi)
 
 
@@ -303,8 +305,6 @@ def _strict_gershgorin_abs(b: np.ndarray) -> tuple[bool, str]:
     checked with absolute values (which reduces to the sign-definite row
     conditions when the block keeps one sign).
     """
-    if b.size == 0:
-        return True, ""
     bounds = np.sum(np.abs(b), axis=1)  # |diag| + off-diagonal radius
     if np.all(bounds < 1.0):
         return True, ""

@@ -298,8 +298,12 @@ def test_arpack_no_convergence_raises_named_error(monkeypatch):
 
 
 def test_import_leaves_scipy_unloaded():
-    code = "import sys, fdikit.cli; print(any(k.startswith('scipy') for k in sys.modules))"
+    # n = 6 runs both the exhaustive (real) and the ascent (imaginary) sign search
+    code = ("import sys, numpy as np, fdikit.cli\n"
+            "print(any(k.startswith('scipy') for k in sys.modules))\n"
+            "fdikit.eigen_box_rayleigh(fdikit.IntervalMatrix(-np.ones((6, 6)), np.ones((6, 6))))\n"
+            "print('scipy.optimize' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=CLI_TIMEOUT_S)
-    assert proc.stdout.strip() == "False", proc.stderr
+    assert proc.stdout.split() == ["False", "False"], proc.stderr

@@ -7,7 +7,6 @@ from fdikit import (
     IntervalMatrix,
     IntervalVector,
     VertexBudgetError,
-    gershgorin_rows,
     interval_matvec,
     matpow_envelope_nonneg,
     mid_rad,
@@ -176,22 +175,6 @@ def test_matpow_matches_repeated_one_step():
         step_hi = m.hi @ step_hi
     assert np.allclose(p.lo, step_lo, rtol=1e-12, atol=1e-14)
     assert np.allclose(p.hi, step_hi, rtol=1e-12, atol=1e-14)
-
-
-# -- Gershgorin rows ----------------------------------------------------------------------
-
-def test_gershgorin_identity():
-    assert gershgorin_rows(np.eye(3)) == [(1.0, 0.0)] * 3
-
-
-def test_gershgorin_row_sums():
-    rows = gershgorin_rows(np.array([[0.4, 0.3], [0.2, 0.5]]))
-    assert np.allclose(rows, [(0.4, 0.3), (0.5, 0.2)], rtol=0, atol=1e-15)
-
-
-def test_gershgorin_diagonal():
-    rows = gershgorin_rows(np.diag([1.0, -2.0, 0.5]))
-    assert [r for _, r in rows] == [0.0, 0.0, 0.0]
 
 
 # -- vertices -----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the stability criteria, validated against spectral oracles."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fdikit import (
     vertex_count,
     vertex_matrices,
 )
+from fdikit.stability import SIGN_BUDGET
 
 from conftest import (
     certified_interval_corpus,
@@ -81,6 +83,51 @@ def test_nonneg_rows_sign_precondition():
     v = gershgorin_nonneg_test(imat(lo, hi))
     assert v.status is StabilityStatus.INCONCLUSIVE
     assert v.witness["entry"] == [0, 1]
+
+
+# Each row: a diagonal entry from U(0.3, 0.999), off-diagonal entries 2^-k
+# (k in 1..60) and one closing entry nextafter(1 - exact partial sum, inf).
+# Every exact row sum exceeds 1, so the Perron root does too, yet every row
+# passes the floating-point slack test 1 - diag - offdiag_sum > 0.
+ROUNDING_PROBE = np.array([
+    [0.9432626458391578, 5.551115123125783e-17, 9.5367431640625e-07,
+     1.3877787807814457e-17, 0.05673640048652578],
+    [2.7755575615628914e-17, 0.9898197084167253, 0.0009765625,
+     5.551115123125783e-17, 0.009203729083274633],
+    [5.551115123125783e-17, 1.4901161193847656e-08, 0.8788488048664118,
+     2.7755575615628914e-17, 0.12115118023242692],
+    [0.5, 0.0001220703125, 5.551115123125783e-17, 0.31625565315240906,
+     0.18362227653509092],
+    [5.551115123125783e-17, 0.5, 0.0007994423275588508, 1.734723475976807e-18,
+     0.4992005576724411],
+])
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_row_test_refuses_exact_row_sums_above_one(first):
+    h = ROUNDING_PROBE.copy()
+    # a row exactly below 1 whose float slack 2^-53 ties the smallest probe slack
+    h[:first] = [0.5, 0.5 - 2.0 ** -53, 0.0, 0.0, 0.0]
+    assert [sum(map(Fraction, row)) > 1 for row in h.tolist()] == [i >= first for i in range(5)]
+    off = h.sum(axis=1) - np.diag(h)
+    slack = 1.0 - np.diag(h) - off
+    assert np.all(slack > 0) and np.argmin(slack) == 0
+    for test, m, sign in ((gershgorin_nonneg_test, imat(h, h), 1.0),
+                          (gershgorin_nonpos_test, imat(-h, -h), -1.0)):
+        v = test(m)
+        assert v.status is StabilityStatus.INCONCLUSIVE
+        assert v.witness == {"reason": "row condition fails (not strict)", "row": first,
+                             "offdiag_sum": sign * float(off[first]),
+                             "diag": sign * h[first, first]}
+        assert not analyze(m).is_stable
+
+
+def test_row_test_refuses_overflowing_rows():
+    h = np.full((2, 2), 1e308)
+    with np.errstate(over="ignore"):
+        v = gershgorin_nonneg_test(imat(np.zeros((2, 2)), h))
+    assert v.status is StabilityStatus.INCONCLUSIVE
+    assert v.witness["offdiag_sum"] == np.inf
 
 
 # -- non-positive Gershgorin test ----------------------------------------------------
@@ -176,11 +223,83 @@ def test_eigen_box_monte_carlo_containment():
 
 def test_eigen_box_rayleigh_inside_closed_form():
     rng = np.random.default_rng(3)
-    for k in range(10):
-        m = random_interval_matrix(rng, int(rng.integers(1, 5)), scale=1.0, width=0.2)
+    for k in range(16):  # n >= 6 has more than SIGN_BUDGET imaginary patterns
+        m = random_interval_matrix(rng, 1 + k % 8, scale=1.0, width=0.2)
         closed = eigen_box_bounds(m)
         ray = eigen_box_rayleigh(m, n_starts=4, seed=k)
         assert closed.contains_box(ray, tol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 16])
+def test_eigen_box_rayleigh_crisp_symmetric_is_spectrum(n):
+    a = np.random.default_rng(n).normal(size=(n, n))
+    a = a + a.T
+    ray = eigen_box_rayleigh(IntervalMatrix.crisp(a), n_starts=2, seed=0)
+    lams = np.linalg.eigvalsh(a)
+    assert ray.r_lo == pytest.approx(lams[0], abs=1e-12)
+    assert ray.r_hi == pytest.approx(lams[-1], abs=1e-12)
+    assert ray.i_hi == 0.0
+
+
+@pytest.mark.parametrize("rho", [0.7, 1.0, 3.25])
+def test_eigen_box_rayleigh_rotation_imaginary_bound(rho):
+    ray = eigen_box_rayleigh(IntervalMatrix.crisp(rho * np.array([[0.0, -1.0], [1.0, 0.0]])))
+    assert ray.i_hi == rho
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_eigen_box_rayleigh_zero_center_real_bound(n):
+    d = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, n))
+    ray = eigen_box_rayleigh(imat(-d, d), n_starts=2, seed=0)
+    top = np.linalg.eigvalsh((d + d.T) / 2.0)[-1]
+    assert ray.r_hi == pytest.approx(top, abs=1e-12)
+    assert ray.r_lo == pytest.approx(-top, abs=1e-12)
+
+
+def rayleigh_objectives(m: IntervalMatrix, x: np.ndarray, z: np.ndarray):
+    """The quadratic forms the sphere search used to maximise: the upper real
+    bound, the negated lower real bound (rows of unit x) and the imaginary
+    bound (rows of unit z = (x1, x2))."""
+    c, d = (m.lo + m.hi) / 2.0, (m.hi - m.lo) / 2.0
+    n = c.shape[0]
+    quad, absq = np.einsum("pi,ij,pj->p", x, c, x), np.einsum("pi,ij,pj->p", abs(x), d, abs(x))
+    x1, x2 = z[:, :n], z[:, n:]
+    cross = np.abs(x1[:, :, None] * x2[:, None, :] - x2[:, :, None] * x1[:, None, :])
+    im = np.einsum("pi,ij,pj->p", x1, c - c.T, x2) + np.einsum("ij,pij->p", d, cross)
+    return quad + absq, -(quad - absq), im
+
+
+def unit_rows(rng, count, dim):
+    x = rng.standard_normal((count, dim))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def test_eigen_box_rayleigh_dominates_sphere_objectives():
+    rng = np.random.default_rng(11)
+    for k in range(16):
+        n = 1 + k % 8
+        m = random_interval_matrix(rng, n, scale=1.0, width=0.4)
+        ray = eigen_box_rayleigh(m, n_starts=4, seed=k)
+        re_hi, re_lo_neg, im = rayleigh_objectives(m, unit_rows(rng, 20_000, n),
+                                                   unit_rows(rng, 20_000, 2 * n))
+        assert re_hi.max() <= ray.r_hi + 1e-12
+        assert re_lo_neg.max() <= -ray.r_lo + 1e-12
+        assert im.max() <= ray.i_hi + 1e-12
+
+
+def test_eigen_box_rayleigh_exact_within_budget_needs_no_starts():
+    rng = np.random.default_rng(12)
+    for n in range(1, 6):
+        m = random_interval_matrix(rng, n, scale=1.0, width=0.4)
+        assert eigen_box_rayleigh(m, n_starts=0) == eigen_box_rayleigh(m, n_starts=4, seed=9)
+
+
+@pytest.mark.parametrize("n", [6, 14])  # imaginary, then also real patterns over budget
+def test_eigen_box_rayleigh_no_starts_beyond_budget_raises(n):
+    assert 2 ** (n * (n - 1) // 2) > SIGN_BUDGET
+    m = random_interval_matrix(np.random.default_rng(n), n)
+    with pytest.raises(ValueError, match="n_starts >= 1"):
+        eigen_box_rayleigh(m, n_starts=0)
 
 
 # -- corner modulus check ----------------------------------------------------------------
