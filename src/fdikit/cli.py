@@ -21,7 +21,7 @@ from .fdi_sim import (
     level_matrix,
     mc_trajectories,
 )
-from .fuzzy_num import FuzzyNumber, FuzzyVector, fuzzy_to_json, interp_levels
+from .fuzzy_num import FuzzyVector
 from .metrics import d_fuzzy_vec
 from .stability import StabilityStatus, analyze, member_radius_scan
 
@@ -107,31 +107,6 @@ def parse_system_obj(obj) -> tuple[FuzzySystem, np.ndarray | None]:
             raise ValueError(f'"T": expected an {n}x{n} matrix')
         transform = np.asarray(t_rows, dtype=float)
     return system, transform
-
-
-def _cell_json(grid, lo, hi) -> dict:
-    # A cell linear in alpha is written by its two end levels (as a "tfn"
-    # when its core is a point), any other cell by every level of the grid.
-    ends = [0, -1]
-    linear = all(np.array_equal(interp_levels(grid, grid[ends], v[ends]), v)
-                 for v in (lo, hi))
-    rows = ends if linear else slice(None)
-    return fuzzy_to_json(FuzzyNumber(grid[rows], lo[rows], hi[rows]))
-
-
-def dump_system_obj(system: FuzzySystem, transform=None) -> dict:
-    """Canonical JSON document for a system (round-trips through parse)."""
-    g, n = system.grid, system.n
-    out = {
-        "n": n,
-        "H": [[_cell_json(g, system.h_lo[:, i, j], system.h_hi[:, i, j]) for j in range(n)]
-              for i in range(n)],
-        "x0": [_cell_json(g, system.x0_lo[:, i], system.x0_hi[:, i]) for i in range(n)],
-        "alphas": [float(a) for a in system.alphas],
-    }
-    if transform is not None:
-        out["T"] = np.asarray(transform, dtype=float).tolist()
-    return out
 
 
 def load_system(path: str) -> tuple[FuzzySystem, np.ndarray | None]:

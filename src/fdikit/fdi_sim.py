@@ -213,12 +213,8 @@ def transition_envelope(sys: FuzzySystem, alpha: float,
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
+    envelope_endpoints(sys, alpha, 0)  # the sign checks of envelope_propagate
     m = level_matrix(sys, alpha)
-    x = level_state(sys, alpha)
-    if np.any(x.lo < 0):
-        raise SignPreconditionError(
-            "state_nonneg",
-            f"initial-state lower bound has a negative entry at alpha={alpha:g}")
     return [matpow_envelope_nonneg(m, k) for k in range(horizon + 1)]
 
 

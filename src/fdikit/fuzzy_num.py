@@ -95,18 +95,24 @@ def stack_fault(alphas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """First failed check of fuzzy numbers sharing the grid ``alphas``, whose
     cut endpoints are the rows of ``lo`` and ``hi``: (row, exception) for the
     first malformed row, or None.  A row failing several checks reports the
-    first, in the order grid, finiteness, ordering, nestedness.
+    first, in the order grid, finiteness, width overflow, ordering, nestedness.
     """
     if alphas.size < 2 or alphas[0] != 0.0 or alphas[-1] != 1.0:
         return 0, ValueError("alpha grid must run from 0 to 1")
     if not np.all(np.diff(alphas) > 0):
         return 0, ValueError("alpha grid must be strictly increasing")
+    # Non-finite or huge endpoints make these differences inf or NaN; the
+    # checks below name that case, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo
+        wider = (np.diff(lo, axis=1) < -ORDER_TOL) | (np.diff(hi, axis=1) > ORDER_TOL)
     checks = (
         (~(np.isfinite(lo) & np.isfinite(hi)).all(axis=1), ValueError,
          "support must be bounded (finite endpoints)"),
-        ((hi - lo < -ORDER_TOL).any(axis=1), ValueError, "every level must satisfy lo <= hi"),
-        (((np.diff(lo, axis=1) < -ORDER_TOL) | (np.diff(hi, axis=1) > ORDER_TOL)).any(axis=1),
-         StackingViolation, "alpha-cuts must be nested (nonincreasing in alpha)"),
+        (~np.isfinite(width).all(axis=1), ValueError, "cut width hi - lo overflows"),
+        ((width < -ORDER_TOL).any(axis=1), ValueError, "every level must satisfy lo <= hi"),
+        (wider.any(axis=1), StackingViolation,
+         "alpha-cuts must be nested (nonincreasing in alpha)"),
     )
     faults = [(int(np.argmax(bad)), kind(message)) for bad, kind, message in checks if bad.any()]
     return min(faults, key=lambda fault: fault[0], default=None)

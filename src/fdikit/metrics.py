@@ -1,10 +1,11 @@
-"""Distances on crisp vectors, boxes, and fuzzy numbers.
+"""Distances on crisp vectors, intervals and fuzzy numbers.
 
 The ground distance on R^N is the coordinate-wise sum of absolute
-differences; box and fuzzy distances build on it.  Two distinct fuzzy
-metrics are provided: the membership-sup distance (bounded by 1) and the
-level-wise sup of Hausdorff cut distances (unbounded).  They are not the
-same functional and are never substituted for one another.
+differences, and fuzzy vectors add their componentwise distances the
+same way.  Two distinct fuzzy metrics are provided: the membership-sup
+distance (bounded by 1) and the level-wise sup of Hausdorff cut
+distances (unbounded).  They are not the same functional and are never
+substituted for one another.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .fuzzy_num import FuzzyVector, as_fuzzy, interp_levels, membership_limits
-from .interval_linalg import IntervalVector
 
 
 def dist_rn(z1, z2) -> float:
@@ -30,26 +30,6 @@ def hausdorff_interval(a, b) -> float:
     if alo > ahi or blo > bhi:
         raise ValueError("intervals must be nonempty (lo <= hi)")
     return max(abs(alo - blo), abs(ahi - bhi))
-
-
-def _directed_box_sep(a: IntervalVector, b: IntervalVector) -> float:
-    # sup over points of a of their sum-distance to b; the inner distance
-    # separates per coordinate and each 1-D sup sits at an endpoint.
-    from_lo = np.maximum(0.0, np.maximum(b.lo - a.lo, a.lo - b.hi))
-    from_hi = np.maximum(0.0, np.maximum(b.lo - a.hi, a.hi - b.hi))
-    return float(np.sum(np.maximum(from_lo, from_hi)))
-
-
-def hausdorff_box(a: IntervalVector, b: IntervalVector) -> float:
-    """Hausdorff distance between boxes under the coordinate-sum distance.
-
-    Each directed separation decomposes into a sum of per-coordinate
-    one-dimensional separations; the metric is the larger of the two
-    directed sums.
-    """
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return max(_directed_box_sep(a, b), _directed_box_sep(b, a))
 
 
 def _membership_gaps(x, y) -> np.ndarray:

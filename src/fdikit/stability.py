@@ -40,15 +40,8 @@ COND_CAP = 1e12
 #: Numerical slack when comparing transformed endpoint matrices.
 ORDER_SLACK = 1e-12
 
-#: Matrix size up to which spectral radii use a dense eigensolve.
-DENSE_EIG_LIMIT = 512
-
 #: Sign patterns the eigenvalue-box cross-check tries before sign ascent.
 SIGN_BUDGET = 2 ** 12
-
-
-class SpectralRadiusError(ArithmeticError):
-    """The sparse eigensolver did not converge to a dominant eigenvalue."""
 
 
 class StabilityStatus(Enum):
@@ -120,25 +113,9 @@ class EigenBox:
                 and self.i_lo - tol <= other.i_lo and other.i_hi <= self.i_hi + tol)
 
 
-def spectral_radius(m, dense_limit: int = DENSE_EIG_LIMIT) -> float:
-    """Spectral radius of a crisp matrix.
-
-    Dense eigensolve up to ``dense_limit``; larger matrices fall back to a
-    sparse dominant-eigenvalue iteration, which raises SpectralRadiusError
-    when it does not converge.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape[0] <= dense_limit:
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
-    from scipy.sparse.linalg import ArpackNoConvergence, eigs
-
-    try:
-        vals = eigs(m, k=1, which="LM", return_eigenvectors=False, maxiter=10000)
-    except ArpackNoConvergence as exc:
-        raise SpectralRadiusError(
-            f"ARPACK found no dominant eigenvalue of the {m.shape[0]}x{m.shape[1]} "
-            f"matrix: {exc}") from exc
-    return float(np.abs(vals[0]))
+def spectral_radius(m) -> float:
+    """Spectral radius of a crisp matrix: :func:`spectral_radii` of one matrix."""
+    return float(spectral_radii(np.asarray(m, dtype=float)))
 
 
 def spectral_radii(stack: np.ndarray) -> np.ndarray:
@@ -284,15 +261,15 @@ def condeig_check(box: EigenBox) -> StabilityVerdict:
 
 # -- marginal stability via a supplied transform -------------------------------
 
-def _transformed_block(a: np.ndarray, t_inv: np.ndarray, t: np.ndarray,
-                       tol: float) -> tuple[Optional[np.ndarray], str]:
+def _transformed_block(a: np.ndarray, t_inv: np.ndarray,
+                       t: np.ndarray) -> tuple[Optional[np.ndarray], str]:
     """Reduced block of T^-1 A T when it is block-triangular with a unit
     corner; otherwise (None, reason)."""
     a2 = t_inv @ a @ t
-    if abs(a2[-1, -1] - 1.0) > tol:
+    if abs(a2[-1, -1] - 1.0) > SHAPE_TOL:
         return None, f"corner entry is {float(a2[-1, -1]):g}, not 1"
-    row_zero = np.all(np.abs(a2[-1, :-1]) <= tol)
-    col_zero = np.all(np.abs(a2[:-1, -1]) <= tol)
+    row_zero = np.all(np.abs(a2[-1, :-1]) <= SHAPE_TOL)
+    col_zero = np.all(np.abs(a2[:-1, -1]) <= SHAPE_TOL)
     if not (row_zero or col_zero):
         return None, "transformed matrix is not block-triangular"
     return a2[:-1, :-1], ""
@@ -312,8 +289,7 @@ def _strict_gershgorin_abs(b: np.ndarray) -> tuple[bool, str]:
     return False, f"reduced row {i} has Gershgorin bound {float(bounds[i]):g} >= 1"
 
 
-def marginal_test(m: IntervalMatrix, t, shape_tol: float = SHAPE_TOL,
-                  cond_cap: float = COND_CAP) -> StabilityVerdict:
+def marginal_test(m: IntervalMatrix, t) -> StabilityVerdict:
     """Marginal-stability test through a caller-supplied similarity transform.
 
     T must expose a block-triangular shape with a 1 in the corner; the
@@ -327,7 +303,7 @@ def marginal_test(m: IntervalMatrix, t, shape_tol: float = SHAPE_TOL,
     if t.shape != (n, n):
         raise ValueError(f"transform must be {n}x{n}, got {t.shape}")
     cond = np.linalg.cond(t)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > COND_CAP:
         raise ValueError(f"transform is singular or ill-conditioned (cond={cond:g})")
     t_inv = np.linalg.inv(t)
 
@@ -336,7 +312,7 @@ def marginal_test(m: IntervalMatrix, t, shape_tol: float = SHAPE_TOL,
                                         ("nonpos", "non-positive", np.all(m.hi <= 0), m.lo)):
         if not applies:
             continue
-        block, why = _transformed_block(bound, t_inv, t, shape_tol)
+        block, why = _transformed_block(bound, t_inv, t)
         if block is not None:
             ok, why = _strict_gershgorin_abs(block)
             if ok:
@@ -345,8 +321,8 @@ def marginal_test(m: IntervalMatrix, t, shape_tol: float = SHAPE_TOL,
                     {"case": case, "reduced": block.tolist()})
         reasons.append(f"{label} case: {why}")
 
-    block_lo, why_lo = _transformed_block(m.lo, t_inv, t, shape_tol)
-    block_hi, why_hi = _transformed_block(m.hi, t_inv, t, shape_tol)
+    block_lo, why_lo = _transformed_block(m.lo, t_inv, t)
+    block_hi, why_hi = _transformed_block(m.hi, t_inv, t)
     if block_lo is None or block_hi is None:
         for side, why in (("lower", why_lo), ("upper", why_hi)):
             if why:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from fdikit.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PRECONDITION,
-    dump_system_obj,
     load_system,
     main,
     parse_system_obj,
@@ -474,6 +474,24 @@ def test_bad_argument_is_input_error(tmp_path, capsys, argv):
     assert captured.err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("cell", ["H", "x0"])
+@pytest.mark.parametrize("command", ["analyze", "simulate", "oracle"])
+def test_overflowing_cut_width_is_input_error(tmp_path, capsys, command, cell):
+    wide = {"tfn": [-1.7e308, 0.0, 1.7e308]}  # finite endpoints, width overflows
+    doc = dict(SCALAR_STABLE, **{cell: [[wide]] if cell == "H" else [wide]})
+    argv = [command, write(tmp_path, "s.json", doc)]
+    if command != "analyze":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.out == ""
+    label = '"H"[0][0]' if cell == "H" else '"x0"[0]'
+    assert captured.err == f"input error: {label}: cut width hi - lo overflows\n"
+
+
 # -- distance ------------------------------------------------------------------------
 
 def test_distance_disjoint_core(tmp_path, capsys):
@@ -516,25 +534,6 @@ def test_distance_dimension_mismatch_exit1(tmp_path, capsys):
 
 
 # -- file format ---------------------------------------------------------------------
-
-def test_round_trip_parse_dump_parse():
-    system, transform = parse_system_obj({
-        "n": 2,
-        "H": [[{"tfn": [0.1, 0.2, 0.3]},
-               {"levels": [[0.0, 0.0, 1.0], [0.5, 0.2, 0.8], [1.0, 0.5, 0.5]]}],
-              [{"tfn": [0.0, 0.0, 0.0]}, {"tfn": [0.4, 0.5, 0.6]}]],
-        "x0": [{"tfn": [0.5, 1.0, 1.5]}, {"tfn": [1, 1, 1]}],
-        "alphas": [0.0, 0.5, 1.0],
-        "T": [[1.0, 0.0], [0.0, 1.0]],
-    })
-    doc = dump_system_obj(system, transform)
-    system2, transform2 = parse_system_obj(doc)
-    assert dump_system_obj(system2, transform2) == doc
-    for name in ("grid", "h_lo", "h_hi", "x0_lo", "x0_hi"):
-        assert np.array_equal(getattr(system2, name), getattr(system, name)), name
-    assert np.array_equal(system2.alphas, system.alphas)
-    assert np.array_equal(transform2, transform)
-
 
 def test_load_system_rejects_bad_alphas(tmp_path):
     doc = dict(SCALAR_STABLE, alphas=[0.2, 1.0])

@@ -16,11 +16,9 @@ import pytest
 
 from fdikit import (
     IntervalMatrix,
-    SpectralRadiusError,
     member_radius_scan,
     sample_matrix,
     sampled_falsifier,
-    spectral_radius,
     vertex_count,
     vertex_matrices,
     vertex_stack,
@@ -283,27 +281,17 @@ def test_falsifier_memory_stays_below_full_stack():
     assert peak < full_stack_bytes / 2, f"peak {peak / 1e6:.1f} MB"
 
 
-# -- sparse eigensolve failure --------------------------------------------------------------
-
-def test_arpack_no_convergence_raises_named_error(monkeypatch):
-    import scipy.sparse.linalg as sla
-
-    def no_convergence(*args, **kwargs):
-        raise sla.ArpackNoConvergence("ARPACK error -1: No convergence",
-                                      np.array([]), np.array([]))
-
-    monkeypatch.setattr(sla, "eigs", no_convergence)
-    with pytest.raises(SpectralRadiusError, match="5x5"):
-        spectral_radius(np.eye(5), dense_limit=4)
-
-
 def test_import_leaves_scipy_unloaded():
-    # n = 6 runs both the exhaustive (real) and the ascent (imaginary) sign search
+    # n = 6 runs both the exhaustive (real) and the ascent (imaginary) sign search;
+    # n = 520 checks that spectral_radius is the dense solve of spectral_radii at
+    # any size, bit for bit
     code = ("import sys, numpy as np, fdikit.cli\n"
             "print(any(k.startswith('scipy') for k in sys.modules))\n"
             "fdikit.eigen_box_rayleigh(fdikit.IntervalMatrix(-np.ones((6, 6)), np.ones((6, 6))))\n"
-            "print('scipy.optimize' in sys.modules)")
+            "a = np.random.default_rng(0).random((520, 520))\n"
+            "print(fdikit.spectral_radius(a) == float(fdikit.spectral_radii(a)))\n"
+            "print(any(k.startswith('scipy') for k in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=CLI_TIMEOUT_S)
-    assert proc.stdout.split() == ["False", "False"], proc.stderr
+    assert proc.stdout.split() == ["False", "True", "False"], proc.stderr

@@ -294,6 +294,20 @@ def test_transition_consistent_with_envelope():
             assert np.allclose(phis[k].hi @ x.hi, tr.steps[k].hi, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("h, x0, condition", [
+    (Tfn(-0.2, 0.1, 0.3), Tfn(-1, 0, 1), "matrix_nonneg"),  # the matrix is checked first
+    (Tfn(0.1, 0.2, 0.3), Tfn(-1, 0, 1), "state_nonneg"),
+])
+def test_transition_sign_errors_match_envelope(h, x0, condition):
+    s = FuzzySystem(h=[[h]], x0=FuzzyVector([x0]), alphas=[0, 1])
+    with pytest.raises(SignPreconditionError) as err:
+        transition_envelope(s, 0.0, 3)
+    with pytest.raises(SignPreconditionError) as expected:
+        envelope_propagate(s, 0.0, 3)
+    assert err.value.condition == expected.value.condition == condition
+    assert str(err.value) == str(expected.value)
+
+
 # -- Monte Carlo ----------------------------------------------------------------------------------
 
 def test_mc_crisp_trajectories_identical():

@@ -1,5 +1,7 @@
 """Unit tests for the nested alpha-cut representation and its arithmetic."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,14 @@ def test_constructor_rejects_non_nested():
 def test_constructor_requires_full_grid():
     with pytest.raises(ValueError):
         FuzzyNumber([0, 0.5], [0, 1], [4, 3])
+
+
+def test_constructor_rejects_overflowing_width():
+    # finite endpoints whose difference overflows, named without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^cut width hi - lo overflows$"):
+            FuzzyNumber([0, 1], [-1.7e308, 0], [1.7e308, 0])
 
 
 def test_json_round_trip_tfn():

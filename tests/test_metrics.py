@@ -1,7 +1,5 @@
 """Unit tests for the distance functions, checked against sampling oracles."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,14 +8,12 @@ from hypothesis import strategies as st
 from fdikit import (
     FuzzyNumber,
     FuzzyVector,
-    IntervalVector,
     Tfn,
     as_fuzzy,
     d_fuzzy_vec,
     d_levelwise,
     d_membership,
     dist_rn,
-    hausdorff_box,
     hausdorff_interval,
 )
 
@@ -38,19 +34,6 @@ def sampled_hausdorff(a_pts: np.ndarray, b_pts: np.ndarray) -> float:
     """
     d = np.abs(a_pts[:, None, :] - b_pts[None, :, :]).sum(axis=2)
     return max(d.min(axis=1).max(), d.min(axis=0).max())
-
-
-def sampled_hausdorff_lower(a_pts, b_box, b_pts, a_box) -> float:
-    """Guaranteed lower bound: dense outer samples, exact point-to-box inf."""
-    def directed(pts, box):
-        gaps = np.maximum(0.0, np.maximum(box.lo - pts, pts - box.hi)).sum(axis=1)
-        return gaps.max()
-    return max(directed(a_pts, b_box), directed(b_pts, a_box))
-
-
-def box_grid(lo, hi, per_axis=12) -> np.ndarray:
-    axes = [np.linspace(l, h, per_axis) for l, h in zip(np.atleast_1d(lo), np.atleast_1d(hi))]
-    return np.array(list(itertools.product(*axes)))
 
 
 # -- crisp distance ---------------------------------------------------------------
@@ -97,58 +80,6 @@ def test_hausdorff_interval_point_set():
 def test_hausdorff_interval_rejects_empty():
     with pytest.raises(ValueError):
         hausdorff_interval((3, 2), (0, 1))
-
-
-# -- box Hausdorff --------------------------------------------------------------------
-
-def test_hausdorff_box_identity():
-    a = IntervalVector([0, 0], [1, 1])
-    assert hausdorff_box(a, a) == 0.0
-
-
-def test_hausdorff_box_shifted_square():
-    got = hausdorff_box(IntervalVector([0, 0], [1, 1]), IntervalVector([2, 0], [3, 1]))
-    assert got == pytest.approx(2.0, abs=1e-12)
-
-
-def test_hausdorff_box_point_inside():
-    got = hausdorff_box(IntervalVector([0, 0], [2, 2]), IntervalVector([1, 1], [1, 1]))
-    assert got == pytest.approx(2.0, abs=1e-12)
-
-
-def test_hausdorff_box_dimension_mismatch():
-    with pytest.raises(ValueError):
-        hausdorff_box(IntervalVector([0], [1]), IntervalVector([0, 0], [1, 1]))
-
-
-def test_hausdorff_box_matches_sampled_sup_inf():
-    # oracle equivalence on random boxes, including ones where the two
-    # directed separations disagree coordinate-by-coordinate
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        n = int(rng.integers(1, 4))
-        alo = rng.uniform(-2, 2, n)
-        ahi = alo + rng.uniform(0, 2, n)
-        blo = rng.uniform(-2, 2, n)
-        bhi = blo + rng.uniform(0, 2, n)
-        a, b = IntervalVector(alo, ahi), IntervalVector(blo, bhi)
-        got = hausdorff_box(a, b)
-        a_grid, b_grid = box_grid(alo, ahi), box_grid(blo, bhi)
-        estimate = sampled_hausdorff(a_grid, b_grid)
-        assert got == pytest.approx(estimate, abs=0.25 * n), (alo, ahi, blo, bhi)
-        lower = sampled_hausdorff_lower(a_grid, b, b_grid, a)
-        assert lower - 1e-12 <= got <= lower + 0.25 * n
-
-
-def test_hausdorff_box_directed_mismatch_case():
-    # coordinate-wise max directions differ; the metric is the max of the
-    # two directed sums (1), not the sum of per-coordinate maxima (2)
-    a = IntervalVector([0, 0], [1, 2])
-    b = IntervalVector([0, 0], [2, 1])
-    got = hausdorff_box(a, b)
-    assert got == pytest.approx(1.0, abs=1e-12)
-    oracle = sampled_hausdorff(box_grid(a.lo, a.hi, 41), box_grid(b.lo, b.hi, 41))
-    assert got == pytest.approx(oracle, abs=0.1)
 
 
 # -- membership-sup metric ---------------------------------------------------------------

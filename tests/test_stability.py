@@ -53,14 +53,6 @@ def test_spectral_radius_known():
     assert spectral_radius(rot) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_spectral_radius_sparse_fallback_agrees():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(12, 12)) / 6
-    dense = spectral_radius(a)
-    sparse = spectral_radius(a, dense_limit=4)
-    assert sparse == pytest.approx(dense, rel=1e-8)
-
-
 # -- non-negative Gershgorin test ---------------------------------------------------
 
 def test_nonneg_rows_certify():
