@@ -24,8 +24,6 @@ from .metrics import (
     d_fuzzy_vec,
     d_levelwise,
     d_membership,
-    dist_rn,
-    hausdorff_interval,
 )
 from .interval_linalg import (
     IntervalMatrix,
@@ -88,7 +86,6 @@ __all__ = [
     "d_fuzzy_vec",
     "d_levelwise",
     "d_membership",
-    "dist_rn",
     "eigen_box_bounds",
     "eigen_box_rayleigh",
     "envelope_propagate",
@@ -99,7 +96,6 @@ __all__ = [
     "fuzzy_to_json",
     "gershgorin_nonneg_test",
     "gershgorin_nonpos_test",
-    "hausdorff_interval",
     "interval_matvec",
     "level_matrix",
     "level_state",

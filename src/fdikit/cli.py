@@ -168,7 +168,8 @@ def cmd_oracle(args) -> int:
         violation = lo - runs
         np.maximum(violation, runs - hi, out=violation)
         np.maximum(violation, 0.0, out=violation)
-        outside = int(np.count_nonzero(violation.max(axis=2) > 1e-12))
+        # A NaN violation (an overflowed envelope) counts as outside.
+        outside = int(np.count_nonzero(~(violation.max(axis=2) <= 1e-12)))
         report["containment"] = {
             "points_checked": int(runs.shape[0] * runs.shape[1]),
             "inside": int(runs.shape[0] * runs.shape[1]) - outside,

@@ -1,11 +1,10 @@
-"""Distances on crisp vectors, intervals and fuzzy numbers.
+"""Distances on fuzzy numbers and fuzzy vectors.
 
-The ground distance on R^N is the coordinate-wise sum of absolute
-differences, and fuzzy vectors add their componentwise distances the
-same way.  Two distinct fuzzy metrics are provided: the membership-sup
-distance (bounded by 1) and the level-wise sup of Hausdorff cut
-distances (unbounded).  They are not the same functional and are never
-substituted for one another.
+Fuzzy vectors add their componentwise distances, as the coordinate-wise
+sum of absolute differences does on R^N.  Two distinct fuzzy metrics are
+provided: the membership-sup distance (bounded by 1) and the level-wise
+sup of Hausdorff cut distances (unbounded).  They are not the same
+functional and are never substituted for one another.
 """
 
 from __future__ import annotations
@@ -13,23 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .fuzzy_num import FuzzyVector, as_fuzzy, interp_levels, membership_limits
-
-
-def dist_rn(z1, z2) -> float:
-    """Distance on R^N: sum over coordinates of absolute differences."""
-    z1 = np.atleast_1d(np.asarray(z1, dtype=float))
-    z2 = np.atleast_1d(np.asarray(z2, dtype=float))
-    if z1.shape != z2.shape:
-        raise ValueError(f"dimension mismatch: {z1.shape} vs {z2.shape}")
-    return float(np.sum(np.abs(z1 - z2)))
-
-
-def hausdorff_interval(a, b) -> float:
-    """Hausdorff distance between closed intervals: max endpoint gap."""
-    (alo, ahi), (blo, bhi) = a, b
-    if alo > ahi or blo > bhi:
-        raise ValueError("intervals must be nonempty (lo <= hi)")
-    return max(abs(alo - blo), abs(ahi - bhi))
 
 
 def _membership_gaps(x, y) -> np.ndarray:

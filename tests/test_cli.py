@@ -375,7 +375,7 @@ def oracle_ref(doc, k: int, n_runs: int, seed: int, mode: str):
         below = np.maximum(lo - runs, 0.0)
         above = np.maximum(runs - hi, 0.0)
         violation = np.maximum(below, above)
-    outside = int(np.count_nonzero(violation.max(axis=2) > 1e-12))
+    outside = int(np.count_nonzero(~(violation.max(axis=2) <= 1e-12)))
     points = int(runs.shape[0] * runs.shape[1])
     containment = {"points_checked": points, "inside": points - outside,
                    "outside": outside, "max_violation": float(violation.max())}
@@ -449,6 +449,8 @@ def test_oracle_csv_and_report_match_row_reference(tmp_path, capsys, mode, case)
     assert rc == EXIT_OK
     assert out_csv.read_text() == csv_ref
     assert json.dumps(report["containment"]) == json.dumps(containment_ref)
+    if case == "overflow":  # NaN violations count as outside
+        assert report["containment"]["outside"] > 0
 
 
 FULLY_FUZZY_5 = {"n": 5, "H": [[{"tfn": [-1.0, 0.0, 1.0]}] * 5] * 5,

@@ -5,6 +5,7 @@ the per-member loop they replace."""
 
 import itertools
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from fdikit import (
     vertex_matrices,
     vertex_stack,
 )
-from fdikit import interval_linalg
+from fdikit import interval_linalg, stability
 from fdikit.cli import EXIT_FALSIFIED, EXIT_INCONCLUSIVE, EXIT_OK
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -143,6 +144,7 @@ def test_analyze_fully_fuzzy_8x8_unstable_finishes(tmp_path):
 def test_analyze_fully_fuzzy_8x8_nearbound_finishes(tmp_path):
     proc = run_cli(tmp_path, nearbound_doc(), "analyze", "--n", "200")
     assert proc.returncode == EXIT_INCONCLUSIVE, proc.stderr
+    assert proc.stderr == ""  # the budget fallback is logged at DEBUG only
     falsifier = json.loads(proc.stdout)["witness"]["sub_reports"][-1]
     assert falsifier["witness"]["n_checked"] == 200  # 2^64 vertices: sampling only
     assert falsifier["witness"]["max_sampled_radius"] <= 0.97 + 1e-9
@@ -223,11 +225,17 @@ def test_falsifier_matches_reference(monkeypatch, chunk_entries):
 
 
 def test_falsifier_matches_reference_on_partial_last_chunk():
-    # 2^16 vertices then 1000 samples: the sample chunk is a partial one.
+    # 2^16 vertices then 1000 samples: the sample chunk is a partial one.  The
+    # family is non-negative, so the falsifier skips the vertices; the full scan
+    # of member_radius_scan still solves them all.
     m = IntervalMatrix(np.full((4, 4), 0.05), np.full((4, 4), 0.2))
     assert (vertex_count(m) + 1000) % interval_linalg.chunk_rows(m) != 0
+    ref = reference_falsifier(m, 1000, 5)
     got = sampled_falsifier(m, n_samples=1000, seed=5).to_json_obj()
-    assert got == reference_falsifier(m, 1000, 5)
+    assert got == ref
+    scan = member_radius_scan(m, n_samples=1000, seed=5)
+    assert (scan.max_radius, scan.n_checked) == (ref["witness"]["max_sampled_radius"],
+                                                 ref["witness"]["n_checked"])
 
 
 def test_falsifier_matches_reference_beyond_vertex_budget(monkeypatch):
@@ -263,6 +271,119 @@ def test_member_scan_without_members_is_an_error():
     m = IntervalMatrix(np.zeros((5, 5)), np.ones((5, 5)))
     with pytest.raises(ValueError, match="no member"):
         member_radius_scan(m, n_samples=0, seed=0, max_vertices=16)
+
+
+# -- Perron-Frobenius vertex shortcut for sign-definite families ---------------------
+
+def count_solves(monkeypatch) -> list:
+    """Record the number of matrices in every spectral_radii call."""
+    solved = []
+    solve = stability.spectral_radii
+
+    def counting(stack):
+        solved.append(int(np.prod(stack.shape[:-2])))
+        return solve(stack)
+
+    monkeypatch.setattr(stability, "spectral_radii", counting)
+    return solved
+
+
+SIGN_DEFINITE_KINDS = ("random", "reducible", "dyadic", "one_ulp", "signed_zero", "huge")
+
+
+def sign_definite(rng, kind: str, n: int, sign: float) -> IntervalMatrix:
+    """Random non-negative (sign 1) or non-positive (sign -1) family with at
+    most 12 wide entries, of the given kind."""
+    base = rng.uniform(0.3 / n, (2.0 if kind == "signed_zero" else 1.2) / n, (n, n))
+    if kind == "reducible":  # zero pattern, half of them upper-triangular
+        base *= rng.random((n, n)) < 0.5
+        if rng.random() < 0.5:
+            base = np.triu(base)
+    if kind == "dyadic":  # exact ties between entries and radii
+        base = rng.integers(0, 3, (n, n)) / 4.0
+    lo, hi = base.copy(), base.copy()
+    wide = rng.choice(n * n, size=int(rng.integers(0, min(n * n, 12) + 1)), replace=False)
+    if kind == "one_ulp":
+        hi.flat[wide] = np.nextafter(lo.flat[wide], np.inf)
+    elif kind == "dyadic":
+        hi.flat[wide] += rng.integers(1, 3, wide.size) / 4.0
+    else:
+        hi.flat[wide] += rng.uniform(0.05, 0.6 / n, wide.size)
+    if kind == "huge":
+        lo, hi = lo * 1e200, hi * 1e200
+    if sign < 0:
+        lo, hi = -hi, -lo
+    if kind == "signed_zero":  # a crisp cell [-0.0, 0.0]: witnesses print it as -0.0
+        cell = int(rng.integers(n * n))
+        lo.flat[cell], hi.flat[cell] = -0.0, 0.0
+    return IntervalMatrix(lo, hi)
+
+
+@pytest.mark.parametrize("kind", SIGN_DEFINITE_KINDS)
+def test_perron_shortcut_matches_reference(monkeypatch, kind):
+    rng = np.random.default_rng(SIGN_DEFINITE_KINDS.index(kind))
+    solved = count_solves(monkeypatch)
+    fired = {1.0: 0, -1.0: 0}  # per sign, families the shortcut settled
+    for i in range(20):
+        sign = 1.0 if i % 2 else -1.0
+        m = sign_definite(rng, kind, 1 + i % 5, sign)
+        n_samples, seed = (0 if i % 3 == 0 else int(rng.integers(1, 40))), int(rng.integers(99))
+        solved.clear()
+        got = sampled_falsifier(m, n_samples=n_samples, seed=seed).to_json_obj()
+        assert json.dumps(got) == json.dumps(reference_falsifier(m, n_samples, seed))
+        w = int(np.count_nonzero(m.hi > m.lo))
+        if w >= 2:  # w + 1 < 2^w, so the solve count tells the shortcut apart
+            fired[sign] += sum(solved) == w + 1 + n_samples
+    if kind in ("random", "signed_zero", "huge"):
+        assert min(fired.values()) > 0, fired
+
+
+def test_perron_shortcut_solves_top_and_neighbours(monkeypatch):
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(0.1, 0.4, (4, 4))
+    m = IntervalMatrix(lo, lo * 1.3)  # fully fuzzy: 2^16 vertices
+    solved = count_solves(monkeypatch)
+    got = sampled_falsifier(m, n_samples=100, seed=3).to_json_obj()
+    assert sum(solved) <= 17 + 100
+    # the full scan, checked against the reference loop on 2^16 vertices above
+    # (test_falsifier_matches_reference_on_partial_last_chunk)
+    full = member_radius_scan(m, n_samples=100, seed=3)
+    assert got["status"] == "Falsified"
+    assert json.dumps(got["witness"]) == json.dumps(
+        {"matrix": full.worst.tolist(), "spectral_radius": full.max_radius})
+    assert got["witness"]["matrix"] == m.hi.tolist()
+
+
+def test_perron_shortcut_falls_back_on_a_tie(monkeypatch):
+    # Upper-triangular family: every vertex with a diagonal entry at 1.5 has
+    # radius 1.5, so the top ties its neighbours and all vertices are solved;
+    # the witness is the first vertex attaining 1.5, not the top.
+    lo = np.triu(np.full((4, 4), 0.1))
+    hi = np.triu(np.full((4, 4), 0.3)) + np.diag(np.full(4, 1.2))
+    m = IntervalMatrix(lo, hi)
+    solved = count_solves(monkeypatch)
+    got = sampled_falsifier(m, n_samples=5, seed=0).to_json_obj()
+    assert sum(solved) == 11 + 2 ** 10 + 5
+    assert json.dumps(got) == json.dumps(reference_falsifier(m, 5, 0))
+    assert got["witness"]["matrix"] != m.hi.tolist()
+
+
+def test_falsifier_logs_its_fallbacks(caplog):
+    caplog.set_level(logging.DEBUG, logger="fdikit")
+    fuzzy = IntervalMatrix(np.zeros((5, 5)), np.ones((5, 5)))
+    sampled_falsifier(fuzzy, n_samples=10, seed=0, max_vertices=64)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"vertex budget exceeded, sampling only: {2 ** 25} vertices > 64"]
+    assert caplog.records[0].levelno == logging.DEBUG
+    caplog.clear()
+    tied = IntervalMatrix(np.diag([0.1, 0.1]), np.diag([0.9, 0.9]))
+    sampled_falsifier(tied, n_samples=10, seed=0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "Perron gap below PERRON_GAP, full vertex scan of 4 vertices"]
+    caplog.clear()
+    positive = IntervalMatrix(np.full((2, 2), 0.1), np.full((2, 2), 0.4))
+    sampled_falsifier(positive, n_samples=10, seed=0)
+    assert caplog.records == []  # irreducible: the shortcut fires, no fallback
 
 
 # -- bounded memory ---------------------------------------------------------------------

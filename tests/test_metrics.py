@@ -13,8 +13,6 @@ from fdikit import (
     d_fuzzy_vec,
     d_levelwise,
     d_membership,
-    dist_rn,
-    hausdorff_interval,
 )
 
 from conftest import rand_fuzzy_levels
@@ -26,60 +24,10 @@ def fuzzy_numbers(draw):
     return FuzzyNumber.from_levels(rand_fuzzy_levels(np.random.default_rng(seed)))
 
 
-def sampled_hausdorff(a_pts: np.ndarray, b_pts: np.ndarray) -> float:
-    """Brute-force sup-inf Hausdorff under the coordinate-sum distance.
-
-    Biased in both directions by grid spacing: the outer sup undershoots,
-    the inner inf over a finite subset overshoots.
-    """
-    d = np.abs(a_pts[:, None, :] - b_pts[None, :, :]).sum(axis=2)
-    return max(d.min(axis=1).max(), d.min(axis=0).max())
-
-
-# -- crisp distance ---------------------------------------------------------------
-
-def test_dist_rn_zero():
-    assert dist_rn([0, 0], [0, 0]) == 0.0
-
-
-def test_dist_rn_sum_of_gaps():
-    assert dist_rn([1, 2], [3, 5]) == 5.0
-
-
-def test_dist_rn_scalar_case():
-    assert dist_rn([1], [4]) == 3.0
-
-
-def test_dist_rn_dimension_mismatch():
-    with pytest.raises(ValueError):
-        dist_rn([1, 2], [1, 2, 3])
-
-
-# -- interval Hausdorff -------------------------------------------------------------
-
-def test_hausdorff_interval_equal():
-    assert hausdorff_interval((2, 4), (2, 4)) == 0.0
-
-
-def test_hausdorff_interval_endpoint_form():
-    got = hausdorff_interval((2, 4), (3.5, 6.5))
-    assert got == pytest.approx(2.5, abs=1e-12)
-    oracle = sampled_hausdorff(np.linspace(2, 4, 2001)[:, None],
-                               np.linspace(3.5, 6.5, 2001)[:, None])
-    assert got == pytest.approx(oracle, abs=2e-3)
-
-
-def test_hausdorff_interval_point_set():
-    got = hausdorff_interval((0, 1), (5, 5))
-    assert got == 5.0
-    oracle = sampled_hausdorff(np.linspace(0, 1, 2001)[:, None],
-                               np.array([[5.0]]))
-    assert got == pytest.approx(oracle, abs=2e-3)
-
-
-def test_hausdorff_interval_rejects_empty():
-    with pytest.raises(ValueError):
-        hausdorff_interval((3, 2), (0, 1))
+def interval_hausdorff(a, b) -> float:
+    """Hausdorff distance between closed intervals: the larger endpoint gap."""
+    (alo, ahi), (blo, bhi) = a, b
+    return max(abs(alo - blo), abs(ahi - bhi))
 
 
 # -- membership-sup metric ---------------------------------------------------------------
@@ -143,7 +91,7 @@ def test_d_levelwise_value_and_fine_grid_oracle():
     x, y = as_fuzzy(Tfn(2, 3, 4)), as_fuzzy(Tfn(3.5, 4.5, 6.5))
     oracle = 0.0
     for a in np.linspace(0, 1, 2001):
-        oracle = max(oracle, hausdorff_interval(x.cut(a), y.cut(a)))
+        oracle = max(oracle, interval_hausdorff(x.cut(a), y.cut(a)))
     assert got == pytest.approx(oracle, abs=1e-9)
 
 
@@ -153,7 +101,7 @@ def test_d_levelwise_crisp_distance():
 
 @given(fuzzy_numbers(), fuzzy_numbers())
 def test_d_levelwise_dominates_support_gap(x, y):
-    assert d_levelwise(x, y) >= hausdorff_interval(x.support, y.support) - 1e-12
+    assert d_levelwise(x, y) >= interval_hausdorff(x.support, y.support) - 1e-12
 
 
 # -- metric axioms ------------------------------------------------------------------------------
