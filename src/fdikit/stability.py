@@ -47,6 +47,12 @@ ORDER_SLACK = 1e-12
 #: Sign patterns the eigenvalue-box cross-check tries before sign ascent.
 SIGN_BUDGET = 2 ** 12
 
+#: Power-iteration steps that bracket the members of a sign-definite scan.
+BRACKET_STEPS = 64
+
+#: Smallest normal double, and a bound that keeps power steps and their ratios finite.
+_TINY, _HUGE = 2.0 ** -1022, 2.0 ** 1023
+
 class StabilityStatus(Enum):
     ASYMPTOTICALLY_STABLE = "AsymptoticallyStable"
     STABLE = "Stable"
@@ -371,6 +377,66 @@ def _member_chunks(m: IntervalMatrix, n_vertices: int, n_samples: int, seed):
         yield sample_matrix(m, rng, size=min(step, n_samples - start))
 
 
+def _bracket_sign(m: IntervalMatrix) -> float:
+    """1 when every member is non-negative, -1 when every member is
+    non-positive, each with entries at most _HUGE / n in absolute value so
+    that no power step overflows; else 0."""
+    if np.all(m.lo >= 0):
+        sign, top = 1.0, m.hi
+    elif np.all(m.hi <= 0):
+        sign, top = -1.0, -m.lo
+    else:
+        return 0.0
+    return sign if np.max(top) <= _HUGE / m.n else 0.0
+
+
+def _collatz_wielandt(a: np.ndarray, best: float) -> tuple[np.ndarray, int, int, int]:
+    """Members of the non-negative stack ``a`` that need an eigensolve.
+
+    For x > 0, min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i
+    (Collatz 1942; Wielandt 1950).  Batched power steps from x = 1 tighten
+    these brackets.  A member is ruled out once its upper bound is below
+    (1 - PERRON_GAP) times the larger of ``best`` and the largest lower
+    bound, and its bracket clears 1 by PERRON_GAP.  A member that stays
+    needed is iterated until its bracket is within PERRON_GAP, or until
+    it is the only one needed and holds that largest lower bound.  A step
+    whose iterate has a zero or unbounded entry ends a member's iteration
+    (a zero row gives no bracket at all), and BRACKET_STEPS ends them all.
+    Computed ratios are off by about (n + 2) unit roundoffs.
+
+    Returns the needed mask, the number of members ruled out with a radius
+    above 1, and the numbers of needed members whose step failed or that
+    were still open at the cap.
+    """
+    k = len(a)
+    low, up, bad = np.zeros(k), np.full(k, np.inf), np.zeros(k, dtype=bool)
+    need, idx, x, x_min = np.ones(k, dtype=bool), np.arange(k), np.ones(a.shape[:2]), 1.0
+    for _ in range(BRACKET_STEPS):
+        y = np.matmul(a, x[:, :, None])[:, :, 0]  # <= n max(a) <= _HUGE
+        y_min, y_max = y.min(axis=1), y.max(axis=1)
+        # normal entries keep the rounding relative; the second test keeps y / x finite
+        ok = (y_min >= _TINY) & (y_max <= x_min * _HUGE)
+        if not ok.all():
+            bad[idx[~ok]] = True
+            a, idx, x, y, y_min, y_max = a[ok], idx[ok], x[ok], y[ok], y_min[ok], y_max[ok]
+        ratio = y / x
+        lo_k = low[idx] = np.maximum(low[idx], ratio.min(axis=1))
+        up_k = up[idx] = np.minimum(up[idx], ratio.max(axis=1))
+        top = max(best, float(low.max()))  # a NaN best stays NaN: nothing beats it
+        need = ((up >= top * (1.0 - PERRON_GAP))  # could be the new first maximum
+                | ((low <= 1.0 + PERRON_GAP) & (up >= 1.0 - PERRON_GAP)))  # near 1
+        go = need[idx] & (up_k > lo_k * (1.0 + PERRON_GAP))
+        # a lone needed member that holds the largest lower bound stays needed
+        if not go.any() or (top > best and np.count_nonzero(need) == 1):
+            idx = idx[:0]
+            break
+        if not go.all():
+            a, idx, y, y_min, y_max = a[go], idx[go], y[go], y_min[go], y_max[go]
+        x, x_min = y / y_max[:, None], y_min / y_max  # x_min is exactly x.min(axis=1)
+    over = int(np.count_nonzero(~need & (low > 1.0 + PERRON_GAP)))
+    return need, over, int(np.count_nonzero(bad & need)), idx.size
+
+
 def member_radius_scan(m: IntervalMatrix, n_samples: int, seed,
                        max_vertices: int = DEFAULT_VERTEX_BUDGET) -> MemberScan:
     """Spectral radius of every vertex (if there are at most ``max_vertices``)
@@ -378,20 +444,36 @@ def member_radius_scan(m: IntervalMatrix, n_samples: int, seed,
 
     Members are built and solved in chunks of ``chunk_rows(m)``, so memory
     does not grow with the member count.  Ties keep the first member in
-    vertex-then-sample order.
+    vertex-then-sample order.  In a sign-definite family, only the members
+    that Collatz-Wielandt brackets (:func:`_collatz_wielandt`) cannot rule
+    out are solved; the result is that of solving every member whenever
+    each computed radius is within PERRON_GAP / 2 - (n + 2) unit roundoffs
+    of the exact one.
     """
     count = vertex_count(m)
     n_vertices = count if count <= max_vertices else 0
     if n_vertices + n_samples == 0:
         raise ValueError(f"{count} vertices exceed the budget of {max_vertices} "
                          "and no samples were requested: no member to check")
-    best, worst, above = -np.inf, None, 0
+    sign = _bracket_sign(m)
+    best, worst, above, n_bad, n_cap = -np.inf, None, 0, 0, 0
     for stack in _member_chunks(m, n_vertices, n_samples, seed):
-        radii = spectral_radii(stack)
+        if sign:
+            need, over, bad, cap = _collatz_wielandt(stack if sign > 0 else -stack, best)
+            above, n_bad, n_cap = above + over, n_bad + bad, n_cap + cap
+            radii = np.full(len(stack), -np.inf)  # ruled out: never the first maximum
+            if need.any():
+                radii[need] = spectral_radii(stack[need])
+        else:
+            radii = spectral_radii(stack)
         i = int(np.argmax(radii))
         if worst is None or radii[i] > best:
             best, worst = float(radii[i]), stack[i].copy()
         above += int(np.count_nonzero(radii > 1.0))
+    if n_bad or n_cap:
+        _log_fallback("brackets unresolved for %d of %d members: %d stopped by a zero "
+                      "or unbounded step, %d open after %d steps", n_bad + n_cap,
+                      n_vertices + n_samples, n_bad, n_cap, BRACKET_STEPS)
     return MemberScan(n_vertices + n_samples, best, worst, above)
 
 

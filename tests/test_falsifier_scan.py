@@ -320,7 +320,8 @@ def sign_definite(rng, kind: str, n: int, sign: float) -> IntervalMatrix:
 
 
 @pytest.mark.parametrize("kind", SIGN_DEFINITE_KINDS)
-def test_perron_shortcut_matches_reference(monkeypatch, kind):
+def test_perron_shortcut_matches_reference(caplog, monkeypatch, kind):
+    caplog.set_level(logging.DEBUG, logger="fdikit")
     rng = np.random.default_rng(SIGN_DEFINITE_KINDS.index(kind))
     solved = count_solves(monkeypatch)
     fired = {1.0: 0, -1.0: 0}  # per sign, families the shortcut settled
@@ -329,11 +330,14 @@ def test_perron_shortcut_matches_reference(monkeypatch, kind):
         m = sign_definite(rng, kind, 1 + i % 5, sign)
         n_samples, seed = (0 if i % 3 == 0 else int(rng.integers(1, 40))), int(rng.integers(99))
         solved.clear()
+        caplog.clear()
         got = sampled_falsifier(m, n_samples=n_samples, seed=seed).to_json_obj()
         assert json.dumps(got) == json.dumps(reference_falsifier(m, n_samples, seed))
         w = int(np.count_nonzero(m.hi > m.lo))
-        if w >= 2:  # w + 1 < 2^w, so the solve count tells the shortcut apart
-            fired[sign] += sum(solved) == w + 1 + n_samples
+        if w >= 2:  # w + 1 < 2^w: the shortcut skips vertices
+            fell_back = any(r.getMessage().startswith("Perron gap") for r in caplog.records)
+            assert solved[0] == w + 1
+            fired[sign] += not fell_back
     if kind in ("random", "signed_zero", "huge"):
         assert min(fired.values()) > 0, fired
 
@@ -363,7 +367,9 @@ def test_perron_shortcut_falls_back_on_a_tie(monkeypatch):
     m = IntervalMatrix(lo, hi)
     solved = count_solves(monkeypatch)
     got = sampled_falsifier(m, n_samples=5, seed=0).to_json_obj()
-    assert sum(solved) == 11 + 2 ** 10 + 5
+    # the top and its 10 neighbours, then the 960 vertices with a diagonal
+    # entry at 1.5; brackets rule out the 64 with every diagonal entry at 0.1
+    assert solved[:2] == [11, 960]
     assert json.dumps(got) == json.dumps(reference_falsifier(m, 5, 0))
     assert got["witness"]["matrix"] != m.hi.tolist()
 
@@ -378,12 +384,119 @@ def test_falsifier_logs_its_fallbacks(caplog):
     caplog.clear()
     tied = IntervalMatrix(np.diag([0.1, 0.1]), np.diag([0.9, 0.9]))
     sampled_falsifier(tied, n_samples=10, seed=0)
+    # a diagonal member's bracket is its diagonal range at every step, so the
+    # vertices diag(0.1, 0.9) and diag(0.9, 0.1) stay open next to the top
     assert [r.getMessage() for r in caplog.records] == [
-        "Perron gap below PERRON_GAP, full vertex scan of 4 vertices"]
+        "Perron gap below PERRON_GAP, full vertex scan of 4 vertices",
+        f"brackets unresolved for 2 of 14 members: 0 stopped by a zero or "
+        f"unbounded step, 2 open after {stability.BRACKET_STEPS} steps"]
+    caplog.clear()
+    zero_row = np.ones((3, 3))
+    zero_row[2] = 0.0
+    member_radius_scan(IntervalMatrix(np.zeros((3, 3)), zero_row), n_samples=10, seed=0,
+                       max_vertices=0)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"brackets unresolved for 10 of 10 members: 10 stopped by a zero or "
+        f"unbounded step, 0 open after {stability.BRACKET_STEPS} steps"]
     caplog.clear()
     positive = IntervalMatrix(np.full((2, 2), 0.1), np.full((2, 2), 0.4))
     sampled_falsifier(positive, n_samples=10, seed=0)
-    assert caplog.records == []  # irreducible: the shortcut fires, no fallback
+    # irreducible: the shortcut fires and brackets decide every sample
+    assert caplog.records == []
+
+
+# -- Collatz-Wielandt brackets in the member scan ------------------------------------
+
+def reference_scan(m: IntervalMatrix, n_samples: int, seed: int, max_vertices: int):
+    """Every member solved: (max radius, first maximiser, count above 1, count)."""
+    mats = list(reference_vertices(m)) if vertex_count(m) <= max_vertices else []
+    rng = np.random.default_rng(seed)
+    mats.extend(rng.uniform(m.lo, m.hi) for _ in range(n_samples))
+    radii = np.max(np.abs(np.linalg.eigvals(np.stack(mats))), axis=-1)
+    worst = int(np.argmax(radii))
+    return float(radii[worst]), mats[worst], int(np.count_nonzero(radii > 1.0)), len(mats)
+
+
+def straddling(m: IntervalMatrix) -> IntervalMatrix:
+    """m scaled so that 1 lies between the radii of its extreme vertices."""
+    rho_lo, rho_hi = sorted(_rho(a) for a in (m.lo, m.hi))
+    s = 2.0 / (rho_lo + rho_hi) if rho_hi > 0 else 1.0
+    return IntervalMatrix(m.lo * s, m.hi * s)
+
+
+def assert_scan_matches_reference(m: IntervalMatrix, n_samples: int, seed: int):
+    for max_vertices in (0, 2 ** 16):
+        scan = member_radius_scan(m, n_samples, seed, max_vertices)
+        best, worst, above, count = reference_scan(m, n_samples, seed, max_vertices)
+        assert scan.max_radius == best
+        assert np.array_equal(scan.worst, worst)
+        assert (scan.n_above_one, scan.n_checked) == (above, count)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", SIGN_DEFINITE_KINDS)
+def test_bracketed_scan_matches_full_eigensolve(monkeypatch, kind):
+    rng = np.random.default_rng(100 + SIGN_DEFINITE_KINDS.index(kind))
+    for i in range(24):
+        m = sign_definite(rng, kind, 1 + i % 6, 1.0 if i % 2 else -1.0)
+        if i % 4 >= 2 and kind != "huge":
+            m = straddling(m)
+        # small chunks carry the running maximum across chunk boundaries
+        monkeypatch.setattr(interval_linalg, "CHUNK_ENTRIES", 2 ** 18 if i % 3 else 200)
+        assert_scan_matches_reference(m, int(rng.integers(1, 60)), int(rng.integers(99)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ("random", "reducible", "dyadic"))
+def test_bracketed_scan_matches_full_eigensolve_at_subnormal_scale(kind):
+    # products underflow, and zero rows make iterates vanish: such members
+    # must be solved, without a 0 / 0 in the ratios
+    rng = np.random.default_rng(200 + SIGN_DEFINITE_KINDS.index(kind))
+    for i in range(30):
+        m = sign_definite(rng, kind, 1 + i % 6, 1.0)
+        scale = 10.0 ** rng.uniform(-323.0, -290.0)
+        assert_scan_matches_reference(IntervalMatrix(m.lo * scale, m.hi * scale), 20, i)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lo", [
+    [[1e300, 0.0], [1e-300, 1e-300]],  # the second iterate entry underflows to 0
+    [[1e308, 1e308], [0.0, 0.0]],  # a power step would overflow
+])
+def test_bracketed_scan_matches_full_eigensolve_at_extreme_range(lo):
+    lo = np.array(lo)
+    assert_scan_matches_reference(IntervalMatrix(lo, lo * 1.2), 10, 0)
+
+
+def test_bracketed_scan_solves_few_members(monkeypatch):
+    rng = np.random.default_rng(21)
+    lo = rng.uniform(0.02, 0.04, (32, 32))
+    fuzzy = IntervalMatrix(lo, lo * 1.3)  # 2^1024 vertices: sampling only
+    solved = count_solves(monkeypatch)
+    scan = member_radius_scan(fuzzy, n_samples=200, seed=4)
+    assert sum(solved) <= 10
+    assert scan.n_checked == 200
+    solved.clear()
+    member_radius_scan(IntervalMatrix(-fuzzy.hi, -fuzzy.lo), n_samples=200, seed=4)
+    assert sum(solved) <= 10
+    indefinite = IntervalMatrix(lo - 0.03, lo * 1.3)
+    solved.clear()
+    member_radius_scan(indefinite, n_samples=200, seed=4)
+    assert sum(solved) == 200
+
+
+def test_oracle_counts_members_above_one_on_a_straddling_family(tmp_path):
+    rng = np.random.default_rng(13)
+    b = rng.uniform(0.2, 1.0, (8, 8))
+    lo = b * (0.85 / _rho(b))
+    hi = lo * 1.35
+    proc = run_cli(tmp_path, _tfn_doc(lo, (lo + hi) / 2, hi), "oracle", "--k", "2",
+                   "--n", "300", "--seed", "5", "--out", str(tmp_path / "runs.csv"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    report = json.loads(proc.stdout)["spectral_radius"]
+    best, _, above, count = reference_scan(IntervalMatrix(lo, hi), 300, 5, 0)
+    assert 0 < above < 300
+    assert report == {"max": best, "count_exceeding_one": above, "n_checked": count}
 
 
 # -- bounded memory ---------------------------------------------------------------------
