@@ -8,6 +8,7 @@ verdicts / success, 1 input error (a malformed file or a bad argument),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -105,7 +106,10 @@ def parse_system_obj(obj) -> tuple[FuzzySystem, np.ndarray | None]:
         if (not isinstance(t_rows, list) or len(t_rows) != n
                 or any(not isinstance(r, list) or len(r) != n for r in t_rows)):
             raise ValueError(f'"T": expected an {n}x{n} matrix')
-        transform = np.asarray(t_rows, dtype=float)
+        try:
+            transform = np.asarray(t_rows, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f'"T": {exc}') from None
     return system, transform
 
 
@@ -206,7 +210,9 @@ def cmd_distance(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="fdikit",
         description="Stability analysis and level-wise simulation of linear "

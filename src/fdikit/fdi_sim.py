@@ -37,7 +37,10 @@ class SignPreconditionError(ValueError):
 
 
 def _check_alphas(alphas) -> np.ndarray:
-    grid = np.array(alphas, dtype=float)
+    try:
+        grid = np.array(alphas, dtype=float)
+    except OverflowError as exc:  # a JSON integer no double can hold
+        raise ValueError(f'"alphas": {exc}') from None
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("alpha grid must be a vector with at least two levels")
     if not np.all(np.diff(grid) > 0):
@@ -75,10 +78,10 @@ class FuzzySystem:
         self.n = n
         self.alphas = _check_alphas(alphas)
         self.grid, lo, hi = level_stack(cells, label, self.alphas)
-        self.h_lo = lo[:, :n * n].reshape(-1, n, n).copy()
-        self.h_hi = hi[:, :n * n].reshape(-1, n, n).copy()
-        self.x0_lo = lo[:, n * n:].copy()
-        self.x0_hi = hi[:, n * n:].copy()
+        self.h_lo = lo[:, :n * n].reshape(-1, n, n)
+        self.h_hi = hi[:, :n * n].reshape(-1, n, n)
+        self.x0_lo = lo[:, n * n:]
+        self.x0_hi = hi[:, n * n:]
         for a in (self.alphas, self.grid, self.h_lo, self.h_hi, self.x0_lo, self.x0_hi):
             a.setflags(write=False)
 

@@ -18,6 +18,9 @@ import numpy as np
 #: Slack allowed when checking interval ordering / nestedness of levels.
 ORDER_TOL = 1e-12
 
+#: Breakpoint grid of a triangular number.
+_TFN_LEVELS = np.array((0.0, 1.0))
+
 
 class StackingViolation(ValueError):
     """A family of alpha-level sets is not properly nested."""
@@ -335,13 +338,19 @@ def level_stack(cells, label, base=()) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     The checks of :class:`FuzzyNumber` run once per breakpoint grid.  The
     first malformed cell raises ValueError (StackingViolation for cuts that
-    are not nested) prefixed with ``label(index)``.
+    are not nested) prefixed with ``label(index)``.  Cells that are all
+    ``{"tfn": [l, c, r]}`` objects passing those checks are stacked from
+    one array (:func:`_tfn_columns`) with the same result.
     """
+    columns = _tfn_columns(cells)
+    if columns is not None:
+        grid = np.union1d(base, _TFN_LEVELS)
+        return grid, *(interp_levels(grid, _TFN_LEVELS, v) for v in columns)
     groups, faults = {}, []
     for p, cell in enumerate(cells):
         try:
             alphas, lo, hi = breakpoints(cell)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             faults.append((p, ValueError(exc)))
             break
         groups.setdefault(alphas, []).append((p, lo, hi))
@@ -361,6 +370,32 @@ def level_stack(cells, label, base=()) -> tuple[np.ndarray, np.ndarray, np.ndarr
         lo[:, index] = interp_levels(grid, a, glo.T)
         hi[:, index] = interp_levels(grid, a, ghi.T)
     return grid, lo, hi
+
+
+def _tfn_columns(cells) -> tuple[np.ndarray, np.ndarray] | None:
+    """Endpoint rows [l; c] and [r; c], each (2, len(cells)), at the levels
+    0 and 1 when every cell is a ``{"tfn": [l, c, r]}`` object whose triple
+    is finite, ordered and of finite width, so that the per-cell path of
+    :func:`level_stack` accepts the same values; otherwise None.
+    """
+    triples = []
+    for cell in cells:
+        triple = cell.get("tfn") if isinstance(cell, dict) else None
+        if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
+            return None
+        triples.append(triple)
+    try:
+        t = np.array(triples)
+    except (TypeError, ValueError, OverflowError):  # ragged or huge values
+        return None
+    if t.dtype.kind not in "fi" or t.shape != (len(cells), 3):
+        return None
+    t = np.array(t.T, dtype=float, order="C")
+    l, c, r = t
+    with np.errstate(over="ignore"):
+        ok = (np.isfinite(t).all() and (l <= c).all() and (c <= r).all()
+              and np.isfinite(r - l).all())
+    return (t[[0, 1]], t[[2, 1]]) if ok else None
 
 
 # -- JSON encoding -----------------------------------------------------------

@@ -50,6 +50,10 @@ SIGN_BUDGET = 2 ** 12
 #: Power-iteration steps that bracket the members of a sign-definite scan.
 BRACKET_STEPS = 64
 
+#: Smallest n whose scans bracket: the power steps cost more than solving
+#: every member at n = 2, about as much at n = 3, and less from n = 4 on.
+BRACKET_MIN_N = 3
+
 #: Smallest normal double, and a bound that keeps power steps and their ratios finite.
 _TINY, _HUGE = 2.0 ** -1022, 2.0 ** 1023
 
@@ -380,7 +384,9 @@ def _member_chunks(m: IntervalMatrix, n_vertices: int, n_samples: int, seed):
 def _bracket_sign(m: IntervalMatrix) -> float:
     """1 when every member is non-negative, -1 when every member is
     non-positive, each with entries at most _HUGE / n in absolute value so
-    that no power step overflows; else 0."""
+    that no power step overflows; else 0, and 0 below BRACKET_MIN_N."""
+    if m.n < BRACKET_MIN_N:
+        return 0.0
     if np.all(m.lo >= 0):
         sign, top = 1.0, m.hi
     elif np.all(m.hi <= 0):

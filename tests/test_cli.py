@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +128,25 @@ def test_analyze_malformed_fuzzy_names_path(tmp_path, capsys):
     ({(1, 1): {"tfn": [0.0, 0.0, float("inf")]},
       (0, 1): {"levels": [[0.0, 0.0, 1.0], [0.6, 0.6, 0.4], [1.0, 0.5, 0.5]]}},
      '"H"[0][1]: every level must satisfy lo <= hi'),
+    # cells that no single float array of ordered, finite triples holds
+    ({(0, 1): {"tfn": [None, 0, 1]}},
+     '"H"[0][1]: float() argument must be a string or a real number, not \'NoneType\''),
+    ({(0, 1): {"tfn": [float("nan"), 0, 1]}},
+     '"H"[0][1]: triple must satisfy l <= c <= r, got (nan, 0.0, 1.0)'),
+    ({(0, 1): {"tfn": [True, True, True]}, (1, 0): {"tfn": [1, 2]}},  # bools are numbers
+     '"H"[1][0]: "tfn" must be a list [l, c, r]'),
+    ({(0, 1): {"tfn": [[0], 0, 1]}},
+     '"H"[0][1]: float() argument must be a string or a real number, not \'list\''),
+    ({(0, 1): {"tfn": [0, 1]}}, '"H"[0][1]: "tfn" must be a list [l, c, r]'),
+    ({(0, 1): {"tfn": [0, 0, 1, 2]}}, '"H"[0][1]: "tfn" must be a list [l, c, r]'),
+    ({(0, 1): {"tfn": [0, 0, float("1e400")]}},
+     '"H"[0][1]: support must be bounded (finite endpoints)'),
+    ({(0, 1): {"tfn": [-1.7e308, 0, 1.7e308]}}, '"H"[0][1]: cut width hi - lo overflows'),
+    # "tfn" wins over "levels"
+    ({(0, 1): {"tfn": [0, 0, 1], "levels": "x"}, (1, 0): {"tfn": [3, 2, 1]}},
+     '"H"[1][0]: triple must satisfy l <= c <= r, got (3.0, 2.0, 1.0)'),
+    ({(0, 1): {"tfn": ["0.1", "0.2", "0.3"]}, (1, 1): {"tfn": ["a", "b", "c"]}},
+     '"H"[1][1]: could not convert string to float: \'a\''),
 ])
 def test_analyze_names_first_malformed_cell(tmp_path, capsys, cells, expected):
     h = [[{"tfn": [0.1, 0.2, 0.3]} for _ in range(2)] for _ in range(2)]
@@ -135,6 +158,30 @@ def test_analyze_names_first_malformed_cell(tmp_path, capsys, cells, expected):
     assert capsys.readouterr().err == f"input error: {expected}\n"
 
 
+HUGE_INT = 10 ** 400  # a JSON integer that no double can hold
+
+
+@pytest.mark.parametrize("doc, expected", [
+    ({"H": [[{"tfn": [0, 0, HUGE_INT]}]]}, '"H"[0][0]'),
+    ({"x0": [{"tfn": [0, 1, HUGE_INT]}]}, '"x0"[0]'),
+    ({"H": [[{"levels": [[0, 0, HUGE_INT], [1, 0, 0]]}]]}, '"H"[0][0]'),
+    ({"alphas": [0, HUGE_INT]}, '"alphas"'),
+    ({"T": [[HUGE_INT]]}, '"T"'),
+])
+def test_huge_integer_is_input_error(tmp_path, capsys, doc, expected):
+    rc = main(["analyze", write(tmp_path, "s.json", dict(SCALAR_STABLE, **doc))])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == f"input error: {expected}: int too large to convert to float\n"
+
+
+def test_transform_entry_that_is_not_a_number_is_input_error(tmp_path, capsys):
+    rc = main(["analyze", write(tmp_path, "s.json", dict(SCALAR_STABLE, T=[[{}]]))])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        'input error: "T": float() argument must be a string or a real number, not \'dict\'\n')
+
 
 @pytest.mark.parametrize("n", [2.5, "2", True, None, [2], float("inf")])
 def test_non_integer_n_is_input_error(tmp_path, capsys, n):
@@ -145,6 +192,34 @@ def test_non_integer_n_is_input_error(tmp_path, capsys, n):
     assert rc == EXIT_INPUT
     assert captured.out == ""
     assert captured.err == 'input error: "n": must be an integer\n'
+
+def test_main_repeats_in_one_process_like_fresh_processes(tmp_path, capsys):
+    # main reuses one argument parser; no call may leak state into the next
+    inconclusive = {"n": 1, "H": [[{"tfn": [-1.0, 0.0, 1.0]}]], "x0": [{"tfn": [0, 1, 2]}]}
+    system, out = write(tmp_path, "s.json", inconclusive), str(tmp_path / "env.csv")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    codes = []
+    for argv in (["analyze", system, "--n", "20", "--seed", "7"],
+                 ["simulate", write(tmp_path, "t.json", SCALAR_STABLE), "--out", out],
+                 ["simulate", system],  # no --out: argparse exits with 2
+                 ["analyze", system, "--n", "20"]):
+        fresh = subprocess.run([sys.executable, "-m", "fdikit.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        fresh_csv = Path(out).read_bytes() if argv[0] == "simulate" and "--out" in argv else None
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout,
+                                                      fresh.stderr)
+        if fresh_csv is not None:
+            assert Path(out).read_bytes() == fresh_csv
+        codes.append(code)
+    assert codes == [EXIT_INCONCLUSIVE, EXIT_OK, 2, EXIT_INCONCLUSIVE]
+
 
 def test_analyze_missing_file(capsys):
     rc = main(["analyze", "/nonexistent/system.json"])
@@ -526,6 +601,14 @@ def test_distance_levelwise_vectors(tmp_path, capsys):
     rc = main(["distance", a, b, "--metric", "levelwise"])
     assert rc == EXIT_OK
     assert capsys.readouterr().out.strip() == "3.5"
+
+
+def test_distance_huge_integer_is_input_error(tmp_path, capsys):
+    a = write(tmp_path, "a.json", [{"tfn": [2, 3, 4]}, {"tfn": [0, 1, HUGE_INT]}])
+    rc = main(["distance", a, a])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"input error: {a}: component 1: int too large to convert to float\n")
 
 
 def test_distance_dimension_mismatch_exit1(tmp_path, capsys):

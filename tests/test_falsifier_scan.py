@@ -382,14 +382,19 @@ def test_falsifier_logs_its_fallbacks(caplog):
         f"vertex budget exceeded, sampling only: {2 ** 25} vertices > 64"]
     assert caplog.records[0].levelno == logging.DEBUG
     caplog.clear()
-    tied = IntervalMatrix(np.diag([0.1, 0.1]), np.diag([0.9, 0.9]))
+    tied = IntervalMatrix(np.diag([0.1] * 3), np.diag([0.9] * 3))
     sampled_falsifier(tied, n_samples=10, seed=0)
     # a diagonal member's bracket is its diagonal range at every step, so the
-    # vertices diag(0.1, 0.9) and diag(0.9, 0.1) stay open next to the top
+    # six vertices mixing 0.1 and 0.9 on the diagonal stay open next to the top
     assert [r.getMessage() for r in caplog.records] == [
-        "Perron gap below PERRON_GAP, full vertex scan of 4 vertices",
-        f"brackets unresolved for 2 of 14 members: 0 stopped by a zero or "
-        f"unbounded step, 2 open after {stability.BRACKET_STEPS} steps"]
+        "Perron gap below PERRON_GAP, full vertex scan of 8 vertices",
+        f"brackets unresolved for 6 of 18 members: 0 stopped by a zero or "
+        f"unbounded step, 6 open after {stability.BRACKET_STEPS} steps"]
+    caplog.clear()
+    # below BRACKET_MIN_N every member is solved, so no bracket is left open
+    sampled_falsifier(IntervalMatrix(np.diag([0.1] * 2), np.diag([0.9] * 2)), 10, 0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "Perron gap below PERRON_GAP, full vertex scan of 4 vertices"]
     caplog.clear()
     zero_row = np.ones((3, 3))
     zero_row[2] = 0.0
@@ -399,7 +404,7 @@ def test_falsifier_logs_its_fallbacks(caplog):
         f"brackets unresolved for 10 of 10 members: 10 stopped by a zero or "
         f"unbounded step, 0 open after {stability.BRACKET_STEPS} steps"]
     caplog.clear()
-    positive = IntervalMatrix(np.full((2, 2), 0.1), np.full((2, 2), 0.4))
+    positive = IntervalMatrix(np.full((3, 3), 0.1), np.full((3, 3), 0.4))
     sampled_falsifier(positive, n_samples=10, seed=0)
     # irreducible: the shortcut fires and brackets decide every sample
     assert caplog.records == []
@@ -438,7 +443,7 @@ def assert_scan_matches_reference(m: IntervalMatrix, n_samples: int, seed: int):
 def test_bracketed_scan_matches_full_eigensolve(monkeypatch, kind):
     rng = np.random.default_rng(100 + SIGN_DEFINITE_KINDS.index(kind))
     for i in range(24):
-        m = sign_definite(rng, kind, 1 + i % 6, 1.0 if i % 2 else -1.0)
+        m = sign_definite(rng, kind, stability.BRACKET_MIN_N + i % 6, 1.0 if i % 2 else -1.0)
         if i % 4 >= 2 and kind != "huge":
             m = straddling(m)
         # small chunks carry the running maximum across chunk boundaries
@@ -453,15 +458,16 @@ def test_bracketed_scan_matches_full_eigensolve_at_subnormal_scale(kind):
     # must be solved, without a 0 / 0 in the ratios
     rng = np.random.default_rng(200 + SIGN_DEFINITE_KINDS.index(kind))
     for i in range(30):
-        m = sign_definite(rng, kind, 1 + i % 6, 1.0)
+        m = sign_definite(rng, kind, stability.BRACKET_MIN_N + i % 6, 1.0)
         scale = 10.0 ** rng.uniform(-323.0, -290.0)
         assert_scan_matches_reference(IntervalMatrix(m.lo * scale, m.hi * scale), 20, i)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lo", [
-    [[1e300, 0.0], [1e-300, 1e-300]],  # the second iterate entry underflows to 0
-    [[1e308, 1e308], [0.0, 0.0]],  # a power step would overflow
+    # the second and third iterate entries underflow to 0
+    [[1e300, 0.0, 0.0], [1e-300, 1e-300, 0.0], [1e-300, 0.0, 1e-300]],
+    [[1e308, 1e308, 1e308], [0.0] * 3, [0.0] * 3],  # a power step would overflow
 ])
 def test_bracketed_scan_matches_full_eigensolve_at_extreme_range(lo):
     lo = np.array(lo)
@@ -483,6 +489,15 @@ def test_bracketed_scan_solves_few_members(monkeypatch):
     solved.clear()
     member_radius_scan(indefinite, n_samples=200, seed=4)
     assert sum(solved) == 200
+    # below BRACKET_MIN_N a sign-definite family solves every member too
+    small = IntervalMatrix(lo[:2, :2], lo[:2, :2] * 1.3)
+    solved.clear()
+    member_radius_scan(small, n_samples=200, seed=4, max_vertices=0)
+    assert sum(solved) == 200
+    solved.clear()
+    member_radius_scan(IntervalMatrix(lo[:3, :3], lo[:3, :3] * 1.3), n_samples=200,
+                       seed=4, max_vertices=0)
+    assert sum(solved) <= 10
 
 
 def test_oracle_counts_members_above_one_on_a_straddling_family(tmp_path):

@@ -21,6 +21,8 @@ from fdikit import (
     validate_nested,
 )
 
+from fdikit.fuzzy_num import level_stack
+
 from conftest import rand_fuzzy_levels
 
 
@@ -293,3 +295,51 @@ def test_json_rejects_malformed():
         fuzzy_from_json({"nope": 1})
     with pytest.raises(ValueError):
         fuzzy_from_json([0, 1, 2])
+
+
+# -- level stacks of "tfn" cells -------------------------------------------------------
+#
+# A list of {"tfn": [l, c, r]} cells is stacked from one array; Tfn objects always
+# take the per-cell path, so they are the reference.
+
+SPECIAL_TRIPLES = [
+    [-0.0, 0.0, 0.0], (-0.0, -0.0, -0.0), [5e-324, 1e-310, 2.2250738585072014e-308],
+    [-1e-310, -0.0, 5e-324], [0, 1, 3], [2, 2, 2], (0.25, 0.25, 0.25),
+    [-1e300, 0.0, 1e300], [1e300, 1.5e300, 1.7e308], [-1.7e308, -1e300, -1e300],
+    [False, 0.5, True], [True, True, 2.5], [2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63 + 1],
+]
+BASE_GRIDS = [(), np.round(np.linspace(0.0, 1.0, 11), 12), [0.0, 1.0], [0.0, 0.3, 0.7, 1.0]]
+
+
+def assert_same_stack(cells, triples, base):
+    got = level_stack(cells, str, base)
+    ref = level_stack([Tfn(*map(float, t)) for t in triples], str, base)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and a.strides == b.strides
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("base", BASE_GRIDS, ids=["none", "11", "01", "extra"])
+def test_tfn_cells_stack_like_tfn_objects(base):
+    rng = np.random.default_rng(len(base))
+    for n in (1, 2, 3, 5, 8, 17, 33, 64):
+        m = n * n + n
+        scale = 10.0 ** rng.integers(-3, 4, (m, 1))
+        triples = np.sort(rng.normal(size=(m, 3)) * scale, axis=1).tolist()
+        for p in rng.choice(m, min(m, len(SPECIAL_TRIPLES)), replace=False):
+            triples[p] = SPECIAL_TRIPLES[p % len(SPECIAL_TRIPLES)]
+        assert_same_stack([{"tfn": t} for t in triples], triples, base)
+
+
+@pytest.mark.parametrize("base", BASE_GRIDS, ids=["none", "11", "01", "extra"])
+def test_integer_tfn_cells_stack_like_tfn_objects(base):
+    rng = np.random.default_rng(7)
+    triples = np.sort(rng.integers(-50, 50, (20, 3)), axis=1).tolist()
+    triples += [[-2 ** 63, 2 ** 53 + 1, 2 ** 63 - 1], [7, 7, 7]]
+    assert_same_stack([{"tfn": t} for t in triples], triples, base)
+
+
+def test_string_tfn_cells_stack_like_tfn_objects():
+    # float("0.1") is what the per-cell path reads from a string
+    triples = [["0.1", "0.2", "0.3"], [0.5, 1.0, 1.5]]
+    assert_same_stack([{"tfn": t} for t in triples], triples, ())
