@@ -41,17 +41,141 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _write_csv(path: str, header: str, keys, n: int, blocks) -> bool:
-    """Write ``header``, then per ``(label, values)`` of ``blocks`` rows ``label,key,i,v...``
-    (keys outer, i = 1..n inner, values in C order as ``%.12g``); False on I/O failure."""
-    fields = ",%.12g" * (header.count(",") - 2)
-    body = "\n".join(f"{key},{i}{fields}" for key in keys for i in range(1, n + 1))
+# -- CSV output ------------------------------------------------------------------
+#
+# A value prints into a NUL-padded field of five 8-byte words whose NULs are
+# deleted before writing.  Byte 2 holds the sign and bytes 3-7 a "0.000"
+# prefix; words 1-3 hold the 12 significant digits at the even bytes, each
+# with a slot for a dot after it; word 4 holds an "e+XX" suffix, and its last
+# byte the CSV separator.
+
+#: Rows per chunk of the CSV writer; its buffers then stay near 100 KB.
+CSV_CHUNK_ROWS = 1024
+_FIELD = 40  # bytes; no '%.12g' string is longer than 19
+_E_MIN, _E_MAX = -280, 280  # decimal exponents of the fast path (1e-280 <= |x| <= 1e280)
+
+
+def _words(chunks, width: int = 8) -> np.ndarray:
+    # byte strings, each NUL-padded to ``width``, as uint64 words
+    return np.frombuffer(b"".join(c.ljust(width, b"\0") for c in chunks), np.uint64)
+
+
+@functools.cache
+def _g12_tables():
+    """Tables of :func:`_g12_fields`, built on first use; each is indexed by
+    e - _E_MIN for a decimal exponent e, or by a 4-digit group q.
+
+    ``scale`` is 10^(11 - e) correctly rounded; ``suffix`` the exponent
+    suffix (none when e prints in fixed notation); ``layout`` the first
+    template row of e's layout class (e + 4 for fixed notation, 16 for
+    exponent notation); ``quads`` the 4 ASCII digits of q, each followed by
+    0xFF; ``zeros`` the trailing zeros of those digits.  Row ``(neg * 17 +
+    class) * 12 + m - 1`` of ``template`` is the field of m significant
+    digits, sign ``neg``, in that class: its literals, 0xFF at each digit
+    slot kept and 0 at each digit slot dropped.
+    """
+    exps = range(_E_MIN, _E_MAX + 1)
+    classes = [e + 4 if -4 <= e < 12 else 16 for e in exps]  # '%g' prints fixed for these e
+    scale = np.array([float(f"1e{11 - e}") for e in exps])
+    suffix = _words(b"" if c < 16 else f"e{e:+03d}".encode() for e, c in zip(exps, classes))
+    layout = 12 * np.array(classes)
+    q = np.arange(10000, dtype=np.uint16)
+    quads = np.full((q.size, 8), 0xFF, np.uint8)
+    zeros = np.zeros(q.size, np.uint8)
+    for j, unit in enumerate((1000, 100, 10, 1)):
+        quads[:, 2 * j] = q // unit % 10 + ord("0")
+        zeros += q % (10 * unit) == 0
+    quads = quads.view(np.uint64).ravel()
+    fields = []
+    for sign in (b"\0", b"-"):
+        for cls in range(17):
+            e = cls - 4
+            prefix = b"0." + b"0" * (-e - 1) if e < 0 else b""
+            kept = 0 if e < 0 or cls == 16 else e + 1  # integer digits, zeros included
+            point = 0 if cls == 16 else e  # the digit a dot follows
+            for m in range(1, 13):
+                body = b"".join((b"\xff" if j < max(m, kept) else b"\0")
+                                + (b"." if j == point < m - 1 else b"\0") for j in range(12))
+                fields.append(b"\0\0" + sign + prefix.ljust(5, b"\0") + body)
+    template = _words(fields, _FIELD).reshape(len(fields), -1)
+    return scale, suffix, layout, quads, zeros, template
+
+
+def _g12_fields(x: np.ndarray) -> np.ndarray:
+    """``'%.12g' % v`` of each value of the 1-D float array x, as the rows of
+    an (x.size, _FIELD) uint8 array padded with NULs (the last byte a NUL).
+
+    s = |x| * 10^(11 - e), e = floor(log10 |x|), takes two roundings, so it is
+    within 2^-52 * s < 2.3e-4 of |x| / 10^(e - 11).  Where s lies in
+    [10^11, 10^12 - 1) and at least 2^-10 from a half-integer, rint(s) is
+    therefore the correctly rounded digit string at exponent e.  Every other
+    value (zero, inf, NaN, |x| outside [1e-280, 1e280], near-ties and
+    power-of-ten edges where e is off by one) is formatted by '%' itself.
+    """
+    scale, suffix, layout, quads, zeros, template = _g12_tables()
+    ax = np.abs(x)
+    fast = (ax >= 1e-280) & (ax <= 1e280)  # false for 0, inf and NaN
+    ax[~fast] = 1.0
+    e = np.floor(np.log10(ax)).astype(np.intp)
+    e -= _E_MIN  # out of range only where s is then out of range too
+    s = ax * scale.take(e, mode="clip")
+    fast &= (s >= 1e11) & (s < 1e12 - 1) & (np.abs(s - np.floor(s) - 0.5) >= 2.0 ** -10)
+    s[~fast] = 1e11  # in-range digits for the rows that '%' overwrites
+    digits = np.rint(s).astype(np.int64)
+    q = np.empty((3, x.size), np.intp)  # the 4-digit groups, high to low
+    high = digits // 10 ** 4
+    q[2] = digits - high * 10 ** 4
+    q[0] = high // 10 ** 4
+    q[1] = high - q[0] * 10 ** 4
+    key = layout.take(e, mode="clip") + 11 - zeros.take(q[2])
+    clear = q[2] == 0
+    for j in (1, 0):  # groups of 0000 below group j add its zeros
+        key[clear] -= zeros.take(q[j, clear])
+        clear &= q[j] == 0
+    key[np.signbit(x)] += 17 * 12
+    out = template.take(key, axis=0)
+    for j in range(3):
+        out[:, j + 1] &= quads.take(q[j])
+    out[:, 4] = suffix.take(e, mode="clip")
+    out = out.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ["%.12g" % v for v in x[slow].tolist()]
+        out[slow] = np.array(text, f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
+    return out
+
+
+def _ascii_rows(items) -> np.ndarray:
+    # "item," for each item, as the NUL-padded rows of a uint8 array
+    text = np.array([f"{item}," for item in items], dtype=np.bytes_)
+    return text.view(np.uint8).reshape(text.size, -1)
+
+
+def _write_csv(path: str, header: str, labels, keys, columns) -> bool:
+    """Write ``header``, then a row ``label,key,i,v...`` per entry of the
+    (len(labels), len(keys), n) arrays ``columns`` (labels outer, i = 1..n
+    inner, one value of each column as ``%.12g``), CSV_CHUNK_ROWS rows at a
+    time; False on I/O failure."""
+    n = columns[0].shape[-1]
+    parts = [_ascii_rows(items) for items in (labels, keys, range(1, n + 1))]
+    ends = np.cumsum([0] + [p.shape[1] for p in parts])
+    flat = [np.ravel(c) for c in columns]
+    seps = np.array([ord(",")] * (len(flat) - 1) + [ord("\n")], np.uint8)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header)
-            for label, values in blocks:
-                template = f"{label}," + body.replace("\n", f"\n{label},") + "\n"
-                fh.write(template % tuple(values.ravel().tolist()))
+        with open(path, "wb") as fh:
+            fh.write(header.encode())
+            for start in range(0, flat[0].size, CSV_CHUNK_ROWS):
+                stop = min(start + CSV_CHUNK_ROWS, flat[0].size)
+                row = np.arange(start, stop)
+                chunk = np.empty((row.size, ends[-1] + len(flat) * _FIELD), np.uint8)
+                index = (row // (len(keys) * n), row // n % len(keys), row % n)
+                for part, i, a, b in zip(parts, index, ends, ends[1:]):
+                    chunk[:, a:b] = part.take(i, axis=0)
+                values = chunk[:, ends[-1]:].reshape(row.size, len(flat), _FIELD)
+                values[:] = _g12_fields(np.stack([f[start:stop] for f in flat], axis=1).ravel()
+                                        ).reshape(values.shape)
+                values[:, :, -1] = seps
+                fh.write(chunk.tobytes().translate(None, b"\0"))
     except OSError as exc:
         print(f"cannot write {path}: {exc}", file=sys.stderr)
         return False
@@ -110,6 +234,8 @@ def parse_system_obj(obj) -> tuple[FuzzySystem, np.ndarray | None]:
             transform = np.asarray(t_rows, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f'"T": {exc}') from None
+        if not np.all(np.isfinite(transform)):  # JSON null reads as NaN
+            raise ValueError('"T": entries must be finite numbers')
     return system, transform
 
 
@@ -140,8 +266,8 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"--alphas: cannot parse {args.alphas!r}") from None
     system, _ = parse_system_obj(doc)
     lo, hi = envelope_endpoints(system, system.alphas, args.k)
-    steps = ((k, np.stack((lo[k], hi[k]), axis=-1)) for k in range(args.k + 1))
-    if not _write_csv(args.out, "k,alpha,i,lo,hi\n", map(_fmt, system.alphas), system.n, steps):
+    if not _write_csv(args.out, "k,alpha,i,lo,hi\n", range(args.k + 1),
+                      [_fmt(a) for a in system.alphas], (lo, hi)):
         return EXIT_IO
     summary = {
         "k": args.k,
@@ -157,8 +283,8 @@ def cmd_oracle(args) -> int:
     system, _ = load_system(args.file)
     runs = mc_trajectories(system, alpha=0.0, horizon=args.k, n=args.n,
                            seed=args.seed, mode=args.mode)
-    if not _write_csv(args.out, "run,k,i,value\n", range(args.k + 1), system.n,
-                      enumerate(runs, 1)):
+    if not _write_csv(args.out, "run,k,i,value\n", range(1, args.n + 1),
+                      range(args.k + 1), (runs,)):
         return EXIT_IO
 
     report = {"n_trajectories": args.n, "k": args.k, "mode": args.mode,

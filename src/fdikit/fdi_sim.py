@@ -23,6 +23,7 @@ from .interval_linalg import (
     chunk_rows,
     interval_matvec,
     matpow_envelope_nonneg,
+    uniform_draw,
 )
 
 DEFAULT_ALPHAS = np.round(np.linspace(0.0, 1.0, 11), 12)
@@ -238,7 +239,7 @@ def mc_trajectories(sys: FuzzySystem, alpha: float, horizon: int, n: int,
     x0 = level_state(sys, alpha)
     rng = np.random.default_rng(seed)
     dim = sys.n
-    x = rng.uniform(x0.lo, x0.hi, size=(n, dim))
+    x = uniform_draw(rng, x0.lo, x0.hi, (n, dim))
     out = np.empty((n, horizon + 1, dim))
     out[:, 0] = x
     # member matrices chunk_rows(m) runs at a time, in the order of one draw
@@ -246,7 +247,7 @@ def mc_trajectories(sys: FuzzySystem, alpha: float, horizon: int, n: int,
     chunks = [slice(start, start + step) for start in range(0, n, step)]
 
     def draw(rows):
-        return rng.uniform(m.lo, m.hi, size=(len(x[rows]), dim, dim))
+        return uniform_draw(rng, m.lo, m.hi, (len(x[rows]), dim, dim))
 
     if mode == "constant":
         for rows in chunks:

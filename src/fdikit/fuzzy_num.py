@@ -456,9 +456,17 @@ def interp_levels(x, xp, fp) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all((xp[0] <= x) & (x <= xp[-1])):
         raise ValueError(f"alpha must lie in [{xp[0]:g}, {xp[-1]:g}], got {x}")
-    j = np.searchsorted(xp, x, side="right") - 1
+    flat = x.ravel()
+    j = np.searchsorted(xp, flat, side="right") - 1
     k = np.minimum(j, xp.size - 2)
-    col = x.shape + (1,) * (fp.ndim - 1)
-    slope = (fp[k + 1] - fp[k]) / (xp[k + 1] - xp[k]).reshape(col)
-    between = slope * (x - xp[k]).reshape(col) + fp[k]
-    return np.where((xp[j] == x).reshape(col), fp[j], between)
+    col = (-1,) + (1,) * (fp.ndim - 1)
+    # one slope per interval from the first to the last in use (the initial
+    # values only matter for an empty x), gathered per level
+    first, last = k.min(initial=xp.size - 2), k.max(initial=0)
+    out = ((fp[first + 1:last + 2] - fp[first:last + 1])
+           / (xp[first + 1:last + 2] - xp[first:last + 1]).reshape(col))[k - first]
+    out *= (flat - xp[k]).reshape(col)
+    out += fp[k]
+    on = np.flatnonzero(xp[j] == flat)
+    out[on] = fp[j[on]]
+    return out.reshape(x.shape + fp.shape[1:])

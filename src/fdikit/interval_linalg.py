@@ -201,8 +201,24 @@ def sample_matrix(m: IntervalMatrix, rng, size: int | None = None) -> np.ndarray
     ``rng`` is a seed or a numpy Generator; fixed seeds reproduce exactly,
     and a batch of ``size`` draws the same stream as ``size`` single calls.
     """
-    gen = np.random.default_rng(rng)
-    if size is None:
-        return gen.uniform(m.lo, m.hi)
-    return gen.uniform(m.lo, m.hi, size=(size, *m.shape))
+    shape = m.shape if size is None else (size, *m.shape)
+    return uniform_draw(np.random.default_rng(rng), m.lo, m.hi, shape)
+
+
+def uniform_draw(gen: np.random.Generator, lo, hi, shape) -> np.ndarray:
+    """``gen.uniform(lo, hi, shape)``, bit for bit: the same stream and the
+    same ``lo + (hi - lo) * u``, without numpy's per-element broadcast loop.
+
+    Raises OverflowError, as ``uniform`` does, when ``hi - lo`` is not
+    finite.  A width of -0.0 (lo = 0.0, hi = -0.0), which ``uniform``
+    rejects with ValueError, draws lo.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = np.subtract(hi, lo)
+    if not np.all(np.isfinite(width)):
+        raise OverflowError("Range exceeds valid bounds")
+    u = gen.random(shape)
+    u *= width
+    u += lo
+    return u
 

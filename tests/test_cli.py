@@ -183,6 +183,25 @@ def test_transform_entry_that_is_not_a_number_is_input_error(tmp_path, capsys):
         'input error: "T": float() argument must be a string or a real number, not \'dict\'\n')
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("a", "could not convert string to float: 'a'"),
+    (None, "entries must be finite numbers"),
+    (float("nan"), "entries must be finite numbers"),
+    (float("inf"), "entries must be finite numbers"),
+    (float("-inf"), "entries must be finite numbers"),
+])
+def test_transform_entry_is_named_in_the_input_error(tmp_path, capsys, entry, message):
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    doc = dict(SCALAR_STABLE, n=2, T=[[1.0, 0.0], [entry, 1.0]])
+    doc["H"] = [[SCALAR_STABLE["H"][0][0]] * 2] * 2
+    doc["x0"] = SCALAR_STABLE["x0"] * 2
+    rc = main(["analyze", write(tmp_path, "s.json", doc)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == f'input error: "T": {message}\n'
+
+
 @pytest.mark.parametrize("n", [2.5, "2", True, None, [2], float("inf")])
 def test_non_integer_n_is_input_error(tmp_path, capsys, n):
     h = [[{"tfn": [0.1, 0.2, 0.3]}] * 2] * 2
@@ -323,6 +342,21 @@ def test_simulate_writer_streams(tmp_path, capsys, monkeypatch):
     size = out_csv.stat().st_size
     assert size > 5_000_000
     assert writer_peak < size / 10, (writer_peak, size)
+
+
+def test_parse_peak_memory_stays_near_what_it_keeps():
+    # n = 64 with 51 levels: the level stack is 3.4 MB; building it once took
+    # 8.7 MB at the peak, most of it per-level temporaries of the interpolation
+    doc = random_nonneg_doc(np.random.default_rng(8), 64, 51)
+    parse_system_obj(doc)
+    tracemalloc.start()
+    try:
+        parsed = parse_system_obj(doc)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed[0].n == 64
+    assert peak < 2 * kept, (peak, kept)
 
 
 # -- oracle --------------------------------------------------------------------------
@@ -482,7 +516,9 @@ TINY = {"n": 2,
 
 
 @pytest.mark.parametrize("case", range(12))
-def test_simulate_csv_matches_row_reference(tmp_path, capsys, case):
+def test_simulate_csv_matches_row_reference(tmp_path, capsys, monkeypatch, case):
+    # chunks of 1 and 7 rows split steps, levels and components anywhere
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", (1, 7, cli.CSV_CHUNK_ROWS)[case % 3])
     rng = np.random.default_rng(100 + case)
     n, levels = int(rng.integers(1, 17)), int(rng.integers(2, 102))
     doc = random_nonneg_doc(rng, n, levels)
@@ -512,7 +548,9 @@ def test_simulate_csv_special_values_match_row_reference(tmp_path, capsys, doc):
 
 @pytest.mark.parametrize("mode", ["constant", "timevarying"])
 @pytest.mark.parametrize("case", ["random", "overflow", "tiny"])
-def test_oracle_csv_and_report_match_row_reference(tmp_path, capsys, mode, case):
+def test_oracle_csv_and_report_match_row_reference(tmp_path, capsys, monkeypatch, mode, case):
+    if mode == "timevarying":  # chunks that split runs and steps
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 13)
     doc = {"random": random_nonneg_doc(np.random.default_rng(7), 5, 3),
            "overflow": OVERFLOWING, "tiny": TINY}[case]
     out_csv = tmp_path / "runs.csv"

@@ -21,7 +21,7 @@ from fdikit import (
     validate_nested,
 )
 
-from fdikit.fuzzy_num import level_stack
+from fdikit.fuzzy_num import interp_levels, level_stack
 
 from conftest import rand_fuzzy_levels
 
@@ -343,3 +343,41 @@ def test_string_tfn_cells_stack_like_tfn_objects():
     # float("0.1") is what the per-cell path reads from a string
     triples = [["0.1", "0.2", "0.3"], [0.5, 1.0, 1.5]]
     assert_same_stack([{"tfn": t} for t in triples], triples, ())
+
+
+# -- interpolation onto a level grid -------------------------------------------------
+
+def interp_levels_ref(x, xp, fp):
+    """interp_levels as it was first written: every gather, slope and blend
+    taken per query level."""
+    x = np.asarray(x, dtype=float)
+    j = np.searchsorted(xp, x, side="right") - 1
+    k = np.minimum(j, xp.size - 2)
+    col = x.shape + (1,) * (fp.ndim - 1)
+    slope = (fp[k + 1] - fp[k]) / (xp[k + 1] - xp[k]).reshape(col)
+    between = slope * (x - xp[k]).reshape(col) + fp[k]
+    return np.where((xp[j] == x).reshape(col), fp[j], between)
+
+
+def test_interp_levels_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        g = int(rng.integers(2, 40))
+        xp = np.unique(np.concatenate(([0.0, 1.0], rng.uniform(size=g - 2))))
+        if trial % 5 == 0:  # subnormal and tiny spacings next to 0
+            xp = np.unique(np.concatenate((xp, [5e-324, 1e-310, 1e-300])))
+        tail = tuple(rng.integers(1, 5, size=trial % 3))
+        fp = rng.normal(size=(xp.size, *tail)) * 10.0 ** rng.integers(-300, 300)
+        x = np.concatenate((rng.uniform(size=int(rng.integers(0, 30))), xp,
+                            rng.choice(xp, 3)))
+        for query in (x, x[: x.size // 2].reshape(-1, 1), float(rng.choice(x)), 1.0):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, ref = interp_levels(query, xp, fp), interp_levels_ref(query, xp, fp)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        columns = fp.reshape(xp.size, -1).T
+        with np.errstate(over="ignore"):
+            slopes = np.diff(columns, axis=1) / np.diff(xp)
+        if np.isfinite(slopes).all():  # np.interp retries NaN blends; interp_levels does not
+            expected = np.stack([np.interp(x, xp, c) for c in columns], axis=-1)
+            assert np.array_equal(interp_levels(x, xp, fp).reshape(x.size, -1), expected)

@@ -14,6 +14,7 @@ from fdikit import (
     vertex_count,
     vertex_matrices,
 )
+from fdikit.interval_linalg import uniform_draw
 
 
 def imat(lo, hi) -> IntervalMatrix:
@@ -229,3 +230,56 @@ def test_sample_uniform_mean():
     rng = np.random.default_rng(6)
     mean = np.mean([sample_matrix(m, rng)[0, 0] for _ in range(10_000)])
     assert abs(mean - 0.5) < 0.02
+
+
+# Bounds whose draws must match Generator.uniform bit for bit: signed zeros,
+# lo == hi, subnormal bounds and widths near the top of the double range.
+DRAW_BOUNDS = {
+    "random": (np.random.default_rng(0).uniform(-1.0, 0.0, (4, 4)),
+               np.random.default_rng(1).uniform(0.0, 1.0, (4, 4))),
+    "signed-zeros": ([[-0.0, -0.0], [0.0, -0.0]], [[-0.0, 0.0], [0.0, 0.0]]),
+    "lo-equals-hi": ([[1.5, -2.0], [0.0, 3.0]], [[1.5, -2.0], [0.0, 3.0]]),
+    "subnormal": ([[5e-324, -1e-310], [-5e-324, 0.0]], [[1e-310, 5e-324], [5e-324, 2e-323]]),
+    "huge": ([[-8e307, -1e300], [1e300, -1e308]], [[8e307, 1e300], [1.7e308, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("size", [None, 1, 7])
+@pytest.mark.parametrize("case", sorted(DRAW_BOUNDS))
+def test_sample_matches_generator_uniform_bit_for_bit(case, size):
+    lo, hi = (np.array(b, dtype=float) for b in DRAW_BOUNDS[case])
+    shape = lo.shape if size is None else (size, *lo.shape)
+    expected = np.random.default_rng(9).uniform(lo, hi, shape)
+    got = sample_matrix(imat(lo, hi), np.random.default_rng(9), size)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    # a scalar interval draws through uniform's scalar path
+    expected = np.random.default_rng(9).uniform(float(lo.flat[0]), float(hi.flat[0]), shape)
+    got = uniform_draw(np.random.default_rng(9), float(lo.flat[0]), float(hi.flat[0]), shape)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_uniform_draw_continues_the_stream_like_uniform():
+    lo, hi = np.zeros(3), np.array([1.0, 2.0, 3.0])
+    gen_a, gen_b = np.random.default_rng(4), np.random.default_rng(4)
+    for shape in [(2, 3), (5, 3), (3,)]:
+        assert (uniform_draw(gen_a, lo, hi, shape).tobytes()
+                == gen_b.uniform(lo, hi, shape).tobytes())
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, np.inf), (np.nan, 1.0)])
+def test_uniform_draw_rejects_a_width_that_is_not_finite(lo, hi):
+    for draw in (np.random.default_rng(0).uniform, lambda *a: uniform_draw(
+            np.random.default_rng(0), *a)):
+        with np.errstate(over="ignore"), pytest.raises(OverflowError,
+                                                       match="Range exceeds valid bounds"):
+            draw(np.array([lo, 0.0]), np.array([hi, 1.0]), (3, 2))
+
+
+def test_uniform_draw_takes_a_negative_zero_width():
+    # uniform rejects hi - lo = -0.0 (its sign bit); the interval [0, -0] holds 0 only
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).uniform(np.zeros(2), np.full(2, -0.0))
+    m = imat([[0.0, 0.0]], [[-0.0, 1.0]])
+    draw = sample_matrix(m, 0, size=3)
+    assert np.array_equal(draw[:, 0, 0], np.zeros(3)) and m.contains(draw[0])
