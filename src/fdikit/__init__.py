@@ -15,8 +15,6 @@ from .fuzzy_num import (
     fn_add,
     fn_mul_approx,
     fn_scale,
-    fuzzy_from_json,
-    fuzzy_to_json,
     tfn_alpha_cut,
     validate_nested,
 )
@@ -29,7 +27,6 @@ from .interval_linalg import (
     IntervalMatrix,
     IntervalVector,
     VertexBudgetError,
-    interval_matvec,
     matpow_envelope_nonneg,
     mid_rad,
     sample_matrix,
@@ -92,11 +89,8 @@ __all__ = [
     "fn_add",
     "fn_mul_approx",
     "fn_scale",
-    "fuzzy_from_json",
-    "fuzzy_to_json",
     "gershgorin_nonneg_test",
     "gershgorin_nonpos_test",
-    "interval_matvec",
     "level_matrix",
     "level_state",
     "marginal_test",

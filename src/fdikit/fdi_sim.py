@@ -13,15 +13,15 @@ work for sign-indefinite systems too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .fuzzy_num import FuzzyVector, interp_levels, level_stack
+from .fuzzy_num import FuzzyVector, _freeze, interp_levels, level_stack, stack_fault
 from .interval_linalg import (
     IntervalMatrix,
     IntervalVector,
     chunk_rows,
-    interval_matvec,
     matpow_envelope_nonneg,
     uniform_draw,
 )
@@ -125,8 +125,7 @@ def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
                            else ("state_nonneg", "initial-state"))
         raise SignPreconditionError(
             condition, f"{what} lower bound has a negative entry at alpha="
-            f"{levels.ravel()[i]:g}; use mc_trajectories, or overapproximate=True "
-            "for an outer box")
+            f"{levels.ravel()[i]:g}; use mc_trajectories")
     m_hi = interp_levels(levels, sys.grid, sys.h_hi)
     lo = np.empty((horizon + 1, *x_lo.shape))
     hi = np.empty_like(lo)
@@ -138,74 +137,78 @@ def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
     return lo, hi
 
 
-@dataclass
+@dataclass(eq=False)
 class EnvelopeTrajectory:
-    """Per-step attainable-set boxes at one alpha level.
-
-    ``exact`` records whether the run used the separated endpoint
-    recursion (tight for non-negative systems) or the interval-product
-    over-approximation.
-    """
+    """Exact attainable-set boxes at one alpha level: rows k of ``lo`` and
+    ``hi`` (horizon + 1, n), read-only, bound step k."""
 
     alpha: float
-    steps: list[IntervalVector]
-    exact: bool = True
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self):
+        self.lo.setflags(write=False)
+        self.hi.setflags(write=False)
+
+    @cached_property
+    def steps(self) -> list[IntervalVector]:
+        return [IntervalVector(lo, hi) for lo, hi in zip(self.lo, self.hi)]
 
     def lo_array(self) -> np.ndarray:
-        return np.vstack([s.lo for s in self.steps])
+        return self.lo
 
     def hi_array(self) -> np.ndarray:
-        return np.vstack([s.hi for s in self.steps])
+        return self.hi
 
 
-def envelope_propagate(sys: FuzzySystem, alpha: float, horizon: int,
-                       overapproximate: bool = False) -> EnvelopeTrajectory:
-    """Attainable-set boxes for steps 0..horizon at one alpha level.
-
-    The exact mode iterates the endpoint systems lo' = M_lo lo and
-    hi' = M_hi hi, which bound the solution set exactly when both the
-    lower matrix and the lower state endpoints are non-negative; violating
-    either raises SignPreconditionError (Monte Carlo still applies, and
-    ``overapproximate=True`` switches to the interval-product outer box).
-    """
-    if not overapproximate:
-        lo, hi = envelope_endpoints(sys, alpha, horizon)
-        return EnvelopeTrajectory(alpha=float(alpha), exact=True,
-                                  steps=[IntervalVector(l, h) for l, h in zip(lo, hi)])
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    m = level_matrix(sys, alpha)
-    x = level_state(sys, alpha)
-    steps = [x]
-    for _ in range(horizon):
-        x = interval_matvec(m, x)
-        steps.append(x)
-    return EnvelopeTrajectory(alpha=float(alpha), steps=steps, exact=False)
+def envelope_propagate(sys: FuzzySystem, alpha: float, horizon: int) -> EnvelopeTrajectory:
+    """Attainable-set boxes for steps 0..horizon at one alpha level: the
+    endpoint recursion of :func:`envelope_endpoints`, with its sign
+    preconditions (Monte Carlo still applies where they fail)."""
+    return EnvelopeTrajectory(float(alpha), *envelope_endpoints(sys, alpha, horizon))
 
 
-@dataclass
+@dataclass(eq=False)
 class FuzzyAttainable:
-    """Fuzzy attainable sets: one stacked fuzzy vector per time step."""
+    """Fuzzy attainable sets as one level stack: the set at step k has
+    component i with the cut endpoints lo[k, :, i] and hi[k, :, i] at the
+    levels ``alphas``; ``lo`` and ``hi`` have shape (horizon + 1, L, n) and
+    are read-only."""
 
     alphas: np.ndarray
-    steps: list[FuzzyVector]
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self, self.alphas, self.lo, self.hi)
 
     @property
     def horizon(self) -> int:
-        return len(self.steps) - 1
+        return self.lo.shape[0] - 1
+
+    @cached_property
+    def steps(self) -> tuple[FuzzyVector, ...]:
+        """The set at each step, a read-only FuzzyVector view of its row."""
+        return tuple(_freeze(FuzzyVector.__new__(FuzzyVector), self.alphas, lo, hi)
+                     for lo, hi in zip(self.lo, self.hi))
 
 
 def assemble_fuzzy_attainable(sys: FuzzySystem, horizon: int) -> FuzzyAttainable:
-    """Propagate every level of ``sys.alphas`` and stack the boxes into fuzzy
-    vectors.
+    """Exact envelopes of steps 0..horizon at every level of ``sys.alphas``,
+    stacked into fuzzy vectors.
 
-    Each step's stack is checked once, so cuts that are not nested across
-    alpha raise StackingViolation; that would indicate an implementation
+    Every component of every step is checked at once; the first malformed
+    one raises ValueError naming its step and component.  An endpoint that
+    overflowed is an unbounded support; cuts that are not nested across
+    alpha raise StackingViolation, which would indicate an implementation
     bug, not bad input.
     """
     lo, hi = envelope_endpoints(sys, sys.alphas, horizon)
-    steps = [FuzzyVector.from_stack(sys.alphas, lo_k, hi_k) for lo_k, hi_k in zip(lo, hi)]
-    return FuzzyAttainable(alphas=sys.alphas.copy(), steps=steps)
+    fault = stack_fault(sys.alphas, lo.transpose(0, 2, 1), hi.transpose(0, 2, 1))
+    if fault is not None:
+        step, component = divmod(fault[0], sys.n)
+        raise type(fault[1])(f"step {step}, component {component}: {fault[1]}")
+    return FuzzyAttainable(sys.alphas, lo, hi)
 
 
 def transition_envelope(sys: FuzzySystem, alpha: float,

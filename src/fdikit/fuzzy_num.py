@@ -11,7 +11,7 @@ piecewise-linear curves traced by the cut endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,9 +96,10 @@ def membership_limits(alphas, lo, hi, p) -> np.ndarray:
 
 def stack_fault(alphas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """First failed check of fuzzy numbers sharing the grid ``alphas``, whose
-    cut endpoints are the rows of ``lo`` and ``hi``: (row, exception) for the
-    first malformed row, or None.  A row failing several checks reports the
-    first, in the order grid, finiteness, width overflow, ordering, nestedness.
+    cut endpoints run along the last axis of ``lo`` and ``hi``: (row, exception)
+    for the first malformed row in row-major order, or None.  A row failing
+    several checks reports the first, in the order grid, finiteness, width
+    overflow, ordering, nestedness.
     """
     if alphas.size < 2 or alphas[0] != 0.0 or alphas[-1] != 1.0:
         return 0, ValueError("alpha grid must run from 0 to 1")
@@ -108,13 +109,13 @@ def stack_fault(alphas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     # checks below name that case, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
         width = hi - lo
-        wider = (np.diff(lo, axis=1) < -ORDER_TOL) | (np.diff(hi, axis=1) > ORDER_TOL)
+        wider = (np.diff(lo) < -ORDER_TOL) | (np.diff(hi) > ORDER_TOL)
     checks = (
-        (~(np.isfinite(lo) & np.isfinite(hi)).all(axis=1), ValueError,
+        (~(np.isfinite(lo) & np.isfinite(hi)).all(axis=-1), ValueError,
          "support must be bounded (finite endpoints)"),
-        (~np.isfinite(width).all(axis=1), ValueError, "cut width hi - lo overflows"),
-        ((width < -ORDER_TOL).any(axis=1), ValueError, "every level must satisfy lo <= hi"),
-        (wider.any(axis=1), StackingViolation,
+        (~np.isfinite(width).all(axis=-1), ValueError, "cut width hi - lo overflows"),
+        ((width < -ORDER_TOL).any(axis=-1), ValueError, "every level must satisfy lo <= hi"),
+        (wider.any(axis=-1), StackingViolation,
          "alpha-cuts must be nested (nonincreasing in alpha)"),
     )
     faults = [(int(np.argmax(bad)), kind(message)) for bad, kind, message in checks if bad.any()]
@@ -155,11 +156,6 @@ class FuzzyNumber:
         if fault is not None:
             raise fault[1]
         _freeze(self, alphas, lo, hi)
-
-    @classmethod
-    def from_levels(cls, levels: Iterable[tuple[float, float, float]]) -> "FuzzyNumber":
-        """Build from an iterable of (alpha, lo, hi) rows."""
-        return validate_nested(levels)[0]
 
     # -- cuts ---------------------------------------------------------------
 
@@ -402,19 +398,6 @@ def _tfn_columns(cells) -> tuple[np.ndarray, np.ndarray] | None:
 #
 # A fuzzy number serialises either as {"tfn": [l, c, r]} or as
 # {"levels": [[alpha, lo, hi], ...]}; numbers are plain doubles.
-
-def fuzzy_to_json(x) -> dict:
-    """Canonical JSON object for a fuzzy number (triangular form preferred)."""
-    x = as_fuzzy(x)
-    if x.alphas.size == 2 and x.lo[1] == x.hi[1]:
-        return {"tfn": [float(x.lo[0]), float(x.lo[1]), float(x.hi[0])]}
-    return {"levels": [[a, l, h] for a, l, h in x.levels()]}
-
-
-def fuzzy_from_json(obj) -> FuzzyNumber:
-    """Parse the JSON encoding produced by :func:`fuzzy_to_json`."""
-    return FuzzyNumber(*breakpoints(obj))
-
 
 def breakpoints(x) -> tuple[tuple, tuple, tuple]:
     """(alphas, lo, hi) tuples of a FuzzyNumber, Tfn, real number or JSON object.

@@ -1,5 +1,5 @@
-"""Interval matrices and vectors: exact products, powers of non-negative
-families, midpoint/radius splits, vertex and random member selection."""
+"""Interval matrices and vectors: powers of non-negative families,
+midpoint/radius splits, vertex and random member selection."""
 
 from __future__ import annotations
 
@@ -41,11 +41,6 @@ class IntervalMatrix:
         if np.any(self.lo > self.hi):
             raise ValueError("interval matrix needs lo <= hi elementwise")
 
-    @classmethod
-    def crisp(cls, m) -> "IntervalMatrix":
-        m = np.asarray(m, dtype=float)
-        return cls(m, m.copy())
-
     @property
     def n(self) -> int:
         if self.lo.shape[0] != self.lo.shape[1]:
@@ -55,13 +50,6 @@ class IntervalMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.lo.shape
-
-    def contains(self, m, tol: float = 0.0) -> bool:
-        m = np.asarray(m, dtype=float)
-        return bool(np.all(m >= self.lo - tol) and np.all(m <= self.hi + tol))
-
-    def widened(self, delta: float) -> "IntervalMatrix":
-        return IntervalMatrix(self.lo - delta, self.hi + delta)
 
     def __repr__(self):
         return f"IntervalMatrix(shape={self.lo.shape}, max_width={np.max(self.hi - self.lo):g})"
@@ -86,10 +74,6 @@ class IntervalVector:
     def n(self) -> int:
         return self.lo.size
 
-    def contains(self, z, tol: float = 0.0) -> bool:
-        z = np.asarray(z, dtype=float)
-        return bool(np.all(z >= self.lo - tol) and np.all(z <= self.hi + tol))
-
     def __repr__(self):
         return f"IntervalVector(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
 
@@ -104,24 +88,6 @@ class MidRad(NamedTuple):
 def mid_rad(m: IntervalMatrix) -> MidRad:
     """Center (lo+hi)/2 and radius (hi-lo)/2 of an interval matrix."""
     return MidRad((m.lo + m.hi) / 2.0, (m.hi - m.lo) / 2.0)
-
-
-def interval_matvec(m: IntervalMatrix, v: IntervalVector) -> IntervalVector:
-    """Exact per-coordinate range of {U z : U in m, z in v}.
-
-    Each entry-by-entry product takes the min/max of its four endpoint
-    products; row sums of those exact entry ranges give the exact
-    coordinate ranges because entries vary independently.
-    """
-    if m.shape[1] != v.n:
-        raise ValueError(f"dimension mismatch: {m.shape} @ {v.n}")
-    p1 = m.lo * v.lo
-    p2 = m.lo * v.hi
-    p3 = m.hi * v.lo
-    p4 = m.hi * v.hi
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)).sum(axis=1)
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)).sum(axis=1)
-    return IntervalVector(lo, hi)
 
 
 def matpow_envelope_nonneg(m: IntervalMatrix, k: int) -> IntervalMatrix:

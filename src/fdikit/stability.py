@@ -117,10 +117,6 @@ class EigenBox:
             np.array([self.i_lo, self.i_hi, self.i_lo, self.i_hi]),
         )
 
-    def contains(self, lam: complex, tol: float = 0.0) -> bool:
-        return (self.r_lo - tol <= lam.real <= self.r_hi + tol
-                and self.i_lo - tol <= lam.imag <= self.i_hi + tol)
-
     def contains_box(self, other: "EigenBox", tol: float = 0.0) -> bool:
         return (self.r_lo - tol <= other.r_lo and other.r_hi <= self.r_hi + tol
                 and self.i_lo - tol <= other.i_lo and other.i_hi <= self.i_hi + tol)

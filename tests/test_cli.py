@@ -312,6 +312,17 @@ def test_simulate_sign_precondition_exit4(tmp_path, capsys):
     assert "matrix_nonneg" in err
 
 
+def test_sign_indefinite_system_is_pointed_to_monte_carlo(tmp_path, capsys):
+    path = write(tmp_path, "s.json", MIXED_SIGN)
+    message = "dynamic-matrix lower bound has a negative entry at alpha=0; use mc_trajectories"
+    rc = main(["simulate", path, "--k", "3", "--out", str(tmp_path / "env.csv")])
+    assert rc == EXIT_PRECONDITION
+    assert capsys.readouterr().err == f"precondition violated (matrix_nonneg): {message}\n"
+    rc = main(["oracle", path, "--k", "4", "--n", "50", "--out", str(tmp_path / "runs.csv")])
+    assert rc == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["containment_skipped"] == message
+
+
 def test_simulate_io_failure_exit5(tmp_path, capsys):
     rc = main(["simulate", write(tmp_path, "s.json", SCALAR_STABLE),
                "--k", "1", "--out", str(tmp_path / "missing" / "env.csv")])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fdikit import (
-    FuzzyNumber,
     FuzzySystem,
     FuzzyVector,
     SignPreconditionError,
@@ -17,8 +16,6 @@ from fdikit import (
     assemble_fuzzy_attainable,
     d_fuzzy_vec,
     envelope_propagate,
-    fuzzy_from_json,
-    fuzzy_to_json,
     level_matrix,
     level_state,
     mc_trajectories,
@@ -81,11 +78,11 @@ def random_entries(rng: np.random.Generator, mixed: bool, count: int) -> list:
         if kind == 0:
             out.append(rand_tfn_nonneg(rng))
         elif kind == 1:
-            out.append(FuzzyNumber.from_levels(rand_fuzzy_levels(rng)))
+            out.append(validate_nested(rand_fuzzy_levels(rng))[0])
         elif kind == 2:
             out.append(float(rng.uniform(-2.0, 2.0)))
         else:
-            out.append(fuzzy_to_json(FuzzyNumber.from_levels(rand_fuzzy_levels(rng))))
+            out.append({"levels": [list(row) for row in rand_fuzzy_levels(rng)]})
     return out
 
 
@@ -102,8 +99,7 @@ def random_level_systems(seed: int, mixed: bool, count: int = 30):
 
 def reference_cuts(entries, alpha):
     """Per-entry reference: every entry cut with np.interp on its own grid."""
-    cuts = np.array([(fuzzy_from_json(e) if isinstance(e, dict) else as_fuzzy(e)).cut(alpha)
-                     for e in entries])
+    cuts = np.array([as_fuzzy(e).cut(alpha) for e in entries])
     return cuts[:, 0], cuts[:, 1]
 
 
@@ -201,16 +197,6 @@ def test_envelope_state_sign_precondition():
     assert err.value.condition == "state_nonneg"
 
 
-def test_envelope_overapproximate_flag():
-    s = FuzzySystem(h=[[Tfn(-0.5, 0.0, 0.5)]], x0=FuzzyVector([Tfn(-1, 0, 1)]),
-                    alphas=[0, 1])
-    tr = envelope_propagate(s, 0.0, 6, overapproximate=True)
-    assert not tr.exact
-    runs = mc_trajectories(s, 0.0, 6, 1000, seed=3, mode="timevarying")
-    assert np.all(runs >= tr.lo_array()[np.newaxis] - 1e-12)
-    assert np.all(runs <= tr.hi_array()[np.newaxis] + 1e-12)
-
-
 def test_envelope_precondition_checked_per_level():
     # support dips negative but the core does not: only low alphas refuse
     s = FuzzySystem(h=[[Tfn(-0.1, 0.2, 0.4)]], x0=FuzzyVector([Tfn(0.5, 1, 1.5)]),
@@ -218,7 +204,8 @@ def test_envelope_precondition_checked_per_level():
     with pytest.raises(SignPreconditionError):
         envelope_propagate(s, 0.0, 2)
     tr = envelope_propagate(s, 1.0, 2)
-    assert tr.exact
+    assert np.array_equal(tr.lo_array(), [[1.0], [0.2], [0.2 * 0.2]])
+    assert np.array_equal(tr.hi_array(), tr.lo_array())
 
 
 # -- stacked fuzzy attainable sets ------------------------------------------------------------
@@ -264,6 +251,25 @@ def test_assemble_validates_against_stacker():
                              for a, t in zip(s.alphas, trajectories)])
         assert v.n == s.n
         assert att.steps[k][0].cut(0.0) == v[0].cut(0.0)
+
+
+def test_assemble_names_the_step_of_an_overflowing_endpoint():
+    # 1e200 * 1e200 overflows at step 2; one check of the whole stack names it
+    s = FuzzySystem(h=[[Tfn(1e200, 1e200, 1e200)]], x0=[Tfn(1, 1, 1)], alphas=[0, 1])
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+        assemble_fuzzy_attainable(s, 3)
+    assert str(err.value).startswith("step 2, component 0: support must be bounded")
+
+
+def test_assemble_steps_are_read_only_views_of_one_stack():
+    s = make_nonneg_system(np.random.default_rng(5), n_max=3)
+    att = assemble_fuzzy_attainable(s, 4)
+    assert att.lo.shape == att.hi.shape == (5, s.alphas.size, s.n) and att.horizon == 4
+    for k, step in enumerate(att.steps):
+        assert step.lo.base is att.lo and np.array_equal(step.lo, att.lo[k])
+        assert step.hi.base is att.hi and np.array_equal(step.hi, att.hi[k])
+        assert not step.lo.flags.writeable and not step.hi.flags.writeable
+    assert not att.lo.flags.writeable and not att.hi.flags.writeable
 
 
 # -- transition envelopes ------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from fdikit import (
     IntervalMatrix,
     IntervalVector,
     VertexBudgetError,
-    interval_matvec,
     matpow_envelope_nonneg,
     mid_rad,
     sample_matrix,
@@ -46,7 +45,7 @@ def test_mid_rad_zero():
 
 def test_mid_rad_crisp():
     m = np.array([[1.0, -2.0], [0.5, 3.0]])
-    mr = mid_rad(IntervalMatrix.crisp(m))
+    mr = mid_rad(IntervalMatrix(m, m))
     assert np.array_equal(mr.center, m)
     assert np.all(mr.radius == 0.0)
 
@@ -55,82 +54,6 @@ def test_mid_rad_scalar():
     mr = mid_rad(imat([[0.4]], [[0.6]]))
     assert mr.center[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert mr.radius[0, 0] == pytest.approx(0.1, abs=1e-15)
-
-
-# -- interval products -----------------------------------------------------------------
-
-def test_matvec_identity():
-    eye = IntervalMatrix.crisp(np.eye(3))
-    v = ivec([1, -2, 0.5], [2, -1, 0.5])
-    out = interval_matvec(eye, v)
-    assert np.allclose(out.lo, v.lo) and np.allclose(out.hi, v.hi)
-
-
-def test_matvec_positive_scalar():
-    out = interval_matvec(imat([[0.4]], [[0.6]]), ivec([0.8], [1.2]))
-    assert out.lo[0] == pytest.approx(0.32, abs=1e-15)
-    assert out.hi[0] == pytest.approx(0.72, abs=1e-15)
-
-
-def test_matvec_sign_indefinite_scalar():
-    out = interval_matvec(imat([[-1.0]], [[1.0]]), ivec([2.0], [3.0]))
-    assert (out.lo[0], out.hi[0]) == (-3.0, 3.0)
-    # brute force over sampled (matrix, point) pairs stays inside
-    rng = np.random.default_rng(0)
-    ms = rng.uniform(-1, 1, 4000)
-    xs = rng.uniform(2, 3, 4000)
-    prods = ms * xs
-    assert prods.min() >= out.lo[0] and prods.max() <= out.hi[0]
-
-
-def test_matvec_sampled_containment_random():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        mlo = rng.normal(size=(n, n))
-        m = imat(mlo, mlo + rng.uniform(0, 1.5, (n, n)))
-        vlo = rng.normal(size=n)
-        v = ivec(vlo, vlo + rng.uniform(0, 1, n))
-        out = interval_matvec(m, v)
-        for _ in range(50):
-            u = sample_matrix(m, rng)
-            z = rng.uniform(v.lo, v.hi)
-            assert out.contains(u @ z, tol=1e-9)
-
-
-def test_matvec_inclusion_monotone():
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        n = int(rng.integers(1, 4))
-        mlo = rng.normal(size=(n, n))
-        m = imat(mlo, mlo + rng.uniform(0, 1.5, (n, n)))
-        lo = rng.normal(size=n)
-        inner = ivec(lo, lo + rng.uniform(0, 1, n))
-        pad = rng.uniform(0, 1, n)
-        outer = ivec(inner.lo - pad, inner.hi + pad)
-        small = interval_matvec(m, inner)
-        big = interval_matvec(m, outer)
-        assert np.all(big.lo <= small.lo + 1e-12)
-        assert np.all(big.hi >= small.hi - 1e-12)
-
-
-def test_matvec_endpoint_order_preserved_nonneg():
-    # non-negative matrix and state: bounds are exactly the endpoint products
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        lo = rng.uniform(0, 1, (n, n))
-        m = imat(lo, lo + rng.uniform(0, 1, (n, n)))
-        vlo = rng.uniform(0, 1, n)
-        v = ivec(vlo, vlo + rng.uniform(0, 1, n))
-        out = interval_matvec(m, v)
-        assert np.allclose(out.lo, m.lo @ v.lo, rtol=0, atol=1e-13)
-        assert np.allclose(out.hi, m.hi @ v.hi, rtol=0, atol=1e-13)
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        interval_matvec(imat([[0.0, 0.0]], [[1.0, 1.0]]), ivec([0.0], [1.0]))
 
 
 # -- powers -------------------------------------------------------------------------------
@@ -186,7 +109,8 @@ def test_vertices_scalar():
 
 
 def test_vertices_crisp_single():
-    m = IntervalMatrix.crisp(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    m = IntervalMatrix(a, a)
     verts = list(vertex_matrices(m))
     assert len(verts) == 1
     assert np.array_equal(verts[0], m.lo)
@@ -200,7 +124,7 @@ def test_vertices_full_2x2():
     uniq = {v.tobytes() for v in verts}
     assert len(uniq) == 16
     for v in verts:
-        assert m.contains(v)
+        assert np.all((m.lo <= v) & (v <= m.hi))
 
 
 def test_vertex_budget_error_mentions_sampling():
@@ -213,7 +137,8 @@ def test_vertex_budget_error_mentions_sampling():
 # -- sampling -----------------------------------------------------------------------------
 
 def test_sample_crisp_returns_matrix():
-    m = IntervalMatrix.crisp(np.array([[1.5, -2.0], [0.0, 3.0]]))
+    a = np.array([[1.5, -2.0], [0.0, 3.0]])
+    m = IntervalMatrix(a, a)
     assert np.array_equal(sample_matrix(m, 0), m.lo)
 
 
@@ -222,7 +147,7 @@ def test_sample_deterministic_under_seed():
     a = sample_matrix(m, 42)
     b = sample_matrix(m, 42)
     assert np.array_equal(a, b)
-    assert m.contains(a)
+    assert np.all((m.lo <= a) & (a <= m.hi))
 
 
 def test_sample_uniform_mean():
@@ -282,4 +207,5 @@ def test_uniform_draw_takes_a_negative_zero_width():
         np.random.default_rng(0).uniform(np.zeros(2), np.full(2, -0.0))
     m = imat([[0.0, 0.0]], [[-0.0, 1.0]])
     draw = sample_matrix(m, 0, size=3)
-    assert np.array_equal(draw[:, 0, 0], np.zeros(3)) and m.contains(draw[0])
+    assert np.array_equal(draw[:, 0, 0], np.zeros(3))
+    assert np.all((m.lo <= draw[0]) & (draw[0] <= m.hi))

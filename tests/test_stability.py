@@ -186,7 +186,8 @@ def test_nonpos_witness_matches_mirror_rule():
 # -- eigenvalue box -------------------------------------------------------------------
 
 def test_eigen_box_diagonal_crisp():
-    box = eigen_box_bounds(IntervalMatrix.crisp(np.diag([0.5, 0.3])))
+    d = np.diag([0.5, 0.3])
+    box = eigen_box_bounds(IntervalMatrix(d, d))
     assert box.r_lo == pytest.approx(0.3, abs=1e-9)
     assert box.r_hi == pytest.approx(0.5, abs=1e-9)
     assert box.i_lo == pytest.approx(0.0, abs=1e-9)
@@ -194,13 +195,14 @@ def test_eigen_box_diagonal_crisp():
 
 
 def test_eigen_box_rotation_like():
-    box = eigen_box_bounds(IntervalMatrix.crisp(np.array([[0.0, -1.0], [1.0, 0.0]])))
+    r = np.array([[0.0, -1.0], [1.0, 0.0]])
+    box = eigen_box_bounds(IntervalMatrix(r, r))
     assert box.i_hi >= 1.0 - 1e-9
     assert box.r_lo == pytest.approx(0.0, abs=1e-9)
     assert box.r_hi == pytest.approx(0.0, abs=1e-9)
-    lams = np.linalg.eigvals(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    for lam in lams:
-        assert box.contains(lam, tol=1e-12)
+    lams = np.linalg.eigvals(r)
+    assert np.all((box.r_lo - 1e-12 <= lams.real) & (lams.real <= box.r_hi + 1e-12))
+    assert np.all((box.i_lo - 1e-12 <= lams.imag) & (lams.imag <= box.i_hi + 1e-12))
 
 
 def test_eigen_box_monte_carlo_containment():
@@ -209,8 +211,8 @@ def test_eigen_box_monte_carlo_containment():
     box = eigen_box_bounds(m)
     for _ in range(200):
         lams = np.linalg.eigvals(sample_matrix(m, rng))
-        for lam in lams:
-            assert box.contains(lam, tol=1e-10)
+        assert np.all((box.r_lo - 1e-10 <= lams.real) & (lams.real <= box.r_hi + 1e-10))
+        assert np.all((box.i_lo - 1e-10 <= lams.imag) & (lams.imag <= box.i_hi + 1e-10))
 
 
 def test_eigen_box_rayleigh_inside_closed_form():
@@ -226,7 +228,7 @@ def test_eigen_box_rayleigh_inside_closed_form():
 def test_eigen_box_rayleigh_crisp_symmetric_is_spectrum(n):
     a = np.random.default_rng(n).normal(size=(n, n))
     a = a + a.T
-    ray = eigen_box_rayleigh(IntervalMatrix.crisp(a), n_starts=2, seed=0)
+    ray = eigen_box_rayleigh(IntervalMatrix(a, a), n_starts=2, seed=0)
     lams = np.linalg.eigvalsh(a)
     assert ray.r_lo == pytest.approx(lams[0], abs=1e-12)
     assert ray.r_hi == pytest.approx(lams[-1], abs=1e-12)
@@ -235,7 +237,8 @@ def test_eigen_box_rayleigh_crisp_symmetric_is_spectrum(n):
 
 @pytest.mark.parametrize("rho", [0.7, 1.0, 3.25])
 def test_eigen_box_rayleigh_rotation_imaginary_bound(rho):
-    ray = eigen_box_rayleigh(IntervalMatrix.crisp(rho * np.array([[0.0, -1.0], [1.0, 0.0]])))
+    r = rho * np.array([[0.0, -1.0], [1.0, 0.0]])
+    ray = eigen_box_rayleigh(IntervalMatrix(r, r))
     assert ray.i_hi == rho
 
 
@@ -375,16 +378,16 @@ def test_marginal_transform_applied():
     t = np.array([[1.0, 1.0], [1.0, -1.0]])
     d = np.diag([0.5, 1.0])
     a = t @ d @ np.linalg.inv(t)
-    v = marginal_test(IntervalMatrix.crisp(a), t)
+    v = marginal_test(IntervalMatrix(a, a), t)
     assert v.status is StabilityStatus.STABLE
-    assert marginal_test(IntervalMatrix.crisp(a), np.eye(2)).status \
+    assert marginal_test(IntervalMatrix(a, a), np.eye(2)).status \
         is StabilityStatus.INCONCLUSIVE
 
 
 # -- sampled falsifier -------------------------------------------------------------------------
 
 def test_falsifier_crisp_unstable():
-    m = IntervalMatrix.crisp(np.array([[1.5]]))
+    m = imat([[1.5]], [[1.5]])
     v = sampled_falsifier(m, n_samples=10, seed=0)
     assert v.status is StabilityStatus.FALSIFIED
     assert v.witness["spectral_radius"] == pytest.approx(1.5, abs=1e-12)
@@ -466,7 +469,8 @@ def test_widening_never_creates_certificates():
     for _ in range(120):
         n = int(rng.integers(1, 4))
         m = random_interval_matrix(rng, n, scale=0.5, width=0.2)
-        wide = m.widened(rng.uniform(0.0, 0.3))
+        d = rng.uniform(0.0, 0.3)
+        wide = IntervalMatrix(m.lo - d, m.hi + d)
         for test in (gershgorin_nonneg_test, gershgorin_nonpos_test,
                      lambda x: condeig_check(eigen_box_bounds(x))):
             if test(wide).status is StabilityStatus.ASYMPTOTICALLY_STABLE:
