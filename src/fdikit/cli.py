@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -182,6 +183,32 @@ def _write_csv(path: str, header: str, labels, keys, columns) -> bool:
     return True
 
 
+def _print_json(obj: dict) -> None:
+    """Print obj as strict JSON: a NaN or infinite number prints as null,
+    and a last top-level field "non_finite" counts them.  Only an object
+    that fails strict encoding is walked."""
+    try:
+        text = json.dumps(obj, allow_nan=False)
+    except ValueError:
+        count = 0
+
+        def strict(v):
+            nonlocal count
+            if isinstance(v, dict):
+                return {k: strict(x) for k, x in v.items()}
+            if isinstance(v, (list, tuple)):
+                return [strict(x) for x in v]
+            if isinstance(v, float) and not math.isfinite(v):
+                count += 1
+                return None
+            return v
+
+        obj = strict(obj)
+        obj["non_finite"] = count
+        text = json.dumps(obj, allow_nan=False)
+    print(text)
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -239,8 +266,16 @@ def parse_system_obj(obj) -> tuple[FuzzySystem, np.ndarray | None]:
     return system, transform
 
 
-def load_system(path: str) -> tuple[FuzzySystem, np.ndarray | None]:
-    return parse_system_obj(_load_json(path))
+def load_system(path: str, alphas: str | None = None) -> tuple[FuzzySystem, np.ndarray | None]:
+    """Decode and parse a system file; ``alphas``, the text of ``--alphas``
+    (comma-separated levels), replaces the file's grid when it is given."""
+    doc = _load_json(path)
+    if alphas and isinstance(doc, dict):
+        try:
+            doc["alphas"] = [float(v) for v in alphas.split(",")]
+        except ValueError:
+            raise ValueError(f"--alphas: cannot parse {alphas!r}") from None
+    return parse_system_obj(doc)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -249,7 +284,7 @@ def cmd_analyze(args) -> int:
     system, transform = load_system(args.file)
     verdict = analyze(level_matrix(system, 0.0), t=transform,
                       n_samples=args.n, seed=args.seed)
-    print(json.dumps(verdict.to_json_obj()))
+    _print_json(verdict.to_json_obj())
     if verdict.is_stable:
         return EXIT_OK
     if verdict.status is StabilityStatus.FALSIFIED:
@@ -258,13 +293,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_json(args.file)
-    if args.alphas and isinstance(doc, dict):
-        try:
-            doc["alphas"] = [float(v) for v in args.alphas.split(",")]
-        except ValueError:
-            raise ValueError(f"--alphas: cannot parse {args.alphas!r}") from None
-    system, _ = parse_system_obj(doc)
+    system, _ = load_system(args.file, args.alphas)
     lo, hi = envelope_endpoints(system, system.alphas, args.k)
     if not _write_csv(args.out, "k,alpha,i,lo,hi\n", range(args.k + 1),
                       [_fmt(a) for a in system.alphas], (lo, hi)):
@@ -275,7 +304,7 @@ def cmd_simulate(args) -> int:
         "final_widths": [{"alpha": a, "width": w}
                          for a, w in zip(system.alphas.tolist(), (hi[-1] - lo[-1]).tolist())],
     }
-    print(json.dumps(summary))
+    _print_json(summary)
     return EXIT_OK
 
 
@@ -314,7 +343,7 @@ def cmd_oracle(args) -> int:
         "count_exceeding_one": scan.n_above_one,
         "n_checked": scan.n_checked,
     }
-    print(json.dumps(report))
+    _print_json(report)
     return EXIT_OK
 
 

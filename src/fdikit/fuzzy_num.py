@@ -10,6 +10,8 @@ piecewise-linear curves traced by the cut endpoints.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -370,28 +372,28 @@ def level_stack(cells, label, base=()) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _tfn_columns(cells) -> tuple[np.ndarray, np.ndarray] | None:
     """Endpoint rows [l; c] and [r; c], each (2, len(cells)), at the levels
-    0 and 1 when every cell is a ``{"tfn": [l, c, r]}`` object whose triple
-    is finite, ordered and of finite width, so that the per-cell path of
-    :func:`level_stack` accepts the same values; otherwise None.
+    0 and 1 when every cell is a ``{"tfn": [l, c, r]}`` dict whose triple
+    converts to floats as ``float`` does and is ordered with a finite width,
+    so that the per-cell path of :func:`level_stack` accepts the same
+    values; otherwise None.  The triples convert in one flat pass.
     """
-    triples = []
-    for cell in cells:
-        triple = cell.get("tfn") if isinstance(cell, dict) else None
-        if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
-            return None
-        triples.append(triple)
+    if set(map(type, cells)) != {dict}:
+        return None
     try:
-        t = np.array(triples)
-    except (TypeError, ValueError, OverflowError):  # ragged or huge values
+        triples = list(map(operator.itemgetter("tfn"), cells))
+    except KeyError:
         return None
-    if t.dtype.kind not in "fi" or t.shape != (len(cells), 3):
+    if not set(map(type, triples)) <= {list, tuple} or set(map(len, triples)) != {3}:
         return None
-    t = np.array(t.T, dtype=float, order="C")
-    l, c, r = t
-    with np.errstate(over="ignore"):
-        ok = (np.isfinite(t).all() and (l <= c).all() and (c <= r).all()
-              and np.isfinite(r - l).all())
-    return (t[[0, 1]], t[[2, 1]]) if ok else None
+    try:
+        t = np.fromiter(itertools.chain.from_iterable(triples), float, 3 * len(triples))
+    except (TypeError, ValueError, OverflowError):  # no number, a sequence, a huge integer
+        return None
+    l, c, r = t.reshape(-1, 3).T
+    # NaN fails the ordering and an infinite endpoint the width (inf or NaN).
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = (l <= c).all() and (c <= r).all() and np.isfinite(r - l).all()
+    return (np.array([l, c]), np.array([r, c])) if ok else None
 
 
 # -- JSON encoding -----------------------------------------------------------
@@ -441,15 +443,16 @@ def interp_levels(x, xp, fp) -> np.ndarray:
         raise ValueError(f"alpha must lie in [{xp[0]:g}, {xp[-1]:g}], got {x}")
     flat = x.ravel()
     j = np.searchsorted(xp, flat, side="right") - 1
+    on = xp[j] == flat
+    if on.all():  # every level on the grid: a row lookup
+        return fp[j].reshape(x.shape + fp.shape[1:])
     k = np.minimum(j, xp.size - 2)
     col = (-1,) + (1,) * (fp.ndim - 1)
-    # one slope per interval from the first to the last in use (the initial
-    # values only matter for an empty x), gathered per level
-    first, last = k.min(initial=xp.size - 2), k.max(initial=0)
+    # one slope per interval from the first to the last in use, gathered per level
+    first, last = k.min(), k.max()
     out = ((fp[first + 1:last + 2] - fp[first:last + 1])
            / (xp[first + 1:last + 2] - xp[first:last + 1]).reshape(col))[k - first]
     out *= (flat - xp[k]).reshape(col)
     out += fp[k]
-    on = np.flatnonzero(xp[j] == flat)
     out[on] = fp[j[on]]
     return out.reshape(x.shape + fp.shape[1:])

@@ -78,24 +78,24 @@ class StabilityVerdict:
                                StabilityStatus.STABLE)
 
     def to_json_obj(self) -> dict:
+        """The verdict as a dict for ``json.dumps``.  Each witness value must
+        be a JSON value, an ``EigenBox`` or a numpy value; only those two are
+        converted, and only at the top level of the witness."""
         out = {"status": self.status.value, "criterion": self.criterion}
         if self.witness is not None:
-            out["witness"] = _jsonable(self.witness)
+            out["witness"] = {k: _plain(v) for k, v in self.witness.items()}
         return out
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, EigenBox):
-        return {"r_lo": obj.r_lo, "r_hi": obj.r_hi, "i_lo": obj.i_lo, "i_hi": obj.i_hi}
-    return obj
+def _plain(value):
+    # Criteria store witness values as JSON values already (lists from
+    # tolist(), floats, sub-reports from to_json_obj()), except an EigenBox
+    # or a numpy value; those are converted and nothing else is walked.
+    if isinstance(value, EigenBox):
+        return {"r_lo": value.r_lo, "r_hi": value.r_hi, "i_lo": value.i_lo, "i_hi": value.i_hi}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from fdikit import cli
+from fdikit import FuzzyNumber, Tfn, cli, fuzzy_num
 from fdikit.cli import (
     EXIT_FALSIFIED,
     EXIT_INCONCLUSIVE,
@@ -55,6 +56,26 @@ def write(tmp_path, name, obj):
 def sha256(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def nulled(obj):
+    """(obj with each non-finite float replaced by None, how many were replaced)."""
+    if isinstance(obj, dict):
+        pairs = [(k, nulled(v)) for k, v in obj.items()]
+        return {k: v for k, (v, _) in pairs}, sum(c for _, (_, c) in pairs)
+    if isinstance(obj, list):
+        pairs = [nulled(v) for v in obj]
+        return [v for v, _ in pairs], sum(c for _, c in pairs)
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None, 1
+    return obj, 0
 
 
 # -- analyze ------------------------------------------------------------------------
@@ -551,10 +572,19 @@ def test_simulate_csv_special_values_match_row_reference(tmp_path, capsys, doc):
         assert main(["simulate", write(tmp_path, "s.json", doc), "--k", "4",
                      "--out", str(out_csv)]) == EXIT_OK
         expected = simulate_csv_ref(doc, 4)
+        system, _ = parse_system_obj(doc)
+        lo, hi = envelope_endpoints(system, system.alphas, 4)
+        widths = (hi[-1] - lo[-1]).tolist()
     text = out_csv.read_text()
     assert text == expected
     special = ("inf", "nan") if doc is OVERFLOWING else ("-0", "4.94065645841e-324")
     assert all(s in text for s in special)
+    # stdout stays JSON: each NaN width prints as null, and "non_finite" counts them
+    summary = strict_loads(capsys.readouterr().out)
+    expected_widths, count = nulled(widths)
+    assert [w["width"] for w in summary["final_widths"]] == expected_widths
+    assert summary.get("non_finite", 0) == count
+    assert (count > 0) == (doc is OVERFLOWING)
 
 
 @pytest.mark.parametrize("mode", ["constant", "timevarying"])
@@ -569,12 +599,15 @@ def test_oracle_csv_and_report_match_row_reference(tmp_path, capsys, monkeypatch
         rc = main(["oracle", write(tmp_path, "s.json", doc), "--k", "6", "--n", "40",
                    "--seed", "4", "--mode", mode, "--out", str(out_csv)])
         csv_ref, containment_ref = oracle_ref(doc, 6, 40, 4, mode)
-    report = json.loads(capsys.readouterr().out)
+    report = strict_loads(capsys.readouterr().out)
     assert rc == EXIT_OK
     assert out_csv.read_text() == csv_ref
+    containment_ref, count = nulled(containment_ref)
     assert json.dumps(report["containment"]) == json.dumps(containment_ref)
-    if case == "overflow":  # NaN violations count as outside
+    assert report.get("non_finite", 0) == count
+    if case == "overflow":  # NaN violations count as outside and print as null
         assert report["containment"]["outside"] > 0
+        assert report["containment"]["max_violation"] is None and count == 1
 
 
 FULLY_FUZZY_5 = {"n": 5, "H": [[{"tfn": [-1.0, 0.0, 1.0]}] * 5] * 5,
@@ -675,3 +708,182 @@ def test_load_system_rejects_bad_alphas(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_system(str(path))
+
+
+def test_load_system_applies_the_alphas_override(tmp_path):
+    path = write(tmp_path, "s.json", SCALAR_STABLE)
+    system, _ = load_system(path, "0,0.25,1")
+    assert system.alphas.tolist() == [0.0, 0.25, 1.0]
+    assert load_system(path, "")[0].alphas.tolist() == [0.0, 0.5, 1.0]
+    with pytest.raises(ValueError, match=r"^--alphas: cannot parse '0,x,1'$"):
+        load_system(path, "0,x,1")
+
+
+# -- strict JSON on stdout -----------------------------------------------------------------
+
+# Row sums of 2.4e308 overflow: the analyze row test, every simulate width
+# and the oracle's containment check meet infinities.
+NON_FINITE = {"n": 4,
+              "H": [[{"tfn": [8e307] * 3} if j > i else {"tfn": [0, 0, 0]} for j in range(4)]
+                    for i in range(4)],
+              "x0": [{"tfn": [1, 1, 1]}] * 4}
+
+
+@pytest.mark.parametrize("argv, code, nulls", [
+    (["analyze", "--n", "20"], EXIT_INCONCLUSIVE,
+     [("witness", "sub_reports", 0, "witness", "offdiag_sum")]),
+    (["simulate", "--k", "2", "--alphas", "0,1"], EXIT_OK,
+     [("final_widths", a, "width", i) for a in range(2) for i in range(4)]),
+    (["oracle", "--k", "2", "--n", "3"], EXIT_OK, [("containment", "max_violation")]),
+], ids=["analyze", "simulate", "oracle"])
+def test_non_finite_values_print_as_null_and_are_counted(tmp_path, capsys, argv, code, nulls):
+    path = write(tmp_path, "s.json", NON_FINITE)
+    if argv[0] != "analyze":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main([argv[0], path] + argv[1:])
+    out = capsys.readouterr().out
+    report = strict_loads(out)
+    assert rc == code
+    assert report["non_finite"] == len(nulls)
+    assert out.endswith(f', "non_finite": {len(nulls)}}}\n')
+    for where in nulls:
+        value = report
+        for key in where:
+            value = value[key]
+        assert value is None
+    assert nulled(report)[1] == 0
+
+
+# -- "tfn" cells: the flat conversion against the per-cell path -------------------------------
+
+class TfnMapping(dict):
+    """A dict subclass: not a plain JSON object, so the per-cell path reads it."""
+
+
+TFN_CELL_CASES = {
+    "bools": [{"tfn": [False, 0.5, True]}, {"tfn": [True, True, True]},
+              {"tfn": [False, False, False]}],
+    "numeric-strings": [{"tfn": ["0.1", "0.2", "0.3"]}, {"tfn": ["1_000", " 2e3 ", 3000]}],
+    "non-numeric-string": [{"tfn": ["abc", 1, 2]}],
+    "string-triple": [{"tfn": "123"}],
+    "none": [{"tfn": [None, 0, 1]}],
+    "none-center": [{"tfn": [0, None, 1]}],
+    "nested-list": [{"tfn": [[0], 1, 2]}],
+    "nested-triple": [{"tfn": [[0, 1, 2]]}],
+    "dict-entry": [{"tfn": [0, {"v": 1}, 2]}],
+    "complex-entry": [{"tfn": [0, 1j, 2]}],
+    "tuples": [{"tfn": (0.0, 0.5, 1.0)}, {"tfn": (1, 2, 3)}],
+    "two-elements": [{"tfn": [0, 1]}],
+    "four-elements": [{"tfn": [0, 1, 2, 3]}],
+    "two-and-four": [{"tfn": [0, 1]}, {"tfn": [0, 1, 2, 3]}],
+    "two-then-four": [{"tfn": [0, 0.5]}, {"tfn": [1, 2, 3, 4]}],  # chained, ordered triples
+    "huge-integer": [{"tfn": [-10 ** 400, 0, 1]}],
+    "huge-right": [{"tfn": [0, 1, 2 ** 1024]}],
+    "big-integers": [{"tfn": [-2 ** 63, 2 ** 53 + 1, 2 ** 64 + 1]}, {"tfn": [2 ** 1023] * 3}],
+    "nan": [{"tfn": [float("nan"), 0, 1]}],
+    "nan-center": [{"tfn": [0, float("nan"), 1]}],
+    "inf-right": [{"tfn": [0, 1, float("inf")]}],
+    "inf-left": [{"tfn": [float("-inf"), 0, 1]}],
+    "inf-all": [{"tfn": [float("inf")] * 3}],
+    "minus-inf-all": [{"tfn": [float("-inf")] * 3}],
+    "width-overflow": [{"tfn": [-1.7e308, 0, 1.7e308]}],
+    "unordered-left": [{"tfn": [1, 0, 2]}],
+    "unordered-right": [{"tfn": [0, 2, 1]}],
+    "numpy-array-triple": [{"tfn": np.array([0.0, 0.5, 1.0])}],
+    "numpy-scalars": [{"tfn": [np.float32(0.25), np.int64(1), np.float64(2.5)]}],
+    "number-cell": [0.5, -2],
+    "list-cell": [[0, 1, 2]],
+    "string-cell": ["0.5"],
+    "none-cell": [None],
+    "tfn-object": [Tfn(0.0, 0.5, 1.0)],
+    "fuzzy-number": [FuzzyNumber([0.0, 1.0], [0.0, 0.5], [1.0, 0.5])],
+    "mapping-cell": [MappingProxyType({"tfn": [0, 1, 2]})],
+    "dict-subclass": [TfnMapping(tfn=[0, 1, 2])],
+    "levels-cell": [{"levels": [[0.0, 0.0, 1.0], [1.0, 0.5, 0.5]]}],
+    "no-tfn-key": [{"tnf": [0, 1, 2]}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TFN_CELL_CASES))
+def test_tfn_cells_parse_like_the_per_cell_path(monkeypatch, case):
+    cells = TFN_CELL_CASES[case]
+    filler = {"tfn": [0.0, 0.25, 0.5]}
+    h = [[filler] * 3 for _ in range(3)]
+    for p, cell in enumerate(cells):
+        h[p // 3][p % 3] = cell
+    doc = {"n": 3, "H": h, "x0": [{"tfn": [1, 2, 3]}, filler, cells[-1]]}
+
+    def outcome():
+        try:
+            system, _ = parse_system_obj(doc)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return tuple((a.shape, a.tobytes()) for a in (system.grid, system.h_lo, system.h_hi,
+                                                      system.x0_lo, system.x0_hi))
+
+    got = outcome()
+    monkeypatch.setattr(fuzzy_num, "_tfn_columns", lambda cells: None)  # the per-cell path
+    assert got == outcome()
+
+
+# -- golden verdict bytes ------------------------------------------------------------------
+#
+# Each witness shape printed by analyze, recorded before the verdict print
+# stopped walking witness lists.  Every value is exact in binary or a single
+# correctly rounded operation, so BLAS differences between hosts do not reach it.
+
+GOLDEN_VERDICTS = {
+    # an upper-triangular family: vertex radii are diagonal entries, exactly
+    "falsified-matrix": ({
+        "n": 3,
+        "H": [[{"tfn": [0.25, 0.5, 1.25]}, {"tfn": [-0.5, 0.0, 0.5]}, {"tfn": [0.125, 0.25, 0.375]}],
+              [{"tfn": [0, 0, 0]}, {"tfn": [-0.75, -0.5, -0.25]}, {"tfn": [-1.0, 0.5, 2.0]}],
+              [{"tfn": [0, 0, 0]}, {"tfn": [0, 0, 0]}, {"tfn": [0.0, 0.5, 0.75]}]],
+        "x0": [{"tfn": [0.5, 1.0, 1.5]}] * 3}, ["--n", "40", "--seed", "3"], EXIT_FALSIFIED,
+        '{"status": "Falsified", "criterion": "sampled_falsifier", "witness": {"matrix": '
+        '[[1.25, -0.5, 0.125], [0.0, -0.75, -1.0], [0.0, 0.0, 0.0]], "spectral_radius": 1.25}}\n'),
+    # hi is block-triangular with a unit corner under the identity transform
+    "marginal-reduced": ({
+        "n": 3,
+        "H": [[{"tfn": [0.0, 0.125, 0.25]}, {"tfn": [0.0, 0.0625, 0.125]}, {"tfn": [0, 0, 0]}],
+              [{"tfn": [0.0, 0.25, 0.375]}, {"tfn": [0.0, 0.25, 0.5]}, {"tfn": [0, 0, 0]}],
+              [{"tfn": [0.0, 0.25, 0.5]}, {"tfn": [0.0, 0.125, 0.25]}, {"tfn": [0.5, 0.75, 1.0]}]],
+        "x0": [{"tfn": [0.5, 1.0, 1.5]}] * 3,
+        "T": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, [], EXIT_OK,
+        '{"status": "Stable", "criterion": "marginal_transform", "witness": {"case": "nonneg", '
+        '"reduced": [[0.25, 0.125], [0.375, 0.5]]}}\n'),
+    # a sign-indefinite diagonal family inside the unit disc
+    "eigen-box": ({
+        "n": 2,
+        "H": [[{"tfn": [-0.375, -0.25, -0.125]}, {"tfn": [0, 0, 0]}],
+              [{"tfn": [0, 0, 0]}, {"tfn": [0.375, 0.5, 0.625]}]],
+        "x0": [{"tfn": [0.5, 1.0, 1.5]}] * 2}, [], EXIT_OK,
+        '{"status": "AsymptoticallyStable", "criterion": "eigen_box", "witness": {"eigen_box": '
+        '{"r_lo": -0.375, "r_hi": 0.625, "i_lo": -0.125, "i_hi": 0.125}, "corner_moduli": '
+        '[0.39528470752104744, 0.39528470752104744, 0.6373774391990981, 0.6373774391990981]}}\n'),
+    # members reach the unit circle but not beyond it
+    "inconclusive-sub-reports": ({
+        "n": 2,
+        "H": [[{"tfn": [-1.0, 0.0, 1.0]}, {"tfn": [0, 0, 0]}],
+              [{"tfn": [0, 0, 0]}, {"tfn": [-0.5, 0.0, 0.5]}]],
+        "x0": [{"tfn": [0.5, 1.0, 1.5]}] * 2}, ["--n", "30", "--seed", "5"], EXIT_INCONCLUSIVE,
+        '{"status": "Inconclusive", "criterion": "none", "witness": {"sub_reports": ['
+        '{"status": "Inconclusive", "criterion": "gershgorin_nonneg", "witness": {"reason": '
+        '"lower bound matrix has a negative entry", "entry": [0, 0], "value": -1.0}}, '
+        '{"status": "Inconclusive", "criterion": "gershgorin_nonpos", "witness": {"reason": '
+        '"upper bound matrix has a positive entry", "entry": [0, 0], "value": 1.0}}, '
+        '{"status": "Inconclusive", "criterion": "eigen_box", "witness": {"eigen_box": '
+        '{"r_lo": -1.0, "r_hi": 1.0, "i_lo": -1.0, "i_hi": 1.0}, "corner_moduli": '
+        '[1.4142135623730951, 1.4142135623730951, 1.4142135623730951, 1.4142135623730951]}}, '
+        '{"status": "Inconclusive", "criterion": "sampled_falsifier", "witness": '
+        '{"max_sampled_radius": 1.0, "n_checked": 34}}]}}\n'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERDICTS))
+def test_verdict_bytes_match_recorded_output(tmp_path, capsys, name):
+    doc, extra, code, expected = GOLDEN_VERDICTS[name]
+    rc = main(["analyze", write(tmp_path, "s.json", doc)] + extra)
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (code, expected, "")

@@ -377,3 +377,28 @@ def test_interp_levels_matches_reference_bit_for_bit():
         if np.isfinite(slopes).all():  # np.interp retries NaN blends; interp_levels does not
             expected = np.stack([np.interp(x, xp, c) for c in columns], axis=-1)
             assert np.array_equal(interp_levels(x, xp, fp).reshape(x.size, -1), expected)
+
+
+@pytest.mark.parametrize("levels", [
+    [0.0, 0.3, 1.0, 0.3],  # every level on the grid
+    [0.1, 0.5, 0.95],  # none on it
+    [0.3, 0.2, 0.0, 0.7, 1.0],  # a mix
+    [-0.0], [1.0], [0.0], [],
+])
+def test_interp_levels_grid_lookup_is_bit_equal_to_the_general_path(levels):
+    # a level off the grid sends the whole query through the general path
+    rng = np.random.default_rng(5)
+    xp = np.array([0.0, 0.2, 0.3, 0.7, 1.0])
+    for tail in ((), (3,), (2, 4)):
+        fp = rng.normal(size=(xp.size, *tail)) * 10.0 ** rng.integers(-5, 5, size=(xp.size, *tail))
+        x = np.array(levels)
+        got = interp_levels(x, xp, fp)
+        general = interp_levels(np.append(x, 0.45), xp, fp)[:-1]
+        assert got.shape == general.shape == x.shape + tail
+        assert got.dtype == general.dtype and got.tobytes() == general.tobytes()
+        assert got.tobytes() == interp_levels_ref(x, xp, fp).tobytes()
+        if x.size == 1:  # a scalar level, as level_matrix passes it
+            scalar = interp_levels(float(x[0]), xp, fp)
+            assert scalar.shape == tail and scalar.tobytes() == got[0].tobytes()
+        got[...] = 0.0  # a fresh array, never a view of fp
+        assert np.all(interp_levels(x, xp, fp) == general)

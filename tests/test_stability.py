@@ -454,6 +454,23 @@ def test_verdict_json_shape():
     assert "witness" in obj
 
 
+def test_verdict_json_converts_only_eigen_boxes_and_numpy_values():
+    matrix = [[0.5, -0.25], [0.0, 1.5]]
+    reports = [analyze(imat([[0.4]], [[0.6]])).to_json_obj()]
+    v = StabilityVerdict(StabilityStatus.INCONCLUSIVE, "none", {
+        "eigen_box": EigenBox(-0.5, 0.75, -0.125, 0.125), "radius": np.float64(1.5),
+        "count": np.int64(3), "margins": np.array([0.25, 0.5]), "matrix": matrix,
+        "sub_reports": reports, "reason": "text"})
+    obj = v.to_json_obj()
+    assert obj == {"status": "Inconclusive", "criterion": "none", "witness": {
+        "eigen_box": {"r_lo": -0.5, "r_hi": 0.75, "i_lo": -0.125, "i_hi": 0.125},
+        "radius": 1.5, "count": 3, "margins": [0.25, 0.5], "matrix": matrix,
+        "sub_reports": reports, "reason": "text"}}
+    assert [type(obj["witness"][k]) for k in ("radius", "count", "margins")] == [float, int, list]
+    assert obj["witness"]["matrix"] is matrix  # plain lists are not walked or copied
+    assert json.loads(json.dumps(obj)) == obj
+
+
 # -- soundness against the spectral oracle ------------------------------------------------------
 
 def test_certified_implies_all_members_contractive():
