@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-#: Slack allowed when checking interval ordering / nestedness of levels.
+#: Slack allowed when checking nestedness of levels; lo <= hi is exact.
 ORDER_TOL = 1e-12
 
 #: Breakpoint grid of a triangular number.
@@ -116,7 +116,7 @@ def stack_fault(alphas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         (~(np.isfinite(lo) & np.isfinite(hi)).all(axis=-1), ValueError,
          "support must be bounded (finite endpoints)"),
         (~np.isfinite(width).all(axis=-1), ValueError, "cut width hi - lo overflows"),
-        ((width < -ORDER_TOL).any(axis=-1), ValueError, "every level must satisfy lo <= hi"),
+        ((width < 0).any(axis=-1), ValueError, "every level must satisfy lo <= hi"),
         (wider.any(axis=-1), StackingViolation,
          "alpha-cuts must be nested (nonincreasing in alpha)"),
     )

@@ -86,8 +86,14 @@ class MidRad(NamedTuple):
 
 
 def mid_rad(m: IntervalMatrix) -> MidRad:
-    """Center (lo+hi)/2 and radius (hi-lo)/2 of an interval matrix."""
-    return MidRad((m.lo + m.hi) / 2.0, (m.hi - m.lo) / 2.0)
+    """Center (lo+hi)/2 and radius (hi-lo)/2 of an interval matrix.  Where
+    lo + hi overflows, the center is lo/2 + hi/2, the same rounded midpoint
+    there; elsewhere halving first could round subnormal centers to 0."""
+    with np.errstate(over="ignore"):
+        center = (m.lo + m.hi) / 2.0
+    over = np.isinf(center)
+    center[over] = m.lo[over] / 2.0 + m.hi[over] / 2.0
+    return MidRad(center, (m.hi - m.lo) / 2.0)
 
 
 def matpow_envelope_nonneg(m: IntervalMatrix, k: int) -> IntervalMatrix:

@@ -41,9 +41,6 @@ SHAPE_TOL = 1e-9
 #: Condition-number cap above which a transform matrix is rejected.
 COND_CAP = 1e12
 
-#: Numerical slack when comparing transformed endpoint matrices.
-ORDER_SLACK = 1e-12
-
 #: Sign patterns the eigenvalue-box cross-check tries before sign ascent.
 SIGN_BUDGET = 2 ** 12
 
@@ -270,18 +267,21 @@ def condeig_check(box: EigenBox) -> StabilityVerdict:
 
 # -- marginal stability via a supplied transform -------------------------------
 
-def _transformed_block(a: np.ndarray, t_inv: np.ndarray,
-                       t: np.ndarray) -> tuple[Optional[np.ndarray], str]:
-    """Reduced block of T^-1 A T when it is block-triangular with a unit
-    corner; otherwise (None, reason)."""
-    a2 = t_inv @ a @ t
-    if abs(a2[-1, -1] - 1.0) > SHAPE_TOL:
-        return None, f"corner entry is {float(a2[-1, -1]):g}, not 1"
-    row_zero = np.all(np.abs(a2[-1, :-1]) <= SHAPE_TOL)
-    col_zero = np.all(np.abs(a2[:-1, -1]) <= SHAPE_TOL)
+def _transformed_block(c: np.ndarray, r: np.ndarray, t_inv: np.ndarray,
+                       t: np.ndarray) -> tuple[Optional[tuple[np.ndarray, np.ndarray]], str]:
+    """Center and radius of the reduced block of T^-1 M T over the members M
+    of [c - r, c + r], whose transforms lie within T^-1 c T +- |T^-1| r |T|
+    (Neumaier 1990); otherwise (None, reason).  Every member must keep a
+    unit corner and a zero last row or a zero last column, up to SHAPE_TOL."""
+    c2, r2 = t_inv @ c @ t, np.abs(t_inv) @ r @ np.abs(t)
+    if abs(c2[-1, -1] - 1.0) + r2[-1, -1] > SHAPE_TOL:
+        spread = f" +- {float(r2[-1, -1]):g}" if r2[-1, -1] else ""
+        return None, f"corner entry is {float(c2[-1, -1]):g}{spread}, not 1"
+    row_zero = np.all(np.abs(c2[-1, :-1]) + r2[-1, :-1] <= SHAPE_TOL)
+    col_zero = np.all(np.abs(c2[:-1, -1]) + r2[:-1, -1] <= SHAPE_TOL)
     if not (row_zero or col_zero):
         return None, "transformed matrix is not block-triangular"
-    return a2[:-1, :-1], ""
+    return (c2[:-1, :-1], r2[:-1, :-1]), ""
 
 
 def _strict_gershgorin_abs(b: np.ndarray) -> tuple[bool, str]:
@@ -301,11 +301,13 @@ def _strict_gershgorin_abs(b: np.ndarray) -> tuple[bool, str]:
 def marginal_test(m: IntervalMatrix, t) -> StabilityVerdict:
     """Marginal-stability test through a caller-supplied similarity transform.
 
-    T must expose a block-triangular shape with a 1 in the corner; the
-    remaining block then carries the strictly-contracting part, checked by
-    a strict Gershgorin row test (sign-definite families) or by the
-    eigenvalue box (general families).  Success means Stable (marginal,
-    not asymptotic).  The transform is never searched for.
+    T must give every member a block-triangular shape with a 1 in the
+    corner; the remaining block then carries the strictly-contracting part,
+    checked at hi by a strict Gershgorin row test for a non-negative family
+    (Perron-Frobenius), and through the center-radius enclosure by the
+    eigenvalue box for any family.  No non-positive family can pass: its lo
+    would have both 1 and -1 as eigenvalues.  Success means Stable
+    (marginal, not asymptotic), up to SHAPE_TOL.  T is never searched for.
     """
     t = np.asarray(t, dtype=float)
     n = m.n
@@ -317,34 +319,25 @@ def marginal_test(m: IntervalMatrix, t) -> StabilityVerdict:
     t_inv = np.linalg.inv(t)
 
     reasons = []
-    for case, label, applies, bound in (("nonneg", "non-negative", np.all(m.lo >= 0), m.hi),
-                                        ("nonpos", "non-positive", np.all(m.hi <= 0), m.lo)):
-        if not applies:
-            continue
-        block, why = _transformed_block(bound, t_inv, t)
+    if np.all(m.lo >= 0):
+        block, why = _transformed_block(m.hi, np.zeros_like(m.hi), t_inv, t)
         if block is not None:
-            ok, why = _strict_gershgorin_abs(block)
+            ok, why = _strict_gershgorin_abs(block[0])
             if ok:
                 return StabilityVerdict(
                     StabilityStatus.STABLE, "marginal_transform",
-                    {"case": case, "reduced": block.tolist()})
-        reasons.append(f"{label} case: {why}")
+                    {"case": "nonneg", "reduced": block[0].tolist()})
+        reasons.append(f"non-negative case: {why}")
 
-    block_lo, why_lo = _transformed_block(m.lo, t_inv, t)
-    block_hi, why_hi = _transformed_block(m.hi, t_inv, t)
-    if block_lo is None or block_hi is None:
-        for side, why in (("lower", why_lo), ("upper", why_hi)):
-            if why:
-                reasons.append(f"general case, {side} bound: {why}")
-    elif np.any(block_lo > block_hi + ORDER_SLACK):
-        reasons.append("general case: transformed bounds are not elementwise ordered")
-    elif block_lo.size == 0:
+    block, why = _transformed_block(*mid_rad(m), t_inv, t)
+    if block is None:
+        reasons.append(f"general case: {why}")
+    elif block[0].size == 0:
         return StabilityVerdict(StabilityStatus.STABLE, "marginal_transform",
                                 {"case": "general", "reduced": []})
     else:
-        reduced = IntervalMatrix(np.minimum(block_lo, block_hi),
-                                 np.maximum(block_lo, block_hi))
-        sub = condeig_check(eigen_box_bounds(reduced))
+        c, r = block
+        sub = condeig_check(eigen_box_bounds(IntervalMatrix(c - r, c + r)))
         if sub.status is StabilityStatus.ASYMPTOTICALLY_STABLE:
             return StabilityVerdict(
                 StabilityStatus.STABLE, "marginal_transform",

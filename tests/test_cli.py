@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
 
@@ -117,6 +118,52 @@ def test_analyze_uses_transform(tmp_path, capsys):
     assert rc == EXIT_OK
     assert out["status"] == "Stable"
     assert out["criterion"] == "marginal_transform"
+
+
+def test_analyze_falsifies_a_family_whose_endpoint_transforms_fit(tmp_path, capsys):
+    # Both endpoints are T J T^-1 with J block-triangular and a unit corner;
+    # a vertex that mixes them does not keep that shape.
+    doc = {"n": 2,
+           "H": [[{"levels": [[0, 3.75, 4.25], [1, 3.75, 4.25]]}, -1.75],
+                 [{"levels": [[0, 5.5, 6.5], [1, 5.5, 6.5]]}, -2.5]],
+           "x0": [1, 1], "T": [[1, 1], [2, 1]]}
+    rc = main(["analyze", write(tmp_path, "s.json", doc)])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == EXIT_FALSIFIED
+    assert out["witness"]["matrix"] == [[4.25, -1.75], [5.5, -2.5]]
+    # det(I - W) < 0: the characteristic polynomial has a real root above 1
+    (a, b), (c, d) = (map(Fraction, row) for row in out["witness"]["matrix"])
+    assert (1 - a) * (1 - d) - b * c < 0
+
+
+def test_analyze_midpoint_of_huge_entries_stays_finite(tmp_path, capsys):
+    # (lo + hi) / 2 overflows here; an infinite center made LAPACK fail
+    doc = {"n": 2, "H": [[{"tfn": [1e308, 1e308, 1e308]}] * 2] * 2,
+           "x0": [{"tfn": [1, 1, 1]}] * 2}
+    with np.errstate(over="ignore"):  # the row sums and sym(C) still overflow
+        rc = main(["analyze", write(tmp_path, "s.json", doc)])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (EXIT_FALSIFIED, "")
+    assert strict_loads(captured.out) == {
+        "status": "Falsified", "criterion": "sampled_falsifier",
+        "witness": {"matrix": [[1e308, 1e308], [1e308, 1e308]], "spectral_radius": None},
+        "non_finite": 1}
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["simulate", "--k", "2"],
+                                  ["oracle", "--k", "2", "--n", "3"]],
+                         ids=["analyze", "simulate", "oracle"])
+def test_reversed_level_is_an_input_error(tmp_path, capsys, argv):
+    # lo exceeds hi by 5e-14 at level 0; nestedness tolerates that, ordering does not
+    doc = {"n": 1, "H": [[{"levels": [[0, 0.5, 0.49999999999995],
+                                      [1, 0.49999999999995, 0.49999999999995]]}]],
+           "x0": [1]}
+    if argv[0] != "analyze":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    rc = main([argv[0], write(tmp_path, "s.json", doc)] + argv[1:])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (EXIT_INPUT, "")
+    assert captured.err == 'input error: "H"[0][0]: every level must satisfy lo <= hi\n'
 
 
 def test_analyze_malformed_nonsquare(tmp_path, capsys):
@@ -853,6 +900,14 @@ GOLDEN_VERDICTS = {
         "T": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, [], EXIT_OK,
         '{"status": "Stable", "criterion": "marginal_transform", "witness": {"case": "nonneg", '
         '"reduced": [[0.25, 0.125], [0.375, 0.5]]}}\n'),
+    # a crisp sign-indefinite system that T^-1 H T makes block-triangular
+    "marginal-reduced-box": ({
+        "n": 3,
+        "H": [[-1.0, -0.75, 1.0], [0.0, 0.25, 0.0], [-1.0, -0.75, 1.5]],
+        "x0": [{"tfn": [0.5, 1.0, 1.5]}] * 3,
+        "T": [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 2.0]]}, [], EXIT_OK,
+        '{"status": "Stable", "criterion": "marginal_transform", "witness": {"case": "general", '
+        '"reduced_box": {"r_lo": -0.5, "r_hi": 0.25, "i_lo": -0.0, "i_hi": 0.0}}}\n'),
     # a sign-indefinite diagonal family inside the unit disc
     "eigen-box": ({
         "n": 2,

@@ -56,6 +56,25 @@ def test_mid_rad_scalar():
     assert mr.radius[0, 0] == pytest.approx(0.1, abs=1e-15)
 
 
+def test_mid_rad_bits_match_the_plain_split():
+    rng = np.random.default_rng(3)
+    # finite endpoints from subnormal to 2^1000, so that lo + hi cannot overflow
+    a, b = (np.ldexp(rng.uniform(-1.0, 1.0, (40, 40)), rng.integers(-1074, 1000, (40, 40)))
+            for _ in range(2))
+    a[0, :2] = b[0, :2] = 5e-324
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    mr = mid_rad(IntervalMatrix(lo, hi))
+    assert mr.center.tobytes() == ((lo + hi) / 2.0).tobytes()
+    assert mr.radius.tobytes() == ((hi - lo) / 2.0).tobytes()
+    assert mr.center[0, 0] == 5e-324
+
+
+def test_mid_rad_center_does_not_overflow():
+    top = np.finfo(float).max
+    mr = mid_rad(imat([[1e308, -top, 1.0]], [[1e308, -1e308, 2.0]]))
+    assert mr.center.tolist() == [[1e308, -top / 2 - 5e307, 1.5]]
+
+
 # -- powers -------------------------------------------------------------------------------
 
 def test_matpow_zero_is_identity():

@@ -25,7 +25,7 @@ from fdikit import (
     vertex_count,
     vertex_matrices,
 )
-from fdikit.stability import SIGN_BUDGET
+from fdikit.stability import FALSIFY_TOL, SIGN_BUDGET
 
 from conftest import (
     certified_interval_corpus,
@@ -363,9 +363,11 @@ def test_marginal_general_interval_case():
     lo2[0, 1] = -0.05
     hi2 = hi.copy()
     hi2[0, 1] = 0.05
-    v = marginal_test(imat(lo2, hi2), np.eye(2))
+    m = imat(lo2, hi2)
+    v = marginal_test(m, np.eye(2))
     assert v.status is StabilityStatus.STABLE
     assert v.witness["case"] == "general"
+    assert np.max(member_radii(m, 0, 0)) <= 1.0
 
 
 def test_marginal_rejects_singular_transform():
@@ -382,6 +384,70 @@ def test_marginal_transform_applied():
     assert v.status is StabilityStatus.STABLE
     assert marginal_test(IntervalMatrix(a, a), np.eye(2)).status \
         is StabilityStatus.INCONCLUSIVE
+
+
+def test_marginal_general_case_encloses_members_that_mix_endpoints():
+    # Both endpoints are T J T^-1 with J in the marginal shape; the vertex
+    # [[4.25, -1.75], [5.5, -2.5]] mixes them and has a real eigenvalue above 1.
+    m, t = imat([[3.75, -1.75], [5.5, -2.5]], [[4.25, -1.75], [6.5, -2.5]]), [[1, 1], [2, 1]]
+    v = marginal_test(m, t)
+    assert v.status is StabilityStatus.INCONCLUSIVE
+    assert v.witness["reasons"] == ["general case: corner entry is 1 +- 1, not 1"]
+    v = analyze(m, t)
+    assert v.status is StabilityStatus.FALSIFIED
+    assert v.witness["matrix"] == [[4.25, -1.75], [5.5, -2.5]]
+
+
+def test_marginal_shape_holds_for_every_member_not_only_the_center():
+    # The center [[0.5, 0], [0, 1]] is in shape with a unit corner, but the
+    # member [[0.5, 0.5], [0.5, 1]] has no zero last row or column, and its
+    # spectral radius is (1.5 + sqrt(1.25)) / 2 > 1.
+    m = imat([[0.5, -0.5], [-0.5, 1.0]], [[0.5, 0.5], [0.5, 1.0]])
+    v = marginal_test(m, np.eye(2))
+    assert v.witness["reasons"] == ["general case: transformed matrix is not block-triangular"]
+    assert analyze(m, np.eye(2)).status is StabilityStatus.FALSIFIED
+
+
+def test_marginal_has_no_non_positive_case():
+    # lo <= hi <= 0; a unit corner would give lo the eigenvalue -1 as well
+    v = marginal_test(imat([[-0.5, 0.0], [0.0, -1.0]], [[-0.25, 0.0], [0.0, -1.0]]), np.eye(2))
+    assert v.status is StabilityStatus.INCONCLUSIVE
+    assert v.witness["reasons"] == ["general case: corner entry is -1, not 1"]
+
+
+def marginal_families(count: int, seed: int):
+    """(family, T): the hull of two endpoints T J T^-1 with n in {2, 3},
+    integer T with |det T| >= 0.5, and J block-triangular with a unit
+    corner, its zero last column or zero last row shared by both ends."""
+    rng = np.random.default_rng(seed)
+    while count:
+        n = int(rng.integers(2, 4))
+        t = rng.integers(-2, 3, size=(n, n)).astype(float)
+        if abs(np.linalg.det(t)) < 0.5:
+            continue
+        zero_row = rng.integers(2)
+        ends = []
+        for _ in range(2):
+            j = np.zeros((n, n))
+            j[:-1, :-1] = rng.uniform(-0.5, 0.5, (n - 1, n - 1))
+            if zero_row:
+                j[:-1, -1] = rng.uniform(-1.0, 1.0, n - 1)
+            else:
+                j[-1, :-1] = rng.uniform(-1.0, 1.0, n - 1)
+            j[-1, -1] = 1.0
+            ends.append(t @ j @ np.linalg.inv(t))
+        count -= 1
+        yield imat(np.minimum(*ends), np.maximum(*ends)), t
+
+
+def test_marginal_certifies_no_family_with_an_unstable_vertex():
+    certified = 0
+    for m, t in marginal_families(2000, seed=14):
+        if marginal_test(m, t).status is StabilityStatus.STABLE:
+            certified += 1
+            worst = float(np.max(member_radii(m, 0, 0)))
+            assert worst <= 1.0 + FALSIFY_TOL, (m.lo.tolist(), m.hi.tolist(), t.tolist())
+    assert certified >= 100
 
 
 # -- sampled falsifier -------------------------------------------------------------------------
