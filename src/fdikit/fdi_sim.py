@@ -1,9 +1,9 @@
 """Level-wise simulation of linear stationary fuzzy dynamics.
 
 A fuzzy system x(k+1) = H x(k) is evaluated per alpha level as an
-interval difference inclusion.  The system is stored as a level stack:
-the cut endpoints of every entry of H and x0 on one grid of levels, so a
-level's interval system is a row lookup.  For non-negative families the
+interval difference inclusion.  The system keeps every entry of H and x0
+on its own breakpoint grid, grouped by grid, and cuts the entries at the
+levels a caller asks for.  For non-negative families the
 exact solution-set envelope separates: the lower endpoints evolve under
 the lower matrix and the upper endpoints under the upper matrix.  Monte
 Carlo member trajectories serve as an independent containment oracle and
@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fuzzy_num import FuzzyVector, _freeze, interp_levels, level_stack, stack_fault
+from .fuzzy_num import FuzzyVector, _freeze, level_cuts, level_groups, stack_fault
 from .interval_linalg import (
     IntervalMatrix,
     IntervalVector,
@@ -56,11 +56,10 @@ class FuzzySystem:
 
     ``h`` is an n x n grid and ``x0`` a sequence of n entries, each a
     FuzzyNumber, Tfn, real number or JSON object (``{"tfn": ...}`` or
-    ``{"levels": ...}``).  The system keeps only the level stack: ``grid``
-    is the union of ``alphas`` and every entry's breakpoints, ``h_lo`` and
-    ``h_hi`` (shape (G, n, n)) and ``x0_lo`` and ``x0_hi`` (shape (G, n))
-    are the cut endpoints at each level of ``grid``.  Every entry is
-    stored exactly, since linear interpolation along ``grid`` reproduces it.
+    ``{"levels": ...}``).  The system keeps the entries as given, in the
+    read-only ``groups`` of :func:`level_groups` (H row-major, then x0),
+    and cuts them on demand: memory is linear in the input, and a level
+    on an entry's own grid is a row lookup of that entry.
     """
 
     def __init__(self, h, x0, alphas=DEFAULT_ALPHAS):
@@ -78,29 +77,30 @@ class FuzzySystem:
 
         self.n = n
         self.alphas = _check_alphas(alphas)
-        self.grid, lo, hi = level_stack(cells, label, self.alphas)
-        self.h_lo = lo[:, :n * n].reshape(-1, n, n)
-        self.h_hi = hi[:, :n * n].reshape(-1, n, n)
-        self.x0_lo = lo[:, n * n:]
-        self.x0_hi = hi[:, n * n:]
-        for a in (self.alphas, self.grid, self.h_lo, self.h_hi, self.x0_lo, self.x0_hi):
-            a.setflags(write=False)
+        self.alphas.setflags(write=False)
+        self.groups = level_groups(cells, label)
+
+
+def _cuts(sys: FuzzySystem, levels):
+    """Cut endpoints of H, shape (*np.shape(levels), n, n), and of x0,
+    shape (*np.shape(levels), n), at ``levels``: (h_lo, h_hi, x0_lo, x0_hi)."""
+    n = sys.n
+    lo, hi = level_cuts(sys.groups, n * n + n, levels)
+    h = np.shape(levels) + (n, n)
+    return lo[..., :n * n].reshape(h), hi[..., :n * n].reshape(h), lo[..., n * n:], hi[..., n * n:]
 
 
 def level_matrix(sys: FuzzySystem, alpha: float) -> IntervalMatrix:
-    """Entrywise alpha-cuts of the dynamic matrix as an interval matrix.
-
-    A level of ``sys.grid`` is a row lookup; between levels the endpoints
-    are interpolated linearly along the grid.
-    """
-    return IntervalMatrix(interp_levels(alpha, sys.grid, sys.h_lo),
-                          interp_levels(alpha, sys.grid, sys.h_hi))
+    """Entrywise alpha-cuts of the dynamic matrix as an interval matrix,
+    each entry interpolated on its own breakpoint grid."""
+    h_lo, h_hi, _, _ = _cuts(sys, alpha)
+    return IntervalMatrix(h_lo, h_hi)
 
 
 def level_state(sys: FuzzySystem, alpha: float) -> IntervalVector:
     """Alpha-cut box of the initial state."""
-    return IntervalVector(interp_levels(alpha, sys.grid, sys.x0_lo),
-                          interp_levels(alpha, sys.grid, sys.x0_hi))
+    _, _, x0_lo, x0_hi = _cuts(sys, alpha)
+    return IntervalVector(x0_lo, x0_hi)
 
 
 def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
@@ -115,8 +115,7 @@ def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     levels = np.asarray(alphas, dtype=float)
-    m_lo = interp_levels(levels, sys.grid, sys.h_lo)
-    x_lo = interp_levels(levels, sys.grid, sys.x0_lo)
+    m_lo, m_hi, x_lo, x_hi = _cuts(sys, levels)
     bad_m = np.any(m_lo < 0, axis=(-2, -1)).ravel()
     bad = bad_m | np.any(x_lo < 0, axis=-1).ravel()
     if np.any(bad):
@@ -126,11 +125,10 @@ def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
         raise SignPreconditionError(
             condition, f"{what} lower bound has a negative entry at alpha="
             f"{levels.ravel()[i]:g}; use mc_trajectories")
-    m_hi = interp_levels(levels, sys.grid, sys.h_hi)
     lo = np.empty((horizon + 1, *x_lo.shape))
     hi = np.empty_like(lo)
     lo[0] = x_lo
-    hi[0] = interp_levels(levels, sys.grid, sys.x0_hi)
+    hi[0] = x_hi
     for k in range(horizon):
         lo[k + 1] = (m_lo @ lo[k][..., None])[..., 0]
         hi[k + 1] = (m_hi @ hi[k][..., None])[..., 0]

@@ -263,7 +263,9 @@ class FuzzyVector:
         cells = list(components)
         if not cells:
             raise ValueError("fuzzy vector needs at least one component")
-        _freeze(self, *level_stack(cells, lambda p: f"component {p}"))
+        groups = level_groups(cells, lambda p: f"component {p}")
+        alphas = np.unique(np.concatenate([grid for grid, *_ in groups]))
+        _freeze(self, alphas, *level_cuts(groups, len(cells), alphas))
 
     @classmethod
     def from_stack(cls, alphas, lo, hi) -> "FuzzyVector":
@@ -328,22 +330,22 @@ def validate_nested(levels) -> FuzzyVector:
     return FuzzyVector.from_stack(alphas, lo, hi)
 
 
-def level_stack(cells, label, base=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Level stack (grid, lo, hi) of cells, each a FuzzyNumber, Tfn, real
-    number or JSON object: ``grid`` is the union of ``base`` and every
-    cell's breakpoints, and column i of lo and hi (len(grid), len(cells))
-    is cell i interpolated to ``grid`` as ``np.interp`` would, bit for bit.
+def level_groups(cells, label) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Cells, each a FuzzyNumber, Tfn, real number or JSON object, grouped by
+    breakpoint grid: one read-only (grid, index, lo, hi) per distinct grid,
+    in order of first appearance, where ``index`` lists the positions of
+    the group's cells and column j of lo and hi (len(grid), len(index)) holds
+    the cut endpoints of cell index[j] at the levels of ``grid``.
 
-    The checks of :class:`FuzzyNumber` run once per breakpoint grid.  The
-    first malformed cell raises ValueError (StackingViolation for cuts that
-    are not nested) prefixed with ``label(index)``.  Cells that are all
-    ``{"tfn": [l, c, r]}`` objects passing those checks are stacked from
-    one array (:func:`_tfn_columns`) with the same result.
+    The checks of :class:`FuzzyNumber` run once per group.  The first
+    malformed cell raises ValueError (StackingViolation for cuts that are
+    not nested) prefixed with ``label(index)``.  Cells that are all
+    ``{"tfn": [l, c, r]}`` objects passing those checks are read from one
+    array (:func:`_tfn_columns`) into the one group on the grid [0, 1].
     """
     columns = _tfn_columns(cells)
     if columns is not None:
-        grid = np.union1d(base, _TFN_LEVELS)
-        return grid, *(interp_levels(grid, _TFN_LEVELS, v) for v in columns)
+        return _read_only([(_TFN_LEVELS, np.arange(len(cells)), *columns)])
     groups, faults = {}, []
     for p, cell in enumerate(cells):
         try:
@@ -361,20 +363,37 @@ def level_stack(cells, label, base=()) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if faults:
         p, exc = min(faults, key=lambda fault: fault[0])
         raise type(exc)(f"{label(p)}: {exc}")
-    grid = np.union1d(base, np.concatenate([a for a, *_ in stacks]))
-    lo = np.empty((grid.size, len(cells)))
+    return _read_only([(a, index, lo.T, hi.T) for a, index, lo, hi in stacks])
+
+
+def _read_only(groups):
+    for group in groups:
+        for a in group:
+            a.setflags(write=False)
+    return groups
+
+
+def level_cuts(groups, size: int, levels) -> tuple[np.ndarray, np.ndarray]:
+    """Cut endpoints (lo, hi), each of shape ``np.shape(levels) + (size,)``,
+    of the ``size`` cells grouped by :func:`level_groups`, at ``levels``:
+    each group is interpolated once, as ``np.interp`` would, bit for bit."""
+    levels = np.asarray(levels, dtype=float)
+    if len(groups) == 1:  # every cell in order; interp_levels returns new arrays
+        grid, _, glo, ghi = groups[0]
+        return interp_levels(levels, grid, glo), interp_levels(levels, grid, ghi)
+    lo = np.empty(levels.shape + (size,))
     hi = np.empty_like(lo)
-    for a, index, glo, ghi in stacks:
-        lo[:, index] = interp_levels(grid, a, glo.T)
-        hi[:, index] = interp_levels(grid, a, ghi.T)
-    return grid, lo, hi
+    for grid, index, glo, ghi in groups:
+        lo[..., index] = interp_levels(levels, grid, glo)
+        hi[..., index] = interp_levels(levels, grid, ghi)
+    return lo, hi
 
 
 def _tfn_columns(cells) -> tuple[np.ndarray, np.ndarray] | None:
     """Endpoint rows [l; c] and [r; c], each (2, len(cells)), at the levels
     0 and 1 when every cell is a ``{"tfn": [l, c, r]}`` dict whose triple
     converts to floats as ``float`` does and is ordered with a finite width,
-    so that the per-cell path of :func:`level_stack` accepts the same
+    so that the per-cell path of :func:`level_groups` accepts the same
     values; otherwise None.  The triples convert in one flat pass.
     """
     if set(map(type, cells)) != {dict}:

@@ -85,15 +85,21 @@ class MidRad(NamedTuple):
     radius: np.ndarray
 
 
-def mid_rad(m: IntervalMatrix) -> MidRad:
-    """Center (lo+hi)/2 and radius (hi-lo)/2 of an interval matrix.  Where
-    lo + hi overflows, the center is lo/2 + hi/2, the same rounded midpoint
-    there; elsewhere halving first could round subnormal centers to 0."""
+def halfsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a + b) / 2 of finite arrays.  Where a + b overflows, a / 2 + b / 2,
+    the same rounded value there; elsewhere halving first could round
+    subnormal results to 0."""
     with np.errstate(over="ignore"):
-        center = (m.lo + m.hi) / 2.0
-    over = np.isinf(center)
-    center[over] = m.lo[over] / 2.0 + m.hi[over] / 2.0
-    return MidRad(center, (m.hi - m.lo) / 2.0)
+        out = (a + b) / 2.0
+    over = np.isinf(out)
+    out[over] = a[over] / 2.0 + b[over] / 2.0
+    return out
+
+
+def mid_rad(m: IntervalMatrix) -> MidRad:
+    """Center (lo+hi)/2, by :func:`halfsum`, and radius (hi-lo)/2 of an
+    interval matrix."""
+    return MidRad(halfsum(m.lo, m.hi), (m.hi - m.lo) / 2.0)
 
 
 def matpow_envelope_nonneg(m: IntervalMatrix, k: int) -> IntervalMatrix:

@@ -22,6 +22,7 @@ from .interval_linalg import (
     DEFAULT_VERTEX_BUDGET,
     IntervalMatrix,
     chunk_rows,
+    halfsum,
     mid_rad,
     sample_matrix,
     vertex_count,
@@ -131,6 +132,19 @@ def spectral_radii(stack: np.ndarray) -> np.ndarray:
 
 # -- Gershgorin tests for sign-definite families ------------------------------
 
+def _first_row_not_below_one(rows: np.ndarray, slack: np.ndarray) -> Optional[int]:
+    """The strict row rule on the non-negative ``rows``, whose float row
+    slacks 1 - sum are ``slack``: None when every exact row sum is below 1,
+    else the row to report.  The float screen fails at the row of least
+    slack.  Rows it passes are summed by ``math.fsum``, which rounds
+    correctly, so a sum below 1 proves the exact sum below 1; the first row
+    whose sum is not is reported.  Passed rows cannot overflow."""
+    if not np.all(slack > 0):
+        return int(np.argmin(slack))
+    exact = [math.fsum(row) < 1.0 for row in rows.tolist()]
+    return None if all(exact) else exact.index(False)
+
+
 def _row_test(lo: np.ndarray, hi: np.ndarray, sign: float, criterion: str,
               reason: str) -> StabilityVerdict:
     """Strict row test on the non-negative family [lo, hi], which is the
@@ -140,16 +154,14 @@ def _row_test(lo: np.ndarray, hi: np.ndarray, sign: float, criterion: str,
         return StabilityVerdict(
             StabilityStatus.INCONCLUSIVE, criterion,
             {"reason": reason, "entry": [int(i), int(j)], "value": sign * float(lo[i, j])})
-    off = hi.sum(axis=1) - np.diag(hi)
+    with np.errstate(over="ignore"):  # an infinite sum fails the rule
+        off = hi.sum(axis=1) - np.diag(hi)
     slack = 1.0 - np.diag(hi) - off
-    # fsum rounds correctly, so < 1 proves the exact sum < 1; float-passed rows cannot overflow.
-    passed = bool(np.all(slack > 0))
-    exact = passed and [math.fsum(row) < 1.0 for row in hi.tolist()]
-    if passed and all(exact):
+    i = _first_row_not_below_one(hi, slack)
+    if i is None:
         return StabilityVerdict(
             StabilityStatus.ASYMPTOTICALLY_STABLE, criterion,
             {"row_margins": slack.tolist()})
-    i = exact.index(False) if passed else int(np.argmin(slack))
     # "+ 0.0" keeps an exactly zero sum unsigned after the sign flip.
     return StabilityVerdict(
         StabilityStatus.INCONCLUSIVE, criterion,
@@ -177,7 +189,7 @@ def gershgorin_nonpos_test(m: IntervalMatrix) -> StabilityVerdict:
 # -- eigenvalue box ------------------------------------------------------------
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
+    return halfsum(a, a.T)
 
 
 def eigen_box_bounds(m: IntervalMatrix) -> EigenBox:
@@ -194,7 +206,7 @@ def eigen_box_bounds(m: IntervalMatrix) -> EigenBox:
     sym_c = np.linalg.eigvalsh(_sym(c))
     spread = float(np.linalg.eigvalsh(_sym(d))[-1])
     r_lo, r_hi = float(sym_c[0]) - spread, float(sym_c[-1]) + spread
-    skew = (c - c.T) / 2.0
+    skew = halfsum(c, -c.T)
     emb = np.block([[np.zeros((n, n)), skew], [skew.T, np.zeros((n, n))]])
     i_hi = float(np.linalg.eigvalsh(emb)[-1]) + spread
     return EigenBox(r_lo, r_hi, -i_hi, i_hi)
@@ -284,20 +296,6 @@ def _transformed_block(c: np.ndarray, r: np.ndarray, t_inv: np.ndarray,
     return (c2[:-1, :-1], r2[:-1, :-1]), ""
 
 
-def _strict_gershgorin_abs(b: np.ndarray) -> tuple[bool, str]:
-    """Strict unit-circle row condition |b_ii| + sum_j |b_ij| < 1.
-
-    Similarity transforms can flip entry signs, so the reduced block is
-    checked with absolute values (which reduces to the sign-definite row
-    conditions when the block keeps one sign).
-    """
-    bounds = np.sum(np.abs(b), axis=1)  # |diag| + off-diagonal radius
-    if np.all(bounds < 1.0):
-        return True, ""
-    i = int(np.argmax(bounds))
-    return False, f"reduced row {i} has Gershgorin bound {float(bounds[i]):g} >= 1"
-
-
 def marginal_test(m: IntervalMatrix, t) -> StabilityVerdict:
     """Marginal-stability test through a caller-supplied similarity transform.
 
@@ -322,11 +320,16 @@ def marginal_test(m: IntervalMatrix, t) -> StabilityVerdict:
     if np.all(m.lo >= 0):
         block, why = _transformed_block(m.hi, np.zeros_like(m.hi), t_inv, t)
         if block is not None:
-            ok, why = _strict_gershgorin_abs(block[0])
-            if ok:
+            # Transforms can flip signs, so the rule applies to |block|.
+            rows = np.abs(block[0])
+            with np.errstate(over="ignore"):
+                sums = rows.sum(axis=1)
+            i = _first_row_not_below_one(rows, 1.0 - sums)
+            if i is None:
                 return StabilityVerdict(
                     StabilityStatus.STABLE, "marginal_transform",
                     {"case": "nonneg", "reduced": block[0].tolist()})
+            why = f"reduced row {i} has Gershgorin bound {float(sums[i]):g} >= 1"
         reasons.append(f"non-negative case: {why}")
 
     block, why = _transformed_block(*mid_rad(m), t_inv, t)

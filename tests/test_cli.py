@@ -26,7 +26,7 @@ from fdikit.cli import (
     main,
     parse_system_obj,
 )
-from fdikit.fdi_sim import envelope_endpoints, mc_trajectories
+from fdikit.fdi_sim import envelope_endpoints, level_matrix, level_state, mc_trajectories
 
 SCALAR_STABLE = {
     "n": 1,
@@ -137,11 +137,11 @@ def test_analyze_falsifies_a_family_whose_endpoint_transforms_fit(tmp_path, caps
 
 
 def test_analyze_midpoint_of_huge_entries_stays_finite(tmp_path, capsys):
-    # (lo + hi) / 2 overflows here; an infinite center made LAPACK fail
+    # (lo + hi) / 2, the row sums and (C + C') / 2 overflow at these entries:
+    # an infinite center made LAPACK fail, and the others warned on stderr
     doc = {"n": 2, "H": [[{"tfn": [1e308, 1e308, 1e308]}] * 2] * 2,
            "x0": [{"tfn": [1, 1, 1]}] * 2}
-    with np.errstate(over="ignore"):  # the row sums and sym(C) still overflow
-        rc = main(["analyze", write(tmp_path, "s.json", doc)])
+    rc = main(["analyze", write(tmp_path, "s.json", doc)])
     captured = capsys.readouterr()
     assert (rc, captured.err) == (EXIT_FALSIFIED, "")
     assert strict_loads(captured.out) == {
@@ -424,18 +424,51 @@ def test_simulate_writer_streams(tmp_path, capsys, monkeypatch):
 
 
 def test_parse_peak_memory_stays_near_what_it_keeps():
-    # n = 64 with 51 levels: the level stack is 3.4 MB; building it once took
-    # 8.7 MB at the peak, most of it per-level temporaries of the interpolation
+    # n = 64 with 51 levels.  The parse keeps the triples (0.17 MB) and cuts
+    # nothing; it peaked at 5.3 MB while it built a 3.4 MB level stack.  The
+    # envelope arrays of k = 40 are 2.1 MB, its cuts at 51 levels 3.4 MB.
     doc = random_nonneg_doc(np.random.default_rng(8), 64, 51)
     parse_system_obj(doc)
     tracemalloc.start()
     try:
-        parsed = parse_system_obj(doc)
-        kept, peak = tracemalloc.get_traced_memory()
+        system, _ = parse_system_obj(doc)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        envelope_endpoints(system, system.alphas, 40)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert parsed[0].n == 64
-    assert peak < 2 * kept, (peak, kept)
+    assert system.n == 64
+    assert parse_peak < 1_000_000, parse_peak
+    assert peak < 8_000_000, peak
+
+
+def per_entry_levels_doc(rng, n: int) -> dict:
+    # every entry a 3-level "levels" cell with its own interior level
+    def cell():
+        lo, hi = np.sort(rng.uniform(0.0, 1.0 / n, 2))
+        mid = (lo + hi) / 2.0
+        return {"levels": [[0.0, lo, hi], [rng.uniform(0.01, 0.99), (lo + mid) / 2.0,
+                                             (mid + hi) / 2.0], [1.0, mid, mid]]}
+
+    return {"n": n, "H": [[cell() for _ in range(n)] for _ in range(n)],
+            "x0": [cell() for _ in range(n)]}
+
+
+def test_entries_with_their_own_levels_parse_in_linear_memory():
+    # n = 32: 1,056 entries with 1,056 distinct breakpoint grids.  A level
+    # stack on the union of those grids takes 17.9 MB; the entries themselves
+    # take 51 KB of endpoints.
+    doc = per_entry_levels_doc(np.random.default_rng(9), 32)
+    tracemalloc.start()
+    try:
+        system, _ = parse_system_obj(doc)
+        m = level_matrix(system, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(system.groups) == 32 * 32 + 32
+    assert m.lo.tolist() == [[cell["levels"][0][1] for cell in row] for row in doc["H"]]
+    assert peak < 2_000_000, peak
 
 
 # -- oracle --------------------------------------------------------------------------
@@ -866,8 +899,14 @@ def test_tfn_cells_parse_like_the_per_cell_path(monkeypatch, case):
             system, _ = parse_system_obj(doc)
         except ValueError as exc:
             return type(exc), str(exc)
-        return tuple((a.shape, a.tobytes()) for a in (system.grid, system.h_lo, system.h_hi,
-                                                      system.x0_lo, system.x0_hi))
+        groups = tuple((a.shape, a.tobytes()) for group in system.groups for a in group)
+        # the cuts at alphas, at every breakpoint and at their midpoints
+        grid = np.unique(np.concatenate([system.alphas] + [g[0] for g in system.groups]))
+        cuts = tuple((a.shape, a.tobytes())
+                     for alpha in np.concatenate([grid, (grid[1:] + grid[:-1]) / 2.0])
+                     for box in (level_matrix(system, alpha), level_state(system, alpha))
+                     for a in (box.lo, box.hi))
+        return groups, cuts
 
     got = outcome()
     monkeypatch.setattr(fuzzy_num, "_tfn_columns", lambda cells: None)  # the per-cell path

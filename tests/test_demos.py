@@ -15,6 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          env=env, timeout=60, cwd=ROOT)
+    # the RuntimeWarning rule of pyproject.toml, which pytest does not pass on
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          capture_output=True, text=True, env=env, timeout=60, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -23,7 +23,7 @@ from fdikit import (
     validate_nested,
 )
 
-from fdikit import interval_linalg
+from fdikit import fdi_sim, interval_linalg
 
 from conftest import (
     make_certified_nonneg_system,
@@ -103,35 +103,62 @@ def reference_cuts(entries, alpha):
     return cuts[:, 0], cuts[:, 1]
 
 
+def breakpoint_levels(s: FuzzySystem) -> np.ndarray:
+    """The levels of ``s.alphas`` and every entry's breakpoints."""
+    return np.unique(np.concatenate([s.alphas] + [grid for grid, *_ in s.groups]))
+
+
+def assert_entry_cuts(h, x0, s, alpha):
+    m, x = level_matrix(s, alpha), level_state(s, alpha)
+    h_lo, h_hi = reference_cuts(h, alpha)
+    x_lo, x_hi = reference_cuts(x0, alpha)
+    assert m.lo.tobytes() == h_lo.tobytes() and m.hi.tobytes() == h_hi.tobytes(), alpha
+    assert x.lo.tobytes() == x_lo.tobytes() and x.hi.tobytes() == x_hi.tobytes(), alpha
+
+
 @pytest.mark.parametrize("mixed", [False, True])
 def test_level_stack_equals_per_entry_cuts_on_grid(mixed):
+    # at every level of alphas and every entry's breakpoints
     for h, x0, s in random_level_systems(20 + mixed, mixed):
-        assert np.all(np.isin(s.alphas, s.grid))
-        for alpha in s.grid:
-            m, x = level_matrix(s, alpha), level_state(s, alpha)
-            h_lo, h_hi = reference_cuts(h, alpha)
-            x_lo, x_hi = reference_cuts(x0, alpha)
-            assert m.lo.tobytes() == h_lo.tobytes() and m.hi.tobytes() == h_hi.tobytes()
-            assert x.lo.tobytes() == x_lo.tobytes() and x.hi.tobytes() == x_hi.tobytes()
+        for alpha in breakpoint_levels(s):
+            assert_entry_cuts(h, x0, s, alpha)
 
 
 @pytest.mark.parametrize("mixed", [False, True])
 def test_level_stack_interpolates_off_grid(mixed):
-    # Off the grid the stack interpolates between two levels of one linear
-    # piece: exact in real arithmetic, so the gap to the per-entry cut is
-    # rounding, bounded relative to each entry's largest endpoint.
+    # Between breakpoints each entry is interpolated on its own grid, so
+    # the cut is the entry's own cut, bit for bit.
     rng = np.random.default_rng(40 + mixed)
     for h, x0, s in random_level_systems(30 + mixed, mixed):
-        scale_h = np.maximum(np.abs(s.h_lo), np.abs(s.h_hi)).max(axis=0).ravel()
-        scale_x = np.maximum(np.abs(s.x0_lo), np.abs(s.x0_hi)).max(axis=0)
-        mids = (s.grid[1:] + s.grid[:-1]) / 2.0
-        for alpha in np.concatenate([mids, rng.uniform(0.0, 1.0, 5)]):
+        grid = breakpoint_levels(s)
+        for alpha in np.concatenate([(grid[1:] + grid[:-1]) / 2.0, rng.uniform(0.0, 1.0, 5)]):
+            assert_entry_cuts(h, x0, s, alpha)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_cuts_at_many_levels_equal_cuts_one_level_at_a_time(mixed):
+    rng = np.random.default_rng(50 + mixed)
+    for h, x0, s in random_level_systems(60 + mixed, mixed):
+        grid = breakpoint_levels(s)
+        levels = rng.permutation(np.concatenate([grid, (grid[1:] + grid[:-1]) / 2.0]))
+        many = fdi_sim._cuts(s, levels)
+        for i, alpha in enumerate(levels):
             m, x = level_matrix(s, alpha), level_state(s, alpha)
-            h_lo, h_hi = reference_cuts(h, alpha)
-            x_lo, x_hi = reference_cuts(x0, alpha)
-            for got, want, scale in ((m.lo.ravel(), h_lo, scale_h), (m.hi.ravel(), h_hi, scale_h),
-                                     (x.lo, x_lo, scale_x), (x.hi, x_hi, scale_x)):
-                assert np.all(np.abs(got - want) <= 1e-15 * scale), alpha
+            for got, want in zip(many, (m.lo, m.hi, x.lo, x.hi)):
+                assert got[i].tobytes() == want.tobytes(), alpha
+
+
+def test_groups_keep_each_entry_on_its_own_grid():
+    h = [[Tfn(0.1, 0.2, 0.3), {"levels": [[0.0, 0.0, 1.0], [0.5, 0.2, 0.6], [1.0, 0.3, 0.3]]}],
+         [0.5, {"tfn": [0.0, 0.1, 0.4]}]]
+    s = FuzzySystem(h=h, x0=[{"levels": [[0.0, 1.0, 2.0], [0.5, 1.2, 1.8], [1.0, 1.5, 1.5]]}, 2.0])
+    assert [(grid.tolist(), index.tolist()) for grid, index, _, _ in s.groups] == [
+        ([0.0, 1.0], [0, 2, 3, 5]), ([0.0, 0.5, 1.0], [1, 4])]
+    grid, index, lo, hi = s.groups[1]
+    assert lo.tolist() == [[0.0, 1.0], [0.2, 1.2], [0.3, 1.5]]
+    assert hi.tolist() == [[1.0, 2.0], [0.6, 1.8], [0.3, 1.5]]
+    assert not any(a.flags.writeable for group in s.groups for a in group)
+    assert not s.alphas.flags.writeable
 
 
 def test_system_validation():

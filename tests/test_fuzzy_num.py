@@ -19,7 +19,7 @@ from fdikit import (
     validate_nested,
 )
 
-from fdikit.fuzzy_num import interp_levels, level_stack
+from fdikit.fuzzy_num import interp_levels, level_cuts, level_groups
 
 from conftest import rand_fuzzy_levels
 
@@ -293,9 +293,9 @@ def test_json_rejects_malformed():
         as_fuzzy([0, 1, 2])
 
 
-# -- level stacks of "tfn" cells -------------------------------------------------------
+# -- level groups of "tfn" cells -------------------------------------------------------
 #
-# A list of {"tfn": [l, c, r]} cells is stacked from one array; Tfn objects always
+# A list of {"tfn": [l, c, r]} cells is read from one array; Tfn objects always
 # take the per-cell path, so they are the reference.
 
 SPECIAL_TRIPLES = [
@@ -304,13 +304,20 @@ SPECIAL_TRIPLES = [
     [-1e300, 0.0, 1e300], [1e300, 1.5e300, 1.7e308], [-1.7e308, -1e300, -1e300],
     [False, 0.5, True], [True, True, 2.5], [2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63 + 1],
 ]
+# Levels to cut at besides the breakpoints 0 and 1
 BASE_GRIDS = [(), np.round(np.linspace(0.0, 1.0, 11), 12), [0.0, 1.0], [0.0, 0.3, 0.7, 1.0]]
 
 
 def assert_same_stack(cells, triples, base):
-    got = level_stack(cells, str, base)
-    ref = level_stack([Tfn(*map(float, t)) for t in triples], str, base)
-    for a, b in zip(got, ref):
+    # the one group and its cuts at base, the breakpoints and their midpoints
+    got = level_groups(cells, str)
+    ref = level_groups([Tfn(*map(float, t)) for t in triples], str)
+    assert len(got) == len(ref) == 1
+    for a, b in zip(got[0], ref[0]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    grid = np.union1d(base, [0.0, 1.0])
+    levels = np.concatenate([grid, (grid[1:] + grid[:-1]) / 2.0])
+    for a, b in zip(level_cuts(got, len(cells), levels), level_cuts(ref, len(cells), levels)):
         assert a.shape == b.shape and a.strides == b.strides
         assert a.tobytes() == b.tobytes()
 

@@ -116,8 +116,7 @@ def test_row_test_refuses_exact_row_sums_above_one(first):
 
 def test_row_test_refuses_overflowing_rows():
     h = np.full((2, 2), 1e308)
-    with np.errstate(over="ignore"):
-        v = gershgorin_nonneg_test(imat(np.zeros((2, 2)), h))
+    v = gershgorin_nonneg_test(imat(np.zeros((2, 2)), h))
     assert v.status is StabilityStatus.INCONCLUSIVE
     assert v.witness["offdiag_sum"] == np.inf
 
@@ -213,6 +212,15 @@ def test_eigen_box_monte_carlo_containment():
         lams = np.linalg.eigvals(sample_matrix(m, rng))
         assert np.all((box.r_lo - 1e-10 <= lams.real) & (lams.real <= box.r_hi + 1e-10))
         assert np.all((box.i_lo - 1e-10 <= lams.imag) & (lams.imag <= box.i_hi + 1e-10))
+
+
+def test_eigen_box_of_huge_entries_has_no_nan():
+    # (C + C') / 2 and (C - C') / 2 overflow at these entries; halving each
+    # term there keeps them finite, and the eigenvalue 2e308 rounds to inf
+    c = np.full((2, 2), 1e308)
+    assert eigen_box_bounds(imat(c, c)) == EigenBox(0.0, np.inf, 0.0, 0.0)
+    c = np.array([[1e308, -1e308], [1e308, 1e308]])
+    assert eigen_box_bounds(imat(c, c)) == EigenBox(1e308, 1e308, -1e308, 1e308)
 
 
 def test_eigen_box_rayleigh_inside_closed_form():
@@ -413,6 +421,19 @@ def test_marginal_has_no_non_positive_case():
     v = marginal_test(imat([[-0.5, 0.0], [0.0, -1.0]], [[-0.25, 0.0], [0.0, -1.0]]), np.eye(2))
     assert v.status is StabilityStatus.INCONCLUSIVE
     assert v.witness["reasons"] == ["general case: corner entry is -1, not 1"]
+
+
+def test_marginal_reduced_rows_need_exact_sums_below_one():
+    # Every reduced row sums to 1 + 2^-55 exactly, but to 1 - 2^-53 in
+    # floating point.  The block is 1 r', so its Perron root is r' 1 > 1.
+    h = np.zeros((7, 7))
+    h[:6, 0], h[:6, 1:6], h[6, 6] = 1.0 - 2.0 ** -53, 2.0 ** -55, 1.0
+    assert {sum(map(Fraction, row)) for row in h[:6].tolist()} == {1 + Fraction(1, 2 ** 55)}
+    assert np.all(h[:6].sum(axis=1) < 1.0)
+    v = marginal_test(imat(h, h), np.eye(7))
+    assert v.status is StabilityStatus.INCONCLUSIVE
+    assert v.witness["reasons"][0] == "non-negative case: reduced row 0 has Gershgorin bound 1 >= 1"
+    assert analyze(imat(h, h), np.eye(7), n_samples=10).status is StabilityStatus.INCONCLUSIVE
 
 
 def marginal_families(count: int, seed: int):
