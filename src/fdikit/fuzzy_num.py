@@ -42,10 +42,6 @@ class Tfn:
                 f"triple must satisfy l <= c <= r, got ({self.l}, {self.c}, {self.r})"
             )
 
-    def to_fuzzy(self) -> "FuzzyNumber":
-        """Two-level stack: support [l, r] at alpha 0, point {c} at alpha 1."""
-        return FuzzyNumber([0.0, 1.0], [self.l, self.c], [self.r, self.c])
-
 
 def tfn_alpha_cut(t: Tfn, alpha: float) -> tuple[float, float]:
     """Alpha-cut of a triangular number: linear shrink from support to peak.

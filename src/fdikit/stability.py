@@ -448,6 +448,8 @@ def member_radius_scan(m: IntervalMatrix, n_samples: int, seed,
     each computed radius is within PERRON_GAP / 2 - (n + 2) unit roundoffs
     of the exact one.
     """
+    if n_samples < 0:
+        raise ValueError(f"sample count must be non-negative, got {n_samples}")
     count = vertex_count(m)
     n_vertices = count if count <= max_vertices else 0
     if n_vertices + n_samples == 0:
@@ -564,25 +566,17 @@ def analyze(m: IntervalMatrix, t=None, n_samples: int = 1000,
     sampled falsifier.  When nothing fires, the verdict is Inconclusive
     with every sub-report attached.
     """
-    reports = []
-    for test in (gershgorin_nonneg_test, gershgorin_nonpos_test):
-        v = test(m)
-        if v.status is StabilityStatus.ASYMPTOTICALLY_STABLE:
-            return v
-        reports.append(v)
-    v = condeig_check(eigen_box_bounds(m))
-    if v.status is StabilityStatus.ASYMPTOTICALLY_STABLE:
-        return v
-    reports.append(v)
+    criteria = [gershgorin_nonneg_test, gershgorin_nonpos_test,
+                lambda m: condeig_check(eigen_box_bounds(m))]
     if t is not None:
-        v = marginal_test(m, t)
-        if v.status is StabilityStatus.STABLE:
+        criteria.append(lambda m: marginal_test(m, t))
+    criteria.append(lambda m: sampled_falsifier(m, n_samples=n_samples, seed=seed))
+    reports = []
+    for criterion in criteria:
+        v = criterion(m)
+        if v.status is not StabilityStatus.INCONCLUSIVE:
             return v
         reports.append(v)
-    v = sampled_falsifier(m, n_samples=n_samples, seed=seed)
-    if v.status is StabilityStatus.FALSIFIED:
-        return v
-    reports.append(v)
     return StabilityVerdict(
         StabilityStatus.INCONCLUSIVE, "none",
         {"sub_reports": [r.to_json_obj() for r in reports]})

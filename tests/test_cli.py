@@ -693,6 +693,11 @@ def test_oracle_csv_and_report_match_row_reference(tmp_path, capsys, monkeypatch
 FULLY_FUZZY_5 = {"n": 5, "H": [[{"tfn": [-1.0, 0.0, 1.0]}] * 5] * 5,
                  "x0": [{"tfn": [0.0, 1.0, 2.0]}] * 5}
 
+# 16 vertices, none certified by a criterion before the falsifier
+NONNEG_2 = {"n": 2, "H": [[{"tfn": [0.1, 0.2, 0.3]}, {"tfn": [0.0, 0.1, 0.2]}],
+                          [{"tfn": [0.5, 0.6, 0.7]}, {"tfn": [0.4, 0.5, 0.6]}]],
+            "x0": [1, 1]}
+
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "{wide}", "--n", "0"],  # 2^25 vertices over budget, no samples
@@ -700,9 +705,12 @@ FULLY_FUZZY_5 = {"n": 5, "H": [[{"tfn": [-1.0, 0.0, 1.0]}] * 5] * 5,
     ["oracle", "{scalar}", "--k", "-1", "--out", "{out}"],
     ["simulate", "{scalar}", "--k", "-1", "--out", "{out}"],
     ["simulate", "{scalar}", "--alphas", "0.5,1", "--out", "{out}"],
+    ["analyze", "{wide}", "--n", "-3"],
+    ["analyze", "{nonneg}", "--n", "-1"],  # within the vertex budget
 ])
 def test_bad_argument_is_input_error(tmp_path, capsys, argv):
     files = {"wide": write(tmp_path, "w.json", FULLY_FUZZY_5),
+             "nonneg": write(tmp_path, "p.json", NONNEG_2),
              "scalar": write(tmp_path, "s.json", SCALAR_STABLE),
              "out": str(tmp_path / "out.csv")}
     rc = main([a.format(**files) for a in argv])
@@ -970,6 +978,25 @@ GOLDEN_VERDICTS = {
         '{"status": "Inconclusive", "criterion": "eigen_box", "witness": {"eigen_box": '
         '{"r_lo": -1.0, "r_hi": 1.0, "i_lo": -1.0, "i_hi": 1.0}, "corner_moduli": '
         '[1.4142135623730951, 1.4142135623730951, 1.4142135623730951, 1.4142135623730951]}}, '
+        '{"status": "Inconclusive", "criterion": "sampled_falsifier", "witness": '
+        '{"max_sampled_radius": 1.0, "n_checked": 34}}]}}\n'),
+    # the same family with a transform that leaves no unit corner
+    "inconclusive-marginal-sub-report": ({
+        "n": 2,
+        "H": [[{"tfn": [-1.0, 0.0, 1.0]}, {"tfn": [0, 0, 0]}],
+              [{"tfn": [0, 0, 0]}, {"tfn": [-0.5, 0.0, 0.5]}]],
+        "x0": [{"tfn": [0.5, 1.0, 1.5]}] * 2,
+        "T": [[1.0, 0.0], [0.0, 1.0]]}, ["--n", "30", "--seed", "5"], EXIT_INCONCLUSIVE,
+        '{"status": "Inconclusive", "criterion": "none", "witness": {"sub_reports": ['
+        '{"status": "Inconclusive", "criterion": "gershgorin_nonneg", "witness": {"reason": '
+        '"lower bound matrix has a negative entry", "entry": [0, 0], "value": -1.0}}, '
+        '{"status": "Inconclusive", "criterion": "gershgorin_nonpos", "witness": {"reason": '
+        '"upper bound matrix has a positive entry", "entry": [0, 0], "value": 1.0}}, '
+        '{"status": "Inconclusive", "criterion": "eigen_box", "witness": {"eigen_box": '
+        '{"r_lo": -1.0, "r_hi": 1.0, "i_lo": -1.0, "i_hi": 1.0}, "corner_moduli": '
+        '[1.4142135623730951, 1.4142135623730951, 1.4142135623730951, 1.4142135623730951]}}, '
+        '{"status": "Inconclusive", "criterion": "marginal_transform", "witness": '
+        '{"reasons": ["general case: corner entry is 0 +- 0.5, not 1"]}}, '
         '{"status": "Inconclusive", "criterion": "sampled_falsifier", "witness": '
         '{"max_sampled_radius": 1.0, "n_checked": 34}}]}}\n'),
 }

@@ -273,6 +273,15 @@ def test_member_scan_without_members_is_an_error():
         member_radius_scan(m, n_samples=0, seed=0, max_vertices=16)
 
 
+def test_negative_sample_count_is_an_error():
+    # a non-negative family within the vertex budget
+    m = IntervalMatrix(np.array([[0.1, 0.0], [0.5, 0.4]]), np.array([[0.3, 0.2], [0.7, 0.6]]))
+    with pytest.raises(ValueError, match="non-negative"):
+        sampled_falsifier(m, n_samples=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        member_radius_scan(m, n_samples=-1, seed=0)
+
+
 # -- Perron-Frobenius vertex shortcut for sign-definite families ---------------------
 
 def count_solves(monkeypatch) -> list:

@@ -68,7 +68,7 @@ def test_tfn_ordering_enforced():
 
 
 def test_degenerate_tfn_is_crisp_embedding():
-    x = Tfn(5, 5, 5).to_fuzzy()
+    x = as_fuzzy(Tfn(5, 5, 5))
     assert x.cut(0.0) == (5.0, 5.0)
     assert x.membership(5.0) == 1.0
     assert x.membership(5.000001) == 0.0

@@ -525,12 +525,12 @@ def test_analyze_eigen_box_when_sign_tests_inapplicable():
 
 
 def test_analyze_inconclusive_report():
-    v = analyze(imat([[-1.0]], [[1.0]]), n_samples=50)
+    v = analyze(imat([[-1.0]], [[1.0]]), t=np.eye(1), n_samples=50)
     assert v.status is StabilityStatus.INCONCLUSIVE
     assert v.criterion == "none"
     names = [r["criterion"] for r in v.witness["sub_reports"]]
     assert names == ["gershgorin_nonneg", "gershgorin_nonpos", "eigen_box",
-                     "sampled_falsifier"]
+                     "marginal_transform", "sampled_falsifier"]
 
 
 def test_verdict_json_shape():
