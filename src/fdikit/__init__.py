@@ -25,9 +25,7 @@ from .metrics import (
 )
 from .interval_linalg import (
     IntervalMatrix,
-    IntervalVector,
     VertexBudgetError,
-    matpow_envelope_nonneg,
     mid_rad,
     sample_matrix,
     vertex_count,
@@ -69,7 +67,6 @@ __all__ = [
     "FuzzySystem",
     "FuzzyVector",
     "IntervalMatrix",
-    "IntervalVector",
     "SignPreconditionError",
     "StabilityStatus",
     "StabilityVerdict",
@@ -94,7 +91,6 @@ __all__ = [
     "level_matrix",
     "level_state",
     "marginal_test",
-    "matpow_envelope_nonneg",
     "mc_trajectories",
     "member_radius_scan",
     "mid_rad",

@@ -298,11 +298,13 @@ def cmd_simulate(args) -> int:
     if not _write_csv(args.out, "k,alpha,i,lo,hi\n", range(args.k + 1),
                       [_fmt(a) for a in system.alphas], (lo, hi)):
         return EXIT_IO
+    with np.errstate(invalid="ignore"):  # inf - inf prints as null
+        widths = hi[-1] - lo[-1]
     summary = {
         "k": args.k,
         "out": args.out,
         "final_widths": [{"alpha": a, "width": w}
-                         for a, w in zip(system.alphas.tolist(), (hi[-1] - lo[-1]).tolist())],
+                         for a, w in zip(system.alphas.tolist(), widths.tolist())],
     }
     _print_json(summary)
     return EXIT_OK
@@ -324,8 +326,9 @@ def cmd_oracle(args) -> int:
         report["containment"] = None
         report["containment_skipped"] = str(exc)
     else:
-        violation = lo - runs
-        np.maximum(violation, runs - hi, out=violation)
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN violation
+            violation = lo - runs
+            np.maximum(violation, runs - hi, out=violation)
         np.maximum(violation, 0.0, out=violation)
         # A NaN violation (an overflowed envelope) counts as outside.
         outside = int(np.count_nonzero(~(violation.max(axis=2) <= 1e-12)))

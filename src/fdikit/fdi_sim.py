@@ -18,13 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .fuzzy_num import FuzzyVector, _freeze, level_cuts, level_groups, stack_fault
-from .interval_linalg import (
-    IntervalMatrix,
-    IntervalVector,
-    chunk_rows,
-    matpow_envelope_nonneg,
-    uniform_draw,
-)
+from .interval_linalg import IntervalMatrix, chunk_rows, uniform_draw
 
 DEFAULT_ALPHAS = np.round(np.linspace(0.0, 1.0, 11), 12)
 
@@ -97,10 +91,10 @@ def level_matrix(sys: FuzzySystem, alpha: float) -> IntervalMatrix:
     return IntervalMatrix(h_lo, h_hi)
 
 
-def level_state(sys: FuzzySystem, alpha: float) -> IntervalVector:
-    """Alpha-cut box of the initial state."""
+def level_state(sys: FuzzySystem, alpha: float) -> IntervalMatrix:
+    """Alpha-cut box of the initial state, a vector box."""
     _, _, x0_lo, x0_hi = _cuts(sys, alpha)
-    return IntervalVector(x0_lo, x0_hi)
+    return IntervalMatrix(x0_lo, x0_hi)
 
 
 def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
@@ -129,9 +123,10 @@ def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
     hi = np.empty_like(lo)
     lo[0] = x_lo
     hi[0] = x_hi
-    for k in range(horizon):
-        lo[k + 1] = (m_lo @ lo[k][..., None])[..., 0]
-        hi[k + 1] = (m_hi @ hi[k][..., None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is an unbounded support
+        for k in range(horizon):
+            lo[k + 1] = (m_lo @ lo[k][..., None])[..., 0]
+            hi[k + 1] = (m_hi @ hi[k][..., None])[..., 0]
     return lo, hi
 
 
@@ -149,8 +144,8 @@ class EnvelopeTrajectory:
         self.hi.setflags(write=False)
 
     @cached_property
-    def steps(self) -> list[IntervalVector]:
-        return [IntervalVector(lo, hi) for lo, hi in zip(self.lo, self.hi)]
+    def steps(self) -> list[IntervalMatrix]:
+        return [IntervalMatrix(lo, hi) for lo, hi in zip(self.lo, self.hi)]
 
     def lo_array(self) -> np.ndarray:
         return self.lo
@@ -211,7 +206,8 @@ def assemble_fuzzy_attainable(sys: FuzzySystem, horizon: int) -> FuzzyAttainable
 
 def transition_envelope(sys: FuzzySystem, alpha: float,
                         horizon: int) -> list[IntervalMatrix]:
-    """Endpoint powers [lo^k, hi^k] for k = 0..horizon.
+    """Endpoint powers [lo^k, hi^k] for k = 0..horizon, by the one-step
+    recursion of :func:`envelope_endpoints`.
 
     Applying the k-th envelope to the initial-state endpoints reproduces
     :func:`envelope_propagate` (same sign preconditions apply).
@@ -220,7 +216,12 @@ def transition_envelope(sys: FuzzySystem, alpha: float,
         raise ValueError("horizon must be non-negative")
     envelope_endpoints(sys, alpha, 0)  # the sign checks of envelope_propagate
     m = level_matrix(sys, alpha)
-    return [matpow_envelope_nonneg(m, k) for k in range(horizon + 1)]
+    lo = hi = np.eye(sys.n)
+    powers = [IntervalMatrix(lo, hi)]
+    for _ in range(horizon):
+        lo, hi = m.lo @ lo, m.hi @ hi
+        powers.append(IntervalMatrix(lo, hi))
+    return powers
 
 
 def mc_trajectories(sys: FuzzySystem, alpha: float, horizon: int, n: int,

@@ -1,5 +1,5 @@
-"""Interval matrices and vectors: powers of non-negative families,
-midpoint/radius splits, vertex and random member selection."""
+"""Interval boxes of vectors and matrices: midpoint/radius splits, vertex
+and random member selection."""
 
 from __future__ import annotations
 
@@ -28,7 +28,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IntervalMatrix:
-    """Elementwise box of matrices [lo, hi]."""
+    """Elementwise box [lo, hi] of vectors (1-D) or matrices (2-D).
+
+    Every entry has lo <= hi, so a NaN endpoint is refused."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -36,46 +38,24 @@ class IntervalMatrix:
     def __post_init__(self):
         object.__setattr__(self, "lo", _freeze(self.lo))
         object.__setattr__(self, "hi", _freeze(self.hi))
-        if self.lo.ndim != 2 or self.lo.shape != self.hi.shape:
-            raise ValueError("lo and hi must be matrices of equal shape")
-        if np.any(self.lo > self.hi):
-            raise ValueError("interval matrix needs lo <= hi elementwise")
+        if self.lo.ndim not in (1, 2) or self.lo.shape != self.hi.shape:
+            raise ValueError("lo and hi must be vectors or matrices of equal shape")
+        if not np.all(self.lo <= self.hi):
+            raise ValueError("interval box needs lo <= hi elementwise")
 
     @property
     def n(self) -> int:
-        if self.lo.shape[0] != self.lo.shape[1]:
-            raise ValueError("matrix is not square")
+        """Side of a square matrix box."""
+        if self.lo.ndim != 2 or self.lo.shape[0] != self.lo.shape[1]:
+            raise ValueError("box is not a square matrix")
         return self.lo.shape[0]
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.lo.shape
 
     def __repr__(self):
         return f"IntervalMatrix(shape={self.lo.shape}, max_width={np.max(self.hi - self.lo):g})"
-
-
-@dataclass(frozen=True, eq=False)
-class IntervalVector:
-    """Elementwise box of vectors [lo, hi]."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _freeze(np.atleast_1d(self.lo)))
-        object.__setattr__(self, "hi", _freeze(np.atleast_1d(self.hi)))
-        if self.lo.ndim != 1 or self.lo.shape != self.hi.shape:
-            raise ValueError("lo and hi must be vectors of equal length")
-        if np.any(self.lo > self.hi):
-            raise ValueError("interval vector needs lo <= hi elementwise")
-
-    @property
-    def n(self) -> int:
-        return self.lo.size
-
-    def __repr__(self):
-        return f"IntervalVector(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
 
 
 class MidRad(NamedTuple):
@@ -100,26 +80,6 @@ def mid_rad(m: IntervalMatrix) -> MidRad:
     """Center (lo+hi)/2, by :func:`halfsum`, and radius (hi-lo)/2 of an
     interval matrix."""
     return MidRad(halfsum(m.lo, m.hi), (m.hi - m.lo) / 2.0)
-
-
-def matpow_envelope_nonneg(m: IntervalMatrix, k: int) -> IntervalMatrix:
-    """[lo^k, hi^k], bracketing every member power of a non-negative family.
-
-    Requires lo >= 0 elementwise: matrix powers are then monotone in the
-    entries, so the endpoint powers bound {U^k : U in [lo, hi]}.
-    """
-    if k < 0 or int(k) != k:
-        raise ValueError(f"power must be a non-negative integer, got {k}")
-    if np.any(m.lo < 0):
-        raise ValueError(
-            "power envelope requires a non-negative lower bound matrix "
-            "(monotonicity fails otherwise)"
-        )
-    m.n  # rejects non-square input
-    return IntervalMatrix(
-        np.linalg.matrix_power(m.lo, int(k)),
-        np.linalg.matrix_power(m.hi, int(k)),
-    )
 
 
 def vertex_count(m: IntervalMatrix) -> int:

@@ -110,10 +110,12 @@ class EigenBox:
             raise ValueError("eigenvalue box needs lo <= hi on both axes")
 
     def corner_moduli(self) -> np.ndarray:
-        return np.hypot(
-            np.array([self.r_lo, self.r_lo, self.r_hi, self.r_hi]),
-            np.array([self.i_lo, self.i_hi, self.i_lo, self.i_hi]),
-        )
+        # a modulus that overflows to inf fails every "< 1" test it meets
+        with np.errstate(over="ignore"):
+            return np.hypot(
+                np.array([self.r_lo, self.r_lo, self.r_hi, self.r_hi]),
+                np.array([self.i_lo, self.i_hi, self.i_lo, self.i_hi]),
+            )
 
     def contains_box(self, other: "EigenBox", tol: float = 0.0) -> bool:
         return (self.r_lo - tol <= other.r_lo and other.r_hi <= self.r_hi + tol
@@ -284,8 +286,12 @@ def _transformed_block(c: np.ndarray, r: np.ndarray, t_inv: np.ndarray,
     """Center and radius of the reduced block of T^-1 M T over the members M
     of [c - r, c + r], whose transforms lie within T^-1 c T +- |T^-1| r |T|
     (Neumaier 1990); otherwise (None, reason).  Every member must keep a
-    unit corner and a zero last row or a zero last column, up to SHAPE_TOL."""
-    c2, r2 = t_inv @ c @ t, np.abs(t_inv) @ r @ np.abs(t)
+    unit corner and a zero last row or a zero last column, up to SHAPE_TOL.
+    A transform that is not finite passes no shape test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2, r2 = t_inv @ c @ t, np.abs(t_inv) @ r @ np.abs(t)
+    if not (np.all(np.isfinite(c2)) and np.all(np.isfinite(r2))):
+        return None, "transformed matrix is not finite"
     if abs(c2[-1, -1] - 1.0) + r2[-1, -1] > SHAPE_TOL:
         spread = f" +- {float(r2[-1, -1]):g}" if r2[-1, -1] else ""
         return None, f"corner entry is {float(c2[-1, -1]):g}{spread}, not 1"

@@ -648,9 +648,9 @@ def test_simulate_csv_matches_row_reference(tmp_path, capsys, monkeypatch, case)
 @pytest.mark.parametrize("doc", [OVERFLOWING, TINY], ids=["overflow", "tiny"])
 def test_simulate_csv_special_values_match_row_reference(tmp_path, capsys, doc):
     out_csv = tmp_path / "env.csv"
+    assert main(["simulate", write(tmp_path, "s.json", doc), "--k", "4",
+                 "--out", str(out_csv)]) == EXIT_OK
     with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["simulate", write(tmp_path, "s.json", doc), "--k", "4",
-                     "--out", str(out_csv)]) == EXIT_OK
         expected = simulate_csv_ref(doc, 4)
         system, _ = parse_system_obj(doc)
         lo, hi = envelope_endpoints(system, system.alphas, 4)
@@ -675,9 +675,9 @@ def test_oracle_csv_and_report_match_row_reference(tmp_path, capsys, monkeypatch
     doc = {"random": random_nonneg_doc(np.random.default_rng(7), 5, 3),
            "overflow": OVERFLOWING, "tiny": TINY}[case]
     out_csv = tmp_path / "runs.csv"
+    rc = main(["oracle", write(tmp_path, "s.json", doc), "--k", "6", "--n", "40",
+               "--seed", "4", "--mode", mode, "--out", str(out_csv)])
     with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["oracle", write(tmp_path, "s.json", doc), "--k", "6", "--n", "40",
-                   "--seed", "4", "--mode", mode, "--out", str(out_csv)])
         csv_ref, containment_ref = oracle_ref(doc, 6, 40, 4, mode)
     report = strict_loads(capsys.readouterr().out)
     assert rc == EXIT_OK
@@ -688,6 +688,18 @@ def test_oracle_csv_and_report_match_row_reference(tmp_path, capsys, monkeypatch
     if case == "overflow":  # NaN violations count as outside and print as null
         assert report["containment"]["outside"] > 0
         assert report["containment"]["max_violation"] is None and count == 1
+
+
+def test_endpoints_overflowing_to_inf_print_null_without_warnings(tmp_path, capsys):
+    # both endpoints reach inf, so widths and violations are inf - inf
+    path = write(tmp_path, "s.json", {"n": 1, "H": [[1e200]], "x0": [1e200]})
+    assert main(["simulate", path, "--k", "2", "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    summary = strict_loads(capsys.readouterr().out)
+    assert all(w["width"] == [None] for w in summary["final_widths"])
+    assert main(["oracle", path, "--k", "2", "--n", "3", "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert strict_loads(captured.out)["containment"]["max_violation"] is None
+    assert captured.err == ""
 
 
 FULLY_FUZZY_5 = {"n": 5, "H": [[{"tfn": [-1.0, 0.0, 1.0]}] * 5] * 5,
@@ -927,6 +939,9 @@ def test_tfn_cells_parse_like_the_per_cell_path(monkeypatch, case):
 # stopped walking witness lists.  Every value is exact in binary or a single
 # correctly rounded operation, so BLAS differences between hosts do not reach it.
 
+# an entry whose members reach +-8e307, so sums and products of two overflow
+HUGE_WIDE = {"tfn": [-8e307, 0, 8e307]}
+
 GOLDEN_VERDICTS = {
     # an upper-triangular family: vertex radii are diagonal entries, exactly
     "falsified-matrix": ({
@@ -999,6 +1014,25 @@ GOLDEN_VERDICTS = {
         '{"reasons": ["general case: corner entry is 0 +- 0.5, not 1"]}}, '
         '{"status": "Inconclusive", "criterion": "sampled_falsifier", "witness": '
         '{"max_sampled_radius": 1.0, "n_checked": 34}}]}}\n'),
+    # eigenvalues 0.5 and 5; the transform's corner is inf * 0 = NaN, which
+    # certified Stable while a non-finite transform passed the shape tests
+    "marginal-nan-corner": ({
+        "n": 2, "H": [[0.5, 0], [1e308, 5]], "x0": [1, 1],
+        "T": [[1, 0], [0, 1e-10]]}, [], EXIT_FALSIFIED,
+        '{"status": "Falsified", "criterion": "sampled_falsifier", "witness": {"matrix": '
+        '[[0.5, 0.0], [1e+308, 5.0]], "spectral_radius": 5.000000000000001}}\n'),
+    # an overflowing transform of a valid file was an input error
+    "marginal-overflowing-transform": ({
+        "n": 3, "H": [[HUGE_WIDE, HUGE_WIDE, 0], [HUGE_WIDE, HUGE_WIDE, 0], [0, 0, 1]],
+        "x0": [1, 1, 1], "T": [[2, 1, 0], [1, 2, 0], [0, 0, 1]]}, [], EXIT_FALSIFIED,
+        '{"status": "Falsified", "criterion": "sampled_falsifier", "witness": {"matrix": '
+        '[[8e+307, -8e+307, 0.0], [-8e+307, 8e+307, 0.0], [0.0, 0.0, 1.0]], '
+        '"spectral_radius": 1.6e+308}}\n'),
+    # eigen-box corner moduli overflow to inf, with no warning
+    "eigen-box-overflowing-moduli": ({
+        "n": 2, "H": [[HUGE_WIDE, HUGE_WIDE], [HUGE_WIDE, 1]], "x0": [1, 1]}, [], EXIT_FALSIFIED,
+        '{"status": "Falsified", "criterion": "sampled_falsifier", "witness": {"matrix": '
+        '[[-8e+307, -8e+307], [-8e+307, 1.0]], "spectral_radius": 1.2944271909999159e+308}}\n'),
 }
 
 

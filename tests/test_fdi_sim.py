@@ -327,6 +327,20 @@ def test_transition_consistent_with_envelope():
             assert np.allclose(phis[k].hi @ x.hi, tr.steps[k].hi, rtol=1e-12, atol=1e-12)
 
 
+def test_transition_monte_carlo_containment():
+    rng = np.random.default_rng(4)
+    lo = rng.uniform(0, 0.5, (2, 2))
+    hi = lo + rng.uniform(0, 0.5, (2, 2))
+    s = FuzzySystem(h=[[Tfn(a, (a + b) / 2, b) for a, b in zip(*rows)] for rows in zip(lo, hi)],
+                    x0=FuzzyVector([Tfn(1, 1, 1)] * 2), alphas=[0, 1])
+    m = level_matrix(s, 0.0)
+    assert np.array_equal(m.lo, lo) and np.array_equal(m.hi, hi)
+    p = transition_envelope(s, 0.0, 3)[3]
+    for _ in range(1000):
+        u3 = np.linalg.matrix_power(interval_linalg.sample_matrix(m, rng), 3)
+        assert np.all(u3 >= p.lo - 1e-12) and np.all(u3 <= p.hi + 1e-12)
+
+
 @pytest.mark.parametrize("h, x0, condition", [
     (Tfn(-0.2, 0.1, 0.3), Tfn(-1, 0, 1), "matrix_nonneg"),  # the matrix is checked first
     (Tfn(0.1, 0.2, 0.3), Tfn(-1, 0, 1), "state_nonneg"),

@@ -1,13 +1,11 @@
-"""Unit tests for interval matrix/vector operations and member selection."""
+"""Unit tests for interval boxes of vectors and matrices and member selection."""
 
 import numpy as np
 import pytest
 
 from fdikit import (
     IntervalMatrix,
-    IntervalVector,
     VertexBudgetError,
-    matpow_envelope_nonneg,
     mid_rad,
     sample_matrix,
     vertex_count,
@@ -20,8 +18,8 @@ def imat(lo, hi) -> IntervalMatrix:
     return IntervalMatrix(np.asarray(lo, float), np.asarray(hi, float))
 
 
-def ivec(lo, hi) -> IntervalVector:
-    return IntervalVector(np.asarray(lo, float), np.asarray(hi, float))
+def ivec(lo, hi) -> IntervalMatrix:
+    return IntervalMatrix(np.asarray(lo, float), np.asarray(hi, float))
 
 
 # -- construction -----------------------------------------------------------------
@@ -34,6 +32,30 @@ def test_interval_matrix_rejects_unordered():
 def test_interval_vector_rejects_unordered():
     with pytest.raises(ValueError):
         ivec([1.0], [0.0])
+
+
+def test_side_of_a_vector_box_is_refused():
+    assert imat([[0.0, 1.0], [2.0, 3.0]], [[1.0, 1.0], [2.0, 4.0]]).n == 2
+    for box in (ivec([0.0, 1.0], [1.0, 2.0]), imat([[0.0, 1.0]], [[1.0, 2.0]])):
+        with pytest.raises(ValueError, match="not a square matrix"):
+            box.n
+
+
+# analyze certified each box AsymptoticallyStable while NaN endpoints passed.
+NAN_BOXES = {
+    "nan-lo": ([[np.nan]], [[-0.5]]),
+    "nan-hi": ([[0.5]], [[np.nan]]),
+    "nan-off-diagonal": ([[0.1, np.nan], [0.1, 0.2]], [[0.3, 0.2], [0.1, 0.2]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_BOXES))
+def test_interval_box_rejects_nan_endpoints(case):
+    lo, hi = NAN_BOXES[case]
+    with pytest.raises(ValueError, match="lo <= hi"):
+        imat(lo, hi)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        ivec(np.ravel(lo), np.ravel(hi))
 
 
 # -- midpoint / radius --------------------------------------------------------------
@@ -73,51 +95,6 @@ def test_mid_rad_center_does_not_overflow():
     top = np.finfo(float).max
     mr = mid_rad(imat([[1e308, -top, 1.0]], [[1e308, -1e308, 2.0]]))
     assert mr.center.tolist() == [[1e308, -top / 2 - 5e307, 1.5]]
-
-
-# -- powers -------------------------------------------------------------------------------
-
-def test_matpow_zero_is_identity():
-    m = imat([[0.1, 0.0], [0.2, 0.3]], [[0.5, 0.1], [0.4, 0.6]])
-    p = matpow_envelope_nonneg(m, 0)
-    assert np.array_equal(p.lo, np.eye(2))
-    assert np.array_equal(p.hi, np.eye(2))
-
-
-def test_matpow_scalar():
-    p = matpow_envelope_nonneg(imat([[0.4]], [[0.6]]), 2)
-    assert p.lo[0, 0] == pytest.approx(0.16, abs=1e-15)
-    assert p.hi[0, 0] == pytest.approx(0.36, abs=1e-15)
-
-
-def test_matpow_monte_carlo_containment():
-    rng = np.random.default_rng(4)
-    lo = rng.uniform(0, 0.5, (2, 2))
-    m = imat(lo, lo + rng.uniform(0, 0.5, (2, 2)))
-    p = matpow_envelope_nonneg(m, 3)
-    for _ in range(1000):
-        u = sample_matrix(m, rng)
-        u3 = np.linalg.matrix_power(u, 3)
-        assert np.all(u3 >= p.lo - 1e-12) and np.all(u3 <= p.hi + 1e-12)
-
-
-def test_matpow_rejects_negative_lower_bound():
-    with pytest.raises(ValueError):
-        matpow_envelope_nonneg(imat([[-0.1]], [[0.5]]), 2)
-
-
-def test_matpow_matches_repeated_one_step():
-    rng = np.random.default_rng(5)
-    lo = rng.uniform(0, 0.6, (3, 3))
-    m = imat(lo, lo + rng.uniform(0, 0.4, (3, 3)))
-    k = 5
-    p = matpow_envelope_nonneg(m, k)
-    step_lo, step_hi = np.eye(3), np.eye(3)
-    for _ in range(k):
-        step_lo = m.lo @ step_lo
-        step_hi = m.hi @ step_hi
-    assert np.allclose(p.lo, step_lo, rtol=1e-12, atol=1e-14)
-    assert np.allclose(p.hi, step_hi, rtol=1e-12, atol=1e-14)
 
 
 # -- vertices -----------------------------------------------------------------------------
