@@ -50,8 +50,9 @@ def _fmt(x: float) -> str:
 # with a slot for a dot after it; word 4 holds an "e+XX" suffix, and its last
 # byte the CSV separator.
 
-#: Rows per chunk of the CSV writer; its buffers then stay near 100 KB.
-CSV_CHUNK_ROWS = 1024
+#: Rows per chunk of the CSV writer.  With two value columns a chunk holds about
+#: 0.3 KB per row at its peak, so 2,048 rows take about 0.6 MB.
+CSV_CHUNK_ROWS = 2048
 _FIELD = 40  # bytes; no '%.12g' string is longer than 19
 _E_MIN, _E_MAX = -280, 280  # decimal exponents of the fast path (1e-280 <= |x| <= 1e280)
 
@@ -108,39 +109,40 @@ def _g12_fields(x: np.ndarray) -> np.ndarray:
 
     s = |x| * 10^(11 - e), e = floor(log10 |x|), takes two roundings, so it is
     within 2^-52 * s < 2.3e-4 of |x| / 10^(e - 11).  Where s lies in
-    [10^11, 10^12 - 1) and at least 2^-10 from a half-integer, rint(s) is
-    therefore the correctly rounded digit string at exponent e.  Every other
-    value (zero, inf, NaN, |x| outside [1e-280, 1e280], near-ties and
-    power-of-ten edges where e is off by one) is formatted by '%' itself.
+    [10^11, 10^12 - 1) and |s - rint(s)| <= 1/2 - 2^-10 (at least 2^-10 from
+    a half-integer; s - rint(s) is exact, as s < 2^40), rint(s) is therefore
+    the correctly rounded digit string at exponent e.  Every other value
+    (zero, inf, NaN, |x| outside [1e-280, 1e280], near-ties and power-of-ten
+    edges where e is off by one) is formatted by '%' itself.
     """
     scale, suffix, layout, quads, zeros, template = _g12_tables()
-    ax = np.abs(x)
-    fast = (ax >= 1e-280) & (ax <= 1e280)  # false for 0, inf and NaN
-    ax[~fast] = 1.0
-    e = np.floor(np.log10(ax)).astype(np.intp)
+    s = np.abs(x)
+    fast = (s >= 1e-280) & (s <= 1e280)  # false for 0, inf and NaN
+    s[~fast] = 1.0
+    e = np.floor(np.log10(s)).astype(np.intp)
     e -= _E_MIN  # out of range only where s is then out of range too
-    s = ax * scale.take(e, mode="clip")
-    fast &= (s >= 1e11) & (s < 1e12 - 1) & (np.abs(s - np.floor(s) - 0.5) >= 2.0 ** -10)
-    s[~fast] = 1e11  # in-range digits for the rows that '%' overwrites
-    digits = np.rint(s).astype(np.int64)
-    q = np.empty((3, x.size), np.intp)  # the 4-digit groups, high to low
-    high = digits // 10 ** 4
-    q[2] = digits - high * 10 ** 4
-    q[0] = high // 10 ** 4
-    q[1] = high - q[0] * 10 ** 4
-    key = layout.take(e, mode="clip") + 11 - zeros.take(q[2])
-    clear = q[2] == 0
-    for j in (1, 0):  # groups of 0000 below group j add its zeros
-        key[clear] -= zeros.take(q[j, clear])
-        clear &= q[j] == 0
-    key[np.signbit(x)] += 17 * 12
+    s *= scale.take(e, mode="clip")
+    digits = np.rint(s)
+    fast &= (s >= 1e11) & (s < 1e12 - 1) & (np.abs(s - digits) <= 0.5 - 2.0 ** -10)
+    slow = None if fast.all() else np.flatnonzero(~fast)
+    if slow is not None:
+        digits[slow] = 1e11  # in-range digits for the rows that '%' overwrites
+    digits = digits.astype(np.int64)
+    high = digits // 10 ** 4  # the 4-digit groups q0, q1, q2, high to low
+    q2 = digits - high * 10 ** 4
+    q0 = high // 10 ** 4
+    q1 = high - q0 * 10 ** 4
+    del s, digits, high  # not needed below, where a chunk's memory peaks
+    z0, z1, z2 = zeros.take(q0), zeros.take(q1), zeros.take(q2)
+    # a group of 0000 adds the zeros of the group above it
+    key = layout.take(e, mode="clip") + 11 - (z2 + (z2 == 4) * (z1 + (z1 == 4) * z0))
+    key += np.signbit(x) * (17 * 12)
     out = template.take(key, axis=0)
-    for j in range(3):
-        out[:, j + 1] &= quads.take(q[j])
+    for j, q in enumerate((q0, q1, q2), 1):
+        out[:, j] &= quads.take(q)
     out[:, 4] = suffix.take(e, mode="clip")
     out = out.view(np.uint8)
-    slow = np.flatnonzero(~fast)
-    if slow.size:
+    if slow is not None:
         text = ["%.12g" % v for v in x[slow].tolist()]
         out[slow] = np.array(text, f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
     return out
@@ -156,23 +158,38 @@ def _write_csv(path: str, header: str, labels, keys, columns) -> bool:
     """Write ``header``, then a row ``label,key,i,v...`` per entry of the
     (len(labels), len(keys), n) arrays ``columns`` (labels outer, i = 1..n
     inner, one value of each column as ``%.12g``), CSV_CHUNK_ROWS rows at a
-    time; False on I/O failure."""
+    time; False on I/O failure.
+
+    The ``key,i,`` prefixes of one label's rows, its block, are the same for
+    every label: they are built once (repeated to a chunk's length if the
+    block is shorter), and each chunk copies the labels of its rows and a
+    cyclic slice of the block, in at most two pieces."""
     n = columns[0].shape[-1]
-    parts = [_ascii_rows(items) for items in (labels, keys, range(1, n + 1))]
-    ends = np.cumsum([0] + [p.shape[1] for p in parts])
     flat = [np.ravel(c) for c in columns]
+    outer, middle, inner = (_ascii_rows(items) for items in (labels, keys, range(1, n + 1)))
+    size = len(middle) * n  # rows per label
+    repeats = -(-min(CSV_CHUNK_ROWS, flat[0].size) // size)
+    block = np.empty((repeats, len(middle), n, middle.shape[1] + inner.shape[1]), np.uint8)
+    block[..., :middle.shape[1]] = middle[:, None]
+    block[..., middle.shape[1]:] = inner
+    block = block.reshape(repeats * size, -1)
+    width = outer.shape[1] + block.shape[1]
     seps = np.array([ord(",")] * (len(flat) - 1) + [ord("\n")], np.uint8)
     try:
         with open(path, "wb") as fh:
             fh.write(header.encode())
             for start in range(0, flat[0].size, CSV_CHUNK_ROWS):
                 stop = min(start + CSV_CHUNK_ROWS, flat[0].size)
-                row = np.arange(start, stop)
-                chunk = np.empty((row.size, ends[-1] + len(flat) * _FIELD), np.uint8)
-                index = (row // (len(keys) * n), row // n % len(keys), row % n)
-                for part, i, a, b in zip(parts, index, ends, ends[1:]):
-                    chunk[:, a:b] = part.take(i, axis=0)
-                values = chunk[:, ends[-1]:].reshape(row.size, len(flat), _FIELD)
+                chunk = np.empty((stop - start, width + len(flat) * _FIELD), np.uint8)
+                first, last = start // size, (stop - 1) // size
+                edges = np.arange(first, last + 2) * size  # label boundaries
+                edges[0], edges[-1] = start, stop
+                chunk[:, :outer.shape[1]] = outer[first:last + 1].repeat(np.diff(edges), axis=0)
+                offset = start % len(block)
+                head = min(len(block) - offset, stop - start)
+                chunk[:head, outer.shape[1]:width] = block[offset:offset + head]
+                chunk[head:, outer.shape[1]:width] = block[:stop - start - head]
+                values = chunk[:, width:].reshape(stop - start, len(flat), _FIELD)
                 values[:] = _g12_fields(np.stack([f[start:stop] for f in flat], axis=1).ravel()
                                         ).reshape(values.shape)
                 values[:, :, -1] = seps

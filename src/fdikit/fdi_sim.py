@@ -130,6 +130,14 @@ def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
     return lo, hi
 
 
+def _step_box(step: int, lo: np.ndarray, hi: np.ndarray) -> IntervalMatrix:
+    """The box [lo, hi] of one envelope step.  Endpoints that overflowed
+    (0 * inf = NaN) bound no box: ValueError names the step."""
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError(f"step {step}: the envelope overflowed, an endpoint is NaN (0 * inf)")
+    return IntervalMatrix(lo, hi)
+
+
 @dataclass(eq=False)
 class EnvelopeTrajectory:
     """Exact attainable-set boxes at one alpha level: rows k of ``lo`` and
@@ -145,7 +153,7 @@ class EnvelopeTrajectory:
 
     @cached_property
     def steps(self) -> list[IntervalMatrix]:
-        return [IntervalMatrix(lo, hi) for lo, hi in zip(self.lo, self.hi)]
+        return [_step_box(k, lo, hi) for k, (lo, hi) in enumerate(zip(self.lo, self.hi))]
 
     def lo_array(self) -> np.ndarray:
         return self.lo
@@ -210,7 +218,8 @@ def transition_envelope(sys: FuzzySystem, alpha: float,
     recursion of :func:`envelope_endpoints`.
 
     Applying the k-th envelope to the initial-state endpoints reproduces
-    :func:`envelope_propagate` (same sign preconditions apply).
+    :func:`envelope_propagate` (same sign preconditions apply).  A power
+    that overflowed to NaN raises ValueError naming its step.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -218,9 +227,10 @@ def transition_envelope(sys: FuzzySystem, alpha: float,
     m = level_matrix(sys, alpha)
     lo = hi = np.eye(sys.n)
     powers = [IntervalMatrix(lo, hi)]
-    for _ in range(horizon):
-        lo, hi = m.lo @ lo, m.hi @ hi
-        powers.append(IntervalMatrix(lo, hi))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is an unbounded support
+        for k in range(1, horizon + 1):
+            lo, hi = m.lo @ lo, m.hi @ hi
+            powers.append(_step_box(k, lo, hi))
     return powers
 
 

@@ -16,6 +16,14 @@ from fdikit import (
 )
 
 
+# H entries of 1e200 overflow the envelope to inf by step 2; the zero lower
+# bound of H[0][0] then meets an infinite state (0 * inf = nan).
+OVERFLOWING = {"n": 2,
+               "H": [[{"tfn": [0.0, 1e200, 2e200]}, {"tfn": [1e200, 1e200, 1e200]}],
+                     [{"tfn": [1e200, 1e200, 1e200]}, {"tfn": [0.0, 0.0, 1e200]}]],
+               "x0": [{"tfn": [1e200, 1e200, 1e200]}, {"tfn": [0.0, 1.0, 1e300]}]}
+
+
 def rand_tfn_nonneg(rng: np.random.Generator, center_scale: float = 1.0) -> Tfn:
     """Triangular number with non-negative support."""
     c = rng.uniform(0.0, center_scale)

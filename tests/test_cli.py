@@ -28,6 +28,8 @@ from fdikit.cli import (
 )
 from fdikit.fdi_sim import envelope_endpoints, level_matrix, level_state, mc_trajectories
 
+from conftest import OVERFLOWING
+
 SCALAR_STABLE = {
     "n": 1,
     "H": [[{"tfn": [0.4, 0.5, 0.6]}]],
@@ -613,12 +615,6 @@ def random_nonneg_doc(rng, n: int, levels: int) -> dict:
             "x0": [tfn() for _ in range(n)], "alphas": [0.0] + inner + [1.0]}
 
 
-# H entries of 1e200 overflow the envelope to inf by step 2; the zero lower
-# bound of H[0][0] then meets an infinite state (0 * inf = nan).
-OVERFLOWING = {"n": 2,
-               "H": [[{"tfn": [0.0, 1e200, 2e200]}, {"tfn": [1e200, 1e200, 1e200]}],
-                     [{"tfn": [1e200, 1e200, 1e200]}, {"tfn": [0.0, 0.0, 1e200]}]],
-               "x0": [{"tfn": [1e200, 1e200, 1e200]}, {"tfn": [0.0, 1.0, 1e300]}]}
 # signed zeros and subnormals in H, x0 and the level grid
 TINY = {"n": 2,
         "H": [[{"tfn": [-0.0, 5e-324, 1e-310]}, {"tfn": [0.0, 0.0, 0.0]}],
@@ -627,12 +623,15 @@ TINY = {"n": 2,
         "alphas": [0.0, 5e-324, 1e-310, 0.5, 1.0]}
 
 
-@pytest.mark.parametrize("case", range(12))
+@pytest.mark.parametrize("case", range(16))
 def test_simulate_csv_matches_row_reference(tmp_path, capsys, monkeypatch, case):
-    # chunks of 1 and 7 rows split steps, levels and components anywhere
-    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", (1, 7, cli.CSV_CHUNK_ROWS)[case % 3])
+    # Chunks of 1 and 7 rows split steps, levels and components anywhere.
+    # A step's rows (levels * n, the writer's label block) as one chunk, and
+    # one row more, which starts each chunk one row further into the block.
     rng = np.random.default_rng(100 + case)
     n, levels = int(rng.integers(1, 17)), int(rng.integers(2, 102))
+    chunks = (1, 7, cli.CSV_CHUNK_ROWS) if case < 12 else (levels * n, levels * n + 1)
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunks[case % 3 if case < 12 else case // 2 % 2])
     doc = random_nonneg_doc(rng, n, levels)
     k = int(rng.integers(0, 6))
     argv = ["simulate", write(tmp_path, "s.json", doc), "--k", str(k),

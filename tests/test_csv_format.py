@@ -3,7 +3,8 @@
 Over a million doubles in all: random bit patterns, subnormals, the
 neighbours of every power of ten, exact and near ties of the 12th digit,
 integers near 10^11 and 10^12, values on both sides of the switch between
-fixed and exponent notation, and the special values.
+fixed and exponent notation, digit strings ending in 1 to 11 zeros, and
+the special values.
 """
 
 from fractions import Fraction
@@ -90,6 +91,24 @@ def test_both_sides_of_the_notation_switch():
     values = 10.0 ** rng.uniform(-8.0, 15.0, 200_000)
     values[::3] = np.round(values[::3], 3)  # shorter digit strings
     assert_like_percent(signed(values))
+
+
+def test_trailing_zeros_across_digit_groups():
+    # 12-digit strings that end in 1..11 zeros, in both notations: the
+    # dropped zeros span one, two or three of the formatter's 4-digit
+    # groups.  Random bit patterns almost never end in a 0000 group.
+    rng = np.random.default_rng(8)
+    values, kept = [], []
+    for zeros in range(1, 12):
+        m = rng.integers(10 ** (11 - zeros), 10 ** (12 - zeros), 30)
+        m += m % 10 == 0  # the last kept digit is not a zero
+        for j in range(-20, 5):  # printed exponents -9..15
+            values += [float(f"{k}e{j}") for k in (m * 10 ** zeros).tolist()]
+            kept += [12 - zeros] * m.size
+    for v, count in zip(values, kept):
+        assert len(("%.11e" % v).split("e")[0].replace(".", "").rstrip("0")) == count
+    edges = [1.0, 1.2e5, 1e11, 1.5e11, 100000000001.0, 100010000000.0, 1.00000001, 1e-5, 1e15]
+    assert_like_percent(signed(np.array(values + edges)))
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,

@@ -26,6 +26,7 @@ from fdikit import (
 from fdikit import fdi_sim, interval_linalg
 
 from conftest import (
+    OVERFLOWING,
     make_certified_nonneg_system,
     make_nonneg_system,
     rand_fuzzy_levels,
@@ -339,6 +340,19 @@ def test_transition_monte_carlo_containment():
     for _ in range(1000):
         u3 = np.linalg.matrix_power(interval_linalg.sample_matrix(m, rng), 3)
         assert np.all(u3 >= p.lo - 1e-12) and np.all(u3 <= p.hi + 1e-12)
+
+
+def test_overflowed_envelope_boxes_name_the_step():
+    # The zero lower bound of H[0][0] meets an infinite endpoint: the state's
+    # lower endpoint is NaN at step 2, the lower power's at step 3.  Boxing
+    # either raises, without RuntimeWarnings (errors under pyproject.toml).
+    s = FuzzySystem(h=OVERFLOWING["H"], x0=OVERFLOWING["x0"])
+    with pytest.raises(ValueError, match=r"^step 3: the envelope overflowed"):
+        transition_envelope(s, 0.0, 4)
+    tr = envelope_propagate(s, 0.0, 4)
+    assert np.isnan(tr.lo_array()[2]).any() and not np.isnan(tr.lo_array()[1]).any()
+    with pytest.raises(ValueError, match=r"^step 2: the envelope overflowed"):
+        tr.steps
 
 
 @pytest.mark.parametrize("h, x0, condition", [
