@@ -1,8 +1,10 @@
 """Command-line front end: JSON system files in, verdict JSON and CSV out.
 
 Subcommands: analyze, simulate, oracle, distance.  Exit codes: 0 stable
-verdicts / success, 1 input error (a malformed file or a bad argument),
-2 falsified, 3 inconclusive, 4 sign-precondition violation, 5 I/O failure.
+verdicts / success, 1 input error (a malformed file, a bad argument or an
+array too large to allocate), 2 falsified, 3 inconclusive, 4 sign-precondition
+violation, 5 I/O failure.  Subcommands return 0, 2 or 3; :func:`main` alone
+turns a failure into exit code 1, 4 or 5 and one line on stderr.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -154,11 +155,11 @@ def _ascii_rows(items) -> np.ndarray:
     return text.view(np.uint8).reshape(text.size, -1)
 
 
-def _write_csv(path: str, header: str, labels, keys, columns) -> bool:
+def _write_csv(path: str, header: str, labels, keys, columns) -> None:
     """Write ``header``, then a row ``label,key,i,v...`` per entry of the
     (len(labels), len(keys), n) arrays ``columns`` (labels outer, i = 1..n
     inner, one value of each column as ``%.12g``), CSV_CHUNK_ROWS rows at a
-    time; False on I/O failure.
+    time.  An I/O failure raises OSError("cannot write <path>: <error>").
 
     The ``key,i,`` prefixes of one label's rows, its block, are the same for
     every label: they are built once (repeated to a chunk's length if the
@@ -195,33 +196,20 @@ def _write_csv(path: str, header: str, labels, keys, columns) -> bool:
                 values[:, :, -1] = seps
                 fh.write(chunk.tobytes().translate(None, b"\0"))
     except OSError as exc:
-        print(f"cannot write {path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise OSError(f"cannot write {path}: {exc}") from None
 
 
 def _print_json(obj: dict) -> None:
     """Print obj as strict JSON: a NaN or infinite number prints as null,
     and a last top-level field "non_finite" counts them.  Only an object
-    that fails strict encoding is walked."""
+    that fails strict encoding is encoded with NaN allowed and decoded again,
+    each NaN or Infinity constant read as None."""
     try:
         text = json.dumps(obj, allow_nan=False)
     except ValueError:
-        count = 0
-
-        def strict(v):
-            nonlocal count
-            if isinstance(v, dict):
-                return {k: strict(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [strict(x) for x in v]
-            if isinstance(v, float) and not math.isfinite(v):
-                count += 1
-                return None
-            return v
-
-        obj = strict(obj)
-        obj["non_finite"] = count
+        nulls = []
+        obj = json.loads(json.dumps(obj), parse_constant=nulls.append)
+        obj["non_finite"] = len(nulls)
         text = json.dumps(obj, allow_nan=False)
     print(text)
 
@@ -312,9 +300,8 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     system, _ = load_system(args.file, args.alphas)
     lo, hi = envelope_endpoints(system, system.alphas, args.k)
-    if not _write_csv(args.out, "k,alpha,i,lo,hi\n", range(args.k + 1),
-                      [_fmt(a) for a in system.alphas], (lo, hi)):
-        return EXIT_IO
+    _write_csv(args.out, "k,alpha,i,lo,hi\n", range(args.k + 1),
+               [_fmt(a) for a in system.alphas], (lo, hi))
     with np.errstate(invalid="ignore"):  # inf - inf prints as null
         widths = hi[-1] - lo[-1]
     summary = {
@@ -331,9 +318,8 @@ def cmd_oracle(args) -> int:
     system, _ = load_system(args.file)
     runs = mc_trajectories(system, alpha=0.0, horizon=args.k, n=args.n,
                            seed=args.seed, mode=args.mode)
-    if not _write_csv(args.out, "run,k,i,value\n", range(1, args.n + 1),
-                      range(args.k + 1), (runs,)):
-        return EXIT_IO
+    _write_csv(args.out, "run,k,i,value\n", range(1, args.n + 1),
+               range(args.k + 1), (runs,))
 
     report = {"n_trajectories": args.n, "k": args.k, "mode": args.mode,
               "out": args.out}
@@ -378,9 +364,6 @@ def _load_fuzzy_vector(path: str) -> FuzzyVector:
 def cmd_distance(args) -> int:
     x = _load_fuzzy_vector(args.file_a)
     y = _load_fuzzy_vector(args.file_b)
-    if x.n != y.n:
-        print(f"dimension mismatch: {x.n} vs {y.n}", file=sys.stderr)
-        return EXIT_INPUT
     print(_fmt(d_fuzzy_vec(x, y, which=args.metric)))
     return EXIT_OK
 
@@ -433,11 +416,15 @@ def main(argv=None) -> int:
     except SignPreconditionError as exc:
         print(f"precondition violated ({exc.condition}): {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         # fdikit raises ValueError for every malformed input and bad argument
-        # value, such as --k -1 or --n 0 with no member left to check.
+        # value, such as --k -1 or --n 0 with no member left to check; numpy
+        # raises MemoryError for an array too large to allocate.
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:  # _write_csv names the path of a failed write
+        print(exc, file=sys.stderr)
+        return EXIT_IO
 
 
 def entry() -> None:

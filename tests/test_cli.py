@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -394,9 +395,30 @@ def test_sign_indefinite_system_is_pointed_to_monte_carlo(tmp_path, capsys):
 
 
 def test_simulate_io_failure_exit5(tmp_path, capsys):
+    out = tmp_path / "missing" / "env.csv"
     rc = main(["simulate", write(tmp_path, "s.json", SCALAR_STABLE),
-               "--k", "1", "--out", str(tmp_path / "missing" / "env.csv")])
+               "--k", "1", "--out", str(out)])
+    captured = capsys.readouterr()
     assert rc == EXIT_IO
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_allocation_failure_is_one_input_error_line(tmp_path, capsys, monkeypatch):
+    message = ("Unable to allocate 16.4 GiB for an array with shape "
+               "(100000001, 11, 2) and data type float64")
+
+    def too_large(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "envelope_endpoints", too_large)
+    rc = main(["simulate", write(tmp_path, "s.json", SCALAR_STABLE),
+               "--k", "100000000", "--out", str(tmp_path / "env.csv")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
 
 
 def test_simulate_writer_streams(tmp_path, capsys, monkeypatch):
@@ -509,12 +531,15 @@ def test_oracle_deterministic_bytes(tmp_path, capsys):
 
 
 def test_oracle_io_failure_exit5(tmp_path, capsys):
+    out = tmp_path / "missing" / "runs.csv"
     rc = main(["oracle", write(tmp_path, "s.json", SCALAR_STABLE), "--k", "2",
-               "--n", "5", "--out", str(tmp_path / "missing" / "runs.csv")])
+               "--n", "5", "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == EXIT_IO
     assert captured.out == ""
     assert captured.err.startswith("cannot write ")
+    assert captured.err.startswith(f"cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_oracle_skips_containment_when_sign_indefinite(tmp_path, capsys):
@@ -797,6 +822,11 @@ def test_distance_dimension_mismatch_exit1(tmp_path, capsys):
     b = write(tmp_path, "b.json", [{"tfn": [2, 3, 4]}, {"tfn": [2, 3, 4]}])
     rc = main(["distance", a, b])
     assert rc == EXIT_INPUT
+    rc = main(["distance", b, a])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: dimension mismatch: 1 vs 2\n"
+        "input error: dimension mismatch: 2 vs 1\n")
 
 
 # -- file format ---------------------------------------------------------------------
@@ -852,6 +882,51 @@ def test_non_finite_values_print_as_null_and_are_counted(tmp_path, capsys, argv,
             value = value[key]
         assert value is None
     assert nulled(report)[1] == 0
+
+
+def print_json_ref(obj: dict) -> None:
+    """The recursive walker that _print_json replaced: the reference bytes."""
+    try:
+        text = json.dumps(obj, allow_nan=False)
+    except ValueError:
+        count = 0
+
+        def strict(v):
+            nonlocal count
+            if isinstance(v, dict):
+                return {k: strict(x) for k, x in v.items()}
+            if isinstance(v, (list, tuple)):
+                return [strict(x) for x in v]
+            if isinstance(v, float) and not math.isfinite(v):
+                count += 1
+                return None
+            return v
+
+        obj = strict(obj)
+        obj["non_finite"] = count
+        text = json.dumps(obj, allow_nan=False)
+    print(text)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("obj, nulls", [
+    ({"a": NAN, "b": INF, "c": -INF}, 3),
+    ({"rows": [[1.0, NAN], [-INF, [INF, 2]]], "d": {"e": {"f": NAN}, "g": [{"h": -INF}]}}, 5),
+    ({"t": (1.0, (NAN, -0.0)), "z": -0.0, "big": 1e16, "i": 2 ** 53 + 1, "j": -(2 ** 64) - 3,
+      "x": INF, "s": "NaN", "b": True, "n": None}, 2),
+    ({"t": (1.0, (2.5, -0.0)), "z": -0.0, "big": 1e16, "i": 2 ** 53 + 1, "j": -(2 ** 64) - 3,
+      "s": "Infinity", "nested": [{"k": [0.1, 1e-300]}], "b": False, "n": None}, None),
+], ids=["top-level", "nested", "mixed", "all-finite"])
+def test_print_json_matches_the_recursive_walker(capsys, monkeypatch, obj, nulls):
+    print_json_ref(obj)
+    expected = capsys.readouterr().out
+    assert strict_loads(expected).get("non_finite") == nulls
+    if nulls is None:  # an all-finite object is encoded once and never decoded
+        monkeypatch.setattr(cli.json, "loads", None)
+    cli._print_json(obj)
+    assert capsys.readouterr().out == expected
 
 
 # -- "tfn" cells: the flat conversion against the per-cell path -------------------------------
