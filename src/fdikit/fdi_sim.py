@@ -97,19 +97,11 @@ def level_state(sys: FuzzySystem, alpha: float) -> IntervalMatrix:
     return IntervalMatrix(x0_lo, x0_hi)
 
 
-def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
-    """Exact envelope endpoints (lo, hi) at each level of ``alphas``.
-
-    ``alphas`` is one level or an array of levels; lo and hi have shape
-    (horizon + 1, *np.shape(alphas), n).  The endpoint systems
-    lo' = M_lo lo and hi' = M_hi hi bound the solution set exactly when
-    the lower matrix and the lower state are non-negative; at the first
-    level where either is not, SignPreconditionError is raised.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
+def _nonneg_cuts(sys: FuzzySystem, alphas):
+    """:func:`_cuts` at ``alphas``, once the sign preconditions of
+    :func:`envelope_endpoints` hold at every level."""
     levels = np.asarray(alphas, dtype=float)
-    m_lo, m_hi, x_lo, x_hi = _cuts(sys, levels)
+    m_lo, m_hi, x_lo, x_hi = cuts = _cuts(sys, levels)
     bad_m = np.any(m_lo < 0, axis=(-2, -1)).ravel()
     bad = bad_m | np.any(x_lo < 0, axis=-1).ravel()
     if np.any(bad):
@@ -119,14 +111,30 @@ def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
         raise SignPreconditionError(
             condition, f"{what} lower bound has a negative entry at alpha="
             f"{levels.ravel()[i]:g}; use mc_trajectories")
+    return cuts
+
+
+def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
+    """Exact envelope endpoints (lo, hi) at each level of ``alphas``.
+
+    ``alphas`` is one level or an array of levels; lo and hi have shape
+    (horizon + 1, *np.shape(alphas), n).  The endpoint systems
+    lo' = M_lo lo and hi' = M_hi hi bound the solution set exactly when
+    the lower matrix and the lower state are non-negative; at the first
+    level where either is not, SignPreconditionError is raised.  Steps are
+    written in place, all lower ones first: one matrix stack at a time.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    m_lo, m_hi, x_lo, x_hi = _nonneg_cuts(sys, alphas)
     lo = np.empty((horizon + 1, *x_lo.shape))
     hi = np.empty_like(lo)
     lo[0] = x_lo
     hi[0] = x_hi
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is an unbounded support
-        for k in range(horizon):
-            lo[k + 1] = (m_lo @ lo[k][..., None])[..., 0]
-            hi[k + 1] = (m_hi @ hi[k][..., None])[..., 0]
+        for m, x in ((m_lo, lo), (m_hi, hi)):
+            for k in range(horizon):
+                np.matmul(m, x[k][..., None], out=x[k + 1][..., None])
     return lo, hi
 
 
@@ -223,13 +231,12 @@ def transition_envelope(sys: FuzzySystem, alpha: float,
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    envelope_endpoints(sys, alpha, 0)  # the sign checks of envelope_propagate
-    m = level_matrix(sys, alpha)
+    m_lo, m_hi, _, _ = _nonneg_cuts(sys, alpha)
     lo = hi = np.eye(sys.n)
     powers = [IntervalMatrix(lo, hi)]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is an unbounded support
         for k in range(1, horizon + 1):
-            lo, hi = m.lo @ lo, m.hi @ hi
+            lo, hi = m_lo @ lo, m_hi @ hi
             powers.append(_step_box(k, lo, hi))
     return powers
 

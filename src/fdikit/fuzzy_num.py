@@ -103,20 +103,20 @@ def stack_fault(alphas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         return 0, ValueError("alpha grid must run from 0 to 1")
     if not np.all(np.diff(alphas) > 0):
         return 0, ValueError("alpha grid must be strictly increasing")
-    # Non-finite or huge endpoints make these differences inf or NaN; the
-    # checks below name that case, so numpy need not warn about it.
+    # Non-finite or huge endpoints make these differences inf or NaN, which
+    # the checks name, so numpy need not warn.  A check failing anywhere names
+    # the row of its first bad element; finite widths mean finite endpoints.
     with np.errstate(over="ignore", invalid="ignore"):
         width = hi - lo
-        wider = (np.diff(lo) < -ORDER_TOL) | (np.diff(hi) > ORDER_TOL)
-    checks = (
-        (~(np.isfinite(lo) & np.isfinite(hi)).all(axis=-1), ValueError,
-         "support must be bounded (finite endpoints)"),
-        (~np.isfinite(width).all(axis=-1), ValueError, "cut width hi - lo overflows"),
-        ((width < 0).any(axis=-1), ValueError, "every level must satisfy lo <= hi"),
-        (wider.any(axis=-1), StackingViolation,
-         "alpha-cuts must be nested (nonincreasing in alpha)"),
-    )
-    faults = [(int(np.argmax(bad)), kind(message)) for bad, kind, message in checks if bad.any()]
+        checks = [(width < 0, ValueError, "every level must satisfy lo <= hi"),
+                  ((np.diff(lo) < -ORDER_TOL) | (np.diff(hi) > ORDER_TOL), StackingViolation,
+                   "alpha-cuts must be nested (nonincreasing in alpha)")]
+    if not np.isfinite(width).all():
+        checks[:0] = [(~(np.isfinite(lo) & np.isfinite(hi)), ValueError,
+                       "support must be bounded (finite endpoints)"),
+                      (~np.isfinite(width), ValueError, "cut width hi - lo overflows")]
+    faults = [(int(np.argmax(bad)) // bad.shape[-1], kind(message))
+              for bad, kind, message in checks if bad.any()]
     return min(faults, key=lambda fault: fault[0], default=None)
 
 
@@ -335,9 +335,9 @@ def level_groups(cells, label) -> list[tuple[np.ndarray, np.ndarray, np.ndarray,
 
     The checks of :class:`FuzzyNumber` run once per group.  The first
     malformed cell raises ValueError (StackingViolation for cuts that are
-    not nested) prefixed with ``label(index)``.  Cells that are all
-    ``{"tfn": [l, c, r]}`` objects passing those checks are read from one
-    array (:func:`_tfn_columns`) into the one group on the grid [0, 1].
+    not nested) prefixed with ``label(index)``.  All ``{"tfn"}`` dicts, or
+    Tfns, floats and FuzzyNumbers on the grid [0, 1], passing those checks
+    are read in one flat pass (:func:`_tfn_columns`).
     """
     columns = _tfn_columns(cells)
     if columns is not None:
@@ -386,14 +386,27 @@ def level_cuts(groups, size: int, levels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tfn_columns(cells) -> tuple[np.ndarray, np.ndarray] | None:
-    """Endpoint rows [l; c] and [r; c], each (2, len(cells)), at the levels
-    0 and 1 when every cell is a ``{"tfn": [l, c, r]}`` dict whose triple
-    converts to floats as ``float`` does and is ordered with a finite width,
-    so that the per-cell path of :func:`level_groups` accepts the same
-    values; otherwise None.  The triples convert in one flat pass.
+    """Endpoint rows lo and hi, each (2, len(cells)), at the levels 0 and 1
+    when the per-cell path of :func:`level_groups` would accept the cells
+    into one group on that grid with the same values; otherwise None.  The
+    cells are all ``{"tfn": [l, c, r]}`` dicts whose triples convert as
+    ``float`` does and are ordered with a finite width (rows [l; c] and
+    [r; c]), or each a Tfn with float fields, a float or a FuzzyNumber on
+    exactly [0, 1] (its own rows), passing :func:`stack_fault`.
     """
-    if set(map(type, cells)) != {dict}:
-        return None
+    types = set(map(type, cells))
+    if types != {dict}:
+        rows = {Tfn: operator.attrgetter("l", "c", "r", "c"), float: lambda x: (x,) * 4,
+                FuzzyNumber: lambda x: (*x.lo.tolist(), *x.hi.tolist())
+                if x.alphas.tobytes() == _TFN_LEVELS.tobytes() else ()}
+        if not types <= rows.keys():
+            return None
+        v = list(itertools.chain.from_iterable(itertools.chain.from_iterable(
+            map(rows[kind], run) for kind, run in itertools.groupby(cells, type))))
+        if len(v) != 4 * len(cells) or set(map(type, v)) != {float}:  # () for other grids
+            return None
+        lo, hi = np.fromiter(v, float, len(v)).reshape(-1, 2, 2).transpose(1, 2, 0)
+        return None if stack_fault(_TFN_LEVELS, lo.T, hi.T) else (lo, hi)
     try:
         triples = list(map(operator.itemgetter("tfn"), cells))
     except KeyError:

@@ -236,6 +236,66 @@ def test_envelope_precondition_checked_per_level():
     assert np.array_equal(tr.hi_array(), tr.lo_array())
 
 
+def envelope_endpoints_ref(sys, alphas, horizon):
+    """envelope_endpoints as it was before it stepped in place: lower and
+    upper steps interleaved, each a new array copied into the stack."""
+    m_lo, m_hi, x_lo, x_hi = fdi_sim._cuts(sys, np.asarray(alphas, dtype=float))
+    lo = np.empty((horizon + 1, *x_lo.shape))
+    hi = np.empty_like(lo)
+    lo[0] = x_lo
+    hi[0] = x_hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(horizon):
+            lo[k + 1] = (m_lo @ lo[k][..., None])[..., 0]
+            hi[k + 1] = (m_hi @ hi[k][..., None])[..., 0]
+    return lo, hi
+
+
+def recursion_system(n, seed):
+    # non-negative rows summing to 0.5-1.1 at the support; one entry and one
+    # state component on a grid of their own
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 1.0, (n, n))
+    lo *= rng.uniform(0.5, 1.0) / lo.sum(axis=1, keepdims=True)
+    c = lo * rng.uniform(1.0, 1.05, (n, n))
+    hi = c * rng.uniform(1.0, 1.05, (n, n))
+    h = [[Tfn(*t) for t in zip(*rows)] for rows in zip(lo.tolist(), c.tolist(), hi.tolist())]
+    h[n - 1][0] = {"levels": [[0.0, lo[n - 1, 0], hi[n - 1, 0]], [0.3, c[n - 1, 0], hi[n - 1, 0]],
+                              [1.0, c[n - 1, 0], c[n - 1, 0]]]}
+    x0 = [Tfn(*t) for t in np.sort(rng.uniform(0.0, 2.0, (n, 3)), axis=1).tolist()]
+    x0[0] = {"levels": [[0.0, 0.5, 2.0], [0.6, 1.0, 1.5], [1.0, 1.0, 1.0]]}
+    return FuzzySystem(h, x0)
+
+
+RECURSION_LEVELS = {
+    "scalar": 0.3, "2": [0.0, 1.0], "11": fdi_sim.DEFAULT_ALPHAS,
+    "51": np.linspace(0.0, 1.0, 51), "off-grid": [0.05, 0.3, 0.45, 0.6, 0.99],
+}
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 40])
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+def test_envelope_endpoints_match_the_interleaved_loop(n, horizon):
+    s = recursion_system(n, seed=n)
+    for levels in RECURSION_LEVELS.values():
+        got = fdi_sim.envelope_endpoints(s, levels, horizon)
+        want = envelope_endpoints_ref(s, levels, horizon)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == (horizon + 1, *np.shape(levels), n)
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("levels", ["scalar", "2", "11", "51"])
+def test_overflowing_endpoints_match_the_interleaved_loop(levels):
+    s = FuzzySystem(h=OVERFLOWING["H"], x0=OVERFLOWING["x0"])
+    levels = RECURSION_LEVELS[levels]
+    for horizon in (0, 1, 40):
+        got = fdi_sim.envelope_endpoints(s, levels, horizon)
+        for a, b in zip(got, envelope_endpoints_ref(s, levels, horizon)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.isinf(got[1]).any() and np.isnan(got[0]).any()
+
+
 # -- stacked fuzzy attainable sets ------------------------------------------------------------
 
 def test_assemble_step_zero_equals_initial_state():
@@ -353,6 +413,19 @@ def test_overflowed_envelope_boxes_name_the_step():
     assert np.isnan(tr.lo_array()[2]).any() and not np.isnan(tr.lo_array()[1]).any()
     with pytest.raises(ValueError, match=r"^step 2: the envelope overflowed"):
         tr.steps
+
+
+def test_transition_powers_step_the_level_matrix_from_one_cut(monkeypatch):
+    s = recursion_system(4, seed=1)
+    m = level_matrix(s, 0.3)
+    cut, cuts = fdi_sim._cuts, []
+    monkeypatch.setattr(fdi_sim, "_cuts", lambda *args: cuts.append(args) or cut(*args))
+    powers = transition_envelope(s, 0.3, 12)
+    assert len(cuts) == 1
+    lo = hi = np.eye(4)
+    for p in powers:  # bit for bit the powers of the level matrix
+        assert p.lo.tobytes() == lo.tobytes() and p.hi.tobytes() == hi.tobytes()
+        lo, hi = m.lo @ lo, m.hi @ hi
 
 
 @pytest.mark.parametrize("h, x0, condition", [

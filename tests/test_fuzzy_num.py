@@ -19,7 +19,8 @@ from fdikit import (
     validate_nested,
 )
 
-from fdikit.fuzzy_num import interp_levels, level_cuts, level_groups
+from fdikit import fuzzy_num
+from fdikit.fuzzy_num import ORDER_TOL, interp_levels, level_cuts, level_groups, stack_fault
 
 from conftest import rand_fuzzy_levels
 
@@ -293,10 +294,18 @@ def test_json_rejects_malformed():
         as_fuzzy([0, 1, 2])
 
 
-# -- level groups of "tfn" cells -------------------------------------------------------
+# -- level groups of cells on the grid [0, 1] -------------------------------------------
 #
-# A list of {"tfn": [l, c, r]} cells is read from one array; Tfn objects always
-# take the per-cell path, so they are the reference.
+# A list of {"tfn": [l, c, r]} cells, or of Tfn objects with float fields,
+# floats and FuzzyNumbers on [0, 1], is read from one array; the per-cell path
+# (the flat read switched off) is the reference.
+
+
+def per_cell_groups(cells, label=str):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fuzzy_num, "_tfn_columns", lambda cells: None)
+        return level_groups(cells, label)
+
 
 SPECIAL_TRIPLES = [
     [-0.0, 0.0, 0.0], (-0.0, -0.0, -0.0), [5e-324, 1e-310, 2.2250738585072014e-308],
@@ -309,17 +318,19 @@ BASE_GRIDS = [(), np.round(np.linspace(0.0, 1.0, 11), 12), [0.0, 1.0], [0.0, 0.3
 
 
 def assert_same_stack(cells, triples, base):
-    # the one group and its cuts at base, the breakpoints and their midpoints
-    got = level_groups(cells, str)
-    ref = level_groups([Tfn(*map(float, t)) for t in triples], str)
-    assert len(got) == len(ref) == 1
-    for a, b in zip(got[0], ref[0]):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # the one group and its cuts at base, the breakpoints and their midpoints,
+    # read flat from the cells and from Tfn objects, and per cell
+    objects = [Tfn(*map(float, t)) for t in triples]
+    ref = per_cell_groups(objects)
     grid = np.union1d(base, [0.0, 1.0])
     levels = np.concatenate([grid, (grid[1:] + grid[:-1]) / 2.0])
-    for a, b in zip(level_cuts(got, len(cells), levels), level_cuts(ref, len(cells), levels)):
-        assert a.shape == b.shape and a.strides == b.strides
-        assert a.tobytes() == b.tobytes()
+    for got in (level_groups(cells, str), level_groups(objects, str)):
+        assert len(got) == len(ref) == 1
+        for a, b in zip(got[0], ref[0]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(level_cuts(got, len(cells), levels), level_cuts(ref, len(cells), levels)):
+            assert a.shape == b.shape and a.strides == b.strides
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("base", BASE_GRIDS, ids=["none", "11", "01", "extra"])
@@ -346,6 +357,146 @@ def test_string_tfn_cells_stack_like_tfn_objects():
     # float("0.1") is what the per-cell path reads from a string
     triples = [["0.1", "0.2", "0.3"], [0.5, 1.0, 1.5]]
     assert_same_stack([{"tfn": t} for t in triples], triples, ())
+
+
+def stack_outcome(read, cells):
+    """The groups ``read`` makes of ``cells`` and their cuts at some levels,
+    as shapes, dtypes and bytes, or the error raised.  Per cell, integer
+    fields beyond int64 make object arrays that numpy cannot check, and
+    boolean rows make boolean arrays that it cannot cut: TypeError."""
+    try:
+        groups = read(cells)
+        cuts = level_cuts(groups, len(cells), [0.0, 0.25, 0.5, 0.7, 1.0])
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(a.shape, a.dtype, a.tobytes()) for g in [*groups, cuts] for a in g]
+
+
+def assert_same_as_per_cell(cells):
+    assert stack_outcome(lambda c: level_groups(c, str), cells) == stack_outcome(
+        per_cell_groups, cells)
+
+
+def unit_fuzzy(a, b, c, d):
+    # a <= b <= c <= d: support [a, d], core [b, c]
+    return FuzzyNumber([0.0, 1.0], [a, b], [d, c])
+
+
+wide = st.floats(min_value=-1e300, max_value=1e300)
+cell_kinds = {
+    "tfn": st.lists(st.floats(allow_nan=False), min_size=3, max_size=3).map(
+        lambda t: Tfn(*sorted(t))),
+    "float": st.floats(),
+    "fuzzy": st.lists(wide, min_size=4, max_size=4).map(lambda t: unit_fuzzy(*sorted(t))),
+    "fuzzy-3-levels": st.lists(wide, min_size=3, max_size=3).map(
+        lambda t: FuzzyNumber([0.0, 0.5, 1.0], sorted(t), [max(t)] * 3)),
+    "dict": st.lists(st.floats(allow_nan=False), min_size=3, max_size=3).map(
+        lambda t: {"tfn": sorted(t)}),
+    "int-fields": st.lists(st.integers(-2 ** 64, 2 ** 64), min_size=3, max_size=3).map(
+        lambda t: Tfn(*sorted(t))),
+    "special": st.sampled_from(SPECIAL_TRIPLES).map(lambda t: Tfn(*t)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(sorted(cell_kinds)), min_size=1, max_size=10).flatmap(
+    lambda kinds: st.tuples(*(cell_kinds[k] for k in kinds))))
+def test_cells_in_any_mix_stack_like_the_per_cell_path(cells):
+    assert_same_as_per_cell(list(cells))
+
+
+def test_objects_on_the_unit_grid_are_read_flat():
+    # an interval core, -0.0 and subnormal endpoints keep their bits
+    cells = [Tfn(0.5, 1.0, 2.0), 0.25, unit_fuzzy(-0.0, 0.5, 0.75, 1.0), -0.0,
+             unit_fuzzy(5e-324, 1e-310, 1e-310, 2.0), Tfn(-0.0, -0.0, 0.0),
+             unit_fuzzy(1.0, 1.0, 1.0, 1.0)]
+    got = fuzzy_num._tfn_columns(cells)
+    assert got is not None
+    assert_same_as_per_cell(cells)
+    lo, hi = got
+    assert np.signbit(lo[:, 2]).tolist() == [True, False]
+    assert lo[:, 2].tolist() == [0.0, 0.5] and hi[:, 2].tolist() == [1.0, 0.75]
+
+
+@pytest.mark.parametrize("cells", [
+    [Tfn(0, 1, 2)], [Tfn(0.0, 1.0, 2.0), Tfn(False, 0.5, True)], [1], [True], [float("nan")],
+    [float("inf"), 0.5], [Tfn(-1.7e308, 0.0, 1.7e308)], [np.float64(0.5)],
+    [FuzzyNumber([0.0, 0.5, 1.0], [0, 1, 2], [4, 3, 2])],
+    [FuzzyNumber([-0.0, 1.0], [0.0, 1.0], [2.0, 1.0]), Tfn(0.0, 0.5, 1.0)],
+    [Tfn(0.0, 0.5, 1.0), {"tfn": [0, 1, 2]}],
+], ids=["int-fields", "bool-field", "int", "bool", "nan", "inf", "width-overflow",
+        "numpy-float", "three-levels", "minus-zero-grid", "with-a-dict"])
+def test_doubtful_cells_go_per_cell(cells):
+    # the per-cell path decides: the same groups, or the same error
+    assert fuzzy_num._tfn_columns(cells) is None
+    assert_same_as_per_cell(cells)
+
+
+# -- stack_fault --------------------------------------------------------------------------
+
+def stack_fault_ref(alphas, lo, hi):
+    """stack_fault as it was first written: every check reduced row by row
+    along the level axis, then the first bad row of each."""
+    if alphas.size < 2 or alphas[0] != 0.0 or alphas[-1] != 1.0:
+        return 0, ValueError("alpha grid must run from 0 to 1")
+    if not np.all(np.diff(alphas) > 0):
+        return 0, ValueError("alpha grid must be strictly increasing")
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo
+        wider = (np.diff(lo) < -ORDER_TOL) | (np.diff(hi) > ORDER_TOL)
+    checks = (
+        (~(np.isfinite(lo) & np.isfinite(hi)).all(axis=-1), ValueError,
+         "support must be bounded (finite endpoints)"),
+        (~np.isfinite(width).all(axis=-1), ValueError, "cut width hi - lo overflows"),
+        ((width < 0).any(axis=-1), ValueError, "every level must satisfy lo <= hi"),
+        (wider.any(axis=-1), StackingViolation,
+         "alpha-cuts must be nested (nonincreasing in alpha)"),
+    )
+    faults = [(int(np.argmax(bad)), kind(message)) for bad, kind, message in checks if bad.any()]
+    return min(faults, key=lambda fault: fault[0], default=None)
+
+
+def inject(rng, lo, hi, row, kind):
+    # one fault of ``kind`` at a random level of ``row`` (an index of lo[..., 0])
+    size = lo.shape[-1]
+    j = int(rng.integers(size))
+    if kind == "non-finite":
+        (lo if rng.random() < 0.5 else hi)[row + (j,)] = rng.choice([np.inf, -np.inf, np.nan])
+    elif kind == "width-overflow":
+        lo[row + (j,)], hi[row + (j,)] = -1.7e308, 1.7e308
+    elif kind == "unordered":
+        lo[row + (j,)], hi[row + (j,)] = hi[row + (j,)] + 1.0, lo[row + (j,)]
+    else:  # a level wider than the one below it, by more (or less) than ORDER_TOL
+        j = max(j, 1)
+        step = rng.choice([2.0, 1.0, 0.5]) * ORDER_TOL
+        if rng.random() < 0.5:
+            lo[row + (j,)] = lo[row + (j - 1,)] - step
+        else:
+            hi[row + (j,)] = hi[row + (j - 1,)] + step
+
+
+FAULT_KINDS = ["non-finite", "width-overflow", "unordered", "wider"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(2, 6), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from(FAULT_KINDS), min_size=0, max_size=2), st.booleans())
+def test_stack_fault_matches_the_row_by_row_reference(k, n, size, seed, faults, strided):
+    rng = np.random.default_rng(seed)
+    alphas = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, size - 2)), [1.0]])
+    # nested cuts: lo rises and hi falls with alpha
+    lo = np.cumsum(rng.uniform(0.0, 1.0, (k, n, size)), axis=-1)
+    hi = lo[..., -1:] + np.cumsum(rng.uniform(0.0, 1.0, (k, n, size)), axis=-1)[..., ::-1]
+    rows = rng.choice(k * n, size=min(len(faults), k * n), replace=False)
+    for row, kind in zip(rows, faults):
+        inject(rng, lo, hi, tuple(int(i) for i in np.unravel_index(row, (k, n))), kind)
+    if strided:  # the level axis strided, as assemble_fuzzy_attainable passes it
+        lo, hi = (np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1) for a in (lo, hi))
+    got, want = stack_fault(alphas, lo, hi), stack_fault_ref(alphas, lo, hi)
+    if want is None:
+        assert got is None
+    else:
+        assert (got[0], type(got[1]), str(got[1])) == (want[0], type(want[1]), str(want[1]))
 
 
 # -- interpolation onto a level grid -------------------------------------------------
