@@ -51,7 +51,7 @@ print("=" * 70)
 
 runs = mc_trajectories(system, alpha=0.0, horizon=K, n=5000, seed=7,
                        mode="timevarying")
-lo, hi = tr.lo_array(), tr.hi_array()
+lo, hi = tr.lo, tr.hi
 violation = max(float(np.max(lo[np.newaxis] - runs)),
                 float(np.max(runs - hi[np.newaxis])))
 print(f"\n5000 time-varying member trajectories: worst excursion "

@@ -163,12 +163,6 @@ class EnvelopeTrajectory:
     def steps(self) -> list[IntervalMatrix]:
         return [_step_box(k, lo, hi) for k, (lo, hi) in enumerate(zip(self.lo, self.hi))]
 
-    def lo_array(self) -> np.ndarray:
-        return self.lo
-
-    def hi_array(self) -> np.ndarray:
-        return self.hi
-
 
 def envelope_propagate(sys: FuzzySystem, alpha: float, horizon: int) -> EnvelopeTrajectory:
     """Attainable-set boxes for steps 0..horizon at one alpha level: the

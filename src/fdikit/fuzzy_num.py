@@ -101,15 +101,17 @@ def stack_fault(alphas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """
     if alphas.size < 2 or alphas[0] != 0.0 or alphas[-1] != 1.0:
         return 0, ValueError("alpha grid must run from 0 to 1")
-    if not np.all(np.diff(alphas) > 0):
+    if not (alphas[1:] > alphas[:-1]).all():
         return 0, ValueError("alpha grid must be strictly increasing")
     # Non-finite or huge endpoints make these differences inf or NaN, which
     # the checks name, so numpy need not warn.  A check failing anywhere names
     # the row of its first bad element; finite widths mean finite endpoints.
+    # The level steps are np.diff's, without its per-call overhead.
     with np.errstate(over="ignore", invalid="ignore"):
         width = hi - lo
         checks = [(width < 0, ValueError, "every level must satisfy lo <= hi"),
-                  ((np.diff(lo) < -ORDER_TOL) | (np.diff(hi) > ORDER_TOL), StackingViolation,
+                  ((lo[..., 1:] - lo[..., :-1] < -ORDER_TOL)
+                   | (hi[..., 1:] - hi[..., :-1] > ORDER_TOL), StackingViolation,
                    "alpha-cuts must be nested (nonincreasing in alpha)")]
     if not np.isfinite(width).all():
         checks[:0] = [(~(np.isfinite(lo) & np.isfinite(hi)), ValueError,
@@ -331,27 +333,28 @@ def level_groups(cells, label) -> list[tuple[np.ndarray, np.ndarray, np.ndarray,
     breakpoint grid: one read-only (grid, index, lo, hi) per distinct grid,
     in order of first appearance, where ``index`` lists the positions of
     the group's cells and column j of lo and hi (len(grid), len(index)) holds
-    the cut endpoints of cell index[j] at the levels of ``grid``.
+    the cut endpoints of cell index[j] at the levels of ``grid``.  Every
+    value is read as ``float``.
 
-    The checks of :class:`FuzzyNumber` run once per group.  The first
-    malformed cell raises ValueError (StackingViolation for cuts that are
-    not nested) prefixed with ``label(index)``.  All ``{"tfn"}`` dicts, or
-    Tfns, floats and FuzzyNumbers on the grid [0, 1], passing those checks
-    are read in one flat pass (:func:`_tfn_columns`).
+    The cells are gathered into one stack per grid: in one flat pass
+    (:func:`_unit_stack`) when they plainly all lie on [0, 1], otherwise
+    cell by cell through :func:`breakpoints`.  The checks of
+    :class:`FuzzyNumber` then run once per stack, and the first malformed
+    cell raises ValueError (StackingViolation for cuts that are not nested)
+    prefixed with ``label(index)``.
     """
-    columns = _tfn_columns(cells)
-    if columns is not None:
-        return _read_only([(_TFN_LEVELS, np.arange(len(cells)), *columns)])
-    groups, faults = {}, []
-    for p, cell in enumerate(cells):
-        try:
-            alphas, lo, hi = breakpoints(cell)
-        except (TypeError, ValueError, OverflowError) as exc:
-            faults.append((p, ValueError(exc)))
-            break
-        groups.setdefault(alphas, []).append((p, lo, hi))
-    stacks = [tuple(np.array(v) for v in (alphas, *zip(*members)))
-              for alphas, members in groups.items()]
+    stacks, faults = _unit_stack(cells), []
+    if stacks is None:
+        grids = {}
+        for p, cell in enumerate(cells):
+            try:
+                alphas, lo, hi = breakpoints(cell)
+            except (TypeError, ValueError, OverflowError) as exc:
+                faults.append((p, ValueError(exc)))
+                break
+            grids.setdefault(alphas, []).append((p, lo, hi))
+        stacks = [tuple(np.array(v) for v in (alphas, *zip(*members)))
+                  for alphas, members in grids.items()]
     for a, index, lo, hi in stacks:
         fault = stack_fault(a, lo, hi)
         if fault is not None:
@@ -359,14 +362,50 @@ def level_groups(cells, label) -> list[tuple[np.ndarray, np.ndarray, np.ndarray,
     if faults:
         p, exc = min(faults, key=lambda fault: fault[0])
         raise type(exc)(f"{label(p)}: {exc}")
-    return _read_only([(a, index, lo.T, hi.T) for a, index, lo, hi in stacks])
-
-
-def _read_only(groups):
-    for group in groups:
-        for a in group:
-            a.setflags(write=False)
+    groups = [(a, index, lo.T, hi.T) for a, index, lo, hi in stacks]
+    for a in itertools.chain.from_iterable(groups):
+        a.setflags(write=False)
     return groups
+
+
+def _unit_stack(cells) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] | None:
+    """The one stack (grid, index, lo, hi) on the grid [0, 1] that
+    :func:`level_groups` would gather cell by cell, with lo and hi of shape
+    (len(cells), 2), or None when in doubt.  The cells are all
+    ``{"tfn": [l, c, r]}`` dicts, whose values convert as ``float`` does, or
+    each a Tfn with float fields, a float or a FuzzyNumber on exactly [0, 1];
+    and every cell reads lo(0) <= lo(1) <= hi(1) <= hi(0), so that NaN and
+    unordered triples are left to :class:`Tfn`.
+    """
+    types = set(map(type, cells))
+    if types == {dict}:
+        try:
+            triples = list(map(operator.itemgetter("tfn"), cells))
+        except KeyError:
+            return None
+        if not set(map(type, triples)) <= {list, tuple} or set(map(len, triples)) != {3}:
+            return None
+        v, width = itertools.chain.from_iterable(triples), 3
+    else:
+        rows = {Tfn: operator.attrgetter("l", "c", "c", "r"), float: lambda x: (x,) * 4,
+                FuzzyNumber: lambda x: (*x.lo.tolist(), *x.hi[::-1].tolist())
+                if x.alphas.tobytes() == _TFN_LEVELS.tobytes() else ()}
+        if not types <= rows.keys():
+            return None
+        v, width = list(itertools.chain.from_iterable(itertools.chain.from_iterable(
+            map(rows[kind], run) for kind, run in itertools.groupby(cells, type)))), 4
+        if len(v) != 4 * len(cells) or set(map(type, v)) != {float}:  # () for other grids
+            return None
+    try:
+        x = np.fromiter(v, float, width * len(cells))
+    except (TypeError, ValueError, OverflowError):  # no number, a sequence, a huge integer
+        return None
+    # Rows lo(0), lo(1), hi(1), hi(0) of all cells (lo(1) = hi(1) = c once in a
+    # triple), each contiguous, so that every check runs along whole rows.
+    x = np.ascontiguousarray(x.reshape(-1, width).T)
+    if not (x[:-1] <= x[1:]).all():
+        return None
+    return [(_TFN_LEVELS, np.arange(len(cells)), x[:2].T, x[:-3:-1].T)]
 
 
 def level_cuts(groups, size: int, levels) -> tuple[np.ndarray, np.ndarray]:
@@ -383,45 +422,6 @@ def level_cuts(groups, size: int, levels) -> tuple[np.ndarray, np.ndarray]:
         lo[..., index] = interp_levels(levels, grid, glo)
         hi[..., index] = interp_levels(levels, grid, ghi)
     return lo, hi
-
-
-def _tfn_columns(cells) -> tuple[np.ndarray, np.ndarray] | None:
-    """Endpoint rows lo and hi, each (2, len(cells)), at the levels 0 and 1
-    when the per-cell path of :func:`level_groups` would accept the cells
-    into one group on that grid with the same values; otherwise None.  The
-    cells are all ``{"tfn": [l, c, r]}`` dicts whose triples convert as
-    ``float`` does and are ordered with a finite width (rows [l; c] and
-    [r; c]), or each a Tfn with float fields, a float or a FuzzyNumber on
-    exactly [0, 1] (its own rows), passing :func:`stack_fault`.
-    """
-    types = set(map(type, cells))
-    if types != {dict}:
-        rows = {Tfn: operator.attrgetter("l", "c", "r", "c"), float: lambda x: (x,) * 4,
-                FuzzyNumber: lambda x: (*x.lo.tolist(), *x.hi.tolist())
-                if x.alphas.tobytes() == _TFN_LEVELS.tobytes() else ()}
-        if not types <= rows.keys():
-            return None
-        v = list(itertools.chain.from_iterable(itertools.chain.from_iterable(
-            map(rows[kind], run) for kind, run in itertools.groupby(cells, type))))
-        if len(v) != 4 * len(cells) or set(map(type, v)) != {float}:  # () for other grids
-            return None
-        lo, hi = np.fromiter(v, float, len(v)).reshape(-1, 2, 2).transpose(1, 2, 0)
-        return None if stack_fault(_TFN_LEVELS, lo.T, hi.T) else (lo, hi)
-    try:
-        triples = list(map(operator.itemgetter("tfn"), cells))
-    except KeyError:
-        return None
-    if not set(map(type, triples)) <= {list, tuple} or set(map(len, triples)) != {3}:
-        return None
-    try:
-        t = np.fromiter(itertools.chain.from_iterable(triples), float, 3 * len(triples))
-    except (TypeError, ValueError, OverflowError):  # no number, a sequence, a huge integer
-        return None
-    l, c, r = t.reshape(-1, 3).T
-    # NaN fails the ordering and an infinite endpoint the width (inf or NaN).
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok = (l <= c).all() and (c <= r).all() and np.isfinite(r - l).all()
-    return (np.array([l, c]), np.array([r, c])) if ok else None
 
 
 # -- JSON encoding -----------------------------------------------------------
@@ -444,7 +444,7 @@ def breakpoints(x) -> tuple[tuple, tuple, tuple]:
     if isinstance(x, (int, float)):
         x = Tfn(float(x), float(x), float(x))
     if isinstance(x, Tfn):
-        return (0.0, 1.0), (x.l, x.c), (x.r, x.c)
+        return (0.0, 1.0), (float(x.l), float(x.c)), (float(x.r), float(x.c))
     if not isinstance(x, dict):
         raise ValueError(f"fuzzy number must be a JSON object, got {type(x).__name__}")
     if "levels" not in x:

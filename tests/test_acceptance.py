@@ -76,7 +76,7 @@ def test_envelope_soundness_and_tightness(envelope_corpus):
         alpha = float(system.alphas[idx % len(system.alphas)])
         mode = "constant" if idx % 2 == 0 else "timevarying"
         tr = envelope_propagate(system, alpha, ENVELOPE_HORIZON)
-        lo, hi = tr.lo_array(), tr.hi_array()
+        lo, hi = tr.lo, tr.hi
 
         # containment of member trajectories drawn at the same level
         m = level_matrix(system, alpha)
@@ -208,7 +208,7 @@ def test_stability_convergence_link():
         verdict = analyze(level_matrix(system, 0.0), n_samples=0)
         assert verdict.status is StabilityStatus.ASYMPTOTICALLY_STABLE
         tr = envelope_propagate(system, 0.0, CONVERGENCE_HORIZON)
-        sup = np.abs(tr.hi_array()).max(axis=1)
+        sup = np.abs(tr.hi).max(axis=1)
         hit = np.flatnonzero(sup <= 1e-6 * sup[0])
         assert hit.size > 0, "no decay below 1e-6 within the horizon"
         slowest = max(slowest, int(hit[0]))

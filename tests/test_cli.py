@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from fdikit import FuzzyNumber, Tfn, cli, fuzzy_num
+from fdikit import FuzzyNumber, Tfn, cli
 from fdikit.cli import (
     EXIT_FALSIFIED,
     EXIT_INCONCLUSIVE,
@@ -27,9 +27,10 @@ from fdikit.cli import (
     main,
     parse_system_obj,
 )
-from fdikit.fdi_sim import envelope_endpoints, level_matrix, level_state, mc_trajectories
+from fdikit.fdi_sim import envelope_endpoints, level_matrix, mc_trajectories
 
 from conftest import OVERFLOWING
+from test_fuzzy_num import ref_level_groups, stack_outcome
 
 SCALAR_STABLE = {
     "n": 1,
@@ -929,7 +930,7 @@ def test_print_json_matches_the_recursive_walker(capsys, monkeypatch, obj, nulls
     assert capsys.readouterr().out == expected
 
 
-# -- "tfn" cells: the flat conversion against the per-cell path -------------------------------
+# -- "tfn" cells: the flat pass against the cell-by-cell reference -------------------------------
 
 class TfnMapping(dict):
     """A dict subclass: not a plain JSON object, so the per-cell path reads it."""
@@ -980,7 +981,7 @@ TFN_CELL_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(TFN_CELL_CASES))
-def test_tfn_cells_parse_like_the_per_cell_path(monkeypatch, case):
+def test_tfn_cells_parse_like_the_per_cell_path(case):
     cells = TFN_CELL_CASES[case]
     filler = {"tfn": [0.0, 0.25, 0.5]}
     h = [[filler] * 3 for _ in range(3)]
@@ -988,23 +989,13 @@ def test_tfn_cells_parse_like_the_per_cell_path(monkeypatch, case):
         h[p // 3][p % 3] = cell
     doc = {"n": 3, "H": h, "x0": [{"tfn": [1, 2, 3]}, filler, cells[-1]]}
 
-    def outcome():
-        try:
-            system, _ = parse_system_obj(doc)
-        except ValueError as exc:
-            return type(exc), str(exc)
-        groups = tuple((a.shape, a.tobytes()) for group in system.groups for a in group)
-        # the cuts at alphas, at every breakpoint and at their midpoints
-        grid = np.unique(np.concatenate([system.alphas] + [g[0] for g in system.groups]))
-        cuts = tuple((a.shape, a.tobytes())
-                     for alpha in np.concatenate([grid, (grid[1:] + grid[:-1]) / 2.0])
-                     for box in (level_matrix(system, alpha), level_state(system, alpha))
-                     for a in (box.lo, box.hi))
-        return groups, cuts
+    def label(p):
+        return f'"H"[{p // 3}][{p % 3}]' if p < 9 else f'"x0"[{p - 9}]'
 
-    got = outcome()
-    monkeypatch.setattr(fuzzy_num, "_tfn_columns", lambda cells: None)  # the per-cell path
-    assert got == outcome()
+    # the groups of the parsed system and their cuts, or the error, as the reference reads them
+    flat = [cell for row in h for cell in row] + doc["x0"]
+    assert stack_outcome(lambda _: parse_system_obj(doc)[0].groups, flat) == stack_outcome(
+        lambda c: ref_level_groups(c, label), flat)
 
 
 # -- golden verdict bytes ------------------------------------------------------------------

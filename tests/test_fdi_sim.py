@@ -202,7 +202,7 @@ def test_envelope_contains_monte_carlo_both_modes():
     rng = np.random.default_rng(1)
     s = make_nonneg_system(rng, n_max=2)
     tr = envelope_propagate(s, 0.0, 10)
-    lo, hi = tr.lo_array(), tr.hi_array()
+    lo, hi = tr.lo, tr.hi
     for mode in ("constant", "timevarying"):
         runs = mc_trajectories(s, 0.0, 10, 2000, seed=2, mode=mode)
         assert np.all(runs >= lo[np.newaxis] - 1e-12)
@@ -232,8 +232,8 @@ def test_envelope_precondition_checked_per_level():
     with pytest.raises(SignPreconditionError):
         envelope_propagate(s, 0.0, 2)
     tr = envelope_propagate(s, 1.0, 2)
-    assert np.array_equal(tr.lo_array(), [[1.0], [0.2], [0.2 * 0.2]])
-    assert np.array_equal(tr.hi_array(), tr.lo_array())
+    assert np.array_equal(tr.lo, [[1.0], [0.2], [0.2 * 0.2]])
+    assert np.array_equal(tr.hi, tr.lo)
 
 
 def envelope_endpoints_ref(sys, alphas, horizon):
@@ -410,7 +410,7 @@ def test_overflowed_envelope_boxes_name_the_step():
     with pytest.raises(ValueError, match=r"^step 3: the envelope overflowed"):
         transition_envelope(s, 0.0, 4)
     tr = envelope_propagate(s, 0.0, 4)
-    assert np.isnan(tr.lo_array()[2]).any() and not np.isnan(tr.lo_array()[1]).any()
+    assert np.isnan(tr.lo[2]).any() and not np.isnan(tr.lo[1]).any()
     with pytest.raises(ValueError, match=r"^step 2: the envelope overflowed"):
         tr.steps
 
@@ -550,8 +550,8 @@ def test_certified_system_envelope_decays():
         verdict = analyze(level_matrix(s, 0.0), n_samples=0)
         assert verdict.status is StabilityStatus.ASYMPTOTICALLY_STABLE
         tr = envelope_propagate(s, 0.0, 120)
-        sup = np.abs(tr.hi_array()).max(axis=1)
-        widths = (tr.hi_array() - tr.lo_array()).max(axis=1)
+        sup = np.abs(tr.hi).max(axis=1)
+        widths = (tr.hi - tr.lo).max(axis=1)
         assert sup[-1] <= 1e-6 * max(sup[0], 1e-30)
         assert widths[-1] <= 1e-6 * max(sup[0], 1e-30)
         # eventually monotone decrease of the sup norm

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fdikit import (
     FuzzyNumber,
+    FuzzySystem,
     StackingViolation,
     Tfn,
     as_fuzzy,
@@ -294,17 +295,35 @@ def test_json_rejects_malformed():
         as_fuzzy([0, 1, 2])
 
 
-# -- level groups of cells on the grid [0, 1] -------------------------------------------
+# -- level groups ---------------------------------------------------------------------------
 #
-# A list of {"tfn": [l, c, r]} cells, or of Tfn objects with float fields,
-# floats and FuzzyNumbers on [0, 1], is read from one array; the per-cell path
-# (the flat read switched off) is the reference.
+# level_groups gathers a list of {"tfn": [l, c, r]} cells, or of Tfn objects
+# with float fields, floats and FuzzyNumbers on [0, 1], in one flat pass, and
+# any other list cell by cell.  ref_level_groups, the cell-by-cell read alone,
+# is the reference for both.
 
 
-def per_cell_groups(cells, label=str):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fuzzy_num, "_tfn_columns", lambda cells: None)
-        return level_groups(cells, label)
+def ref_level_groups(cells, label=str):
+    """level_groups read cell by cell: the breakpoints of each cell as floats,
+    one stack per grid in order of first appearance, the lowest-index fault."""
+    groups, faults = {}, []
+    for p, cell in enumerate(cells):
+        try:
+            alphas, lo, hi = (tuple(map(float, v)) for v in fuzzy_num.breakpoints(cell))
+        except (TypeError, ValueError, OverflowError) as exc:
+            faults.append((p, ValueError(exc)))
+            break
+        groups.setdefault(alphas, []).append((p, lo, hi))
+    stacks = [tuple(np.array(v) for v in (alphas, *zip(*members)))
+              for alphas, members in groups.items()]
+    for a, index, lo, hi in stacks:
+        fault = stack_fault(a, lo, hi)
+        if fault is not None:
+            faults.append((index[fault[0]], fault[1]))
+    if faults:
+        p, exc = min(faults, key=lambda fault: fault[0])
+        raise type(exc)(f"{label(p)}: {exc}")
+    return [(a, index, lo.T, hi.T) for a, index, lo, hi in stacks]
 
 
 SPECIAL_TRIPLES = [
@@ -319,9 +338,9 @@ BASE_GRIDS = [(), np.round(np.linspace(0.0, 1.0, 11), 12), [0.0, 1.0], [0.0, 0.3
 
 def assert_same_stack(cells, triples, base):
     # the one group and its cuts at base, the breakpoints and their midpoints,
-    # read flat from the cells and from Tfn objects, and per cell
+    # read from the cells and from Tfn objects, and by the reference
     objects = [Tfn(*map(float, t)) for t in triples]
-    ref = per_cell_groups(objects)
+    ref = ref_level_groups(objects)
     grid = np.union1d(base, [0.0, 1.0])
     levels = np.concatenate([grid, (grid[1:] + grid[:-1]) / 2.0])
     for got in (level_groups(cells, str), level_groups(objects, str)):
@@ -361,20 +380,18 @@ def test_string_tfn_cells_stack_like_tfn_objects():
 
 def stack_outcome(read, cells):
     """The groups ``read`` makes of ``cells`` and their cuts at some levels,
-    as shapes, dtypes and bytes, or the error raised.  Per cell, integer
-    fields beyond int64 make object arrays that numpy cannot check, and
-    boolean rows make boolean arrays that it cannot cut: TypeError."""
+    as shapes, dtypes and bytes, or the ValueError raised."""
     try:
         groups = read(cells)
         cuts = level_cuts(groups, len(cells), [0.0, 0.25, 0.5, 0.7, 1.0])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
     return [(a.shape, a.dtype, a.tobytes()) for g in [*groups, cuts] for a in g]
 
 
-def assert_same_as_per_cell(cells):
+def assert_same_as_reference(cells):
     assert stack_outcome(lambda c: level_groups(c, str), cells) == stack_outcome(
-        per_cell_groups, cells)
+        ref_level_groups, cells)
 
 
 def unit_fuzzy(a, b, c, d):
@@ -402,20 +419,21 @@ cell_kinds = {
 @given(st.lists(st.sampled_from(sorted(cell_kinds)), min_size=1, max_size=10).flatmap(
     lambda kinds: st.tuples(*(cell_kinds[k] for k in kinds))))
 def test_cells_in_any_mix_stack_like_the_per_cell_path(cells):
-    assert_same_as_per_cell(list(cells))
+    assert_same_as_reference(list(cells))
 
 
 def test_objects_on_the_unit_grid_are_read_flat():
-    # an interval core, -0.0 and subnormal endpoints keep their bits
+    # one group on [0, 1]; an interval core, -0.0 and subnormal endpoints keep their bits
     cells = [Tfn(0.5, 1.0, 2.0), 0.25, unit_fuzzy(-0.0, 0.5, 0.75, 1.0), -0.0,
              unit_fuzzy(5e-324, 1e-310, 1e-310, 2.0), Tfn(-0.0, -0.0, 0.0),
              unit_fuzzy(1.0, 1.0, 1.0, 1.0)]
-    got = fuzzy_num._tfn_columns(cells)
-    assert got is not None
-    assert_same_as_per_cell(cells)
-    lo, hi = got
+    assert_same_as_reference(cells)
+    [(grid, index, lo, hi)] = level_groups(cells, str)
+    assert grid.tolist() == [0.0, 1.0] and index.tolist() == list(range(len(cells)))
     assert np.signbit(lo[:, 2]).tolist() == [True, False]
     assert lo[:, 2].tolist() == [0.0, 0.5] and hi[:, 2].tolist() == [1.0, 0.75]
+    assert lo[:, 4].tolist() == [5e-324, 1e-310] and np.signbit(lo[:, 5]).all()
+    assert np.signbit(hi[:, 5]).tolist() == [False, True]
 
 
 @pytest.mark.parametrize("cells", [
@@ -427,9 +445,28 @@ def test_objects_on_the_unit_grid_are_read_flat():
 ], ids=["int-fields", "bool-field", "int", "bool", "nan", "inf", "width-overflow",
         "numpy-float", "three-levels", "minus-zero-grid", "with-a-dict"])
 def test_doubtful_cells_go_per_cell(cells):
-    # the per-cell path decides: the same groups, or the same error
-    assert fuzzy_num._tfn_columns(cells) is None
-    assert_same_as_per_cell(cells)
+    # cells the flat pass leaves alone: the same groups and cuts, or the same error
+    assert_same_as_reference(cells)
+
+
+def test_boolean_tfn_fields_cut_as_floats():
+    groups = level_groups([Tfn(True, True, 2.5)], str)
+    lo, hi = level_cuts(groups, 1, 0.35)
+    want = as_fuzzy(Tfn(1.0, 1.0, 2.5)).cuts(0.35)
+    assert lo.dtype == hi.dtype == np.float64
+    assert lo.tobytes() == want[0].tobytes() and hi.tobytes() == want[1].tobytes()
+
+
+def test_integer_tfn_fields_beyond_int64_read_as_floats():
+    system = FuzzySystem([[Tfn(0, 2 ** 64, 2 ** 64)]], [Tfn(1, 1, 1)])
+    [(grid, index, lo, hi)] = system.groups
+    assert lo.dtype == hi.dtype == np.float64
+    assert lo[:, 0].tolist() == [0.0, 2.0 ** 64] and hi[:, 0].tolist() == [2.0 ** 64] * 2
+
+
+def test_integer_tfn_fields_beyond_float_name_the_cell():
+    with pytest.raises(ValueError, match=r'^"H"\[0\]\[0\]: int too large to convert to float$'):
+        FuzzySystem([[Tfn(0, 2 ** 1100, 2 ** 1100)]], [Tfn(1, 1, 1)])
 
 
 # -- stack_fault --------------------------------------------------------------------------
