@@ -13,7 +13,7 @@ from fdikit import (
     analyze,
     assemble_fuzzy_attainable,
     d_fuzzy_vec,
-    envelope_propagate,
+    envelope_endpoints,
     level_matrix,
     level_state,
     mc_trajectories,
@@ -32,16 +32,16 @@ print("=" * 70)
 print("Level-wise envelopes: endpoints evolve as two crisp systems")
 print("=" * 70)
 
-tr = envelope_propagate(system, alpha=0.0, horizon=K)
+lo, hi = envelope_endpoints(system, 0.0, K)  # rows k = 0..K
 print(f"\nsupport-level envelope of coordinate 1 over {K} steps:")
 for k in (0, 1, 2, 4, 8, 12):
-    print(f"  k={k:<3d} [{tr.steps[k].lo[0]:.6f}, {tr.steps[k].hi[0]:.6f}]")
+    print(f"  k={k:<3d} [{lo[k, 0]:.6f}, {hi[k, 0]:.6f}]")
 
 print("\nthe same bounds come from the endpoint powers of the matrix family:")
-phis = transition_envelope(system, 0.0, K)
+p_lo, p_hi = transition_envelope(system, 0.0, K)
 x_lo = level_state(system, 0.0).lo
-print(f"  k=4 via powers: lo = {(phis[4].lo @ x_lo)[0]:.6f} "
-      f"(envelope says {tr.steps[4].lo[0]:.6f})")
+print(f"  k=4 via powers: lo = {(p_lo[4] @ x_lo)[0]:.6f} "
+      f"(envelope says {lo[4, 0]:.6f})")
 
 print()
 print("=" * 70)
@@ -51,7 +51,6 @@ print("=" * 70)
 
 runs = mc_trajectories(system, alpha=0.0, horizon=K, n=5000, seed=7,
                        mode="timevarying")
-lo, hi = tr.lo, tr.hi
 violation = max(float(np.max(lo[np.newaxis] - runs)),
                 float(np.max(runs - hi[np.newaxis])))
 print(f"\n5000 time-varying member trajectories: worst excursion "
@@ -60,7 +59,7 @@ print(f"\n5000 time-varying member trajectories: worst excursion "
 m = level_matrix(system, 0.0)
 x = level_state(system, 0.0).lo
 for k in range(K + 1):
-    assert abs(x[0] - tr.steps[k].lo[0]) < 1e-12
+    assert abs(x[0] - lo[k, 0]) < 1e-12
     x = m.lo @ x
 print("the all-lower-endpoints selection reproduces the lower envelope exactly")
 

@@ -52,7 +52,7 @@ from .fdi_sim import (
     FuzzySystem,
     SignPreconditionError,
     assemble_fuzzy_attainable,
-    envelope_propagate,
+    envelope_endpoints,
     level_matrix,
     level_state,
     mc_trajectories,
@@ -82,7 +82,7 @@ __all__ = [
     "d_membership",
     "eigen_box_bounds",
     "eigen_box_rayleigh",
-    "envelope_propagate",
+    "envelope_endpoints",
     "fn_add",
     "fn_mul_approx",
     "fn_scale",

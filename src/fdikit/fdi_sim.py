@@ -114,6 +114,13 @@ def _nonneg_cuts(sys: FuzzySystem, alphas):
     return cuts
 
 
+def _steps(m, x):
+    """Fill x[k + 1] = m @ x[k] in place for k = 0..len(x) - 2."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is an unbounded support
+        for k in range(len(x) - 1):
+            np.matmul(m, x[k], out=x[k + 1])
+
+
 def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
     """Exact envelope endpoints (lo, hi) at each level of ``alphas``.
 
@@ -123,52 +130,20 @@ def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
     the lower matrix and the lower state are non-negative; at the first
     level where either is not, SignPreconditionError is raised.  Steps are
     written in place, all lower ones first: one matrix stack at a time.
+
+    An endpoint that overflowed is an unbounded support: it stays inf, or
+    NaN where a zero bound met an infinite one, with no warning.  Only
+    :func:`assemble_fuzzy_attainable`, which builds fuzzy numbers, refuses it.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     m_lo, m_hi, x_lo, x_hi = _nonneg_cuts(sys, alphas)
     lo = np.empty((horizon + 1, *x_lo.shape))
     hi = np.empty_like(lo)
-    lo[0] = x_lo
-    hi[0] = x_hi
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is an unbounded support
-        for m, x in ((m_lo, lo), (m_hi, hi)):
-            for k in range(horizon):
-                np.matmul(m, x[k][..., None], out=x[k + 1][..., None])
+    lo[0], hi[0] = x_lo, x_hi
+    _steps(m_lo, lo[..., None])
+    _steps(m_hi, hi[..., None])
     return lo, hi
-
-
-def _step_box(step: int, lo: np.ndarray, hi: np.ndarray) -> IntervalMatrix:
-    """The box [lo, hi] of one envelope step.  Endpoints that overflowed
-    (0 * inf = NaN) bound no box: ValueError names the step."""
-    if np.isnan(lo).any() or np.isnan(hi).any():
-        raise ValueError(f"step {step}: the envelope overflowed, an endpoint is NaN (0 * inf)")
-    return IntervalMatrix(lo, hi)
-
-
-@dataclass(eq=False)
-class EnvelopeTrajectory:
-    """Exact attainable-set boxes at one alpha level: rows k of ``lo`` and
-    ``hi`` (horizon + 1, n), read-only, bound step k."""
-
-    alpha: float
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        self.lo.setflags(write=False)
-        self.hi.setflags(write=False)
-
-    @cached_property
-    def steps(self) -> list[IntervalMatrix]:
-        return [_step_box(k, lo, hi) for k, (lo, hi) in enumerate(zip(self.lo, self.hi))]
-
-
-def envelope_propagate(sys: FuzzySystem, alpha: float, horizon: int) -> EnvelopeTrajectory:
-    """Attainable-set boxes for steps 0..horizon at one alpha level: the
-    endpoint recursion of :func:`envelope_endpoints`, with its sign
-    preconditions (Monte Carlo still applies where they fail)."""
-    return EnvelopeTrajectory(float(alpha), *envelope_endpoints(sys, alpha, horizon))
 
 
 @dataclass(eq=False)
@@ -214,25 +189,20 @@ def assemble_fuzzy_attainable(sys: FuzzySystem, horizon: int) -> FuzzyAttainable
     return FuzzyAttainable(sys.alphas, lo, hi)
 
 
-def transition_envelope(sys: FuzzySystem, alpha: float,
-                        horizon: int) -> list[IntervalMatrix]:
-    """Endpoint powers [lo^k, hi^k] for k = 0..horizon, by the one-step
-    recursion of :func:`envelope_endpoints`.
-
-    Applying the k-th envelope to the initial-state endpoints reproduces
-    :func:`envelope_propagate` (same sign preconditions apply).  A power
-    that overflowed to NaN raises ValueError naming its step.
-    """
+def transition_envelope(sys: FuzzySystem, alpha: float, horizon: int):
+    """Endpoint powers (lo, hi) of shape (horizon + 1, n, n), row k being
+    M_lo^k and M_hi^k: the recursion of :func:`envelope_endpoints` run from
+    the identity, with its sign preconditions and its overflow rule.  Row k
+    applied to the initial-state endpoints gives step k of the envelope."""
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     m_lo, m_hi, _, _ = _nonneg_cuts(sys, alpha)
-    lo = hi = np.eye(sys.n)
-    powers = [IntervalMatrix(lo, hi)]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is an unbounded support
-        for k in range(1, horizon + 1):
-            lo, hi = m_lo @ lo, m_hi @ hi
-            powers.append(_step_box(k, lo, hi))
-    return powers
+    lo = np.empty((horizon + 1, sys.n, sys.n))
+    hi = np.empty_like(lo)
+    lo[0] = hi[0] = np.eye(sys.n)
+    _steps(m_lo, lo)
+    _steps(m_hi, hi)
+    return lo, hi
 
 
 def mc_trajectories(sys: FuzzySystem, alpha: float, horizon: int, n: int,

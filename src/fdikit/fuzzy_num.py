@@ -187,22 +187,7 @@ class FuzzyNumber:
         return [(float(a), float(l), float(h))
                 for a, l, h in zip(self.alphas, self.lo, self.hi)]
 
-    def __add__(self, other):
-        if isinstance(other, FuzzyNumber):
-            return fn_add(self, other)
-        return NotImplemented
-
-    def __rmul__(self, beta):
-        if isinstance(beta, (int, float)):
-            return fn_scale(float(beta), self)
-        return NotImplemented
-
-    __mul__ = __rmul__
-
     __eq__ = _same_stack
-
-    def __hash__(self):
-        return hash((self.alphas.tobytes(), self.lo.tobytes(), self.hi.tobytes()))
 
     def __repr__(self):
         if self.alphas.size == 2 and self.lo[1] == self.hi[1]:

@@ -21,7 +21,7 @@ from fdikit import (
     d_membership,
     eigen_box_bounds,
     eigen_box_rayleigh,
-    envelope_propagate,
+    envelope_endpoints,
     level_matrix,
     level_state,
     sampled_falsifier,
@@ -75,8 +75,7 @@ def test_envelope_soundness_and_tightness(envelope_corpus):
     for idx, system in enumerate(envelope_corpus):
         alpha = float(system.alphas[idx % len(system.alphas)])
         mode = "constant" if idx % 2 == 0 else "timevarying"
-        tr = envelope_propagate(system, alpha, ENVELOPE_HORIZON)
-        lo, hi = tr.lo, tr.hi
+        lo, hi = envelope_endpoints(system, alpha, ENVELOPE_HORIZON)
 
         # containment of member trajectories drawn at the same level
         m = level_matrix(system, alpha)
@@ -96,14 +95,14 @@ def test_envelope_soundness_and_tightness(envelope_corpus):
 
         # tightness: the two constant vertex selections attain the bounds
         for a in system.alphas:
-            tr_a = envelope_propagate(system, float(a), ENVELOPE_HORIZON)
+            lo_a, hi_a = envelope_endpoints(system, float(a), ENVELOPE_HORIZON)
             m_a = level_matrix(system, float(a))
             x0_a = level_state(system, float(a))
             pair = np.stack([x0_a.lo, x0_a.hi])
             mats = np.stack([m_a.lo, m_a.hi])
             for k in range(ENVELOPE_HORIZON + 1):
-                gap = max(np.max(np.abs(pair[0] - tr_a.steps[k].lo)),
-                          np.max(np.abs(pair[1] - tr_a.steps[k].hi)))
+                gap = max(np.max(np.abs(pair[0] - lo_a[k])),
+                          np.max(np.abs(pair[1] - hi_a[k])))
                 worst_attainment = max(worst_attainment, float(gap))
                 pair = np.einsum("nij,nj->ni", mats, pair)
     assert worst_violation <= 1e-12
@@ -118,11 +117,11 @@ def test_envelope_nestedness(envelope_corpus):
     violations = 0
     for system in envelope_corpus:
         attainable = assemble_fuzzy_attainable(system, ENVELOPE_HORIZON)
-        trajectories = [envelope_propagate(system, float(a), ENVELOPE_HORIZON)
-                        for a in system.alphas]
+        envelopes = [envelope_endpoints(system, float(a), ENVELOPE_HORIZON)
+                     for a in system.alphas]
         for k in range(ENVELOPE_HORIZON + 1):
-            los = np.stack([t.steps[k].lo for t in trajectories])
-            his = np.stack([t.steps[k].hi for t in trajectories])
+            los = np.stack([lo[k] for lo, _ in envelopes])
+            his = np.stack([hi[k] for _, hi in envelopes])
             if np.any(np.diff(los, axis=0) < -1e-12):
                 violations += 1
             if np.any(np.diff(his, axis=0) > 1e-12):
@@ -207,8 +206,8 @@ def test_stability_convergence_link():
         system = make_certified_nonneg_system(rng, n_max=4, row_sum_max=0.9)
         verdict = analyze(level_matrix(system, 0.0), n_samples=0)
         assert verdict.status is StabilityStatus.ASYMPTOTICALLY_STABLE
-        tr = envelope_propagate(system, 0.0, CONVERGENCE_HORIZON)
-        sup = np.abs(tr.hi).max(axis=1)
+        _, hi = envelope_endpoints(system, 0.0, CONVERGENCE_HORIZON)
+        sup = np.abs(hi).max(axis=1)
         hit = np.flatnonzero(sup <= 1e-6 * sup[0])
         assert hit.size > 0, "no decay below 1e-6 within the horizon"
         slowest = max(slowest, int(hit[0]))

@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke tests: every demo script runs to completion, and every name the
+package exports exists."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import fdikit
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -19,3 +22,9 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
                           capture_output=True, text=True, env=env, timeout=60, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_export_list_names_each_attribute_once():
+    # a name dropped from a module but left in __all__ breaks `from fdikit import *`
+    assert [name for name in fdikit.__all__ if not hasattr(fdikit, name)] == []
+    assert len(set(fdikit.__all__)) == len(fdikit.__all__)

@@ -15,7 +15,7 @@ from fdikit import (
     as_fuzzy,
     assemble_fuzzy_attainable,
     d_fuzzy_vec,
-    envelope_propagate,
+    envelope_endpoints,
     level_matrix,
     level_state,
     mc_trajectories,
@@ -174,35 +174,35 @@ def test_system_validation():
 # -- envelope propagation ----------------------------------------------------------------
 
 def test_envelope_scalar_two_steps():
-    tr = envelope_propagate(scalar_system(), 0.0, 2)
-    assert tr.steps[2].lo[0] == pytest.approx(0.128, abs=1e-15)
-    assert tr.steps[2].hi[0] == pytest.approx(0.432, abs=1e-15)
+    lo, hi = envelope_endpoints(scalar_system(), 0.0, 2)
+    assert lo.shape == hi.shape == (3, 1)
+    assert lo[2, 0] == pytest.approx(0.128, abs=1e-15)
+    assert hi[2, 0] == pytest.approx(0.432, abs=1e-15)
 
 
 def test_envelope_crisp_degenerates_to_trajectory():
     s = crisp_system()
-    tr = envelope_propagate(s, 0.0, 5)
+    lo, hi = envelope_endpoints(s, 0.0, 5)
     a = level_matrix(s, 0.0).lo
     x = level_state(s, 0.0).lo
     for k in range(6):
-        assert np.allclose(tr.steps[k].lo, x, rtol=0, atol=0)
-        assert np.allclose(tr.steps[k].hi, x, rtol=0, atol=0)
+        assert np.allclose(lo[k], x, rtol=0, atol=0)
+        assert np.allclose(hi[k], x, rtol=0, atol=0)
         x = a @ x
 
 
 def test_envelope_step_zero_is_initial_cut():
     s = scalar_system()
-    tr = envelope_propagate(s, 0.5, 0)
+    lo, hi = envelope_endpoints(s, 0.5, 0)
     x = level_state(s, 0.5)
-    assert np.array_equal(tr.steps[0].lo, x.lo)
-    assert np.array_equal(tr.steps[0].hi, x.hi)
+    assert np.array_equal(lo, [x.lo])
+    assert np.array_equal(hi, [x.hi])
 
 
 def test_envelope_contains_monte_carlo_both_modes():
     rng = np.random.default_rng(1)
     s = make_nonneg_system(rng, n_max=2)
-    tr = envelope_propagate(s, 0.0, 10)
-    lo, hi = tr.lo, tr.hi
+    lo, hi = envelope_endpoints(s, 0.0, 10)
     for mode in ("constant", "timevarying"):
         runs = mc_trajectories(s, 0.0, 10, 2000, seed=2, mode=mode)
         assert np.all(runs >= lo[np.newaxis] - 1e-12)
@@ -213,7 +213,7 @@ def test_envelope_matrix_sign_precondition():
     s = FuzzySystem(h=[[Tfn(-0.2, 0.1, 0.3)]], x0=FuzzyVector([Tfn(0, 1, 2)]),
                     alphas=[0, 1])
     with pytest.raises(SignPreconditionError) as err:
-        envelope_propagate(s, 0.0, 3)
+        envelope_endpoints(s, 0.0, 3)
     assert err.value.condition == "matrix_nonneg"
 
 
@@ -221,7 +221,7 @@ def test_envelope_state_sign_precondition():
     s = FuzzySystem(h=[[Tfn(0.1, 0.2, 0.3)]], x0=FuzzyVector([Tfn(-1, 0, 1)]),
                     alphas=[0, 1])
     with pytest.raises(SignPreconditionError) as err:
-        envelope_propagate(s, 0.0, 3)
+        envelope_endpoints(s, 0.0, 3)
     assert err.value.condition == "state_nonneg"
 
 
@@ -230,10 +230,10 @@ def test_envelope_precondition_checked_per_level():
     s = FuzzySystem(h=[[Tfn(-0.1, 0.2, 0.4)]], x0=FuzzyVector([Tfn(0.5, 1, 1.5)]),
                     alphas=[0.0, 0.5, 1.0])
     with pytest.raises(SignPreconditionError):
-        envelope_propagate(s, 0.0, 2)
-    tr = envelope_propagate(s, 1.0, 2)
-    assert np.array_equal(tr.lo, [[1.0], [0.2], [0.2 * 0.2]])
-    assert np.array_equal(tr.hi, tr.lo)
+        envelope_endpoints(s, 0.0, 2)
+    lo, hi = envelope_endpoints(s, 1.0, 2)
+    assert np.array_equal(lo, [[1.0], [0.2], [0.2 * 0.2]])
+    assert np.array_equal(hi, lo)
 
 
 def envelope_endpoints_ref(sys, alphas, horizon):
@@ -333,10 +333,9 @@ def test_assemble_validates_against_stacker():
     horizon = 5
     att = assemble_fuzzy_attainable(s, horizon)
     # re-stack the raw envelopes through the public validator
-    trajectories = [envelope_propagate(s, a, horizon) for a in s.alphas]
+    envelopes = [envelope_endpoints(s, a, horizon) for a in s.alphas]
     for k in range(horizon + 1):
-        v = validate_nested([(a, t.steps[k].lo, t.steps[k].hi)
-                             for a, t in zip(s.alphas, trajectories)])
+        v = validate_nested([(a, lo[k], hi[k]) for a, (lo, hi) in zip(s.alphas, envelopes)])
         assert v.n == s.n
         assert att.steps[k][0].cut(0.0) == v[0].cut(0.0)
 
@@ -364,15 +363,16 @@ def test_assemble_steps_are_read_only_views_of_one_stack():
 
 def test_transition_step_zero_identity():
     s = scalar_system()
-    phis = transition_envelope(s, 0.0, 3)
-    assert np.array_equal(phis[0].lo, np.eye(1))
-    assert np.array_equal(phis[0].hi, np.eye(1))
+    lo, hi = transition_envelope(s, 0.0, 3)
+    assert lo.shape == hi.shape == (4, 1, 1)
+    assert np.array_equal(lo[0], np.eye(1))
+    assert np.array_equal(hi[0], np.eye(1))
 
 
 def test_transition_scalar_cubes():
-    phis = transition_envelope(scalar_system(), 0.0, 3)
-    assert phis[3].lo[0, 0] == pytest.approx(0.064, abs=1e-15)
-    assert phis[3].hi[0, 0] == pytest.approx(0.216, abs=1e-15)
+    lo, hi = transition_envelope(scalar_system(), 0.0, 3)
+    assert lo[3, 0, 0] == pytest.approx(0.064, abs=1e-15)
+    assert hi[3, 0, 0] == pytest.approx(0.216, abs=1e-15)
 
 
 def test_transition_consistent_with_envelope():
@@ -380,12 +380,12 @@ def test_transition_consistent_with_envelope():
     for _ in range(10):
         s = make_nonneg_system(rng, n_max=3)
         horizon = 8
-        tr = envelope_propagate(s, 0.0, horizon)
-        phis = transition_envelope(s, 0.0, horizon)
+        lo, hi = envelope_endpoints(s, 0.0, horizon)
+        p_lo, p_hi = transition_envelope(s, 0.0, horizon)
         x = level_state(s, 0.0)
         for k in range(horizon + 1):
-            assert np.allclose(phis[k].lo @ x.lo, tr.steps[k].lo, rtol=1e-12, atol=1e-12)
-            assert np.allclose(phis[k].hi @ x.hi, tr.steps[k].hi, rtol=1e-12, atol=1e-12)
+            assert np.allclose(p_lo[k] @ x.lo, lo[k], rtol=1e-12, atol=1e-12)
+            assert np.allclose(p_hi[k] @ x.hi, hi[k], rtol=1e-12, atol=1e-12)
 
 
 def test_transition_monte_carlo_containment():
@@ -396,23 +396,25 @@ def test_transition_monte_carlo_containment():
                     x0=FuzzyVector([Tfn(1, 1, 1)] * 2), alphas=[0, 1])
     m = level_matrix(s, 0.0)
     assert np.array_equal(m.lo, lo) and np.array_equal(m.hi, hi)
-    p = transition_envelope(s, 0.0, 3)[3]
+    lo, hi = transition_envelope(s, 0.0, 3)
     for _ in range(1000):
         u3 = np.linalg.matrix_power(interval_linalg.sample_matrix(m, rng), 3)
-        assert np.all(u3 >= p.lo - 1e-12) and np.all(u3 <= p.hi + 1e-12)
+        assert np.all(u3 >= lo[3] - 1e-12) and np.all(u3 <= hi[3] + 1e-12)
 
 
-def test_overflowed_envelope_boxes_name_the_step():
+def test_overflowed_endpoints_carry_nan_without_warnings():
     # The zero lower bound of H[0][0] meets an infinite endpoint: the state's
-    # lower endpoint is NaN at step 2, the lower power's at step 3.  Boxing
-    # either raises, without RuntimeWarnings (errors under pyproject.toml).
+    # lower endpoint is first NaN at step 2, the lower power's at step 3.  Both
+    # arrays carry it, without RuntimeWarnings (errors under pyproject.toml).
     s = FuzzySystem(h=OVERFLOWING["H"], x0=OVERFLOWING["x0"])
-    with pytest.raises(ValueError, match=r"^step 3: the envelope overflowed"):
-        transition_envelope(s, 0.0, 4)
-    tr = envelope_propagate(s, 0.0, 4)
-    assert np.isnan(tr.lo[2]).any() and not np.isnan(tr.lo[1]).any()
-    with pytest.raises(ValueError, match=r"^step 2: the envelope overflowed"):
-        tr.steps
+
+    def nan_steps(x):
+        return np.flatnonzero(np.isnan(x).reshape(len(x), -1).any(axis=1)).tolist()
+
+    lo, hi = envelope_endpoints(s, 0.0, 4)
+    assert nan_steps(lo) == [2, 3, 4] and np.isinf(hi).any()
+    lo, hi = transition_envelope(s, 0.0, 4)
+    assert nan_steps(lo) == [3, 4] and np.isinf(hi).any()
 
 
 def test_transition_powers_step_the_level_matrix_from_one_cut(monkeypatch):
@@ -420,11 +422,11 @@ def test_transition_powers_step_the_level_matrix_from_one_cut(monkeypatch):
     m = level_matrix(s, 0.3)
     cut, cuts = fdi_sim._cuts, []
     monkeypatch.setattr(fdi_sim, "_cuts", lambda *args: cuts.append(args) or cut(*args))
-    powers = transition_envelope(s, 0.3, 12)
-    assert len(cuts) == 1
+    p_lo, p_hi = transition_envelope(s, 0.3, 12)
+    assert len(cuts) == 1 and p_lo.shape == p_hi.shape == (13, 4, 4)
     lo = hi = np.eye(4)
-    for p in powers:  # bit for bit the powers of the level matrix
-        assert p.lo.tobytes() == lo.tobytes() and p.hi.tobytes() == hi.tobytes()
+    for k in range(13):  # bit for bit the powers of the level matrix
+        assert p_lo[k].tobytes() == lo.tobytes() and p_hi[k].tobytes() == hi.tobytes()
         lo, hi = m.lo @ lo, m.hi @ hi
 
 
@@ -437,7 +439,7 @@ def test_transition_sign_errors_match_envelope(h, x0, condition):
     with pytest.raises(SignPreconditionError) as err:
         transition_envelope(s, 0.0, 3)
     with pytest.raises(SignPreconditionError) as expected:
-        envelope_propagate(s, 0.0, 3)
+        envelope_endpoints(s, 0.0, 3)
     assert err.value.condition == expected.value.condition == condition
     assert str(err.value) == str(expected.value)
 
@@ -460,14 +462,14 @@ def test_mc_modes_differ_on_wide_systems():
 def test_mc_vertex_selection_attains_envelope():
     rng = np.random.default_rng(8)
     s = make_nonneg_system(rng, n_max=3)
-    tr = envelope_propagate(s, 0.0, 10)
+    lo, hi = envelope_endpoints(s, 0.0, 10)
     m = level_matrix(s, 0.0)
     x_lo = level_state(s, 0.0).lo
     x_hi = level_state(s, 0.0).hi
     lo_traj, hi_traj = x_lo, x_hi
     for k in range(11):
-        assert np.allclose(lo_traj, tr.steps[k].lo, rtol=0, atol=1e-12)
-        assert np.allclose(hi_traj, tr.steps[k].hi, rtol=0, atol=1e-12)
+        assert np.allclose(lo_traj, lo[k], rtol=0, atol=1e-12)
+        assert np.allclose(hi_traj, hi[k], rtol=0, atol=1e-12)
         lo_traj = m.lo @ lo_traj
         hi_traj = m.hi @ hi_traj
 
@@ -549,9 +551,9 @@ def test_certified_system_envelope_decays():
         s = make_certified_nonneg_system(rng, n_max=3)
         verdict = analyze(level_matrix(s, 0.0), n_samples=0)
         assert verdict.status is StabilityStatus.ASYMPTOTICALLY_STABLE
-        tr = envelope_propagate(s, 0.0, 120)
-        sup = np.abs(tr.hi).max(axis=1)
-        widths = (tr.hi - tr.lo).max(axis=1)
+        lo, hi = envelope_endpoints(s, 0.0, 120)
+        sup = np.abs(hi).max(axis=1)
+        widths = (hi - lo).max(axis=1)
         assert sup[-1] <= 1e-6 * max(sup[0], 1e-30)
         assert widths[-1] <= 1e-6 * max(sup[0], 1e-30)
         # eventually monotone decrease of the sup norm
