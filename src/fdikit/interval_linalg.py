@@ -77,9 +77,9 @@ def halfsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def mid_rad(m: IntervalMatrix) -> MidRad:
-    """Center (lo+hi)/2, by :func:`halfsum`, and radius (hi-lo)/2 of an
-    interval matrix."""
-    return MidRad(halfsum(m.lo, m.hi), (m.hi - m.lo) / 2.0)
+    """Center (lo+hi)/2 and radius (hi-lo)/2 of an interval matrix, both
+    by :func:`halfsum`."""
+    return MidRad(halfsum(m.lo, m.hi), halfsum(m.hi, -m.lo))
 
 
 def vertex_count(m: IntervalMatrix) -> int:

@@ -214,22 +214,23 @@ def eigen_box_bounds(m: IntervalMatrix) -> EigenBox:
     return EigenBox(r_lo, r_hi, -i_hi, i_hi)
 
 
-def _sign_vertex_max(objective, k: int, n_starts: int, rng: np.random.Generator) -> float:
-    """Largest ``objective`` over sign patterns t in {-1, 1}^k: exact up to
+def _sign_vertex_max(value, ascend, k: int, n_starts: int, rng: np.random.Generator) -> float:
+    """Largest objective over sign patterns t in {-1, 1}^k: exact up to
     SIGN_BUDGET patterns, else a lower bound from ``n_starts`` seeded ascents.
 
-    ``objective`` maps a (P, k) stack of patterns to their values and the
-    patterns of their maximisers, which never score lower."""
+    ``value`` maps a (P, k) stack of patterns to their values; ``ascend``
+    maps it to their values and the patterns of their maximisers, which
+    never score lower."""
     if 2 ** k <= SIGN_BUDGET:
         bits = np.arange(2 ** k)[:, None] >> np.arange(k) & 1
-        return float(np.max(objective(1.0 - 2.0 * bits)[0]))
+        return float(np.max(value(1.0 - 2.0 * bits)))
     if n_starts < 1:
         raise ValueError(f"2^{k} sign patterns exceed SIGN_BUDGET; ascent needs n_starts >= 1")
     best = np.full(n_starts, -np.inf)
-    values, t = objective(rng.choice([-1.0, 1.0], size=(n_starts, k)))
+    values, t = ascend(rng.choice([-1.0, 1.0], size=(n_starts, k)))
     while np.any(values > best):
         best = np.maximum(best, values)
-        values, t = objective(t)
+        values, t = ascend(t)
     return float(np.max(best))
 
 
@@ -237,34 +238,44 @@ def eigen_box_rayleigh(m: IntervalMatrix, n_starts: int = 8, seed: int = 0) -> E
     """Sign-vertex cross-check of :func:`eigen_box_bounds`, with center C
     and radius D: the real bounds are the extreme lambda_max(+-sym(C) +
     S sym(D) S) over sign matrices S (Hertz 1992; Rohn 1994), the imaginary
-    bound the largest ||A_t||_2 / 2 over antisymmetric A_t with upper
-    entries (C - C')_ij + t_ij (D_ij + D_ji).  Sign ascent beyond
-    SIGN_BUDGET patterns only undershoots, so the box always lies inside
-    the closed-form box."""
+    bound the largest ||A_t||_2 over antisymmetric A_t with upper entries
+    skew(C)_ij + t_ij sym(D)_ij.  Sign ascent beyond SIGN_BUDGET patterns
+    only undershoots, so the box always lies inside the closed-form box.
+    The exhaustive scans compute eigenvalues and singular values only; the
+    ascents also need the top vectors."""
     n = m.n
     c, d = mid_rad(m)
     i, j = np.triu_indices(n, 1)
-    skew2, wide = (c - c.T)[i, j], (d + d.T)[i, j]
+    sym_d = _sym(d)
+    skew, wide = halfsum(c, -c.T)[i, j], sym_d[i, j]
     rng = np.random.default_rng(seed)
 
     def real(sym_c):
-        def objective(t):  # s and -s give one matrix, so s_0 = 1
+        def stack(t):  # s and -s give one matrix, so s_0 = 1
             s = np.hstack([np.ones((len(t), 1)), t])
-            w, v = np.linalg.eigh(sym_c + s[:, :, None] * _sym(d) * s[:, None, :])
+            return sym_c + s[:, :, None] * sym_d * s[:, None, :]
+
+        def ascend(t):
+            w, v = np.linalg.eigh(stack(t))
             top = np.where(v[:, :, -1] >= 0, 1.0, -1.0)
             return w[:, -1], top[:, 1:] * top[:, :1]
-        return _sign_vertex_max(objective, n - 1, n_starts, rng)
+        return _sign_vertex_max(lambda t: np.linalg.eigvalsh(stack(t))[:, -1], ascend,
+                                n - 1, n_starts, rng)
 
-    def imag(t):
+    def antisym(t):
         a = np.zeros((len(t), n, n))
-        a[:, i, j] = skew2 + t * wide
-        u, sv, vt = np.linalg.svd(a - a.transpose(0, 2, 1))
+        a[:, i, j] = skew + t * wide
+        return a - a.transpose(0, 2, 1)
+
+    def ascend_imag(t):
+        u, sv, vt = np.linalg.svd(antisym(t))
         x1, x2 = u[:, :, 0], vt[:, 0]
         w = x1[:, i] * x2[:, j] - x2[:, i] * x1[:, j]  # upper entries of x1 x2' - x2 x1'
-        return sv[:, 0] / 2.0, np.where(w >= 0, 1.0, -1.0)
+        return sv[:, 0], np.where(w >= 0, 1.0, -1.0)
 
     r_hi, r_lo = real(_sym(c)), -real(-_sym(c))
-    i_hi = _sign_vertex_max(imag, len(skew2), n_starts, rng)
+    i_hi = _sign_vertex_max(lambda t: np.linalg.svd(antisym(t), compute_uv=False)[:, 0],
+                            ascend_imag, len(skew), n_starts, rng)
     return EigenBox(min(r_lo, r_hi), r_hi, -i_hi, i_hi)
 
 

@@ -97,6 +97,12 @@ def test_mid_rad_center_does_not_overflow():
     assert mr.center.tolist() == [[1e308, -top / 2 - 5e307, 1.5]]
 
 
+def test_mid_rad_radius_does_not_overflow():
+    top = np.finfo(float).max
+    mr = mid_rad(imat([[-1e308, -top, 1.0]], [[1e308, top, 2.0]]))
+    assert mr.radius.tolist() == [[1e308, top, 0.5]]
+
+
 # -- vertices -----------------------------------------------------------------------------
 
 def test_vertices_scalar():

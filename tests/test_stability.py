@@ -1,5 +1,6 @@
 """Unit tests for the stability criteria, validated against spectral oracles."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -303,6 +304,68 @@ def test_eigen_box_rayleigh_no_starts_beyond_budget_raises(n):
     m = random_interval_matrix(np.random.default_rng(n), n)
     with pytest.raises(ValueError, match="n_starts >= 1"):
         eigen_box_rayleigh(m, n_starts=0)
+
+
+def count_vector_solves(monkeypatch) -> dict:
+    """Count ``np.linalg.eigh`` calls and ``np.linalg.svd`` calls that compute vectors."""
+    calls = {"eigh": 0, "svd_uv": 0}
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+
+    def counting_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counting_svd(*args, **kwargs):
+        calls["svd_uv"] += kwargs.get("compute_uv", True)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])  # real and imaginary patterns within budget
+def test_eigen_box_rayleigh_exhaustive_scans_compute_values_only(n, monkeypatch):
+    assert 2 ** (n * (n - 1) // 2) <= SIGN_BUDGET
+    m = random_interval_matrix(np.random.default_rng(n), n, width=0.4)
+    calls = count_vector_solves(monkeypatch)
+    eigen_box_rayleigh(m, n_starts=4)
+    assert calls == {"eigh": 0, "svd_uv": 0}
+
+
+@pytest.mark.parametrize("n", [8, 14])  # imaginary, then also real patterns over budget
+def test_eigen_box_rayleigh_ascents_use_top_vectors(n, monkeypatch):
+    m = random_interval_matrix(np.random.default_rng(n), n, width=0.4)
+    calls = count_vector_solves(monkeypatch)
+    eigen_box_rayleigh(m, n_starts=2)
+    assert calls["svd_uv"] > 0
+    assert (calls["eigh"] > 0) == (2 ** (n - 1) > SIGN_BUDGET)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_eigen_box_rayleigh_exhaustive_bounds_match_brute_force(n):
+    m = random_interval_matrix(np.random.default_rng(40 + n), n, width=0.4)
+    c, d = (m.lo + m.hi) / 2.0, (m.hi - m.lo) / 2.0
+    sym_c, sym_d = (c + c.T) / 2.0, (d + d.T) / 2.0
+    signs = [np.diag(s) for s in itertools.product((-1.0, 1.0), repeat=n)]
+    r_hi = max(np.linalg.eigvalsh(sym_c + s @ sym_d @ s)[-1] for s in signs)
+    r_lo = -max(np.linalg.eigvalsh(-sym_c + s @ sym_d @ s)[-1] for s in signs)
+    i, j = np.triu_indices(n, 1)
+    i_hi = 0.0
+    for t in itertools.product((-1.0, 1.0), repeat=len(i)):
+        a = np.zeros((n, n))
+        a[i, j] = (c - c.T)[i, j] + np.array(t) * (d + d.T)[i, j]
+        i_hi = max(i_hi, np.linalg.norm(a - a.T, 2) / 2.0)
+    ray = eigen_box_rayleigh(m, n_starts=0)
+    assert ray.r_hi == pytest.approx(r_hi, abs=1e-12)
+    assert ray.r_lo == pytest.approx(r_lo, abs=1e-12)
+    assert ray.i_hi == pytest.approx(i_hi, abs=1e-12)
+
+
+def test_eigen_box_rayleigh_huge_skew_part_is_finite():
+    c = np.array([[0.0, -1e308], [1e308, 0.0]])  # c - c' overflows
+    ray = eigen_box_rayleigh(imat(c, c))
+    assert ray == EigenBox(0.0, 0.0, -1e308, 1e308)
+    assert eigen_box_bounds(imat(c, c)).contains_box(ray, tol=0.0)
 
 
 # -- corner modulus check ----------------------------------------------------------------
