@@ -227,7 +227,8 @@ def _load_json(path: str):
 def parse_system_obj(obj) -> tuple[FuzzySystem, np.ndarray | None]:
     """Build a FuzzySystem (and optional transform) from a parsed document.
 
-    A malformed document raises ValueError naming the offending JSON path.
+    A malformed document raises ValueError naming the offending JSON path;
+    :class:`FuzzySystem` checks the rows of "H", "x0" and the alpha grid.
     """
     if not isinstance(obj, dict):
         raise ValueError("top level: expected a JSON object")
@@ -244,17 +245,10 @@ def parse_system_obj(obj) -> tuple[FuzzySystem, np.ndarray | None]:
     h_rows = obj.get("H")
     if not isinstance(h_rows, list) or len(h_rows) != n:
         raise ValueError(f'"H": expected {n} rows')
-    for i, row in enumerate(h_rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValueError(f'"H"[{i}]: expected {n} entries')
-    x0_rows = obj.get("x0")
-    if not isinstance(x0_rows, list) or len(x0_rows) != n:
-        raise ValueError(f'"x0": expected {n} entries')
-
     alphas = obj.get("alphas", DEFAULT_ALPHAS.tolist())
     if not isinstance(alphas, list) or not all(isinstance(a, (int, float)) for a in alphas):
         raise ValueError('"alphas": must be a list of numbers')
-    system = FuzzySystem(h=h_rows, x0=x0_rows, alphas=alphas)
+    system = FuzzySystem(h=h_rows, x0=obj.get("x0"), alphas=alphas)
 
     transform = None
     if "T" in obj:
@@ -275,7 +269,7 @@ def load_system(path: str, alphas: str | None = None) -> tuple[FuzzySystem, np.n
     """Decode and parse a system file; ``alphas``, the text of ``--alphas``
     (comma-separated levels), replaces the file's grid when it is given."""
     doc = _load_json(path)
-    if alphas and isinstance(doc, dict):
+    if alphas is not None and isinstance(doc, dict):
         try:
             doc["alphas"] = [float(v) for v in alphas.split(",")]
         except ValueError:

@@ -12,12 +12,14 @@ work for sign-indefinite systems too.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .fuzzy_num import FuzzyVector, _freeze, level_cuts, level_groups, stack_fault
+from .fuzzy_num import FuzzyVector, _freeze, check_grid, level_cuts, level_groups, stack_fault
 from .interval_linalg import IntervalMatrix, chunk_rows, uniform_draw
 
 DEFAULT_ALPHAS = np.round(np.linspace(0.0, 1.0, 11), 12)
@@ -31,18 +33,12 @@ class SignPreconditionError(ValueError):
         self.condition = condition
 
 
-def _check_alphas(alphas) -> np.ndarray:
-    try:
-        grid = np.array(alphas, dtype=float)
-    except OverflowError as exc:  # a JSON integer no double can hold
-        raise ValueError(f'"alphas": {exc}') from None
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("alpha grid must be a vector with at least two levels")
-    if not np.all(np.diff(grid) > 0):
-        raise ValueError("alpha grid must be strictly increasing")
-    if grid[0] != 0.0 or grid[-1] != 1.0:
-        raise ValueError("alpha grid must contain 0 and 1")
-    return grid
+def _entries(v, n: int, path: str) -> list:
+    # the n entries of a row of H or of x0; ``path`` names it as in a system file
+    entries = None if isinstance(v, (str, bytes, Mapping)) or not np.iterable(v) else list(v)
+    if entries is None or len(entries) != n:
+        raise ValueError(f"{path}: expected {n} entries")
+    return entries
 
 
 class FuzzySystem:
@@ -50,27 +46,31 @@ class FuzzySystem:
 
     ``h`` is an n x n grid and ``x0`` a sequence of n entries, each a
     FuzzyNumber, Tfn, real number or JSON object (``{"tfn": ...}`` or
-    ``{"levels": ...}``).  The system keeps the entries as given, in the
-    read-only ``groups`` of :func:`level_groups` (H row-major, then x0),
-    and cuts them on demand: memory is linear in the input, and a level
-    on an entry's own grid is a row lookup of that entry.
+    ``{"levels": ...}``); any other row or ``x0``, a string or mapping
+    included, raises ValueError naming its path in a system file.  The
+    system keeps the entries as given, in the read-only ``groups`` of
+    :func:`level_groups` (H row-major, then x0), and cuts them on demand:
+    memory is linear in the input, and a level on an entry's own grid is a
+    row lookup of that entry.
     """
 
     def __init__(self, h, x0, alphas=DEFAULT_ALPHAS):
-        rows = [list(row) for row in h]
+        rows = list(h)
         n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
-            raise ValueError("dynamic matrix must be square")
-        x0 = list(x0)
-        if len(x0) != n:
-            raise ValueError(f"initial state has length {len(x0)}, expected {n}")
-        cells = [cell for row in rows for cell in row] + x0
+        if n == 0:
+            raise ValueError('"H": expected at least one row')
+        rows = [_entries(row, n, f'"H"[{i}]') for i, row in enumerate(rows)]
+        cells = list(itertools.chain(*rows, _entries(x0, n, '"x0"')))
 
         def label(p):
             return f'"H"[{p // n}][{p % n}]' if p < n * n else f'"x0"[{p - n * n}]'
 
         self.n = n
-        self.alphas = _check_alphas(alphas)
+        try:
+            self.alphas = np.array(alphas, dtype=float)
+        except OverflowError as exc:  # a JSON integer no double can hold
+            raise ValueError(f'"alphas": {exc}') from None
+        check_grid(self.alphas)
         self.alphas.setflags(write=False)
         self.groups = level_groups(cells, label)
 
@@ -114,11 +114,19 @@ def _nonneg_cuts(sys: FuzzySystem, alphas):
     return cuts
 
 
-def _steps(m, x):
-    """Fill x[k + 1] = m @ x[k] in place for k = 0..len(x) - 2."""
+def _steps(m, start, horizon: int) -> np.ndarray:
+    """The stack x of shape (horizon + 1, *start.shape) with x[0] = start and
+    x[k + 1] = m @ x[k], each step written in place; a ``start`` of fewer
+    dimensions than ``m`` holds vectors, which step as columns."""
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    x = np.empty((horizon + 1, *start.shape))
+    x[0] = start
+    steps = x[..., None] if start.ndim < m.ndim else x
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is an unbounded support
-        for k in range(len(x) - 1):
-            np.matmul(m, x[k], out=x[k + 1])
+        for k in range(horizon):
+            np.matmul(m, steps[k], out=steps[k + 1])
+    return x
 
 
 def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
@@ -135,15 +143,8 @@ def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
     NaN where a zero bound met an infinite one, with no warning.  Only
     :func:`assemble_fuzzy_attainable`, which builds fuzzy numbers, refuses it.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
     m_lo, m_hi, x_lo, x_hi = _nonneg_cuts(sys, alphas)
-    lo = np.empty((horizon + 1, *x_lo.shape))
-    hi = np.empty_like(lo)
-    lo[0], hi[0] = x_lo, x_hi
-    _steps(m_lo, lo[..., None])
-    _steps(m_hi, hi[..., None])
-    return lo, hi
+    return _steps(m_lo, x_lo, horizon), _steps(m_hi, x_hi, horizon)
 
 
 @dataclass(eq=False)
@@ -194,15 +195,8 @@ def transition_envelope(sys: FuzzySystem, alpha: float, horizon: int):
     M_lo^k and M_hi^k: the recursion of :func:`envelope_endpoints` run from
     the identity, with its sign preconditions and its overflow rule.  Row k
     applied to the initial-state endpoints gives step k of the envelope."""
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
     m_lo, m_hi, _, _ = _nonneg_cuts(sys, alpha)
-    lo = np.empty((horizon + 1, sys.n, sys.n))
-    hi = np.empty_like(lo)
-    lo[0] = hi[0] = np.eye(sys.n)
-    _steps(m_lo, lo)
-    _steps(m_hi, hi)
-    return lo, hi
+    return _steps(m_lo, np.eye(sys.n), horizon), _steps(m_hi, np.eye(sys.n), horizon)
 
 
 def mc_trajectories(sys: FuzzySystem, alpha: float, horizon: int, n: int,

@@ -92,17 +92,26 @@ def membership_limits(alphas, lo, hi, p) -> np.ndarray:
                      np.minimum(left, right_strict)])
 
 
+def check_grid(alphas: np.ndarray) -> None:
+    """The one alpha-grid rule: ``alphas`` is a float vector that runs from
+    exactly 0 to exactly 1 and strictly increases, or ValueError is raised."""
+    if alphas.ndim != 1 or alphas.size < 2 or alphas[0] != 0.0 or alphas[-1] != 1.0:
+        raise ValueError("alpha grid must run from 0 to 1")
+    if not (alphas[1:] > alphas[:-1]).all():
+        raise ValueError("alpha grid must be strictly increasing")
+
+
 def stack_fault(alphas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """First failed check of fuzzy numbers sharing the grid ``alphas``, whose
     cut endpoints run along the last axis of ``lo`` and ``hi``: (row, exception)
     for the first malformed row in row-major order, or None.  A row failing
-    several checks reports the first, in the order grid, finiteness, width
-    overflow, ordering, nestedness.
+    several checks reports the first, in the order grid (:func:`check_grid`,
+    blamed on row 0), finiteness, width overflow, ordering, nestedness.
     """
-    if alphas.size < 2 or alphas[0] != 0.0 or alphas[-1] != 1.0:
-        return 0, ValueError("alpha grid must run from 0 to 1")
-    if not (alphas[1:] > alphas[:-1]).all():
-        return 0, ValueError("alpha grid must be strictly increasing")
+    try:
+        check_grid(alphas)
+    except ValueError as exc:
+        return 0, exc
     # Non-finite or huge endpoints make these differences inf or NaN, which
     # the checks name, so numpy need not warn.  A check failing anywhere names
     # the row of its first bad element; finite widths mean finite endpoints.
@@ -257,6 +266,7 @@ class FuzzyVector:
         alphas, lo, hi = (np.array(v, dtype=float) for v in (alphas, lo, hi))
         if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[0] != alphas.size or not lo.size:
             raise ValueError("lo and hi must be (L, n) arrays for L alpha levels, n >= 1")
+        check_grid(alphas)  # shared by every component, so no component is named
         fault = stack_fault(alphas, lo.T, hi.T)
         if fault is not None:
             raise type(fault[1])(f"component {fault[0]}: {fault[1]}")
@@ -294,17 +304,16 @@ def validate_nested(levels) -> FuzzyVector:
     """Stack per-alpha boxes into a FuzzyVector, enforcing containment.
 
     ``levels`` is an iterable of (alpha, lo, hi) with lo/hi scalars or
-    length-N arrays.  Accepts iff alphas are strictly increasing and the
-    boxes are nonincreasing; on failure raises StackingViolation naming
-    the offending alpha pair.
+    length-N arrays.  Accepts iff the alphas pass :func:`check_grid` and the
+    boxes are nonincreasing; a box that is not raises StackingViolation
+    naming the offending alpha pair.
     """
     rows = list(levels)
     if not rows:
         raise ValueError("empty level list")
     alphas, lo, hi = (np.array(v, dtype=float) for v in zip(*rows))
     lo, hi = lo.reshape(alphas.size, -1), hi.reshape(alphas.size, -1)
-    if np.any(np.diff(alphas) <= 0):
-        raise ValueError("alphas must be strictly increasing")
+    check_grid(alphas)
     wider = ((np.diff(lo, axis=0) < -ORDER_TOL) | (np.diff(hi, axis=0) > ORDER_TOL)).any(axis=1)
     if wider.any():
         i = int(np.argmax(wider))

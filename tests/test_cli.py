@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from fdikit import FuzzyNumber, Tfn, cli
+from fdikit import FuzzyNumber, FuzzySystem, FuzzyVector, Tfn, cli, validate_nested
 from fdikit.cli import (
     EXIT_FALSIFIED,
     EXIT_INCONCLUSIVE,
@@ -742,6 +742,7 @@ NONNEG_2 = {"n": 2, "H": [[{"tfn": [0.1, 0.2, 0.3]}, {"tfn": [0.0, 0.1, 0.2]}],
     ["oracle", "{scalar}", "--k", "-1", "--out", "{out}"],
     ["simulate", "{scalar}", "--k", "-1", "--out", "{out}"],
     ["simulate", "{scalar}", "--alphas", "0.5,1", "--out", "{out}"],
+    ["simulate", "{scalar}", "--alphas", "", "--out", "{out}"],
     ["analyze", "{wide}", "--n", "-3"],
     ["analyze", "{nonneg}", "--n", "-1"],  # within the vertex budget
 ])
@@ -844,9 +845,45 @@ def test_load_system_applies_the_alphas_override(tmp_path):
     path = write(tmp_path, "s.json", SCALAR_STABLE)
     system, _ = load_system(path, "0,0.25,1")
     assert system.alphas.tolist() == [0.0, 0.25, 1.0]
-    assert load_system(path, "")[0].alphas.tolist() == [0.0, 0.5, 1.0]
+    assert load_system(path, None)[0].alphas.tolist() == [0.0, 0.5, 1.0]
     with pytest.raises(ValueError, match=r"^--alphas: cannot parse '0,x,1'$"):
         load_system(path, "0,x,1")
+    with pytest.raises(ValueError, match=r"^--alphas: cannot parse ''$"):
+        load_system(path, "")  # an empty override is refused, not ignored
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([0.0], "alpha grid must run from 0 to 1"),  # too short
+    ([0.5, 1.0], "alpha grid must run from 0 to 1"),  # not from 0
+    ([0.0, 0.5], "alpha grid must run from 0 to 1"),  # not to 1
+    ([0.0, 0.5, 0.5, 1.0], "alpha grid must be strictly increasing"),
+], ids=["too-short", "not-from-0", "not-to-1", "not-increasing"])
+def test_every_grid_fault_reads_one_text_at_every_entry_point(tmp_path, capsys, grid, message):
+    # one grid shared by two components: no component is named
+    size = len(grid)
+    lo, hi = [[0.0, 1.0]] * size, [[1.0, 2.0]] * size
+    api = {"FuzzyNumber": lambda: FuzzyNumber(grid, [0.0] * size, [1.0] * size),
+           "FuzzyVector.from_stack": lambda: FuzzyVector.from_stack(grid, lo, hi),
+           "validate_nested": lambda: validate_nested(zip(grid, lo, hi)),
+           "FuzzySystem": lambda: FuzzySystem([[0.5]], [1.0], alphas=grid)}
+    got = {}
+    for name, build in api.items():
+        with pytest.raises(ValueError) as err:
+            build()
+        got[name] = str(err.value)
+    cell = {"levels": [[a, 0.25, 0.75] for a in grid]}
+    runs = {'"alphas"': (dict(SCALAR_STABLE, alphas=grid), []),
+            "--alphas": (SCALAR_STABLE, ["--alphas", ",".join(map(repr, grid))]),
+            '{"levels"} cell': (dict(SCALAR_STABLE, H=[[cell]]), [])}
+    for name, (doc, extra) in runs.items():
+        path = write(tmp_path, "s.json", doc)
+        rc = main(["simulate", path, "--out", str(tmp_path / "out.csv")] + extra)
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (EXIT_INPUT, "")
+        got[name] = captured.err.removeprefix("input error: ").removesuffix("\n")
+    want = dict.fromkeys([*api, '"alphas"', "--alphas"], message)
+    want['{"levels"} cell'] = f'"H"[0][0]: {message}'
+    assert got == want
 
 
 # -- strict JSON on stdout -----------------------------------------------------------------

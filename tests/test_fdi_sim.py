@@ -171,6 +171,32 @@ def test_system_validation():
                     alphas=[0.0, 0.5])
 
 
+@pytest.mark.parametrize("h, x0, message", [
+    ([[0.1]], {"a": 1}, '"x0": expected 1 entries'),  # not the keys of a mapping
+    ([[0.1]], "a", '"x0": expected 1 entries'),
+    ([[0.1]], 1.0, '"x0": expected 1 entries'),
+    ([[0.1]], [1.0, 2.0], '"x0": expected 1 entries'),
+    ([[0.1, 0.2], {"a": 1, "b": 2}], [1.0, 1.0], '"H"[1]: expected 2 entries'),
+    ([[0.1, 0.2], "ab"], [1.0, 1.0], '"H"[1]: expected 2 entries'),
+    ([[0.1, 0.2], [0.3]], [1.0, 1.0], '"H"[1]: expected 2 entries'),
+    ([], [], '"H": expected at least one row'),
+], ids=["x0-mapping", "x0-str", "x0-number", "x0-length", "row-mapping", "row-str",
+        "row-length", "no-rows"])
+def test_system_shape_faults_name_the_json_path(h, x0, message):
+    with pytest.raises(ValueError) as err:
+        FuzzySystem(h=h, x0=x0)
+    assert str(err.value) == message
+
+
+def test_system_accepts_any_sequence_of_entries():
+    rows = [(0.1, Tfn(0.1, 0.2, 0.3)), np.array([0.3, 0.4])]
+    want = FuzzySystem(h=[[0.1, Tfn(0.1, 0.2, 0.3)], [0.3, 0.4]], x0=[1.0, Tfn(1, 2, 3)])
+    for x0 in ((1.0, Tfn(1, 2, 3)), FuzzyVector([1.0, Tfn(1, 2, 3)]), iter([1.0, Tfn(1, 2, 3)])):
+        got = FuzzySystem(h=rows, x0=x0)
+        for a, b in zip(fdi_sim._cuts(got, [0.0, 0.5, 1.0]), fdi_sim._cuts(want, [0.0, 0.5, 1.0])):
+            assert np.array_equal(a, b)
+
+
 # -- envelope propagation ----------------------------------------------------------------
 
 def test_envelope_scalar_two_steps():
