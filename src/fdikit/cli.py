@@ -246,7 +246,8 @@ def parse_system_obj(obj) -> tuple[FuzzySystem, np.ndarray | None]:
     if not isinstance(h_rows, list) or len(h_rows) != n:
         raise ValueError(f'"H": expected {n} rows')
     alphas = obj.get("alphas", DEFAULT_ALPHAS.tolist())
-    if not isinstance(alphas, list) or not all(isinstance(a, (int, float)) for a in alphas):
+    if not isinstance(alphas, list) or not all(
+            isinstance(a, (int, float)) and not isinstance(a, bool) for a in alphas):
         raise ValueError('"alphas": must be a list of numbers')
     system = FuzzySystem(h=h_rows, x0=obj.get("x0"), alphas=alphas)
 

@@ -264,7 +264,7 @@ class FuzzyVector:
         """Vector whose component i has the cut endpoints lo[:, i] and hi[:, i]
         at the levels ``alphas``; every component is checked at once."""
         alphas, lo, hi = (np.array(v, dtype=float) for v in (alphas, lo, hi))
-        if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[0] != alphas.size or not lo.size:
+        if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[0] != alphas.size or not lo.shape[1]:
             raise ValueError("lo and hi must be (L, n) arrays for L alpha levels, n >= 1")
         check_grid(alphas)  # shared by every component, so no component is named
         fault = stack_fault(alphas, lo.T, hi.T)
@@ -308,12 +308,9 @@ def validate_nested(levels) -> FuzzyVector:
     boxes are nonincreasing; a box that is not raises StackingViolation
     naming the offending alpha pair.
     """
-    rows = list(levels)
-    if not rows:
-        raise ValueError("empty level list")
-    alphas, lo, hi = (np.array(v, dtype=float) for v in zip(*rows))
-    lo, hi = lo.reshape(alphas.size, -1), hi.reshape(alphas.size, -1)
+    alphas, lo, hi = (np.array(v, dtype=float) for v in tuple(zip(*levels)) or ((),) * 3)
     check_grid(alphas)
+    lo, hi = lo.reshape(alphas.size, -1), hi.reshape(alphas.size, -1)
     wider = ((np.diff(lo, axis=0) < -ORDER_TOL) | (np.diff(hi, axis=0) > ORDER_TOL)).any(axis=1)
     if wider.any():
         i = int(np.argmax(wider))
@@ -331,8 +328,8 @@ def level_groups(cells, label) -> list[tuple[np.ndarray, np.ndarray, np.ndarray,
     value is read as ``float``.
 
     The cells are gathered into one stack per grid: in one flat pass
-    (:func:`_unit_stack`) when they plainly all lie on [0, 1], otherwise
-    cell by cell through :func:`breakpoints`.  The checks of
+    (:func:`_unit_stack`) when they plainly are all triangular on [0, 1],
+    otherwise cell by cell through :func:`breakpoints`.  The checks of
     :class:`FuzzyNumber` then run once per stack, and the first malformed
     cell raises ValueError (StackingViolation for cuts that are not nested)
     prefixed with ``label(index)``.
@@ -365,38 +362,34 @@ def level_groups(cells, label) -> list[tuple[np.ndarray, np.ndarray, np.ndarray,
 def _unit_stack(cells) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] | None:
     """The one stack (grid, index, lo, hi) on the grid [0, 1] that
     :func:`level_groups` would gather cell by cell, with lo and hi of shape
-    (len(cells), 2), or None when in doubt.  The cells are all
-    ``{"tfn": [l, c, r]}`` dicts, whose values convert as ``float`` does, or
-    each a Tfn with float fields, a float or a FuzzyNumber on exactly [0, 1];
-    and every cell reads lo(0) <= lo(1) <= hi(1) <= hi(0), so that NaN and
-    unordered triples are left to :class:`Tfn`.
+    (len(cells), 2), or None when in doubt.  The cells, in any mix, are
+    ``{"tfn": [l, c, r]}`` dicts, Tfns, floats and ints, whose values convert
+    as ``float`` does, and FuzzyNumbers that are triangular on exactly [0, 1];
+    and every cell reads l <= c <= r, so that NaN and unordered triples are
+    left to :class:`Tfn`.
     """
-    types = set(map(type, cells))
-    if types == {dict}:
-        try:
-            triples = list(map(operator.itemgetter("tfn"), cells))
-        except KeyError:
-            return None
-        if not set(map(type, triples)) <= {list, tuple} or set(map(len, triples)) != {3}:
-            return None
-        v, width = itertools.chain.from_iterable(triples), 3
-    else:
-        rows = {Tfn: operator.attrgetter("l", "c", "c", "r"), float: lambda x: (x,) * 4,
-                FuzzyNumber: lambda x: (*x.lo.tolist(), *x.hi[::-1].tolist())
-                if x.alphas.tobytes() == _TFN_LEVELS.tobytes() else ()}
-        if not types <= rows.keys():
-            return None
-        v, width = list(itertools.chain.from_iterable(itertools.chain.from_iterable(
-            map(rows[kind], run) for kind, run in itertools.groupby(cells, type)))), 4
-        if len(v) != 4 * len(cells) or set(map(type, v)) != {float}:  # () for other grids
-            return None
+    unit = _TFN_LEVELS.tobytes()
+    # (l, c, r) of each kind of cell, read one run of one kind at a time; a
+    # FuzzyNumber gives () unless it lies on exactly [0, 1] and its lo(1)
+    # and hi(1) have the same bits
+    triple = {dict: operator.itemgetter("tfn"), Tfn: operator.attrgetter("l", "c", "r"),
+              float: lambda x: (x, x, x), int: lambda x: (x, x, x),
+              FuzzyNumber: lambda x: (*x.lo.tolist(), x.hi[0]) if x.alphas.tobytes() == unit
+              and x.lo[1:].tobytes() == x.hi[1:].tobytes() else ()}
     try:
-        x = np.fromiter(v, float, width * len(cells))
+        triples = list(itertools.chain.from_iterable(
+            map(triple[kind], run) for kind, run in itertools.groupby(cells, type)))
+    except KeyError:  # another kind of cell, or a dict without "tfn"
+        return None
+    if not set(map(type, triples)) <= {list, tuple} or set(map(len, triples)) != {3}:
+        return None
+    try:
+        x = np.fromiter(itertools.chain.from_iterable(triples), float, 3 * len(cells))
     except (TypeError, ValueError, OverflowError):  # no number, a sequence, a huge integer
         return None
-    # Rows lo(0), lo(1), hi(1), hi(0) of all cells (lo(1) = hi(1) = c once in a
-    # triple), each contiguous, so that every check runs along whole rows.
-    x = np.ascontiguousarray(x.reshape(-1, width).T)
+    # Rows l, c, r of all cells, each contiguous, so that every check runs
+    # along whole rows.
+    x = np.ascontiguousarray(x.reshape(-1, 3).T)
     if not (x[:-1] <= x[1:]).all():
         return None
     return [(_TFN_LEVELS, np.arange(len(cells)), x[:2].T, x[:-3:-1].T)]
@@ -447,9 +440,7 @@ def breakpoints(x) -> tuple[tuple, tuple, tuple]:
     if not isinstance(rows, list) or not all(isinstance(r, (list, tuple)) and len(r) == 3
                                              for r in rows):
         raise ValueError('"levels" must be a list of [alpha, lo, hi] rows')
-    if not rows:
-        raise ValueError("empty level list")
-    return tuple(zip(*((float(a), float(l), float(h)) for a, l, h in rows)))
+    return tuple(zip(*((float(a), float(l), float(h)) for a, l, h in rows))) or ((),) * 3
 
 
 def interp_levels(x, xp, fp) -> np.ndarray:

@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from fdikit import FuzzyNumber, FuzzySystem, FuzzyVector, Tfn, cli, validate_nested
+from fdikit import FuzzyNumber, FuzzySystem, FuzzyVector, Tfn, cli, fuzzy_num, validate_nested
 from fdikit.cli import (
     EXIT_FALSIFIED,
     EXIT_INCONCLUSIVE,
@@ -283,6 +283,18 @@ def test_non_integer_n_is_input_error(tmp_path, capsys, n):
     assert rc == EXIT_INPUT
     assert captured.out == ""
     assert captured.err == 'input error: "n": must be an integer\n'
+
+
+@pytest.mark.parametrize("alphas", [[False, True], [0, 0.5, True], [0, "1"], [0, None, 1], "0,1"],
+                         ids=["booleans", "one-boolean", "string", "null", "not-a-list"])
+def test_non_number_alphas_is_input_error(tmp_path, capsys, alphas):
+    # JSON true is a Python int; "alphas" refuses it as "n" does, while the
+    # values of a cell read it as 1.0 (TFN_CELL_CASES["bools"])
+    rc = main(["analyze", write(tmp_path, "s.json", dict(SCALAR_STABLE, alphas=alphas))])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (EXIT_INPUT, "")
+    assert captured.err == 'input error: "alphas": must be a list of numbers\n'
+
 
 def test_main_repeats_in_one_process_like_fresh_processes(tmp_path, capsys):
     # main reuses one argument parser; no call may leak state into the next
@@ -853,15 +865,16 @@ def test_load_system_applies_the_alphas_override(tmp_path):
 
 
 @pytest.mark.parametrize("grid, message", [
+    ([], "alpha grid must run from 0 to 1"),  # an empty level list
     ([0.0], "alpha grid must run from 0 to 1"),  # too short
     ([0.5, 1.0], "alpha grid must run from 0 to 1"),  # not from 0
     ([0.0, 0.5], "alpha grid must run from 0 to 1"),  # not to 1
     ([0.0, 0.5, 0.5, 1.0], "alpha grid must be strictly increasing"),
-], ids=["too-short", "not-from-0", "not-to-1", "not-increasing"])
+], ids=["empty", "too-short", "not-from-0", "not-to-1", "not-increasing"])
 def test_every_grid_fault_reads_one_text_at_every_entry_point(tmp_path, capsys, grid, message):
     # one grid shared by two components: no component is named
     size = len(grid)
-    lo, hi = [[0.0, 1.0]] * size, [[1.0, 2.0]] * size
+    lo, hi = np.tile([0.0, 1.0], (size, 1)), np.tile([1.0, 2.0], (size, 1))
     api = {"FuzzyNumber": lambda: FuzzyNumber(grid, [0.0] * size, [1.0] * size),
            "FuzzyVector.from_stack": lambda: FuzzyVector.from_stack(grid, lo, hi),
            "validate_nested": lambda: validate_nested(zip(grid, lo, hi)),
@@ -875,13 +888,15 @@ def test_every_grid_fault_reads_one_text_at_every_entry_point(tmp_path, capsys, 
     runs = {'"alphas"': (dict(SCALAR_STABLE, alphas=grid), []),
             "--alphas": (SCALAR_STABLE, ["--alphas", ",".join(map(repr, grid))]),
             '{"levels"} cell': (dict(SCALAR_STABLE, H=[[cell]]), [])}
+    if not grid:  # an empty --alphas is a parse error (test_bad_argument_is_input_error)
+        del runs["--alphas"]
     for name, (doc, extra) in runs.items():
         path = write(tmp_path, "s.json", doc)
         rc = main(["simulate", path, "--out", str(tmp_path / "out.csv")] + extra)
         captured = capsys.readouterr()
         assert (rc, captured.out) == (EXIT_INPUT, "")
         got[name] = captured.err.removeprefix("input error: ").removesuffix("\n")
-    want = dict.fromkeys([*api, '"alphas"', "--alphas"], message)
+    want = dict.fromkeys([*api, *runs], message)
     want['{"levels"} cell'] = f'"H"[0][0]: {message}'
     assert got == want
 
@@ -1014,6 +1029,20 @@ TFN_CELL_CASES = {
     "dict-subclass": [TfnMapping(tfn=[0, 1, 2])],
     "levels-cell": [{"levels": [[0.0, 0.0, 1.0], [1.0, 0.5, 0.5]]}],
     "no-tfn-key": [{"tnf": [0, 1, 2]}],
+    # mixes of the four kinds read in one flat pass, and kinds among them that are not
+    "dicts-and-numbers": [{"tfn": [0, 1, 2]}, 0.5, -3, {"tfn": [0.5, 0.5, 0.5]}, 0.0, 2],
+    "dicts-and-objects": [Tfn(0.0, 0.5, 1.0), {"tfn": [0, 1, 2]}, 0.25,
+                          FuzzyNumber([0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]), Tfn(1, 2, 3), 7],
+    "ints": [0, 1, -2, 2 ** 53 + 1, 2 ** 64],
+    "dicts-and-huge-int": [{"tfn": [0, 1, 2]}, 10 ** 400],
+    "dicts-and-unordered-tfn": [{"tfn": [0, 1, 2]}, Tfn(0.0, 0.5, 1.0), {"tfn": [2, 1, 0]}],
+    "dicts-and-trapezoid": [{"tfn": [0, 1, 2]}, FuzzyNumber([0.0, 1.0], [0.0, 0.5], [1.0, 0.75])],
+    "dicts-and-signed-zero-core": [{"tfn": [0, 1, 2]},
+                                   FuzzyNumber([0.0, 1.0], [-1.0, -0.0], [1.0, 0.0])],
+    "dicts-and-true": [{"tfn": [0, 1, 2]}, True, 0.5],
+    "dicts-and-numpy-float": [{"tfn": [0, 1, 2]}, np.float64(0.5), 1.5],
+    "dicts-and-no-tfn-key": [{"tfn": [0, 1, 2]}, 0.5, {"tnf": [0, 1, 2]}],
+    "dicts-and-levels": [0.5, {"tfn": [0, 1, 2]}, {"levels": [[0.0, 0.0, 1.0], [1.0, 0.5, 0.5]]}],
 }
 
 
@@ -1033,6 +1062,17 @@ def test_tfn_cells_parse_like_the_per_cell_path(case):
     flat = [cell for row in h for cell in row] + doc["x0"]
     assert stack_outcome(lambda _: parse_system_obj(doc)[0].groups, flat) == stack_outcome(
         lambda c: ref_level_groups(c, label), flat)
+
+
+def test_a_file_with_a_crisp_x0_is_gathered_in_one_stack(monkeypatch):
+    h = [[{"tfn": [0.1, 0.2, 0.3]}, 0.0], [0, {"tfn": [0.0, 0.25, 0.5]}]]
+    doc = {"n": 2, "H": h, "x0": [1.0, 2]}
+    cells = [cell for row in h for cell in row] + doc["x0"]
+    want = stack_outcome(ref_level_groups, cells)
+    [(grid, index, lo, hi)] = fuzzy_num._unit_stack(cells)
+    assert grid.tolist() == [0.0, 1.0] and index.tolist() == list(range(6))
+    monkeypatch.setattr(fuzzy_num, "breakpoints", None)  # no cell is read on its own
+    assert stack_outcome(lambda _: parse_system_obj(doc)[0].groups, cells) == want
 
 
 # -- golden verdict bytes ------------------------------------------------------------------
