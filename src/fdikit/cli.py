@@ -256,7 +256,7 @@ def parse_system_obj(obj) -> tuple[FuzzySystem, np.ndarray | None]:
         t_rows = obj["T"]
         if (not isinstance(t_rows, list) or len(t_rows) != n
                 or any(not isinstance(r, list) or len(r) != n for r in t_rows)):
-            raise ValueError(f'"T": expected an {n}x{n} matrix')
+            raise ValueError(f'"T": expected {n} rows of {n} numbers')
         try:
             transform = np.asarray(t_rows, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -420,10 +420,6 @@ def main(argv=None) -> int:
     except OSError as exc:  # _write_csv names the path of a failed write
         print(exc, file=sys.stderr)
         return EXIT_IO
-
-
-def entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -1,10 +1,16 @@
-"""Shared random corpora for unit and acceptance tests.
+"""Shared random corpora for unit and acceptance tests, and a runner for
+fresh interpreters.
 
 All generators take an explicit numpy Generator so every test pins its
 own seed; nothing here draws from global state.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -14,6 +20,19 @@ from fdikit import (
     IntervalMatrix,
     Tfn,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args, timeout: float = 60, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports fdikit from
+    ``src`` ahead of any other PYTHONPATH entry, with stdout and stderr
+    captured as text."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout, **kwargs)
 
 
 # H entries of 1e200 overflow the envelope to inf by step 2; the zero lower

@@ -3,13 +3,9 @@
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
-from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -29,7 +25,7 @@ from fdikit.cli import (
 )
 from fdikit.fdi_sim import envelope_endpoints, level_matrix, mc_trajectories
 
-from conftest import OVERFLOWING
+from conftest import OVERFLOWING, run_python
 from test_fuzzy_num import ref_level_groups, stack_outcome
 
 SCALAR_STABLE = {
@@ -219,6 +215,8 @@ def test_analyze_malformed_fuzzy_names_path(tmp_path, capsys):
      '"H"[1][0]: triple must satisfy l <= c <= r, got (3.0, 2.0, 1.0)'),
     ({(0, 1): {"tfn": ["0.1", "0.2", "0.3"]}, (1, 1): {"tfn": ["a", "b", "c"]}},
      '"H"[1][1]: could not convert string to float: \'a\''),
+    # the one unordered triple of a file of "tfn" cells
+    ({(0, 1): {"tfn": [2, 1, 3]}}, '"H"[0][1]: triple must satisfy l <= c <= r, got (2.0, 1.0, 3.0)'),
 ])
 def test_analyze_names_first_malformed_cell(tmp_path, capsys, cells, expected):
     h = [[{"tfn": [0.1, 0.2, 0.3]} for _ in range(2)] for _ in range(2)]
@@ -297,31 +295,44 @@ def test_non_number_alphas_is_input_error(tmp_path, capsys, alphas):
 
 
 def test_main_repeats_in_one_process_like_fresh_processes(tmp_path, capsys):
-    # main reuses one argument parser; no call may leak state into the next
-    inconclusive = {"n": 1, "H": [[{"tfn": [-1.0, 0.0, 1.0]}]], "x0": [{"tfn": [0, 1, 2]}]}
-    system, out = write(tmp_path, "s.json", inconclusive), str(tmp_path / "env.csv")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    codes = []
-    for argv in (["analyze", system, "--n", "20", "--seed", "7"],
-                 ["simulate", write(tmp_path, "t.json", SCALAR_STABLE), "--out", out],
-                 ["simulate", system],  # no --out: argparse exits with 2
-                 ["analyze", system, "--n", "20"]):
-        fresh = subprocess.run([sys.executable, "-m", "fdikit.cli", *argv],
-                               capture_output=True, text=True, env=env, timeout=60)
-        fresh_csv = Path(out).read_bytes() if argv[0] == "simulate" and "--out" in argv else None
+    # main reuses one argument parser; no call may leak state into the next.
+    # The installed fdikit script makes the same call, sys.exit(main()), as
+    # python -m fdikit.cli, so each exit code is also the command's.
+    files = {name: write(tmp_path, f"{name}.json", doc) for name, doc in (
+        ("stable", {"n": 1, "H": [[0.5]], "x0": [1]}),
+        ("unstable", {"n": 1, "H": [[1.5]], "x0": [1]}),
+        ("wide", {"n": 1, "H": [[{"tfn": [-1, 0, 1]}]], "x0": [1]}))}
+    out = tmp_path / "out.csv"
+    files.update(out=str(out), missing=str(tmp_path / "missing" / "out.csv"))
+
+    def take_csv():  # the CSV's bytes (None if none was written), removed for the next call
+        if not out.exists():
+            return None
+        data = out.read_bytes()
+        out.unlink()
+        return data
+
+    runs = [(["analyze", "{wide}", "--n", "20", "--seed", "7"], EXIT_INCONCLUSIVE),
+            (["analyze", "{stable}"], EXIT_OK),
+            (["analyze", "{unstable}"], EXIT_FALSIFIED),
+            (["analyze", "{wide}", "--n", "-1"], EXIT_INPUT),
+            (["simulate", "{stable}", "--out", "{out}"], EXIT_OK),
+            (["simulate", "{wide}", "--out", "{out}"], EXIT_PRECONDITION),
+            (["simulate", "{stable}", "--out", "{missing}"], EXIT_IO),
+            (["simulate", "{wide}"], 2),  # no --out: argparse exits with 2
+            (["analyze", "{wide}", "--n", "20"], EXIT_INCONCLUSIVE)]
+    for argv, want in runs:
+        argv = [a.format(**files) for a in argv]
+        fresh = run_python("-m", "fdikit.cli", *argv)
+        fresh_csv = take_csv()
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout,
-                                                      fresh.stderr)
-        if fresh_csv is not None:
-            assert Path(out).read_bytes() == fresh_csv
-        codes.append(code)
-    assert codes == [EXIT_INCONCLUSIVE, EXIT_OK, 2, EXIT_INCONCLUSIVE]
+        assert (code, captured.out, captured.err, take_csv()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr, fresh_csv), argv
+        assert code == want, argv
 
 
 def test_analyze_missing_file(capsys):
@@ -567,17 +578,55 @@ def test_oracle_skips_containment_when_sign_indefinite(tmp_path, capsys):
 
 # -- output digests and argument errors -------------------------------------------------
 
-# simulate and oracle CSVs of two documents, digests taken before the system
-# became a level stack.  The CSVs print 12 significant digits, so last-ulp
-# BLAS differences between hosts do not reach them.
+def levels(l, c, r):
+    """The triangular number (l, c, r) as a {"levels"} cell."""
+    return {"levels": [[0, l, r], [1, c, c]]}
+
+
+# one 3x3 system with its crisp entries as plain numbers (ints and floats)
+# and as {"tfn": [x, x, x]}; every value and row sum is exact in binary
+CRISP_CELLS = {"n": 3,
+               "H": [[{"tfn": [0.125, 0.25, 0.375]}, 0, 0.25],
+                     [0.5, {"tfn": [0, 0.125, 0.25]}, 0.0],
+                     [0, 0.25, {"tfn": [0.125, 0.25, 0.5]}]],
+               "x0": [1, {"tfn": [0.5, 1, 1.5]}, 2.0]}
+CRISP_AS_TFN = {"n": 3,
+                "H": [[{"tfn": [0.125, 0.25, 0.375]}, {"tfn": [0, 0, 0]}, {"tfn": [0.25] * 3}],
+                      [{"tfn": [0.5] * 3}, {"tfn": [0, 0.125, 0.25]}, {"tfn": [0.0] * 3}],
+                      [{"tfn": [0, 0, 0]}, {"tfn": [0.25] * 3}, {"tfn": [0.125, 0.25, 0.5]}]],
+                "x0": [{"tfn": [1, 1, 1]}, {"tfn": [0.5, 1, 1.5]}, {"tfn": [2.0] * 3}]}
+
+TFN_DIGESTS = ("214772d723e95ffa10dddd61937268b17f95e1b0e808d1b3304bae98a7381297",
+               "2d70491e190ea8ddcb2cc621c6944ac65c8f5a4af117605e0f088771a3ec2d18")
+CRISP_DIGESTS = ("40c6008026f2fd07c1d04bbb86c4ab54d006ce9c50e85199ccbac169487fd1cb",
+                 "1fa8f64d0d9b0b163215b7d0ab5996ca29e3aaaa2818e6ea590473f46b828b8a")
+
+# simulate and oracle CSVs; the "tfn" and "mixed-grid" digests were taken
+# before the system became a level stack.  The CSVs print 12 significant
+# digits, so last-ulp BLAS differences between hosts do not reach them.
 GOLDEN = {
     "tfn": ({
         "n": 2,
         "H": [[{"tfn": [0.2, 0.3, 0.4]}, {"tfn": [0.0, 0.1, 0.2]}],
               [{"tfn": [0.1, 0.15, 0.2]}, {"tfn": [0.3, 0.4, 0.5]}]],
         "x0": [{"tfn": [0.5, 1.0, 1.5]}, {"tfn": [0.25, 0.5, 0.75]}],
-    }, [], "214772d723e95ffa10dddd61937268b17f95e1b0e808d1b3304bae98a7381297",
-        "2d70491e190ea8ddcb2cc621c6944ac65c8f5a4af117605e0f088771a3ec2d18"),
+    }, [], *TFN_DIGESTS),
+    # the same numbers as {"levels"} cells, read cell by cell, and as a mix
+    # of both kinds, read by one reader: the same bytes as one flat pass
+    "tfn-as-levels": ({
+        "n": 2,
+        "H": [[levels(0.2, 0.3, 0.4), levels(0.0, 0.1, 0.2)],
+              [levels(0.1, 0.15, 0.2), levels(0.3, 0.4, 0.5)]],
+        "x0": [levels(0.5, 1.0, 1.5), levels(0.25, 0.5, 0.75)],
+    }, [], *TFN_DIGESTS),
+    "tfn-and-levels": ({
+        "n": 2,
+        "H": [[{"tfn": [0.2, 0.3, 0.4]}, levels(0.0, 0.1, 0.2)],
+              [{"tfn": [0.1, 0.15, 0.2]}, levels(0.3, 0.4, 0.5)]],
+        "x0": [levels(0.5, 1.0, 1.5), {"tfn": [0.25, 0.5, 0.75]}],
+    }, [], *TFN_DIGESTS),
+    "crisp-cells": (CRISP_CELLS, [], *CRISP_DIGESTS),
+    "crisp-as-tfn": (CRISP_AS_TFN, [], *CRISP_DIGESTS),
     # one cell with a breakpoint (alpha 0.3) off the --alphas grid
     "mixed-grid": ({
         "n": 2,
@@ -697,7 +746,9 @@ def test_simulate_csv_special_values_match_row_reference(tmp_path, capsys, doc):
     special = ("inf", "nan") if doc is OVERFLOWING else ("-0", "4.94065645841e-324")
     assert all(s in text for s in special)
     # stdout stays JSON: each NaN width prints as null, and "non_finite" counts them
-    summary = strict_loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    summary = strict_loads(captured.out)
     expected_widths, count = nulled(widths)
     assert [w["width"] for w in summary["final_widths"]] == expected_widths
     assert summary.get("non_finite", 0) == count
@@ -748,27 +799,50 @@ NONNEG_2 = {"n": 2, "H": [[{"tfn": [0.1, 0.2, 0.3]}, {"tfn": [0.0, 0.1, 0.2]}],
             "x0": [1, 1]}
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "{wide}", "--n", "0"],  # 2^25 vertices over budget, no samples
-    ["oracle", "{scalar}", "--n", "0", "--out", "{out}"],
-    ["oracle", "{scalar}", "--k", "-1", "--out", "{out}"],
-    ["simulate", "{scalar}", "--k", "-1", "--out", "{out}"],
-    ["simulate", "{scalar}", "--alphas", "0.5,1", "--out", "{out}"],
-    ["simulate", "{scalar}", "--alphas", "", "--out", "{out}"],
-    ["analyze", "{wide}", "--n", "-3"],
-    ["analyze", "{nonneg}", "--n", "-1"],  # within the vertex budget
-])
-def test_bad_argument_is_input_error(tmp_path, capsys, argv):
+BAD_INPUTS = [
+    # 2^25 vertices over budget, no samples
+    (["analyze", "{wide}", "--n", "0"], "33554432 vertices exceed the budget of 65536 "
+                                        "and no samples were requested: no member to check"),
+    (["oracle", "{scalar}", "--n", "0", "--out", "{out}"],
+     "need n > 0 trajectories and a non-negative horizon"),
+    (["oracle", "{scalar}", "--k", "-1", "--out", "{out}"],
+     "need n > 0 trajectories and a non-negative horizon"),
+    (["simulate", "{scalar}", "--k", "-1", "--out", "{out}"], "horizon must be non-negative"),
+    (["simulate", "{scalar}", "--alphas", "0.5,1", "--out", "{out}"],
+     "alpha grid must run from 0 to 1"),
+    (["simulate", "{scalar}", "--alphas", "", "--out", "{out}"], "--alphas: cannot parse ''"),
+    (["analyze", "{wide}", "--n", "-3"], "sample count must be non-negative, got -3"),
+    # within the vertex budget
+    (["analyze", "{nonneg}", "--n", "-1"], "sample count must be non-negative, got -1"),
+    # files refused before a system is built
+    (["analyze", "{not_json}"], "{not_json}: not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (["analyze", "{list}"], "top level: expected a JSON object"),
+    (["analyze", "{no_n}"], 'top level: missing "n"'),
+    (["analyze", "{n_zero}"], '"n": must be positive'),
+    (["analyze", "{short_t}"], '"T": expected 2 rows of 2 numbers'),
+    (["distance", "{empty}", "{empty}"], "{empty}: fuzzy vector needs at least one component"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUTS, ids=[f"argv{i}" for i in range(8)] + [
+    "not-json", "top-level-list", "no-n", "n-zero", "T-shape", "empty-vector"])
+def test_bad_argument_is_input_error(tmp_path, capsys, argv, message):
+    not_json = tmp_path / "j.json"
+    not_json.write_text("not json")
     files = {"wide": write(tmp_path, "w.json", FULLY_FUZZY_5),
              "nonneg": write(tmp_path, "p.json", NONNEG_2),
              "scalar": write(tmp_path, "s.json", SCALAR_STABLE),
-             "out": str(tmp_path / "out.csv")}
+             "out": str(tmp_path / "out.csv"),
+             "list": write(tmp_path, "l.json", [SCALAR_STABLE]),
+             "no_n": write(tmp_path, "m.json", {"H": [[0.5]], "x0": [1]}),
+             "n_zero": write(tmp_path, "z.json", {"n": 0, "H": [], "x0": []}),
+             "short_t": write(tmp_path, "t.json", dict(NONNEG_2, T=[[1, 0], [0]])),
+             "empty": write(tmp_path, "e.json", []),
+             "not_json": str(not_json)}
     rc = main([a.format(**files) for a in argv])
     captured = capsys.readouterr()
-    assert rc == EXIT_INPUT
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("input error: ")
+    assert (rc, captured.out, captured.err) == (
+        EXIT_INPUT, "", f"input error: {message.format(**files)}\n")
 
 
 @pytest.mark.parametrize("cell", ["H", "x0"])
@@ -808,11 +882,12 @@ def test_distance_overlapping(tmp_path, capsys):
 
 
 def test_distance_identical_files(tmp_path, capsys):
-    a = write(tmp_path, "a.json", {"tfn": [2, 3, 4]})
-    for metric in ("membership", "levelwise"):
-        rc = main(["distance", a, a, "--metric", metric])
-        assert rc == EXIT_OK
-        assert capsys.readouterr().out.strip() == "0"
+    for doc in ({"tfn": [2, 3, 4]}, [{"tfn": [2, 3, 4]}, {"tfn": [1, 2, 3]}]):
+        a = write(tmp_path, "a.json", doc)
+        for metric in ("membership", "levelwise"):
+            rc = main(["distance", a, a, "--metric", metric])
+            assert rc == EXIT_OK
+            assert capsys.readouterr().out == "0\n"
 
 
 def test_distance_levelwise_vectors(tmp_path, capsys):
@@ -1084,7 +1159,13 @@ def test_a_file_with_a_crisp_x0_is_gathered_in_one_stack(monkeypatch):
 # an entry whose members reach +-8e307, so sums and products of two overflow
 HUGE_WIDE = {"tfn": [-8e307, 0, 8e307]}
 
+CRISP_VERDICT = ('{"status": "AsymptoticallyStable", "criterion": "gershgorin_nonneg", '
+                 '"witness": {"row_margins": [0.375, 0.25, 0.25]}}\n')
+
 GOLDEN_VERDICTS = {
+    # crisp entries as plain numbers and as {"tfn": [x, x, x]}: the same bytes
+    "crisp-cells": (CRISP_CELLS, [], EXIT_OK, CRISP_VERDICT),
+    "crisp-as-tfn": (CRISP_AS_TFN, [], EXIT_OK, CRISP_VERDICT),
     # an upper-triangular family: vertex radii are diagonal entries, exactly
     "falsified-matrix": ({
         "n": 3,

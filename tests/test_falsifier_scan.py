@@ -6,11 +6,8 @@ the per-member loop they replace."""
 import itertools
 import json
 import logging
-import os
 import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +24,7 @@ from fdikit import (
 from fdikit import interval_linalg, stability
 from fdikit.cli import EXIT_FALSIFIED, EXIT_INCONCLUSIVE, EXIT_OK
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import run_python
 
 #: Wall-clock bound on a CLI run that must finish (a hang fails, not stalls).
 CLI_TIMEOUT_S = 30
@@ -127,10 +124,7 @@ def nearbound_doc(n: int = 8) -> dict:
 def run_cli(tmp_path, doc, *args) -> subprocess.CompletedProcess:
     path = tmp_path / "system.json"
     path.write_text(json.dumps(doc))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "fdikit.cli", args[0], str(path), *args[1:]],
-                          capture_output=True, text=True, env=env, timeout=CLI_TIMEOUT_S)
+    return run_python("-m", "fdikit.cli", args[0], str(path), *args[1:], timeout=CLI_TIMEOUT_S)
 
 
 def test_analyze_fully_fuzzy_8x8_unstable_finishes(tmp_path):
@@ -549,7 +543,5 @@ def test_import_leaves_scipy_unloaded():
             "a = np.random.default_rng(0).random((520, 520))\n"
             "print(fdikit.spectral_radius(a) == float(fdikit.spectral_radii(a)))\n"
             "print(any(k.startswith('scipy') for k in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=CLI_TIMEOUT_S)
+    proc = run_python("-c", code, timeout=CLI_TIMEOUT_S)
     assert proc.stdout.split() == ["False", "True", "False"], proc.stderr

@@ -62,6 +62,8 @@ def test_tfn_alpha_cut_domain_error():
         tfn_alpha_cut(Tfn(2, 4, 6), 1.5)
     with pytest.raises(ValueError):
         tfn_alpha_cut(Tfn(2, 4, 6), -0.1)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.5$"):
+        as_fuzzy(Tfn(2, 4, 6)).cut(1.5)
 
 
 def test_tfn_ordering_enforced():
@@ -269,6 +271,11 @@ def test_constructor_requires_full_grid():
         FuzzyNumber([0, 0.5], [0, 1], [4, 3])
 
 
+def test_constructor_rejects_endpoints_of_another_length():
+    with pytest.raises(ValueError, match="^alphas, lo, hi must be one-dimensional and equally long$"):
+        FuzzyNumber([0, 1], [0], [1])
+
+
 def test_constructor_rejects_overflowing_width():
     # finite endpoints whose difference overflows, named without a numpy warning
     with warnings.catch_warnings():
@@ -293,6 +300,8 @@ def test_json_rejects_malformed():
         as_fuzzy({"nope": 1})
     with pytest.raises(ValueError):
         as_fuzzy([0, 1, 2])
+    with pytest.raises(ValueError, match=r'^"levels" must be a list of \[alpha, lo, hi\] rows$'):
+        as_fuzzy({"levels": [[0, 1]]})
 
 
 # -- level groups ---------------------------------------------------------------------------
@@ -424,17 +433,16 @@ def test_cells_in_any_mix_stack_like_the_per_cell_path(cells):
 
 
 def test_objects_on_the_unit_grid_are_read_flat():
-    # one group on [0, 1]; an interval core, -0.0 and subnormal endpoints keep their bits
-    cells = [Tfn(0.5, 1.0, 2.0), 0.25, unit_fuzzy(-0.0, 0.5, 0.75, 1.0), -0.0,
-             unit_fuzzy(5e-324, 1e-310, 1e-310, 2.0), Tfn(-0.0, -0.0, 0.0),
-             unit_fuzzy(1.0, 1.0, 1.0, 1.0)]
+    # one group on [0, 1]; -0.0 and subnormal endpoints keep their bits
+    cells = [Tfn(0.5, 1.0, 2.0), 0.25, -0.0, unit_fuzzy(5e-324, 1e-310, 1e-310, 2.0),
+             Tfn(-0.0, -0.0, 0.0), unit_fuzzy(1.0, 1.0, 1.0, 1.0)]
+    assert fuzzy_num._unit_stack(cells) is not None
     assert_same_as_reference(cells)
     [(grid, index, lo, hi)] = level_groups(cells, str)
     assert grid.tolist() == [0.0, 1.0] and index.tolist() == list(range(len(cells)))
-    assert np.signbit(lo[:, 2]).tolist() == [True, False]
-    assert lo[:, 2].tolist() == [0.0, 0.5] and hi[:, 2].tolist() == [1.0, 0.75]
-    assert lo[:, 4].tolist() == [5e-324, 1e-310] and np.signbit(lo[:, 5]).all()
-    assert np.signbit(hi[:, 5]).tolist() == [False, True]
+    assert np.signbit(lo[:, 2]).all() and np.signbit(hi[:, 2]).all()
+    assert lo[:, 3].tolist() == [5e-324, 1e-310] and np.signbit(lo[:, 4]).all()
+    assert np.signbit(hi[:, 4]).tolist() == [False, True]
 
 
 @pytest.mark.parametrize("cells", [
@@ -443,8 +451,9 @@ def test_objects_on_the_unit_grid_are_read_flat():
     [FuzzyNumber([0.0, 0.5, 1.0], [0, 1, 2], [4, 3, 2])],
     [FuzzyNumber([-0.0, 1.0], [0.0, 1.0], [2.0, 1.0]), Tfn(0.0, 0.5, 1.0)],
     [Tfn(0.0, 0.5, 1.0), {"tfn": [0, 1, 2]}],
+    [Tfn(0.5, 1.0, 2.0), unit_fuzzy(-0.0, 0.5, 0.75, 1.0)],  # an interval core
 ], ids=["int-fields", "bool-field", "int", "bool", "nan", "inf", "width-overflow",
-        "numpy-float", "three-levels", "minus-zero-grid", "with-a-dict"])
+        "numpy-float", "three-levels", "minus-zero-grid", "with-a-dict", "trapezoid"])
 def test_doubtful_cells_go_per_cell(cells):
     # cells at the edges of the flat pass: the same groups and cuts, or the same error
     assert_same_as_reference(cells)

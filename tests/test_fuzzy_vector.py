@@ -199,6 +199,11 @@ def test_vector_names_first_malformed_component():
         FuzzyVector.from_stack([0.0, 1.0], [[0.0, 2.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]])
 
 
+def test_from_stack_rejects_one_dimensional_endpoints():
+    with pytest.raises(ValueError, match=r"^lo and hi must be \(L, n\) arrays for L alpha levels"):
+        FuzzyVector.from_stack([0.0, 1.0], [0.0, 0.5], [1.0, 0.5])
+
+
 def test_stack_is_read_only_and_views_follow_columns():
     v = FuzzyVector([Tfn(0, 1, 2), Tfn(1, 2, 4)])
     with pytest.raises(ValueError):

@@ -34,6 +34,11 @@ def test_interval_vector_rejects_unordered():
         ivec([1.0], [0.0])
 
 
+def test_interval_box_rejects_endpoints_of_another_shape():
+    with pytest.raises(ValueError, match="^lo and hi must be vectors or matrices of equal shape$"):
+        IntervalMatrix(np.zeros(2), np.zeros((2, 2)))
+
+
 def test_side_of_a_vector_box_is_refused():
     assert imat([[0.0, 1.0], [2.0, 3.0]], [[1.0, 1.0], [2.0, 4.0]]).n == 2
     for box in (ivec([0.0, 1.0], [1.0, 2.0]), imat([[0.0, 1.0]], [[1.0, 2.0]])):

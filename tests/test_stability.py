@@ -386,6 +386,11 @@ def test_condeig_zero_box():
     assert v.status is StabilityStatus.ASYMPTOTICALLY_STABLE
 
 
+def test_eigen_box_rejects_reversed_axes():
+    with pytest.raises(ValueError, match="^eigenvalue box needs lo <= hi on both axes$"):
+        EigenBox(1.0, 0.0, 0.0, 0.0)
+
+
 def test_corner_dominates_dense_grid():
     rng = np.random.default_rng(4)
     for _ in range(200):
@@ -444,6 +449,11 @@ def test_marginal_general_interval_case():
 def test_marginal_rejects_singular_transform():
     with pytest.raises(ValueError):
         marginal_test(imat(np.eye(2), np.eye(2)), np.zeros((2, 2)))
+
+
+def test_marginal_rejects_a_transform_of_another_size():
+    with pytest.raises(ValueError, match=r"^transform must be 2x2, got \(3, 3\)$"):
+        marginal_test(imat(np.eye(2), np.eye(2)), np.eye(3))
 
 
 def test_marginal_transform_applied():
