@@ -22,6 +22,10 @@ import numpy as np
 from .fuzzy_num import FuzzyVector, _freeze, check_grid, level_cuts, level_groups, stack_fault
 from .interval_linalg import IntervalMatrix, chunk_rows, uniform_draw
 
+__all__ = ["FuzzySystem", "SignPreconditionError", "assemble_fuzzy_attainable",
+           "envelope_endpoints", "level_matrix", "level_state", "mc_trajectories",
+           "transition_envelope"]
+
 DEFAULT_ALPHAS = np.round(np.linspace(0.0, 1.0, 11), 12)
 
 

@@ -17,6 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
+__all__ = ["FuzzyNumber", "FuzzyVector", "StackingViolation", "Tfn", "as_fuzzy", "fn_add",
+           "fn_mul_approx", "fn_scale", "tfn_alpha_cut", "validate_nested"]
+
 #: Slack allowed when checking nestedness of levels; lo <= hi is exact.
 ORDER_TOL = 1e-12
 
@@ -369,16 +372,14 @@ def _unit_stack(cells) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     left to :class:`Tfn`.
     """
     unit = _TFN_LEVELS.tobytes()
-    # (l, c, r) of each kind of cell, read one run of one kind at a time; a
-    # FuzzyNumber gives () unless it lies on exactly [0, 1] and its lo(1)
-    # and hi(1) have the same bits
+    # (l, c, r) of each kind of cell; a FuzzyNumber gives () unless it lies
+    # on exactly [0, 1] and its lo(1) and hi(1) have the same bits
     triple = {dict: operator.itemgetter("tfn"), Tfn: operator.attrgetter("l", "c", "r"),
               float: lambda x: (x, x, x), int: lambda x: (x, x, x),
               FuzzyNumber: lambda x: (*x.lo.tolist(), x.hi[0]) if x.alphas.tobytes() == unit
               and x.lo[1:].tobytes() == x.hi[1:].tobytes() else ()}
     try:
-        triples = list(itertools.chain.from_iterable(
-            map(triple[kind], run) for kind, run in itertools.groupby(cells, type)))
+        triples = [triple[type(cell)](cell) for cell in cells]
     except KeyError:  # another kind of cell, or a dict without "tfn"
         return None
     if not set(map(type, triples)) <= {list, tuple} or set(map(len, triples)) != {3}:

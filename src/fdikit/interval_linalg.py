@@ -8,6 +8,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+__all__ = ["IntervalMatrix", "VertexBudgetError", "mid_rad", "sample_matrix", "vertex_count",
+           "vertex_matrices", "vertex_stack"]
+
 #: Default cap on how many vertex matrices may be enumerated.
 DEFAULT_VERTEX_BUDGET = 2 ** 16
 

@@ -13,6 +13,8 @@ import numpy as np
 
 from .fuzzy_num import FuzzyVector, as_fuzzy, interp_levels, membership_limits
 
+__all__ = ["d_fuzzy_vec", "d_levelwise", "d_membership"]
+
 
 def _membership_gaps(x, y) -> np.ndarray:
     # Per component of two fuzzy vectors (a fuzzy number is one component):

@@ -29,6 +29,11 @@ from .interval_linalg import (
     vertex_stack,
 )
 
+__all__ = ["EigenBox", "StabilityStatus", "StabilityVerdict", "analyze", "condeig_check",
+           "eigen_box_bounds", "eigen_box_rayleigh", "gershgorin_nonneg_test",
+           "gershgorin_nonpos_test", "marginal_test", "member_radius_scan", "sampled_falsifier",
+           "spectral_radii", "spectral_radius"]
+
 #: Slack required before a sampled member counts as a falsification witness.
 FALSIFY_TOL = 1e-9
 

@@ -445,17 +445,26 @@ def test_objects_on_the_unit_grid_are_read_flat():
     assert np.signbit(hi[:, 4]).tolist() == [False, True]
 
 
-@pytest.mark.parametrize("cells", [
-    [Tfn(0, 1, 2)], [Tfn(0.0, 1.0, 2.0), Tfn(False, 0.5, True)], [1], [True], [float("nan")],
-    [float("inf"), 0.5], [Tfn(-1.7e308, 0.0, 1.7e308)], [np.float64(0.5)],
-    [FuzzyNumber([0.0, 0.5, 1.0], [0, 1, 2], [4, 3, 2])],
-    [FuzzyNumber([-0.0, 1.0], [0.0, 1.0], [2.0, 1.0]), Tfn(0.0, 0.5, 1.0)],
-    [Tfn(0.0, 0.5, 1.0), {"tfn": [0, 1, 2]}],
-    [Tfn(0.5, 1.0, 2.0), unit_fuzzy(-0.0, 0.5, 0.75, 1.0)],  # an interval core
-], ids=["int-fields", "bool-field", "int", "bool", "nan", "inf", "width-overflow",
-        "numpy-float", "three-levels", "minus-zero-grid", "with-a-dict", "trapezoid"])
-def test_doubtful_cells_go_per_cell(cells):
-    # cells at the edges of the flat pass: the same groups and cuts, or the same error
+@pytest.mark.parametrize("cells, flat", [
+    pytest.param([Tfn(0, 1, 2)], True, id="int-fields"),
+    pytest.param([Tfn(0.0, 1.0, 2.0), Tfn(False, 0.5, True)], True, id="bool-field"),
+    pytest.param([1], True, id="int"),
+    pytest.param([True], False, id="bool"),
+    pytest.param([float("nan")], False, id="nan"),
+    pytest.param([float("inf"), 0.5], True, id="inf"),
+    pytest.param([Tfn(-1.7e308, 0.0, 1.7e308)], True, id="width-overflow"),
+    pytest.param([np.float64(0.5)], False, id="numpy-float"),
+    pytest.param([FuzzyNumber([0.0, 0.5, 1.0], [0, 1, 2], [4, 3, 2])], False, id="three-levels"),
+    pytest.param([FuzzyNumber([-0.0, 1.0], [0.0, 1.0], [2.0, 1.0]), Tfn(0.0, 0.5, 1.0)], False,
+                 id="minus-zero-grid"),
+    pytest.param([Tfn(0.0, 0.5, 1.0), {"tfn": [0, 1, 2]}], True, id="with-a-dict"),
+    pytest.param([Tfn(0.5, 1.0, 2.0), unit_fuzzy(-0.0, 0.5, 0.75, 1.0)], False,  # an interval core
+                 id="trapezoid"),
+])
+def test_doubtful_cells_go_per_cell(cells, flat):
+    # cells at the edges of the flat pass, some read flat and some cell by cell:
+    # the path each takes, and on either the same groups and cuts, or the same error
+    assert (fuzzy_num._unit_stack(cells) is not None) == flat
     assert_same_as_reference(cells)
 
 
