@@ -550,9 +550,13 @@ def sampled_falsifier(m: IntervalMatrix, n_samples: int = 1000, seed: int = 0,
     the witness matrix and its spectral radius, recomputable on its own.
     Within the vertex budget, a sign-definite family whose top vertex is
     proved to have the largest vertex radius (:func:`_perron_top`) solves
-    that vertex and its neighbours in place of every vertex, with the
-    verdict of the full scan.
+    that vertex and its neighbours and nothing else: every member lies
+    entrywise between 0 and the top in absolute value, so no sample can
+    out-radius it, and none is drawn.  ``n_checked`` still counts the
+    vertices and the samples, the members that the verdict covers.
     """
+    if n_samples < 0:
+        raise ValueError(f"sample count must be non-negative, got {n_samples}")
     count = vertex_count(m)
     top = None
     if count > max_vertices:
@@ -564,12 +568,7 @@ def sampled_falsifier(m: IntervalMatrix, n_samples: int = 1000, seed: int = 0,
         scan = member_radius_scan(m, n_samples, seed, max_vertices)
         n_checked, best, worst = scan.n_checked, scan.max_radius, scan.worst
     else:
-        # Vertices come before samples, so a sample must beat the top strictly.
         n_checked, (best, worst) = count + n_samples, top
-        if n_samples:
-            scan = member_radius_scan(m, n_samples, seed, max_vertices=0)
-            if scan.max_radius > best:
-                best, worst = scan.max_radius, scan.worst
     if best > 1.0 + FALSIFY_TOL:
         return StabilityVerdict(
             StabilityStatus.FALSIFIED, "sampled_falsifier",

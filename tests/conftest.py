@@ -1,5 +1,5 @@
-"""Shared random corpora for unit and acceptance tests, and a runner for
-fresh interpreters.
+"""Shared random corpora for unit and acceptance tests, an exact stability
+referee for 2x2 families, and a runner for fresh interpreters.
 
 All generators take an explicit numpy Generator so every test pins its
 own seed; nothing here draws from global state.
@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from fdikit import (
     FuzzyVector,
     IntervalMatrix,
     Tfn,
+    vertex_stack,
 )
 
 
@@ -33,6 +35,23 @@ def run_python(*args, timeout: float = 60, **kwargs) -> subprocess.CompletedProc
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=timeout, **kwargs)
+
+
+def schur_stable_2x2(a) -> bool:
+    """Exact Schur stability of one finite real 2x2 matrix: both eigenvalues
+    lie strictly inside the unit circle exactly when det < 1, 1 + det - tr > 0
+    and 1 + det + tr > 0 (Jury), here decided in ``fractions.Fraction``."""
+    (p, q), (r, s) = ((Fraction(x) for x in row) for row in np.asarray(a).tolist())
+    tr, det = p + s, p * s - q * r
+    return det < 1 and 1 + det - tr > 0 and 1 + det + tr > 0
+
+
+def family_2x2_stable(m: IntervalMatrix) -> bool:
+    """Exact verdict on a whole 2x2 interval family: every member is Schur
+    stable exactly when every vertex is.  Each of the three conditions of
+    :func:`schur_stable_2x2` is affine in each entry on its own, so its
+    extreme over the box sits at a vertex."""
+    return all(schur_stable_2x2(v) for v in vertex_stack(m))
 
 
 # H entries of 1e200 overflow the envelope to inf by step 2; the zero lower

@@ -812,7 +812,7 @@ BAD_INPUTS = [
      "alpha grid must run from 0 to 1"),
     (["simulate", "{scalar}", "--alphas", "", "--out", "{out}"], "--alphas: cannot parse ''"),
     (["analyze", "{wide}", "--n", "-3"], "sample count must be non-negative, got -3"),
-    # within the vertex budget
+    # within the vertex budget, with a proven Perron top: no member scan runs
     (["analyze", "{nonneg}", "--n", "-1"], "sample count must be non-negative, got -1"),
     # files refused before a system is built
     (["analyze", "{not_json}"], "{not_json}: not valid JSON: Expecting value: line 1 column 1 (char 0)"),

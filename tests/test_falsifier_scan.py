@@ -267,11 +267,16 @@ def test_member_scan_without_members_is_an_error():
         member_radius_scan(m, n_samples=0, seed=0, max_vertices=16)
 
 
-def test_negative_sample_count_is_an_error():
-    # a non-negative family within the vertex budget
+def test_negative_sample_count_is_an_error(monkeypatch):
+    # a non-negative family within the vertex budget whose top is proven, the
+    # family of test_cli's NONNEG_2: the falsifier refuses the count before it
+    # solves anything, since a proven top calls no member scan
     m = IntervalMatrix(np.array([[0.1, 0.0], [0.5, 0.4]]), np.array([[0.3, 0.2], [0.7, 0.6]]))
-    with pytest.raises(ValueError, match="non-negative"):
+    assert stability._perron_top(m, vertex_count(m)) is not None
+    solved = count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="^sample count must be non-negative, got -1$"):
         sampled_falsifier(m, n_samples=-1)
+    assert solved == []
     with pytest.raises(ValueError, match="non-negative"):
         member_radius_scan(m, n_samples=-1, seed=0)
 
@@ -409,8 +414,41 @@ def test_falsifier_logs_its_fallbacks(caplog):
     caplog.clear()
     positive = IntervalMatrix(np.full((3, 3), 0.1), np.full((3, 3), 0.4))
     sampled_falsifier(positive, n_samples=10, seed=0)
-    # irreducible: the shortcut fires and brackets decide every sample
+    # irreducible: the shortcut proves the top, so no sample is drawn or scanned
     assert caplog.records == []
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("top, status", [(0.3, "Inconclusive"), (0.4, "Falsified")])
+def test_proven_top_draws_no_samples(monkeypatch, sign, top, status):
+    # rho(top) is 3 * top: 0.9 or 1.2
+    lo, hi = np.full((3, 3), 0.1), np.full((3, 3), top)
+    m = IntervalMatrix(lo, hi) if sign > 0 else IntervalMatrix(-hi, -lo)
+    ref = reference_falsifier(m, 200, 7)
+    assert ref["status"] == status
+
+    def no_draw(*args):
+        raise AssertionError("a member was drawn")
+
+    monkeypatch.setattr(interval_linalg, "uniform_draw", no_draw)
+    solved = count_solves(monkeypatch)
+    got = sampled_falsifier(m, n_samples=200, seed=7).to_json_obj()
+    assert json.dumps(got) == json.dumps(ref)
+    assert solved == [10]  # the top and its nine neighbours, and nothing else
+
+
+def test_tied_top_still_scans_vertices_and_samples(monkeypatch):
+    tied = IntervalMatrix(np.diag([0.1] * 3), np.diag([0.9] * 3))
+    ref = reference_falsifier(tied, 10, 0)
+    assert stability._perron_top(tied, vertex_count(tied)) is None
+    drawn = []
+    draw = interval_linalg.uniform_draw
+    monkeypatch.setattr(interval_linalg, "uniform_draw",
+                        lambda gen, lo, hi, shape: drawn.append(shape) or draw(gen, lo, hi, shape))
+    got = sampled_falsifier(tied, n_samples=10, seed=0).to_json_obj()
+    assert json.dumps(got) == json.dumps(ref)
+    assert drawn == [(10, 3, 3)]
+    assert got["witness"]["n_checked"] == 8 + 10
 
 
 # -- Collatz-Wielandt brackets in the member scan ------------------------------------

@@ -266,6 +266,14 @@ def test_constructor_rejects_non_nested():
         FuzzyNumber([0, 1], [1, 0], [3, 4])
 
 
+def test_repr_names_a_triangle_or_its_levels():
+    assert repr(as_fuzzy(Tfn(1, 2, 3.5))) == "FuzzyNumber(tfn=(1, 2, 3.5))"
+    assert repr(as_fuzzy(2.0)) == "FuzzyNumber(tfn=(2, 2, 2))"
+    assert repr(FuzzyNumber([0, 1], [0, 1], [4, 3])) == "FuzzyNumber(2 levels, support=[0, 4])"
+    assert repr(FuzzyNumber([0, 0.5, 1], [0, 1, 2], [4, 3, 2])) == (
+        "FuzzyNumber(3 levels, support=[0, 4])")
+
+
 def test_constructor_requires_full_grid():
     with pytest.raises(ValueError):
         FuzzyNumber([0, 0.5], [0, 1], [4, 3])

@@ -214,6 +214,15 @@ def test_stack_is_read_only_and_views_follow_columns():
     assert v == FuzzyVector.from_stack([0, 1], [[0, 1], [1, 2]], [[2, 4], [1, 2]])
 
 
+def test_repr_and_equality_with_another_type():
+    v = FuzzyVector([Tfn(0, 1, 2), Tfn(1, 2, 4)])
+    assert repr(v) == "FuzzyVector(n=2)"
+    assert v.__eq__(v[0]) is NotImplemented  # a component is a FuzzyNumber, not a vector
+    assert v != v[0] and v[0] != v and v != [0.0, 1.0]
+    assert v[0].__eq__(Tfn(0, 1, 2)) is NotImplemented
+    assert v[0] == as_fuzzy(Tfn(0, 1, 2)) != Tfn(0, 1, 2)
+
+
 def test_validate_nested_is_the_stack():
     alphas = np.linspace(0.0, 1.0, 6)
     lo, hi = rand_stack(np.random.default_rng(26), alphas, 3)

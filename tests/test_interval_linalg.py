@@ -34,6 +34,11 @@ def test_interval_vector_rejects_unordered():
         ivec([1.0], [0.0])
 
 
+def test_interval_box_repr_gives_shape_and_widest_entry():
+    assert repr(imat([[0.0, 1.0]], [[0.5, 3.0]])) == "IntervalMatrix(shape=(1, 2), max_width=2)"
+    assert repr(ivec([1.0], [1.0])) == "IntervalMatrix(shape=(1,), max_width=0)"
+
+
 def test_interval_box_rejects_endpoints_of_another_shape():
     with pytest.raises(ValueError, match="^lo and hi must be vectors or matrices of equal shape$"):
         IntervalMatrix(np.zeros(2), np.zeros((2, 2)))

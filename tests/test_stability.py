@@ -30,8 +30,10 @@ from fdikit.stability import FALSIFY_TOL, SIGN_BUDGET
 
 from conftest import (
     certified_interval_corpus,
+    family_2x2_stable,
     interval_matrix_nonneg_rows,
     random_interval_matrix,
+    schur_stable_2x2,
 )
 
 
@@ -509,6 +511,20 @@ def test_marginal_reduced_rows_need_exact_sums_below_one():
     assert analyze(imat(h, h), np.eye(7), n_samples=10).status is StabilityStatus.INCONCLUSIVE
 
 
+def test_marginal_general_case_with_an_empty_reduced_block():
+    # A 1x1 family is its own unit corner, so no reduced block is left to check
+    # and the SHAPE_TOL rule decides alone.  The general case accepts the
+    # transformed corner, whose distance from 1 plus its radius rounds to just
+    # below SHAPE_TOL; the non-negative case sees T^-1 hi T just beyond it.  The
+    # member radius is about 1 + 1e-9 > 1, so this Stable is the fixed-tolerance
+    # defect of ROADMAP item 1; the test pins today's behaviour until it lands.
+    m = imat([[1.0000000009999996]], [[1.0000000009999999]])
+    assert spectral_radius(m.lo) > 1.0
+    v = marginal_test(m, [[3.2648481991983838]])
+    assert v.to_json_obj() == {"status": "Stable", "criterion": "marginal_transform",
+                               "witness": {"case": "general", "reduced": []}}
+
+
 def marginal_families(count: int, seed: int):
     """(family, T): the hull of two endpoints T J T^-1 with n in {2, 3},
     integer T with |det T| >= 0.5, and J block-triangular with a unit
@@ -654,3 +670,42 @@ def test_widening_never_creates_certificates():
                 assert test(m).status is StabilityStatus.ASYMPTOTICALLY_STABLE
                 checks += 1
     assert checks > 0
+
+
+def dyadic_2x2_families(count: int, seed: int):
+    """2x2 families on a dyadic grid of step 1/4 to 1/64, entries in [-1, 1],
+    each entry crisp or one step wide.  Even-numbered families are
+    sign-definite (every other one non-positive), odd-numbered ones any sign."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = 2 ** int(rng.integers(2, 7))
+        lo = rng.integers(0 if i % 2 == 0 else -k, k, (2, 2)) / k
+        hi = lo + rng.integers(0, 2, (2, 2)) / k
+        yield imat(-hi, -lo) if i % 4 == 0 else imat(lo, hi)
+
+
+def test_schur_referee_on_known_matrices():
+    assert schur_stable_2x2([[0.5, 0.25], [0.0, -0.75]])
+    assert not schur_stable_2x2([[1.0, 0.0], [0.0, 0.5]])  # eigenvalue exactly 1
+    assert not schur_stable_2x2([[0.0, -1.0], [1.0, 0.0]])  # eigenvalues +-i
+    assert not schur_stable_2x2([[0.5, 0.5], [0.5, 0.5]])  # rows sum exactly to 1
+    assert schur_stable_2x2([[0.5, 0.5], [0.5, np.nextafter(0.5, 0.0)]])
+    assert not family_2x2_stable(imat([[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 1.0]]))
+    assert family_2x2_stable(imat([[-0.5, 0.0], [0.0, 0.5]], [[0.5, 0.25], [0.0, 0.75]]))
+
+
+def test_verdicts_on_dyadic_2x2_families_agree_with_the_exact_referee():
+    # No positive verdict on a family with an exactly unstable vertex, and no
+    # Falsified witness that is exactly stable; the referee is exact on 2x2.
+    statuses = {s: 0 for s in StabilityStatus}
+    for i, m in enumerate(dyadic_2x2_families(1000, seed=15)):
+        v = analyze(m, n_samples=50, seed=i)
+        statuses[v.status] += 1
+        if v.is_stable:
+            assert family_2x2_stable(m), (i, v.criterion)
+        elif v.status is StabilityStatus.FALSIFIED:
+            w = np.array(v.witness["matrix"])
+            assert np.all((m.lo <= w) & (w <= m.hi)), i
+            assert not schur_stable_2x2(w), i
+    assert min(statuses[s] for s in StabilityStatus if s is not StabilityStatus.STABLE) > 50, \
+        statuses
