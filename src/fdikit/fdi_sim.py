@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .fuzzy_num import FuzzyVector, _freeze, check_grid, level_cuts, level_groups, stack_fault
-from .interval_linalg import IntervalMatrix, chunk_rows, uniform_draw
+from .interval_linalg import IntervalMatrix, chunk_rows, sample_matrix
 
 __all__ = ["FuzzySystem", "SignPreconditionError", "assemble_fuzzy_attainable",
            "envelope_endpoints", "level_matrix", "level_state", "mc_trajectories",
@@ -112,9 +112,14 @@ def _nonneg_cuts(sys: FuzzySystem, alphas):
         i = int(np.argmax(bad))
         condition, what = (("matrix_nonneg", "dynamic-matrix") if bad_m[i]
                            else ("state_nonneg", "initial-state"))
+        alpha = float(levels.ravel()[i])
+        import logging  # only here: a run whose envelope is not refused never imports it
+
+        logging.getLogger(__name__).debug("exact envelope refused (%s) at alpha=%g",
+                                          condition, alpha)
         raise SignPreconditionError(
             condition, f"{what} lower bound has a negative entry at alpha="
-            f"{levels.ravel()[i]:g}; use mc_trajectories")
+            f"{alpha:g}; use mc_trajectories")
     return cuts
 
 
@@ -219,16 +224,15 @@ def mc_trajectories(sys: FuzzySystem, alpha: float, horizon: int, n: int,
     m = level_matrix(sys, alpha)
     x0 = level_state(sys, alpha)
     rng = np.random.default_rng(seed)
-    dim = sys.n
-    x = uniform_draw(rng, x0.lo, x0.hi, (n, dim))
-    out = np.empty((n, horizon + 1, dim))
+    x = sample_matrix(x0, rng, n)
+    out = np.empty((n, horizon + 1, sys.n))
     out[:, 0] = x
     # member matrices chunk_rows(m) runs at a time, in the order of one draw
     step = chunk_rows(m)
     chunks = [slice(start, start + step) for start in range(0, n, step)]
 
     def draw(rows):
-        return uniform_draw(rng, m.lo, m.hi, (len(x[rows]), dim, dim))
+        return sample_matrix(m, rng, len(x[rows]))
 
     if mode == "constant":
         for rows in chunks:

@@ -136,30 +136,23 @@ def vertex_matrices(m: IntervalMatrix,
 
 
 def sample_matrix(m: IntervalMatrix, rng, size: int | None = None) -> np.ndarray:
-    """Entrywise uniform member(s) of the interval matrix; shape
-    (size, rows, cols) when batched.
+    """Entrywise uniform member(s) of the box m; shape (size, *m.shape)
+    when batched.
 
     ``rng`` is a seed or a numpy Generator; fixed seeds reproduce exactly,
     and a batch of ``size`` draws the same stream as ``size`` single calls.
-    """
-    shape = m.shape if size is None else (size, *m.shape)
-    return uniform_draw(np.random.default_rng(rng), m.lo, m.hi, shape)
-
-
-def uniform_draw(gen: np.random.Generator, lo, hi, shape) -> np.ndarray:
-    """``gen.uniform(lo, hi, shape)``, bit for bit: the same stream and the
-    same ``lo + (hi - lo) * u``, without numpy's per-element broadcast loop.
-
-    Raises OverflowError, as ``uniform`` does, when ``hi - lo`` is not
-    finite.  A width of -0.0 (lo = 0.0, hi = -0.0), which ``uniform``
-    rejects with ValueError, draws lo.
+    The draw is ``Generator.uniform(m.lo, m.hi, shape)`` bit for bit (the
+    same stream and the same ``lo + (hi - lo) * u``) without numpy's
+    per-element broadcast loop.  Raises OverflowError, as ``uniform`` does,
+    when ``hi - lo`` is not finite.  A width of -0.0 (lo = 0.0, hi = -0.0),
+    which ``uniform`` rejects with ValueError, draws lo.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        width = np.subtract(hi, lo)
+        width = np.subtract(m.hi, m.lo)
     if not np.all(np.isfinite(width)):
         raise OverflowError("Range exceeds valid bounds")
-    u = gen.random(shape)
+    u = np.random.default_rng(rng).random(m.shape if size is None else (size, *m.shape))
     u *= width
-    u += lo
+    u += m.lo
     return u
 

@@ -53,10 +53,6 @@ SIGN_BUDGET = 2 ** 12
 #: Power-iteration steps that bracket the members of a sign-definite scan.
 BRACKET_STEPS = 64
 
-#: Smallest n whose scans bracket: the power steps cost more than solving
-#: every member at n = 2, about as much at n = 3, and less from n = 4 on.
-BRACKET_MIN_N = 3
-
 #: Smallest normal double, and a bound that keeps power steps and their ratios finite.
 _TINY, _HUGE = 2.0 ** -1022, 2.0 ** 1023
 
@@ -398,9 +394,7 @@ def _member_chunks(m: IntervalMatrix, n_vertices: int, n_samples: int, seed):
 def _bracket_sign(m: IntervalMatrix) -> float:
     """1 when every member is non-negative, -1 when every member is
     non-positive, each with entries at most _HUGE / n in absolute value so
-    that no power step overflows; else 0, and 0 below BRACKET_MIN_N."""
-    if m.n < BRACKET_MIN_N:
-        return 0.0
+    that no power step overflows; else 0."""
     if np.all(m.lo >= 0):
         sign, top = 1.0, m.hi
     elif np.all(m.hi <= 0):
@@ -459,8 +453,9 @@ def _collatz_wielandt(a: np.ndarray, best: float) -> tuple[np.ndarray, int, int,
 
 def member_radius_scan(m: IntervalMatrix, n_samples: int, seed,
                        max_vertices: int = DEFAULT_VERTEX_BUDGET) -> MemberScan:
-    """Spectral radius of every vertex (if there are at most ``max_vertices``)
-    and of ``n_samples`` uniform members drawn from ``seed``.
+    """Spectral radius of every vertex (if there are at most ``max_vertices``;
+    else the "vertex budget exceeded" fallback is logged) and of
+    ``n_samples`` uniform members drawn from ``seed``.
 
     Members are built and solved in chunks of ``chunk_rows(m)``, so memory
     does not grow with the member count.  Ties keep the first member in
@@ -474,6 +469,9 @@ def member_radius_scan(m: IntervalMatrix, n_samples: int, seed,
         raise ValueError(f"sample count must be non-negative, got {n_samples}")
     count = vertex_count(m)
     n_vertices = count if count <= max_vertices else 0
+    if not n_vertices:
+        _log_fallback("vertex budget exceeded, sampling only: %d vertices > %d",
+                      count, max_vertices)
     if n_vertices + n_samples == 0:
         raise ValueError(f"{count} vertices exceed the budget of {max_vertices} "
                          "and no samples were requested: no member to check")
@@ -500,7 +498,7 @@ def member_radius_scan(m: IntervalMatrix, n_samples: int, seed,
 
 
 def _log_fallback(msg: str, *args) -> None:
-    """Record a falsifier fallback at DEBUG level on this module's logger,
+    """Record a member-scan fallback at DEBUG level on this module's logger,
     a child of the ``fdikit`` logger.
 
     ``logging`` is imported here, not with the module, because every CLI
@@ -541,31 +539,27 @@ def _perron_top(m: IntervalMatrix, count: int) -> Optional[tuple[float, np.ndarr
     return float(radii[0]), top[0]
 
 
-def sampled_falsifier(m: IntervalMatrix, n_samples: int = 1000, seed: int = 0,
-                      max_vertices: int = DEFAULT_VERTEX_BUDGET) -> StabilityVerdict:
+def sampled_falsifier(m: IntervalMatrix, n_samples: int = 1000,
+                      seed: int = 0) -> StabilityVerdict:
     """Search vertices and random members for one with spectral radius > 1.
 
     Can disprove the all-members-stable hypothesis but never prove it, so
     the non-finding verdict is Inconclusive.  A Falsified verdict carries
     the witness matrix and its spectral radius, recomputable on its own.
-    Within the vertex budget, a sign-definite family whose top vertex is
-    proved to have the largest vertex radius (:func:`_perron_top`) solves
-    that vertex and its neighbours and nothing else: every member lies
-    entrywise between 0 and the top in absolute value, so no sample can
-    out-radius it, and none is drawn.  ``n_checked`` still counts the
+    Vertices are scanned up to ``DEFAULT_VERTEX_BUDGET``, read at call time.
+    Within it, a sign-definite family whose top vertex is proved to have
+    the largest vertex radius (:func:`_perron_top`) solves that vertex and
+    its neighbours and nothing else: every member lies entrywise between 0
+    and the top in absolute value, so no sample can out-radius it, and
+    none is drawn.  ``n_checked`` still counts the
     vertices and the samples, the members that the verdict covers.
     """
     if n_samples < 0:
         raise ValueError(f"sample count must be non-negative, got {n_samples}")
     count = vertex_count(m)
-    top = None
-    if count > max_vertices:
-        _log_fallback("vertex budget exceeded, sampling only: %d vertices > %d",
-                      count, max_vertices)
-    else:
-        top = _perron_top(m, count)
+    top = _perron_top(m, count) if count <= DEFAULT_VERTEX_BUDGET else None
     if top is None:
-        scan = member_radius_scan(m, n_samples, seed, max_vertices)
+        scan = member_radius_scan(m, n_samples, seed, DEFAULT_VERTEX_BUDGET)
         n_checked, best, worst = scan.n_checked, scan.max_radius, scan.worst
     else:
         n_checked, (best, worst) = count + n_samples, top

@@ -1,5 +1,6 @@
-"""Shared random corpora for unit and acceptance tests, an exact stability
-referee for 2x2 families, and a runner for fresh interpreters.
+"""Shared random corpora for unit and acceptance tests, exact stability
+referees for one matrix and for 2x2 families, and a runner for fresh
+interpreters.
 
 All generators take an explicit numpy Generator so every test pins its
 own seed; nothing here draws from global state.
@@ -35,6 +36,52 @@ def run_python(*args, timeout: float = 60, **kwargs) -> subprocess.CompletedProc
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=timeout, **kwargs)
+
+
+def schur_stable(a) -> bool:
+    """Exact Schur stability of one finite real square matrix: every
+    eigenvalue lies strictly inside the unit circle.  Decided in
+    ``fractions.Fraction``: a reduction to upper Hessenberg form by
+    elimination similarities, the characteristic polynomial by the
+    Hessenberg recurrence, then the Schur-Cohn recursion on it."""
+    h = [[Fraction(x) for x in row] for row in np.asarray(a, dtype=float).tolist()]
+    n = len(h)
+    for k in range(n - 2):
+        pivot = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if pivot is None:
+            continue
+        h[k + 1], h[pivot] = h[pivot], h[k + 1]  # swap rows and columns k + 1 and pivot
+        for row in h:
+            row[k + 1], row[pivot] = row[pivot], row[k + 1]
+        for i in range(k + 2, n):  # row i -= f row k+1, then column k+1 += f column i
+            f = h[i][k] / h[k + 1][k]
+            if f:
+                h[i] = [x - f * y for x, y in zip(h[i], h[k + 1])]
+                for row in h:
+                    row[k + 1] += f * row[i]
+    # p_{k+1} = (x - h_kk) p_k - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_i,
+    # coefficients lowest degree first
+    polys = [[Fraction(1)]]
+    for k in range(n):
+        p = [Fraction(0)] + polys[k]
+        for j, c in enumerate(polys[k]):
+            p[j] -= h[k][k] * c
+        chain = Fraction(1)
+        for i in range(k - 1, -1, -1):
+            chain *= h[i + 1][i]
+            for j, c in enumerate(polys[i]):
+                p[j] -= h[i][k] * chain * c
+        polys.append(p)
+    # Schur-Cohn: a of degree m is stable iff |a_0| < |a_m| and the degree m - 1
+    # polynomial (a_m a(z) - a_0 z^m a(1/z)) / z is; each is scaled to be monic
+    a = polys[n]
+    while len(a) > 1:
+        if not abs(a[0]) < abs(a[-1]):
+            return False
+        m = len(a) - 1
+        a = [a[-1] * a[k] - a[0] * a[m - k] for k in range(1, m + 1)]
+        a = [c / a[-1] for c in a]
+    return True
 
 
 def schur_stable_2x2(a) -> bool:

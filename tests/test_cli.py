@@ -335,6 +335,22 @@ def test_main_repeats_in_one_process_like_fresh_processes(tmp_path, capsys):
         assert code == want, argv
 
 
+def test_certified_analyze_and_nonneg_simulate_import_no_logging(tmp_path):
+    # logging is imported only where a fallback is recorded, and neither run has one
+    path = write(tmp_path, "s.json", {"n": 2, "H": [[{"tfn": [0.1, 0.2, 0.3]}, 0.1],
+                                                    [0.2, {"tfn": [0.0, 0.1, 0.3]}]],
+                                      "x0": [1, {"tfn": [0, 1, 2]}]})
+    code = ("import sys\n"
+            "from fdikit.cli import main\n"
+            "codes = [main(['analyze', sys.argv[1]]),\n"
+            "         main(['simulate', sys.argv[1], '--out', sys.argv[2]])]\n"
+            "print(codes, 'logging' in sys.modules)")
+    proc = run_python("-c", code, path, str(tmp_path / "out.csv"))
+    assert proc.stderr == ""
+    assert '"criterion": "gershgorin_nonneg"' in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 def test_analyze_missing_file(capsys):
     rc = main(["analyze", "/nonexistent/system.json"])
     assert rc == EXIT_INPUT

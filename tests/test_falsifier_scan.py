@@ -21,7 +21,7 @@ from fdikit import (
     vertex_matrices,
     vertex_stack,
 )
-from fdikit import interval_linalg, stability
+from fdikit import cli, interval_linalg, stability
 from fdikit.cli import EXIT_FALSIFIED, EXIT_INCONCLUSIVE, EXIT_OK
 
 from conftest import run_python
@@ -153,6 +153,19 @@ def test_oracle_fully_fuzzy_8x8_finishes(tmp_path):
     assert report["count_exceeding_one"] == 0
 
 
+def test_oracle_logs_its_vertex_budget(tmp_path, caplog, capsys):
+    # the budget record comes from the scan that oracle shares with the falsifier
+    caplog.set_level(logging.DEBUG, logger="fdikit")
+    lo = np.full((4, 4), 0.05)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(_tfn_doc(lo, lo * 1.5, lo * 2.0)))
+    argv = ["oracle", str(path), "--k", "2", "--n", "20", "--out", str(tmp_path / "runs.csv")]
+    assert cli.main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""  # DEBUG only: nothing is printed
+    assert [r.getMessage() for r in caplog.records] == [
+        f"vertex budget exceeded, sampling only: {2 ** 16} vertices > 1024"]
+
+
 # -- equivalence with the per-member loop ------------------------------------------------
 
 @pytest.mark.parametrize("lo, hi", [
@@ -234,8 +247,9 @@ def test_falsifier_matches_reference_on_partial_last_chunk():
 
 def test_falsifier_matches_reference_beyond_vertex_budget(monkeypatch):
     monkeypatch.setattr(interval_linalg, "CHUNK_ENTRIES", 40)
+    monkeypatch.setattr(stability, "DEFAULT_VERTEX_BUDGET", 64)
     m = partly_fuzzy(np.random.default_rng(6), 3, 7, 0.9)
-    got = sampled_falsifier(m, n_samples=23, seed=1, max_vertices=64).to_json_obj()
+    got = sampled_falsifier(m, n_samples=23, seed=1).to_json_obj()
     assert got == reference_falsifier(m, 23, 1, max_vertices=64)
 
 
@@ -382,10 +396,12 @@ def test_perron_shortcut_falls_back_on_a_tie(monkeypatch):
     assert got["witness"]["matrix"] != m.hi.tolist()
 
 
-def test_falsifier_logs_its_fallbacks(caplog):
+def test_falsifier_logs_its_fallbacks(caplog, monkeypatch):
     caplog.set_level(logging.DEBUG, logger="fdikit")
     fuzzy = IntervalMatrix(np.zeros((5, 5)), np.ones((5, 5)))
-    sampled_falsifier(fuzzy, n_samples=10, seed=0, max_vertices=64)
+    with monkeypatch.context() as patch:
+        patch.setattr(stability, "DEFAULT_VERTEX_BUDGET", 64)  # read at call time
+        sampled_falsifier(fuzzy, n_samples=10, seed=0)
     assert [r.getMessage() for r in caplog.records] == [
         f"vertex budget exceeded, sampling only: {2 ** 25} vertices > 64"]
     assert caplog.records[0].levelno == logging.DEBUG
@@ -399,16 +415,19 @@ def test_falsifier_logs_its_fallbacks(caplog):
         f"brackets unresolved for 6 of 18 members: 0 stopped by a zero or "
         f"unbounded step, 6 open after {stability.BRACKET_STEPS} steps"]
     caplog.clear()
-    # below BRACKET_MIN_N every member is solved, so no bracket is left open
+    # n = 2 brackets too: the two vertices mixing 0.1 and 0.9 stay open
     sampled_falsifier(IntervalMatrix(np.diag([0.1] * 2), np.diag([0.9] * 2)), 10, 0)
     assert [r.getMessage() for r in caplog.records] == [
-        "Perron gap below PERRON_GAP, full vertex scan of 4 vertices"]
+        "Perron gap below PERRON_GAP, full vertex scan of 4 vertices",
+        f"brackets unresolved for 2 of 14 members: 0 stopped by a zero or "
+        f"unbounded step, 2 open after {stability.BRACKET_STEPS} steps"]
     caplog.clear()
     zero_row = np.ones((3, 3))
     zero_row[2] = 0.0
     member_radius_scan(IntervalMatrix(np.zeros((3, 3)), zero_row), n_samples=10, seed=0,
                        max_vertices=0)
     assert [r.getMessage() for r in caplog.records] == [
+        "vertex budget exceeded, sampling only: 64 vertices > 0",
         f"brackets unresolved for 10 of 10 members: 10 stopped by a zero or "
         f"unbounded step, 0 open after {stability.BRACKET_STEPS} steps"]
     caplog.clear()
@@ -430,7 +449,7 @@ def test_proven_top_draws_no_samples(monkeypatch, sign, top, status):
     def no_draw(*args):
         raise AssertionError("a member was drawn")
 
-    monkeypatch.setattr(interval_linalg, "uniform_draw", no_draw)
+    monkeypatch.setattr(stability, "sample_matrix", no_draw)
     solved = count_solves(monkeypatch)
     got = sampled_falsifier(m, n_samples=200, seed=7).to_json_obj()
     assert json.dumps(got) == json.dumps(ref)
@@ -442,9 +461,9 @@ def test_tied_top_still_scans_vertices_and_samples(monkeypatch):
     ref = reference_falsifier(tied, 10, 0)
     assert stability._perron_top(tied, vertex_count(tied)) is None
     drawn = []
-    draw = interval_linalg.uniform_draw
-    monkeypatch.setattr(interval_linalg, "uniform_draw",
-                        lambda gen, lo, hi, shape: drawn.append(shape) or draw(gen, lo, hi, shape))
+    draw = stability.sample_matrix
+    monkeypatch.setattr(stability, "sample_matrix",
+                        lambda m, rng, size: drawn.append((size, *m.shape)) or draw(m, rng, size))
     got = sampled_falsifier(tied, n_samples=10, seed=0).to_json_obj()
     assert json.dumps(got) == json.dumps(ref)
     assert drawn == [(10, 3, 3)]
@@ -484,7 +503,7 @@ def assert_scan_matches_reference(m: IntervalMatrix, n_samples: int, seed: int):
 def test_bracketed_scan_matches_full_eigensolve(monkeypatch, kind):
     rng = np.random.default_rng(100 + SIGN_DEFINITE_KINDS.index(kind))
     for i in range(24):
-        m = sign_definite(rng, kind, stability.BRACKET_MIN_N + i % 6, 1.0 if i % 2 else -1.0)
+        m = sign_definite(rng, kind, 2 + i % 6, 1.0 if i % 2 else -1.0)
         if i % 4 >= 2 and kind != "huge":
             m = straddling(m)
         # small chunks carry the running maximum across chunk boundaries
@@ -499,7 +518,7 @@ def test_bracketed_scan_matches_full_eigensolve_at_subnormal_scale(kind):
     # must be solved, without a 0 / 0 in the ratios
     rng = np.random.default_rng(200 + SIGN_DEFINITE_KINDS.index(kind))
     for i in range(30):
-        m = sign_definite(rng, kind, stability.BRACKET_MIN_N + i % 6, 1.0)
+        m = sign_definite(rng, kind, 2 + i % 6, 1.0)
         scale = 10.0 ** rng.uniform(-323.0, -290.0)
         assert_scan_matches_reference(IntervalMatrix(m.lo * scale, m.hi * scale), 20, i)
 
@@ -530,15 +549,12 @@ def test_bracketed_scan_solves_few_members(monkeypatch):
     solved.clear()
     member_radius_scan(indefinite, n_samples=200, seed=4)
     assert sum(solved) == 200
-    # below BRACKET_MIN_N a sign-definite family solves every member too
-    small = IntervalMatrix(lo[:2, :2], lo[:2, :2] * 1.3)
-    solved.clear()
-    member_radius_scan(small, n_samples=200, seed=4, max_vertices=0)
-    assert sum(solved) == 200
-    solved.clear()
-    member_radius_scan(IntervalMatrix(lo[:3, :3], lo[:3, :3] * 1.3), n_samples=200,
-                       seed=4, max_vertices=0)
-    assert sum(solved) <= 10
+    # brackets apply at every size, n = 2 included
+    for n in (2, 3):
+        solved.clear()
+        member_radius_scan(IntervalMatrix(lo[:n, :n], lo[:n, :n] * 1.3), n_samples=200,
+                           seed=4, max_vertices=0)
+        assert sum(solved) <= 10
 
 
 def test_oracle_counts_members_above_one_on_a_straddling_family(tmp_path):

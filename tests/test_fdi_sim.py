@@ -1,5 +1,6 @@
 """Unit tests for level-wise envelopes, stacking, and Monte Carlo oracles."""
 
+import logging
 import tracemalloc
 
 import numpy as np
@@ -454,6 +455,25 @@ def test_transition_powers_step_the_level_matrix_from_one_cut(monkeypatch):
     for k in range(13):  # bit for bit the powers of the level matrix
         assert p_lo[k].tobytes() == lo.tobytes() and p_hi[k].tobytes() == hi.tobytes()
         lo, hi = m.lo @ lo, m.hi @ hi
+
+
+def test_refused_envelope_is_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="fdikit")
+    s = FuzzySystem(h=[[Tfn(-0.2, 0.1, 0.3)]], x0=FuzzyVector([Tfn(-1, 0, 1)]),
+                    alphas=[0, 0.5, 1])
+    for refuse in (envelope_endpoints, transition_envelope):
+        with pytest.raises(SignPreconditionError):
+            refuse(s, 0.5, 3)  # the lower matrix is -0.05 at alpha 0.5
+    # at alpha 1 the lower bounds are 0.1 and 0: nothing is refused or recorded
+    envelope_endpoints(s, 1.0, 3)
+    s = FuzzySystem(h=[[Tfn(0.1, 0.2, 0.3)]], x0=FuzzyVector([Tfn(-1, 0, 1)]),
+                    alphas=[0, 0.5, 1])
+    with pytest.raises(SignPreconditionError):
+        envelope_endpoints(s, s.alphas, 3)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("fdikit.fdi_sim", logging.DEBUG, "exact envelope refused (matrix_nonneg) at alpha=0.5"),
+        ("fdikit.fdi_sim", logging.DEBUG, "exact envelope refused (matrix_nonneg) at alpha=0.5"),
+        ("fdikit.fdi_sim", logging.DEBUG, "exact envelope refused (state_nonneg) at alpha=0")]
 
 
 @pytest.mark.parametrize("h, x0, condition", [

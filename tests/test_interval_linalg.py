@@ -1,5 +1,7 @@
 """Unit tests for interval boxes of vectors and matrices and member selection."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from fdikit import (
     vertex_count,
     vertex_matrices,
 )
-from fdikit.interval_linalg import uniform_draw
 
 
 def imat(lo, hi) -> IntervalMatrix:
@@ -190,27 +191,33 @@ def test_sample_matches_generator_uniform_bit_for_bit(case, size):
     got = sample_matrix(imat(lo, hi), np.random.default_rng(9), size)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
-    # a scalar interval draws through uniform's scalar path
-    expected = np.random.default_rng(9).uniform(float(lo.flat[0]), float(hi.flat[0]), shape)
-    got = uniform_draw(np.random.default_rng(9), float(lo.flat[0]), float(hi.flat[0]), shape)
+    # a vector box (the initial state of mc_trajectories) draws the same way
+    size = 1 if size is None else size
+    expected = np.random.default_rng(9).uniform(lo[0], hi[0], (size, lo.shape[1]))
+    got = sample_matrix(IntervalMatrix(lo[0], hi[0]), np.random.default_rng(9), size)
     assert got.tobytes() == expected.tobytes()
 
 
 def test_uniform_draw_continues_the_stream_like_uniform():
-    lo, hi = np.zeros(3), np.array([1.0, 2.0, 3.0])
+    # sample_matrix on one Generator continues its stream as uniform does
+    box = IntervalMatrix(np.zeros(3), np.array([1.0, 2.0, 3.0]))
     gen_a, gen_b = np.random.default_rng(4), np.random.default_rng(4)
-    for shape in [(2, 3), (5, 3), (3,)]:
-        assert (uniform_draw(gen_a, lo, hi, shape).tobytes()
-                == gen_b.uniform(lo, hi, shape).tobytes())
+    for size in (2, 5, None):
+        shape = box.shape if size is None else (size, 3)
+        assert (sample_matrix(box, gen_a, size).tobytes()
+                == gen_b.uniform(box.lo, box.hi, shape).tobytes())
 
 
 @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, np.inf), (np.nan, 1.0)])
 def test_uniform_draw_rejects_a_width_that_is_not_finite(lo, hi):
-    for draw in (np.random.default_rng(0).uniform, lambda *a: uniform_draw(
-            np.random.default_rng(0), *a)):
+    # IntervalMatrix refuses a NaN endpoint, so a plain stand-in carries the
+    # bounds to sample_matrix's own check, which matches uniform's
+    box = SimpleNamespace(lo=np.array([lo, 0.0]), hi=np.array([hi, 1.0]), shape=(2,))
+    for draw in (lambda: np.random.default_rng(0).uniform(box.lo, box.hi, (3, 2)),
+                 lambda: sample_matrix(box, 0, 3)):
         with np.errstate(over="ignore"), pytest.raises(OverflowError,
                                                        match="Range exceeds valid bounds"):
-            draw(np.array([lo, 0.0]), np.array([hi, 1.0]), (3, 2))
+            draw()
 
 
 def test_uniform_draw_takes_a_negative_zero_width():

@@ -33,6 +33,7 @@ from conftest import (
     family_2x2_stable,
     interval_matrix_nonneg_rows,
     random_interval_matrix,
+    schur_stable,
     schur_stable_2x2,
 )
 
@@ -709,3 +710,59 @@ def test_verdicts_on_dyadic_2x2_families_agree_with_the_exact_referee():
             assert not schur_stable_2x2(w), i
     assert min(statuses[s] for s in StabilityStatus if s is not StabilityStatus.STABLE) > 50, \
         statuses
+
+
+# -- the exact member referee and the defects it shows ---------------------------------
+
+#: Symmetric, and every row sums exactly to 1, so rho = 1 (ROADMAP item 1).
+DOUBLY_STOCHASTIC_5 = [[0, .125, .375, 0, .5], [.125, .875, 0, 0, 0], [.375, 0, 0, .625, 0],
+                       [0, 0, .625, 0, .375], [.5, 0, 0, .375, .125]]
+
+
+def jordan_16() -> np.ndarray:
+    """A = S T S^-1 with T = 0.75 I + 4 N (N the upper shift) and S = I plus the
+    lower shift: similar to one 16x16 Jordan block at 0.75, so rho(A) = 0.75
+    exactly, while eigvals computes 1.18 (ROADMAP item 14).  Every entry of A
+    is a float, checked in exact arithmetic."""
+    n = 16
+    t = [[Fraction(3, 4) if j == i else Fraction(4 if j == i + 1 else 0) for j in range(n)]
+         for i in range(n)]
+    s_inv = [[Fraction((-1) ** (i - j)) if i >= j else Fraction(0) for j in range(n)]
+             for i in range(n)]
+    st = [[t[i][j] + (t[i - 1][j] if i else 0) for j in range(n)] for i in range(n)]
+    a = [[sum(st[i][k] * s_inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert all(Fraction(float(x)) == x for row in a for x in row)
+    return np.array(a, dtype=float)
+
+
+def test_exact_member_referee():
+    assert schur_stable(jordan_16())
+    assert not schur_stable(DOUBLY_STOCHASTIC_5)
+    # on a dyadic grid the 2x2 rule is exact too, eigenvalues on the circle included
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        k = 2 ** int(rng.integers(1, 5))
+        a = rng.integers(-k, k + 1, (2, 2)) / k
+        assert schur_stable(a) == schur_stable_2x2(a), a
+    # away from the circle, the float radius decides
+    verdicts = set()
+    for _ in range(150):
+        n = int(rng.integers(1, 9))
+        a = rng.normal(size=(n, n))
+        a *= rng.uniform(0.5, 1.5) / spectral_radius(a)
+        rho = spectral_radius(a)
+        if abs(rho - 1.0) >= 1e-6:
+            assert schur_stable(a) == (rho < 1.0), a
+            verdicts.add(rho < 1.0)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: eigen_box trusts eigvalsh")
+def test_analyze_does_not_certify_a_doubly_stochastic_matrix():
+    assert not analyze(imat(DOUBLY_STOCHASTIC_5, DOUBLY_STOCHASTIC_5), n_samples=10).is_stable
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: Falsified trusts eigvals")
+def test_analyze_does_not_falsify_a_stable_jordan_matrix():
+    a = jordan_16()
+    assert analyze(imat(a, a), n_samples=10).status is not StabilityStatus.FALSIFIED
