@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .fuzzy_num import FuzzyVector, _freeze, check_grid, level_cuts, level_groups, stack_fault
-from .interval_linalg import IntervalMatrix, chunk_rows, sample_matrix
+from .interval_linalg import IntervalMatrix, member_chunks, sample_matrix
 
 __all__ = ["FuzzySystem", "SignPreconditionError", "assemble_fuzzy_attainable",
            "envelope_endpoints", "level_matrix", "level_state", "mc_trajectories",
@@ -214,8 +214,9 @@ def mc_trajectories(sys: FuzzySystem, alpha: float, horizon: int, n: int,
 
     Each run draws its start uniformly from the initial box; ``constant``
     reuses one uniformly drawn member matrix every step, ``timevarying``
-    redraws the matrix each step (the full inclusion semantics).  Fixed
-    seeds reproduce exactly.  No sign restrictions.
+    redraws the matrix each step (the full inclusion semantics), each time
+    ``n`` draws in the chunks of ``member_chunks``.  Fixed seeds reproduce
+    exactly.  No sign restrictions.
     """
     if mode not in ("constant", "timevarying"):
         raise ValueError(f'mode must be "constant" or "timevarying", got {mode!r}')
@@ -227,22 +228,14 @@ def mc_trajectories(sys: FuzzySystem, alpha: float, horizon: int, n: int,
     x = sample_matrix(x0, rng, n)
     out = np.empty((n, horizon + 1, sys.n))
     out[:, 0] = x
-    # member matrices chunk_rows(m) runs at a time, in the order of one draw
-    step = chunk_rows(m)
-    chunks = [slice(start, start + step) for start in range(0, n, step)]
-
-    def draw(rows):
-        return sample_matrix(m, rng, len(x[rows]))
-
     if mode == "constant":
-        for rows in chunks:
-            u = draw(rows)
+        for rows, u in member_chunks(m, 0, n, rng):
             for k in range(1, horizon + 1):
                 x[rows] = np.einsum("nij,nj->ni", u, x[rows])
                 out[rows, k] = x[rows]
     else:
         for k in range(1, horizon + 1):
-            for rows in chunks:
-                x[rows] = np.einsum("nij,nj->ni", draw(rows), x[rows])
+            for rows, u in member_chunks(m, 0, n, rng):
+                x[rows] = np.einsum("nij,nj->ni", u, x[rows])
             out[:, k] = x
     return out

@@ -130,9 +130,8 @@ def vertex_matrices(m: IntervalMatrix,
             f"{count} vertex matrices exceed the budget of {max_vertices}; "
             "use sample_matrix instead"
         )
-    step = chunk_rows(m)
-    for start in range(0, count, step):
-        yield from vertex_stack(m, start, min(start + step, count))
+    for _, stack in member_chunks(m, count, 0, None):
+        yield from stack
 
 
 def sample_matrix(m: IntervalMatrix, rng, size: int | None = None) -> np.ndarray:
@@ -156,3 +155,17 @@ def sample_matrix(m: IntervalMatrix, rng, size: int | None = None) -> np.ndarray
     u += m.lo
     return u
 
+
+def member_chunks(m: IntervalMatrix, n_vertices: int, n_samples: int,
+                  rng) -> Iterator[tuple[slice, np.ndarray]]:
+    """The one member order of m, in ``(rows, stack)`` chunks of at most
+    ``chunk_rows(m)`` members: vertices ``0..n_vertices-1`` of :func:`vertex_stack`,
+    then ``n_samples`` draws of :func:`sample_matrix` from ``rng``; ``rows``
+    is the chunk's slice of that order."""
+    step = chunk_rows(m)
+    for start in range(0, n_vertices, step):
+        stop = min(start + step, n_vertices)
+        yield slice(start, stop), vertex_stack(m, start, stop)
+    for start in range(0, n_samples, step):
+        stop = min(start + step, n_samples)
+        yield slice(n_vertices + start, n_vertices + stop), sample_matrix(m, rng, stop - start)

@@ -21,10 +21,10 @@ import numpy as np
 from .interval_linalg import (
     DEFAULT_VERTEX_BUDGET,
     IntervalMatrix,
-    chunk_rows,
+    VertexBudgetError,
     halfsum,
+    member_chunks,
     mid_rad,
-    sample_matrix,
     vertex_count,
     vertex_stack,
 )
@@ -382,15 +382,6 @@ class MemberScan:
     n_above_one: int  # members with spectral radius > 1
 
 
-def _member_chunks(m: IntervalMatrix, n_vertices: int, n_samples: int, seed):
-    step = chunk_rows(m)
-    for start in range(0, n_vertices, step):
-        yield vertex_stack(m, start, min(start + step, n_vertices))
-    rng = np.random.default_rng(seed)
-    for start in range(0, n_samples, step):
-        yield sample_matrix(m, rng, size=min(step, n_samples - start))
-
-
 def _bracket_sign(m: IntervalMatrix) -> float:
     """1 when every member is non-negative, -1 when every member is
     non-positive, each with entries at most _HUGE / n in absolute value so
@@ -457,13 +448,13 @@ def member_radius_scan(m: IntervalMatrix, n_samples: int, seed,
     else the "vertex budget exceeded" fallback is logged) and of
     ``n_samples`` uniform members drawn from ``seed``.
 
-    Members are built and solved in chunks of ``chunk_rows(m)``, so memory
-    does not grow with the member count.  Ties keep the first member in
-    vertex-then-sample order.  In a sign-definite family, only the members
-    that Collatz-Wielandt brackets (:func:`_collatz_wielandt`) cannot rule
-    out are solved; the result is that of solving every member whenever
-    each computed radius is within PERRON_GAP / 2 - (n + 2) unit roundoffs
-    of the exact one.
+    Members are built and solved in the chunks of :func:`member_chunks`, so
+    memory does not grow with the member count.  Ties keep the first member
+    in that order.  No member to check raises VertexBudgetError.  In a
+    sign-definite family, only the members that Collatz-Wielandt brackets
+    (:func:`_collatz_wielandt`) cannot rule out are solved; the result is
+    that of solving every member whenever each computed radius is within
+    PERRON_GAP / 2 - (n + 2) unit roundoffs of the exact one.
     """
     if n_samples < 0:
         raise ValueError(f"sample count must be non-negative, got {n_samples}")
@@ -473,11 +464,11 @@ def member_radius_scan(m: IntervalMatrix, n_samples: int, seed,
         _log_fallback("vertex budget exceeded, sampling only: %d vertices > %d",
                       count, max_vertices)
     if n_vertices + n_samples == 0:
-        raise ValueError(f"{count} vertices exceed the budget of {max_vertices} "
-                         "and no samples were requested: no member to check")
+        raise VertexBudgetError(f"{count} vertices exceed the budget of {max_vertices} "
+                                "and no samples were requested: no member to check")
     sign = _bracket_sign(m)
     best, worst, above, n_bad, n_cap = -np.inf, None, 0, 0, 0
-    for stack in _member_chunks(m, n_vertices, n_samples, seed):
+    for _, stack in member_chunks(m, n_vertices, n_samples, np.random.default_rng(seed)):
         if sign:
             need, over, bad, cap = _collatz_wielandt(stack if sign > 0 else -stack, best)
             above, n_bad, n_cap = above + over, n_bad + bad, n_cap + cap

@@ -197,6 +197,29 @@ def test_vertex_matrices_chunked_matches_reference(monkeypatch):
     assert np.array_equal(np.stack(list(vertex_matrices(m))), reference_vertices(m))
 
 
+def test_member_chunks_order_vertices_then_draws(monkeypatch):
+    # three members per chunk: the last vertex chunk is partial, and the draws
+    # start in a chunk of their own
+    monkeypatch.setattr(interval_linalg, "CHUNK_ENTRIES", 12)
+    m = IntervalMatrix(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([[0.5, 1.0], [2.5, 3.5]]))
+    assert (vertex_count(m), interval_linalg.chunk_rows(m)) == (8, 3)
+    chunks = list(interval_linalg.member_chunks(m, 8, 7, np.random.default_rng(11)))
+    assert [(r.start, r.stop) for r, _ in chunks] == [(0, 3), (3, 6), (6, 8), (8, 11),
+                                                     (11, 14), (14, 15)]
+    for rows, stack in chunks[:3]:
+        assert np.array_equal(stack, vertex_stack(m)[rows])
+    draws = np.concatenate([stack for _, stack in chunks[3:]])
+    assert draws.tobytes() == sample_matrix(m, np.random.default_rng(11), 7).tobytes()
+    # each count alone yields only what it asks for
+    only_draws = list(interval_linalg.member_chunks(m, 0, 7, np.random.default_rng(11)))
+    assert [(r.start, r.stop) for r, _ in only_draws] == [(0, 3), (3, 6), (6, 7)]
+    assert np.concatenate([s for _, s in only_draws]).tobytes() == draws.tobytes()
+    only_vertices = list(interval_linalg.member_chunks(m, 8, 0, None))
+    assert [(r.start, r.stop) for r, _ in only_vertices] == [(0, 3), (3, 6), (6, 8)]
+    assert np.array_equal(np.concatenate([s for _, s in only_vertices]), vertex_stack(m))
+    assert list(interval_linalg.member_chunks(m, 0, 0, None)) == []
+
+
 def test_batched_draw_matches_sequential_calls():
     m = partly_fuzzy(np.random.default_rng(4), 3, 6)
     n = 37
@@ -279,6 +302,14 @@ def test_member_scan_without_members_is_an_error():
     m = IntervalMatrix(np.zeros((5, 5)), np.ones((5, 5)))
     with pytest.raises(ValueError, match="no member"):
         member_radius_scan(m, n_samples=0, seed=0, max_vertices=16)
+
+
+def test_member_scan_without_members_raises_the_budget_error():
+    # the error vertex_matrices raises beyond its budget, still a ValueError
+    m = IntervalMatrix(np.zeros((5, 5)), np.ones((5, 5)))
+    with pytest.raises(interval_linalg.VertexBudgetError, match="no member"):
+        member_radius_scan(m, n_samples=0, seed=0, max_vertices=16)
+    assert issubclass(interval_linalg.VertexBudgetError, ValueError)
 
 
 def test_negative_sample_count_is_an_error(monkeypatch):
@@ -449,7 +480,7 @@ def test_proven_top_draws_no_samples(monkeypatch, sign, top, status):
     def no_draw(*args):
         raise AssertionError("a member was drawn")
 
-    monkeypatch.setattr(stability, "sample_matrix", no_draw)
+    monkeypatch.setattr(interval_linalg, "sample_matrix", no_draw)
     solved = count_solves(monkeypatch)
     got = sampled_falsifier(m, n_samples=200, seed=7).to_json_obj()
     assert json.dumps(got) == json.dumps(ref)
@@ -461,8 +492,8 @@ def test_tied_top_still_scans_vertices_and_samples(monkeypatch):
     ref = reference_falsifier(tied, 10, 0)
     assert stability._perron_top(tied, vertex_count(tied)) is None
     drawn = []
-    draw = stability.sample_matrix
-    monkeypatch.setattr(stability, "sample_matrix",
+    draw = interval_linalg.sample_matrix
+    monkeypatch.setattr(interval_linalg, "sample_matrix",
                         lambda m, rng, size: drawn.append((size, *m.shape)) or draw(m, rng, size))
     got = sampled_falsifier(tied, n_samples=10, seed=0).to_json_obj()
     assert json.dumps(got) == json.dumps(ref)

@@ -712,6 +712,38 @@ def test_verdicts_on_dyadic_2x2_families_agree_with_the_exact_referee():
         statuses
 
 
+def dyadic_sign_definite_families(count: int, seed: int):
+    """Seeded sign-definite families at n = 3..8 on a dyadic grid, radii
+    around 1, every other one non-positive; some entries are zero or
+    degenerate."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(3, 9))
+        k = 2 ** int(rng.integers(2, 5)) * (8 if n > 4 else 4)
+        top = int(rng.integers(2, 4)) * k // n  # mean row sums of lo from 0.7 to 1.05
+        lo = rng.integers(0, top + 1, (n, n)) * (rng.random((n, n)) < 0.7)
+        hi = lo + rng.integers(0, 3, (n, n)) * (rng.random((n, n)) < 0.5)
+        yield imat(-hi / k, -lo / k) if i % 2 else imat(lo / k, hi / k)
+
+
+def test_verdicts_on_sign_definite_families_agree_with_the_exact_referee():
+    # By Perron-Frobenius monotonicity a non-negative family is stable exactly
+    # when hi is, and a non-positive one exactly when lo is: no positive verdict
+    # unless that top is exactly stable, and no exactly stable Falsified witness.
+    statuses = {s: 0 for s in StabilityStatus}
+    for i, m in enumerate(dyadic_sign_definite_families(400, seed=15)):
+        v = analyze(m, n_samples=50, seed=i)
+        statuses[v.status] += 1
+        if v.is_stable:
+            assert schur_stable(m.hi if np.all(m.lo >= 0) else m.lo), (i, v.criterion)
+        elif v.status is StabilityStatus.FALSIFIED:
+            w = np.array(v.witness["matrix"])
+            assert np.all((m.lo <= w) & (w <= m.hi)), i
+            assert not schur_stable(w), i
+    assert min(statuses[s] for s in StabilityStatus if s is not StabilityStatus.STABLE) > 50, \
+        statuses
+
+
 # -- the exact member referee and the defects it shows ---------------------------------
 
 #: Symmetric, and every row sums exactly to 1, so rho = 1 (ROADMAP item 1).
