@@ -135,6 +135,12 @@ def spectral_radii(stack: np.ndarray) -> np.ndarray:
 
 # -- Gershgorin tests for sign-definite families ------------------------------
 
+def _sign(m: IntervalMatrix) -> int:
+    """1 when every member is non-negative, -1 when every member is
+    non-positive, else 0."""
+    return 1 if np.all(m.lo >= 0) else -1 if np.all(m.hi <= 0) else 0
+
+
 def _first_row_not_below_one(rows: np.ndarray, slack: np.ndarray) -> Optional[int]:
     """The strict row rule on the non-negative ``rows``, whose float row
     slacks 1 - sum are ``slack``: None when every exact row sum is below 1,
@@ -335,7 +341,7 @@ def marginal_test(m: IntervalMatrix, t) -> StabilityVerdict:
     t_inv = np.linalg.inv(t)
 
     reasons = []
-    if np.all(m.lo >= 0):
+    if _sign(m) > 0:
         block, why = _transformed_block(m.hi, np.zeros_like(m.hi), t_inv, t)
         if block is not None:
             # Transforms can flip signs, so the rule applies to |block|.
@@ -382,19 +388,6 @@ class MemberScan:
     n_above_one: int  # members with spectral radius > 1
 
 
-def _bracket_sign(m: IntervalMatrix) -> float:
-    """1 when every member is non-negative, -1 when every member is
-    non-positive, each with entries at most _HUGE / n in absolute value so
-    that no power step overflows; else 0."""
-    if np.all(m.lo >= 0):
-        sign, top = 1.0, m.hi
-    elif np.all(m.hi <= 0):
-        sign, top = -1.0, -m.lo
-    else:
-        return 0.0
-    return sign if np.max(top) <= _HUGE / m.n else 0.0
-
-
 def _collatz_wielandt(a: np.ndarray, best: float) -> tuple[np.ndarray, int, int, int]:
     """Members of the non-negative stack ``a`` that need an eigensolve.
 
@@ -416,28 +409,29 @@ def _collatz_wielandt(a: np.ndarray, best: float) -> tuple[np.ndarray, int, int,
     k = len(a)
     low, up, bad = np.zeros(k), np.full(k, np.inf), np.zeros(k, dtype=bool)
     need, idx, x, x_min = np.ones(k, dtype=bool), np.arange(k), np.ones(a.shape[:2]), 1.0
-    for _ in range(BRACKET_STEPS):
-        y = np.matmul(a, x[:, :, None])[:, :, 0]  # <= n max(a) <= _HUGE
-        y_min, y_max = y.min(axis=1), y.max(axis=1)
-        # normal entries keep the rounding relative; the second test keeps y / x finite
-        ok = (y_min >= _TINY) & (y_max <= x_min * _HUGE)
-        if not ok.all():
-            bad[idx[~ok]] = True
-            a, idx, x, y, y_min, y_max = a[ok], idx[ok], x[ok], y[ok], y_min[ok], y_max[ok]
-        ratio = y / x
-        lo_k = low[idx] = np.maximum(low[idx], ratio.min(axis=1))
-        up_k = up[idx] = np.minimum(up[idx], ratio.max(axis=1))
-        top = max(best, float(low.max()))  # a NaN best stays NaN: nothing beats it
-        need = ((up >= top * (1.0 - PERRON_GAP))  # could be the new first maximum
-                | ((low <= 1.0 + PERRON_GAP) & (up >= 1.0 - PERRON_GAP)))  # near 1
-        go = need[idx] & (up_k > lo_k * (1.0 + PERRON_GAP))
-        # a lone needed member that holds the largest lower bound stays needed
-        if not go.any() or (top > best and np.count_nonzero(need) == 1):
-            idx = idx[:0]
-            break
-        if not go.all():
-            a, idx, y, y_min, y_max = a[go], idx[go], y[go], y_min[go], y_max[go]
-        x, x_min = y / y_max[:, None], y_min / y_max  # x_min is exactly x.min(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step fails ok
+        for _ in range(BRACKET_STEPS):
+            y = np.matmul(a, x[:, :, None])[:, :, 0]
+            y_min, y_max = y.min(axis=1), y.max(axis=1)
+            # normal entries keep the rounding relative; the second test keeps y / x finite
+            ok = (y_min >= _TINY) & (y_max <= x_min * _HUGE)
+            if not ok.all():
+                bad[idx[~ok]] = True
+                a, idx, x, y, y_min, y_max = a[ok], idx[ok], x[ok], y[ok], y_min[ok], y_max[ok]
+            ratio = y / x
+            lo_k = low[idx] = np.maximum(low[idx], ratio.min(axis=1))
+            up_k = up[idx] = np.minimum(up[idx], ratio.max(axis=1))
+            top = max(best, float(low.max()))  # a NaN best stays NaN: nothing beats it
+            need = ((up >= top * (1.0 - PERRON_GAP))  # could be the new first maximum
+                    | ((low <= 1.0 + PERRON_GAP) & (up >= 1.0 - PERRON_GAP)))  # near 1
+            go = need[idx] & (up_k > lo_k * (1.0 + PERRON_GAP))
+            # a lone needed member that holds the largest lower bound stays needed
+            if not go.any() or (top > best and np.count_nonzero(need) == 1):
+                idx = idx[:0]
+                break
+            if not go.all():
+                a, idx, y, y_min, y_max = a[go], idx[go], y[go], y_min[go], y_max[go]
+            x, x_min = y / y_max[:, None], y_min / y_max  # x_min is exactly x.min(axis=1)
     over = int(np.count_nonzero(~need & (low > 1.0 + PERRON_GAP)))
     return need, over, int(np.count_nonzero(bad & need)), idx.size
 
@@ -466,7 +460,7 @@ def member_radius_scan(m: IntervalMatrix, n_samples: int, seed,
     if n_vertices + n_samples == 0:
         raise VertexBudgetError(f"{count} vertices exceed the budget of {max_vertices} "
                                 "and no samples were requested: no member to check")
-    sign = _bracket_sign(m)
+    sign = _sign(m)
     best, worst, above, n_bad, n_cap = -np.inf, None, 0, 0, 0
     for _, stack in member_chunks(m, n_vertices, n_samples, np.random.default_rng(seed)):
         if sign:
@@ -513,12 +507,11 @@ def _perron_top(m: IntervalMatrix, count: int) -> Optional[tuple[float, np.ndarr
     neighbour's by the relative margin PERRON_GAP, kept for eigensolver
     rounding.
     """
-    if np.all(m.lo >= 0):
-        top, other = vertex_stack(m, count - 1, count), m.lo
-    elif np.all(m.hi <= 0):
-        top, other = vertex_stack(m, 0, 1), m.hi
-    else:
+    sign = _sign(m)
+    if not sign:
         return None
+    top = vertex_stack(m, count - 1, count) if sign > 0 else vertex_stack(m, 0, 1)
+    other = m.lo if sign > 0 else m.hi
     wide = np.flatnonzero(m.hi > m.lo)
     stack = np.repeat(top, wide.size + 1, axis=0)
     stack.reshape(wide.size + 1, -1)[np.arange(1, wide.size + 1), wide] = other.ravel()[wide]

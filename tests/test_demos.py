@@ -17,8 +17,11 @@ LAYERS = [fuzzy_num, metrics, interval_linalg, stability, fdi_sim]
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    # the RuntimeWarning rule of pyproject.toml, which pytest does not pass on
-    proc = run_python("-W", "error::RuntimeWarning", str(demo), cwd=ROOT)
+    # the warning rules of pyproject.toml, which pytest does not pass on; a -W
+    # module field is matched literally, so these leave it empty
+    flags = [f"-Werror::{w}" for w in ("RuntimeWarning", "DeprecationWarning",
+                                        "PendingDeprecationWarning", "FutureWarning")]
+    proc = run_python(*flags, str(demo), cwd=ROOT)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 

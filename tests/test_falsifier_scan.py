@@ -341,7 +341,8 @@ def count_solves(monkeypatch) -> list:
     return solved
 
 
-SIGN_DEFINITE_KINDS = ("random", "reducible", "dyadic", "one_ulp", "signed_zero", "huge")
+SIGN_DEFINITE_KINDS = ("random", "reducible", "dyadic", "one_ulp", "signed_zero", "huge",
+                       "near_overflow")
 
 
 def sign_definite(rng, kind: str, n: int, sign: float) -> IntervalMatrix:
@@ -364,6 +365,10 @@ def sign_definite(rng, kind: str, n: int, sign: float) -> IntervalMatrix:
         hi.flat[wide] += rng.uniform(0.05, 0.6 / n, wide.size)
     if kind == "huge":
         lo, hi = lo * 1e200, hi * 1e200
+    if kind == "near_overflow":  # largest entry above 2^1023 / n: a power step can overflow
+        top = hi.max()
+        target = 2.0 ** 1023 / n * rng.uniform(1.01, 1.9)
+        lo, hi = lo / top * target, hi / top * target
     if sign < 0:
         lo, hi = -hi, -lo
     if kind == "signed_zero":  # a crisp cell [-0.0, 0.0]: witnesses print it as -0.0
@@ -535,7 +540,7 @@ def test_bracketed_scan_matches_full_eigensolve(monkeypatch, kind):
     rng = np.random.default_rng(100 + SIGN_DEFINITE_KINDS.index(kind))
     for i in range(24):
         m = sign_definite(rng, kind, 2 + i % 6, 1.0 if i % 2 else -1.0)
-        if i % 4 >= 2 and kind != "huge":
+        if i % 4 >= 2 and kind not in ("huge", "near_overflow"):
             m = straddling(m)
         # small chunks carry the running maximum across chunk boundaries
         monkeypatch.setattr(interval_linalg, "CHUNK_ENTRIES", 2 ** 18 if i % 3 else 200)
@@ -563,6 +568,25 @@ def test_bracketed_scan_matches_full_eigensolve_at_subnormal_scale(kind):
 def test_bracketed_scan_matches_full_eigensolve_at_extreme_range(lo):
     lo = np.array(lo)
     assert_scan_matches_reference(IntervalMatrix(lo, lo * 1.2), 10, 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bracketed_scan_solves_only_overflowing_members(caplog, monkeypatch, sign):
+    # entries above 2^1023 / n: only the members whose power step is unbounded
+    # are solved and logged, the others are bracketed
+    caplog.set_level(logging.DEBUG, logger="fdikit")
+    lo = np.array([[4.5e307, 4.0e307], [4.0e307, 4.5e307]])
+    m = IntervalMatrix(lo, lo * 1.05) if sign > 0 else IntervalMatrix(-lo * 1.05, -lo)
+    assert_scan_matches_reference(m, 200, 0)
+    caplog.clear()
+    solved = count_solves(monkeypatch)
+    scan = member_radius_scan(m, 200, 0)
+    assert scan.n_checked == 216
+    assert sum(solved) <= 10
+    unresolved = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("brackets unresolved")]
+    assert len(unresolved) == 1, unresolved
 
 
 def test_bracketed_scan_solves_few_members(monkeypatch):
