@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .fuzzy_num import FuzzyVector, _freeze, check_grid, level_cuts, level_groups, stack_fault
-from .interval_linalg import IntervalMatrix, member_chunks, sample_matrix
+from .interval_linalg import IntervalMatrix, log_fallback, member_chunks, sample_matrix
 
 __all__ = ["FuzzySystem", "SignPreconditionError", "assemble_fuzzy_attainable",
            "envelope_endpoints", "level_matrix", "level_state", "mc_trajectories",
@@ -113,10 +113,7 @@ def _nonneg_cuts(sys: FuzzySystem, alphas):
         condition, what = (("matrix_nonneg", "dynamic-matrix") if bad_m[i]
                            else ("state_nonneg", "initial-state"))
         alpha = float(levels.ravel()[i])
-        import logging  # only here: a run whose envelope is not refused never imports it
-
-        logging.getLogger(__name__).debug("exact envelope refused (%s) at alpha=%g",
-                                          condition, alpha)
+        log_fallback(__name__, "exact envelope refused (%s) at alpha=%g", condition, alpha)
         raise SignPreconditionError(
             condition, f"{what} lower bound has a negative entry at alpha="
             f"{alpha:g}; use mc_trajectories")
@@ -222,10 +219,10 @@ def mc_trajectories(sys: FuzzySystem, alpha: float, horizon: int, n: int,
         raise ValueError(f'mode must be "constant" or "timevarying", got {mode!r}')
     if n <= 0 or horizon < 0:
         raise ValueError("need n > 0 trajectories and a non-negative horizon")
-    m = level_matrix(sys, alpha)
-    x0 = level_state(sys, alpha)
+    h_lo, h_hi, x0_lo, x0_hi = _cuts(sys, alpha)
+    m = IntervalMatrix(h_lo, h_hi)
     rng = np.random.default_rng(seed)
-    x = sample_matrix(x0, rng, n)
+    x = sample_matrix(IntervalMatrix(x0_lo, x0_hi), rng, n)
     out = np.empty((n, horizon + 1, sys.n))
     out[:, 0] = x
     if mode == "constant":

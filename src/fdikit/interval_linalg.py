@@ -3,6 +3,7 @@ and random member selection."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -169,3 +170,12 @@ def member_chunks(m: IntervalMatrix, n_vertices: int, n_samples: int,
     for start in range(0, n_samples, step):
         stop = min(start + step, n_samples)
         yield slice(n_vertices + start, n_vertices + stop), sample_matrix(m, rng, stop - start)
+
+
+def log_fallback(name: str, msg: str, *args) -> None:
+    """Record a fallback at DEBUG level on logger ``name``, a child of the
+    ``fdikit`` logger, when ``logging`` is loaded.  It is never imported
+    here: until a program imports it, no handler exists to show a record."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(name).debug(msg, *args)

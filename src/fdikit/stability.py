@@ -23,6 +23,7 @@ from .interval_linalg import (
     IntervalMatrix,
     VertexBudgetError,
     halfsum,
+    log_fallback,
     member_chunks,
     mid_rad,
     vertex_count,
@@ -455,8 +456,8 @@ def member_radius_scan(m: IntervalMatrix, n_samples: int, seed,
     count = vertex_count(m)
     n_vertices = count if count <= max_vertices else 0
     if not n_vertices:
-        _log_fallback("vertex budget exceeded, sampling only: %d vertices > %d",
-                      count, max_vertices)
+        log_fallback(__name__, "vertex budget exceeded, sampling only: %d vertices > %d",
+                     count, max_vertices)
     if n_vertices + n_samples == 0:
         raise VertexBudgetError(f"{count} vertices exceed the budget of {max_vertices} "
                                 "and no samples were requested: no member to check")
@@ -476,22 +477,10 @@ def member_radius_scan(m: IntervalMatrix, n_samples: int, seed,
             best, worst = float(radii[i]), stack[i].copy()
         above += int(np.count_nonzero(radii > 1.0))
     if n_bad or n_cap:
-        _log_fallback("brackets unresolved for %d of %d members: %d stopped by a zero "
-                      "or unbounded step, %d open after %d steps", n_bad + n_cap,
-                      n_vertices + n_samples, n_bad, n_cap, BRACKET_STEPS)
+        log_fallback(__name__, "brackets unresolved for %d of %d members: %d stopped by a zero "
+                     "or unbounded step, %d open after %d steps", n_bad + n_cap,
+                     n_vertices + n_samples, n_bad, n_cap, BRACKET_STEPS)
     return MemberScan(n_vertices + n_samples, best, worst, above)
-
-
-def _log_fallback(msg: str, *args) -> None:
-    """Record a member-scan fallback at DEBUG level on this module's logger,
-    a child of the ``fdikit`` logger.
-
-    ``logging`` is imported here, not with the module, because every CLI
-    run pays fdikit's import: logging would add about 4 ms to its 90 ms
-    (2-core KVM Xeon)."""
-    import logging
-
-    logging.getLogger(__name__).debug(msg, *args)
 
 
 def _perron_top(m: IntervalMatrix, count: int) -> Optional[tuple[float, np.ndarray]]:
@@ -518,7 +507,8 @@ def _perron_top(m: IntervalMatrix, count: int) -> Optional[tuple[float, np.ndarr
     radii = spectral_radii(stack)
     # Written as not (... < ...) so that a NaN radius falls back too.
     if not radii[1:].max(initial=-np.inf) < radii[0] * (1.0 - PERRON_GAP):
-        _log_fallback("Perron gap below PERRON_GAP, full vertex scan of %d vertices", count)
+        log_fallback(__name__, "Perron gap below PERRON_GAP, full vertex scan of %d vertices",
+                     count)
         return None
     return float(radii[0]), top[0]
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import math
 import tracemalloc
 import warnings
@@ -118,6 +119,13 @@ def test_analyze_uses_transform(tmp_path, capsys):
     assert rc == EXIT_OK
     assert out["status"] == "Stable"
     assert out["criterion"] == "marginal_transform"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: marginal_test accepts within SHAPE_TOL")
+def test_analyze_does_not_call_a_member_above_one_stable(tmp_path, capsys):
+    doc = {"n": 1, "H": [[1.0000000005]], "x0": [1.0], "T": [[1.0]]}
+    main(["analyze", write(tmp_path, "s.json", doc)])
+    assert json.loads(capsys.readouterr().out)["status"] != "Stable"
 
 
 def test_analyze_falsifies_a_family_whose_endpoint_transforms_fit(tmp_path, capsys):
@@ -349,6 +357,54 @@ def test_certified_analyze_and_nonneg_simulate_import_no_logging(tmp_path):
     assert proc.stderr == ""
     assert '"criterion": "gershgorin_nonneg"' in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+
+
+def test_fallback_runs_import_no_logging(tmp_path, capsys, caplog):
+    # each run records a fallback, which needs no logging until a program loads it
+    fuzzy = {"tfn": [0.3, 0.35, 0.4]}
+    files = {name: write(tmp_path, f"{name}.json", doc) for name, doc in (
+        ("budget", {"n": 5, "H": [[fuzzy] * 5] * 5, "x0": [1] * 5}),
+        ("oracle", {"n": 4, "H": [[fuzzy] * 4] * 4, "x0": [1] * 4}),
+        ("refused", {"n": 1, "H": [[0.5]], "x0": [{"tfn": [-1, 0, 1]}]}))}
+    out = tmp_path / "out.csv"
+    runs = [["analyze", files["budget"]],
+            ["oracle", files["oracle"], "--k", "3", "--n", "20", "--out", str(out)],
+            ["simulate", files["refused"], "--out", str(out)]]
+    code = ("import contextlib, io, json, os, sys\n"
+            "from fdikit.cli import main\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    stdout, stderr = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):\n"
+            "        code = main(argv)\n"
+            "    csv = None\n"
+            "    if os.path.exists(sys.argv[2]):\n"
+            "        with open(sys.argv[2]) as f:\n"
+            "            csv = f.read()\n"
+            "        os.remove(sys.argv[2])\n"
+            "    results.append([code, stdout.getvalue(), stderr.getvalue(), csv])\n"
+            "print(json.dumps(results))\n"
+            "print('logging' in sys.modules)")
+    proc = run_python("-c", code, json.dumps(runs), str(out))
+    assert proc.stderr == ""
+    fresh, loaded = proc.stdout.splitlines()
+    assert loaded == "False"
+
+    caplog.set_level(logging.DEBUG, logger="fdikit")
+    here = []
+    for argv in runs:
+        rc = main(argv)
+        captured = capsys.readouterr()
+        here.append([rc, captured.out, captured.err, out.read_text() if out.exists() else None])
+        out.unlink(missing_ok=True)
+    assert json.loads(fresh) == here
+    assert [r[0] for r in here] == [EXIT_FALSIFIED, EXIT_OK, EXIT_PRECONDITION]
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("fdikit.stability", logging.DEBUG,
+         "vertex budget exceeded, sampling only: 33554432 vertices > 65536"),
+        ("fdikit.stability", logging.DEBUG,
+         "vertex budget exceeded, sampling only: 65536 vertices > 1024"),
+        ("fdikit.fdi_sim", logging.DEBUG, "exact envelope refused (state_nonneg) at alpha=0")]
 
 
 def test_analyze_missing_file(capsys):
@@ -590,6 +646,18 @@ def test_oracle_skips_containment_when_sign_indefinite(tmp_path, capsys):
     assert rc == EXIT_OK
     assert report["containment"] is None
     assert "containment_skipped" in report
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: containment has an absolute 1e-12 rule")
+def test_oracle_counts_a_crisp_systems_runs_inside(tmp_path, capsys):
+    # every run is the one member's trajectory, at magnitudes near 1e8
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        doc = {"n": 5, "H": rng.uniform(0.05, 0.19, (5, 5)).tolist(),
+               "x0": rng.uniform(1.1e8, 1.3e8, 5).tolist()}
+        main(["oracle", write(tmp_path, "s.json", doc), "--k", "20", "--n", "50",
+              "--out", str(tmp_path / "runs.csv")])
+        assert json.loads(capsys.readouterr().out)["containment"]["outside"] == 0, seed
 
 
 # -- output digests and argument errors -------------------------------------------------

@@ -532,6 +532,15 @@ def test_mc_deterministic_under_seed():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("mode", ["constant", "timevarying"])
+def test_mc_cuts_its_system_once(monkeypatch, mode):
+    # one cut gives both the member box and the start box
+    cuts, levels = fdi_sim._cuts, []
+    monkeypatch.setattr(fdi_sim, "_cuts",
+                        lambda sys, alpha: levels.append(alpha) or cuts(sys, alpha))
+    mc_trajectories(signed_tfn_system(np.random.default_rng(3), 3), 0.5, 4, 20, seed=3, mode=mode)
+    assert levels == [0.5]
+
 
 def reference_mc_trajectories(sys, alpha, horizon, n, seed=0, mode="constant"):
     """The one-shot version: every member matrix of a step in one draw."""
