@@ -531,6 +531,10 @@ def test_simulate_writer_streams(tmp_path, capsys, monkeypatch):
         return out
 
     monkeypatch.setattr(cli, "envelope_endpoints", endpoints_then_reset_peak)
+    # The formatter tables are built once per process, on first use (about
+    # 120 KB); build them here so that the writer's peak is the same whether
+    # or not an earlier test has written a CSV.
+    cli._g12_tables()
     tracemalloc.start()
     try:
         rc = main(["simulate", sys_file, "--k", "40", "--out", str(out_csv)])

@@ -317,8 +317,12 @@ def test_negative_sample_count_is_an_error(monkeypatch):
     # family of test_cli's NONNEG_2: the falsifier refuses the count before it
     # solves anything, since a proven top calls no member scan
     m = IntervalMatrix(np.array([[0.1, 0.0], [0.5, 0.4]]), np.array([[0.3, 0.2], [0.7, 0.6]]))
-    assert stability._perron_top(m, vertex_count(m)) is not None
     solved = count_solves(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(interval_linalg, "sample_matrix", None)  # a draw raises TypeError
+        sampled_falsifier(m, n_samples=10)
+    assert solved == [4 + 1]  # the top and its four neighbours: the top is proven
+    solved.clear()
     with pytest.raises(ValueError, match="^sample count must be non-negative, got -1$"):
         sampled_falsifier(m, n_samples=-1)
     assert solved == []
@@ -492,15 +496,16 @@ def test_proven_top_draws_no_samples(monkeypatch, sign, top, status):
     assert solved == [10]  # the top and its nine neighbours, and nothing else
 
 
-def test_tied_top_still_scans_vertices_and_samples(monkeypatch):
+def test_tied_top_still_scans_vertices_and_samples(caplog, monkeypatch):
+    caplog.set_level(logging.DEBUG, logger="fdikit")
     tied = IntervalMatrix(np.diag([0.1] * 3), np.diag([0.9] * 3))
     ref = reference_falsifier(tied, 10, 0)
-    assert stability._perron_top(tied, vertex_count(tied)) is None
     drawn = []
     draw = interval_linalg.sample_matrix
     monkeypatch.setattr(interval_linalg, "sample_matrix",
                         lambda m, rng, size: drawn.append((size, *m.shape)) or draw(m, rng, size))
     got = sampled_falsifier(tied, n_samples=10, seed=0).to_json_obj()
+    assert caplog.records[0].getMessage().startswith("Perron gap below PERRON_GAP")
     assert json.dumps(got) == json.dumps(ref)
     assert drawn == [(10, 3, 3)]
     assert got["witness"]["n_checked"] == 8 + 10

@@ -751,12 +751,11 @@ DOUBLY_STOCHASTIC_5 = [[0, .125, .375, 0, .5], [.125, .875, 0, 0, 0], [.375, 0, 
                        [0, 0, .625, 0, .375], [.5, 0, 0, .375, .125]]
 
 
-def jordan_16() -> np.ndarray:
-    """A = S T S^-1 with T = 0.75 I + 4 N (N the upper shift) and S = I plus the
-    lower shift: similar to one 16x16 Jordan block at 0.75, so rho(A) = 0.75
-    exactly, while eigvals computes 1.18 (ROADMAP item 14).  Every entry of A
-    is a float, checked in exact arithmetic."""
-    n = 16
+def jordan(n: int) -> np.ndarray:
+    """A = S T S^-1 with T = 0.75 I + 4 N (N the n x n upper shift) and S = I
+    plus the lower shift: similar to one n x n Jordan block at 0.75, so
+    rho(A) = 0.75 exactly, while eigvals computes 1.18 at n = 16 (ROADMAP
+    item 14).  Every entry of A is a float, checked in exact arithmetic."""
     t = [[Fraction(3, 4) if j == i else Fraction(4 if j == i + 1 else 0) for j in range(n)]
          for i in range(n)]
     s_inv = [[Fraction((-1) ** (i - j)) if i >= j else Fraction(0) for j in range(n)]
@@ -765,6 +764,23 @@ def jordan_16() -> np.ndarray:
     a = [[sum(st[i][k] * s_inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     assert all(Fraction(float(x)) == x for row in a for x in row)
     return np.array(a, dtype=float)
+
+
+def jordan_16() -> np.ndarray:
+    return jordan(16)
+
+
+def doubly_stochastic(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A crisp symmetric doubly stochastic n x n matrix, so rho = 1 exactly
+    (ROADMAP item 1): a sum of 2..4 involution permutation matrices, each
+    symmetric, with weights in eighths that sum to 1."""
+    def involution():
+        p, perm = np.arange(n), rng.permutation(n)
+        k = int(rng.integers(0, n // 2 + 1))
+        p[perm[:k]], p[perm[k:2 * k]] = perm[k:2 * k], perm[:k]
+        return np.eye(n)[p]
+    cuts = np.sort(rng.choice(np.arange(1, 8), int(rng.integers(1, 4)), replace=False))
+    return sum(w * involution() for w in np.diff(np.concatenate([[0], cuts, [8]])) / 8.0)
 
 
 def test_exact_member_referee():
@@ -798,3 +814,26 @@ def test_analyze_does_not_certify_a_doubly_stochastic_matrix():
 def test_analyze_does_not_falsify_a_stable_jordan_matrix():
     a = jordan_16()
     assert analyze(imat(a, a), n_samples=10).status is not StabilityStatus.FALSIFIED
+
+
+# -- property tests over the constructed corpora (ROADMAP item 15) ---------------------
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: eigen_box trusts eigvalsh")
+def test_no_positive_verdict_on_a_doubly_stochastic_corpus():
+    unsound = []
+    for n in range(3, 9):
+        rng = np.random.default_rng(n)
+        for i in range(60):
+            a = doubly_stochastic(rng, n)
+            assert np.array_equal(a, a.T) and np.all(a.sum(axis=1) == 1), (n, i)
+            if analyze(imat(a, a), n_samples=10).is_stable and not schur_stable(a):
+                unsound.append((n, i))
+    assert unsound == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: Falsified trusts eigvals")
+def test_no_falsified_verdict_on_stable_jordan_matrices():
+    for n in range(12, 17):
+        a = jordan(n)
+        assert schur_stable(a), n
+        assert analyze(imat(a, a), n_samples=10).status is not StabilityStatus.FALSIFIED, n
