@@ -47,16 +47,9 @@ class Tfn:
 
 
 def tfn_alpha_cut(t: Tfn, alpha: float) -> tuple[float, float]:
-    """Alpha-cut of a triangular number: linear shrink from support to peak.
-
-    Returns [c - (1-alpha)(c-l), c + (1-alpha)(r-c)].
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return (
-        t.c - (1.0 - alpha) * (t.c - t.l),
-        t.c + (1.0 - alpha) * (t.r - t.c),
-    )
+    """Alpha-cut of a triangular number, linear from the support (l, r) at
+    alpha 0 to the peak (c, c) at alpha 1: the cut of ``as_fuzzy(t)``."""
+    return as_fuzzy(t).cut(alpha)
 
 
 def membership_limits(alphas, lo, hi, p) -> np.ndarray:
@@ -215,13 +208,15 @@ def as_fuzzy(x) -> FuzzyNumber:
 def fn_add(a, b) -> FuzzyNumber:
     """Level-wise sum: cut endpoints add.  Grids are merged by interpolation."""
     v = FuzzyVector([a, b])
-    return FuzzyNumber(v.alphas, v.lo[:, 0] + v.lo[:, 1], v.hi[:, 0] + v.hi[:, 1])
+    with np.errstate(over="ignore"):  # an inf sum is refused as unbounded
+        return FuzzyNumber(v.alphas, v.lo[:, 0] + v.lo[:, 1], v.hi[:, 0] + v.hi[:, 1])
 
 
 def fn_scale(beta: float, a) -> FuzzyNumber:
     """Level-wise scalar multiple; endpoints swap when ``beta`` is negative."""
     a = as_fuzzy(a)
-    p, q = beta * a.lo, beta * a.hi
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is refused as unbounded
+        p, q = beta * a.lo, beta * a.hi
     return FuzzyNumber(a.alphas, np.minimum(p, q), np.maximum(p, q))
 
 
@@ -232,13 +227,16 @@ def fn_mul_approx(a: Tfn, b: Tfn) -> Tfn:
     exact level-wise product of two triangular numbers is not triangular,
     and this endpoint shortcut is only ordered correctly on that domain.
     The result matches the exact product at alpha 0 and 1 but flattens its
-    curvature in between.
+    curvature in between.  A product whose right endpoint, its largest, is
+    not finite raises ValueError.
     """
     if a.l < 0 or b.l < 0:
         raise ValueError(
             "triangular product approximation requires non-negative supports "
             f"(got left endpoints {a.l} and {b.l})"
         )
+    if not a.r * b.r < np.inf:
+        raise ValueError(f"triangular product approximation overflows: {a.r} * {b.r}")
     return Tfn(a.l * b.l, a.c * b.c, a.r * b.r)
 
 

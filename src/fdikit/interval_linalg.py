@@ -118,17 +118,16 @@ def vertex_stack(m: IntervalMatrix, start: int = 0, stop: int | None = None) -> 
     return stack.reshape(stop - start, *m.shape)
 
 
-def vertex_matrices(m: IntervalMatrix,
-                    max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Iterator[np.ndarray]:
+def vertex_matrices(m: IntervalMatrix) -> Iterator[np.ndarray]:
     """Enumerate all matrices whose entries are each lo or hi, in the order
     of :func:`vertex_stack`.
 
-    Raises VertexBudgetError beyond ``max_vertices``.
+    Raises VertexBudgetError beyond ``DEFAULT_VERTEX_BUDGET`` (read at call time).
     """
     count = vertex_count(m)
-    if count > max_vertices:
+    if count > DEFAULT_VERTEX_BUDGET:
         raise VertexBudgetError(
-            f"{count} vertex matrices exceed the budget of {max_vertices}; "
+            f"{count} vertex matrices exceed the budget of {DEFAULT_VERTEX_BUDGET}; "
             "use sample_matrix instead"
         )
     for _, stack in member_chunks(m, count, 0, None):

@@ -1,5 +1,6 @@
 """Unit tests for the nested alpha-cut representation and its arithmetic."""
 
+import json
 import warnings
 
 import numpy as np
@@ -10,15 +11,18 @@ from hypothesis import strategies as st
 from fdikit import (
     FuzzyNumber,
     FuzzySystem,
+    FuzzyVector,
     StackingViolation,
     Tfn,
     as_fuzzy,
     fn_add,
     fn_mul_approx,
     fn_scale,
+    level_matrix,
     tfn_alpha_cut,
     validate_nested,
 )
+from fdikit.cli import load_system
 
 from fdikit import fuzzy_num
 from fdikit.fuzzy_num import ORDER_TOL, interp_levels, level_cuts, level_groups, stack_fault
@@ -64,6 +68,38 @@ def test_tfn_alpha_cut_domain_error():
         tfn_alpha_cut(Tfn(2, 4, 6), -0.1)
     with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.5$"):
         as_fuzzy(Tfn(2, 4, 6)).cut(1.5)
+
+
+def test_tfn_alpha_cut_is_the_level_stack_cut(tmp_path):
+    # 400 seeded triples of mixed sign, some with a degenerate side, as the
+    # 20 x 20 H of a file: every route to a cut gives the same bits
+    rng = np.random.default_rng(35)
+    x = np.sort(rng.uniform(-1e3, 1e3, (400, 3)), axis=1)
+    x[::7, 1] = x[::7, 0]
+    x[3::7, 1] = x[3::7, 2]
+    tfns = [Tfn(*row) for row in x.tolist()]
+    path = tmp_path / "tfn.json"
+    cells = [{"tfn": row} for row in x.tolist()]
+    path.write_text(json.dumps({"n": 20, "H": [cells[i:i + 20] for i in range(0, 400, 20)],
+                                "x0": [0.0] * 20}))
+    system, _ = load_system(str(path))
+    vector = FuzzyVector(tfns)
+    for alpha in [0.0, 1.0, *rng.uniform(0, 1, 11).tolist()]:
+        m = level_matrix(system, alpha)
+        v_lo, v_hi = vector.cut(alpha)
+        for i, t in enumerate(tfns):
+            got = tfn_alpha_cut(t, alpha)
+            assert got == as_fuzzy(t).cut(alpha)
+            assert got == (v_lo[i], v_hi[i]) == (m.lo.flat[i], m.hi.flat[i])
+            if alpha == 0.0:
+                assert got == (t.l, t.r)
+            if alpha == 1.0:
+                assert got == (t.c, t.c)
+
+
+def test_tfn_alpha_cut_refuses_an_unbounded_support():
+    with pytest.raises(ValueError, match="support must be bounded"):
+        tfn_alpha_cut(Tfn(0, 1, np.inf), 0.5)
 
 
 def test_tfn_ordering_enforced():
@@ -169,6 +205,16 @@ def test_fn_scale_negative_swaps_endpoints():
         assert y.membership(-p) == pytest.approx(x.membership(p), abs=1e-12)
 
 
+@pytest.mark.parametrize("op", [lambda: fn_scale(1e308, Tfn(0, 1, 10)),
+                                lambda: fn_scale(np.inf, Tfn(0, 1, 10)),
+                                lambda: fn_add(Tfn(0, 1e308, 1.7e308), Tfn(0, 1e308, 1.7e308))],
+                         ids=["scale", "scale_inf", "add"])
+def test_arithmetic_overflow_is_refused_without_a_warning(op):
+    # pytest makes a RuntimeWarning an error, so an overflow warning fails here
+    with pytest.raises(ValueError, match=r"^support must be bounded \(finite endpoints\)$"):
+        op()
+
+
 @given(fuzzy_numbers(), fuzzy_numbers(), st.floats(min_value=0, max_value=1))
 def test_add_commutes_with_cuts(a, b, alpha):
     s = fn_add(a, b)
@@ -220,6 +266,11 @@ def test_mul_approx_vs_exact_interval_products():
         else:
             assert lo_a >= exact_lo - 1e-12
             assert hi_a >= exact_hi - 1e-12
+
+
+def test_mul_approx_refuses_an_overflowing_product():
+    with pytest.raises(ValueError, match="overflows"):
+        fn_mul_approx(Tfn(0, 1e308, 1e308), Tfn(0, 10, 10))
 
 
 def test_mul_approx_rejects_negative_support():

@@ -143,7 +143,7 @@ def test_vertices_full_2x2():
 def test_vertex_budget_error_mentions_sampling():
     m = imat(np.zeros((5, 5)), np.ones((5, 5)))
     with pytest.raises(VertexBudgetError) as err:
-        list(vertex_matrices(m, max_vertices=16))
+        list(vertex_matrices(m))
     assert "sample_matrix" in str(err.value)
 
 
