@@ -1,67 +1,58 @@
 """Fuzzy numbers as stacks of nested alpha-cuts, and the two fuzzy metrics.
 
+The cells a system file holds are triangles ({"tfn": [l, c, r]}) and level
+stacks ({"levels": [[alpha, lo, hi], ...]}); both read as the same kind of
+number, cut exactly at any level.
+
 Run with:  python3 demos/01_fuzzy_numbers_and_metrics.py
 """
 
-import numpy as np
-
 from fdikit import (
-    FuzzyNumber,
+    FuzzyVector,
     Tfn,
     as_fuzzy,
-    d_levelwise,
+    d_fuzzy_vec,
     d_membership,
-    fn_add,
-    fn_mul_approx,
-    fn_scale,
-    tfn_alpha_cut,
 )
 
 print("=" * 70)
 print("Triangular fuzzy numbers and alpha-cuts")
 print("=" * 70)
 
-wall = Tfn(2, 4, 6)  # 'a high wall': about 4 meters, wide uncertainty
-print(f"\nTriple {wall}: support {tfn_alpha_cut(wall, 0.0)}, "
-      f"peak {tfn_alpha_cut(wall, 1.0)}")
+wall = as_fuzzy({"tfn": [2, 4, 6]})  # 'a high wall': about 4 meters, wide uncertainty
+print(f"\n{wall}: support {wall.cut(0.0)}, peak {wall.cut(1.0)}")
 for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-    lo, hi = tfn_alpha_cut(wall, alpha)
+    lo, hi = wall.cut(alpha)
     bar = " " * int(4 * (lo - 1)) + "#" * max(1, int(4 * (hi - lo)))
     print(f"  alpha={alpha:4.2f}  cut=[{lo:4.2f}, {hi:4.2f}]  {bar}")
 
 print("\nMembership grades are read back from the cuts:")
-x = as_fuzzy(wall)
 for p in (2.0, 3.0, 4.0, 5.5, 6.5):
-    print(f"  membership({p}) = {x.membership(p):.3f}")
-
-print("\nNon-triangular shapes are just more levels (a trapezoid-ish stack):")
-shape = FuzzyNumber([0.0, 0.6, 1.0], [0.0, 1.0, 1.5], [5.0, 4.0, 2.5])
-for a, lo, hi in shape.levels():
-    print(f"  alpha={a:3.1f}  [{lo}, {hi}]")
+    print(f"  membership({p}) = {wall.membership(p):.3f}")
 
 print()
 print("=" * 70)
-print("Arithmetic acts level-wise on the cuts")
+print("Level stacks: any shape is more levels")
 print("=" * 70)
 
-a, b = Tfn(2, 3, 4), Tfn(3.5, 4.5, 6.5)
-s = fn_add(a, b)
-print(f"\n{a} + {b}:")
-print(f"  support {s.cut(0.0)}, peak {s.cut(1.0)}")
-
-neg = fn_scale(-1.0, a)
-print(f"-1 * {a}: support {neg.cut(0.0)} (endpoints swapped)")
-
-p = fn_mul_approx(Tfn(0, 1, 2), Tfn(0, 1, 2))
-print(f"\nTriangular product shortcut (non-negative triples only): {p}")
-print("  exact mid-level cut of the square is [0.25, 2.25];"
-      f" the shortcut gives {tfn_alpha_cut(p, 0.5)} - wider to the right,")
-print("  it matches the exact product only at alpha 0 and 1.")
+shape = as_fuzzy({"levels": [[0.0, 0.0, 5.0], [0.6, 1.0, 4.0], [1.0, 1.5, 2.5]]})
+print(f"\n{shape} (a trapezoid-ish stack):")
+for a, lo, hi in shape.levels():
+    print(f"  alpha={a:3.1f}  [{lo}, {hi}]")
+lo, hi = shape.cut(0.3)
+print(f"between levels the endpoints interpolate: cut(0.3) = [{lo:g}, {hi:g}]")
+print(f"and the grade at 0.5 is {shape.membership(0.5):g}, the level whose cut starts there")
 
 print()
 print("=" * 70)
 print("Two distances on fuzzy numbers (deliberately distinct)")
 print("=" * 70)
+
+
+def levelwise(x1, x2) -> float:
+    """Level-wise distance of two numbers, as one-component fuzzy vectors."""
+    return d_fuzzy_vec(FuzzyVector([x1]), FuzzyVector([x2]), "levelwise")
+
 
 pairs = [
     (Tfn(2, 3, 4), Tfn(3.5, 4.5, 6.5)),  # peaks miss each other's support
@@ -70,9 +61,7 @@ pairs = [
 print(f"\n{'pair':<36}{'membership-sup':>16}{'level-wise':>12}")
 for x1, x2 in pairs:
     label = f"({x1.l}, {x1.c}, {x1.r}) vs ({x2.l}, {x2.c}, {x2.r})"
-    dm = d_membership(x1, x2)
-    dl = d_levelwise(x1, x2)
-    print(f"{label:<36}{dm:>16.3f}{dl:>12.3f}")
+    print(f"{label:<36}{d_membership(x1, x2):>16.3f}{levelwise(x1, x2):>12.3f}")
 print("\nThe membership-sup distance saturates at 1 as soon as one peak")
 print("leaves the other support; the level-wise distance keeps growing")
 print("with the endpoint gaps, so the two are reported separately.")
@@ -80,4 +69,10 @@ shift = 10.0
 x1 = Tfn(2, 3, 4)
 x2 = Tfn(2 + shift, 3 + shift, 4 + shift)
 print(f"\nShifting a copy by {shift}: membership {d_membership(x1, x2):.1f}, "
-      f"level-wise {d_levelwise(x1, x2):.1f}")
+      f"level-wise {levelwise(x1, x2):.1f}")
+
+print("\nFuzzy vectors, as `fdikit distance` reads them, add their components:")
+x = FuzzyVector([Tfn(2, 3, 4), Tfn(2, 3, 4)])
+y = FuzzyVector([Tfn(3.5, 4.5, 6.5), Tfn(0, 3, 8)])
+for which in ("membership", "levelwise"):
+    print(f"  {which:<10} {d_fuzzy_vec(x, y, which):.3f}")

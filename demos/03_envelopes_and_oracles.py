@@ -17,7 +17,6 @@ from fdikit import (
     level_matrix,
     level_state,
     mc_trajectories,
-    transition_envelope,
 )
 
 system = FuzzySystem(
@@ -36,12 +35,6 @@ lo, hi = envelope_endpoints(system, 0.0, K)  # rows k = 0..K
 print(f"\nsupport-level envelope of coordinate 1 over {K} steps:")
 for k in (0, 1, 2, 4, 8, 12):
     print(f"  k={k:<3d} [{lo[k, 0]:.6f}, {hi[k, 0]:.6f}]")
-
-print("\nthe same bounds come from the endpoint powers of the matrix family:")
-p_lo, p_hi = transition_envelope(system, 0.0, K)
-x_lo = level_state(system, 0.0).lo
-print(f"  k=4 via powers: lo = {(p_lo[4] @ x_lo)[0]:.6f} "
-      f"(envelope says {lo[4, 0]:.6f})")
 
 print()
 print("=" * 70)

@@ -23,8 +23,7 @@ from .fuzzy_num import FuzzyVector, _freeze, check_grid, level_cuts, level_group
 from .interval_linalg import IntervalMatrix, log_fallback, member_chunks, sample_matrix
 
 __all__ = ["FuzzySystem", "SignPreconditionError", "assemble_fuzzy_attainable",
-           "envelope_endpoints", "level_matrix", "level_state", "mc_trajectories",
-           "transition_envelope"]
+           "envelope_endpoints", "level_matrix", "level_state", "mc_trajectories"]
 
 DEFAULT_ALPHAS = np.round(np.linspace(0.0, 1.0, 11), 12)
 
@@ -101,34 +100,15 @@ def level_state(sys: FuzzySystem, alpha: float) -> IntervalMatrix:
     return IntervalMatrix(x0_lo, x0_hi)
 
 
-def _nonneg_cuts(sys: FuzzySystem, alphas):
-    """:func:`_cuts` at ``alphas``, once the sign preconditions of
-    :func:`envelope_endpoints` hold at every level."""
-    levels = np.asarray(alphas, dtype=float)
-    m_lo, m_hi, x_lo, x_hi = cuts = _cuts(sys, levels)
-    bad_m = np.any(m_lo < 0, axis=(-2, -1)).ravel()
-    bad = bad_m | np.any(x_lo < 0, axis=-1).ravel()
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        condition, what = (("matrix_nonneg", "dynamic-matrix") if bad_m[i]
-                           else ("state_nonneg", "initial-state"))
-        alpha = float(levels.ravel()[i])
-        log_fallback(__name__, "exact envelope refused (%s) at alpha=%g", condition, alpha)
-        raise SignPreconditionError(
-            condition, f"{what} lower bound has a negative entry at alpha="
-            f"{alpha:g}; use mc_trajectories")
-    return cuts
-
-
 def _steps(m, start, horizon: int) -> np.ndarray:
     """The stack x of shape (horizon + 1, *start.shape) with x[0] = start and
-    x[k + 1] = m @ x[k], each step written in place; a ``start`` of fewer
-    dimensions than ``m`` holds vectors, which step as columns."""
+    x[k + 1] = m @ x[k], each step written in place: the vectors of ``start``
+    step as columns of the matrices ``m``."""
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     x = np.empty((horizon + 1, *start.shape))
     x[0] = start
-    steps = x[..., None] if start.ndim < m.ndim else x
+    steps = x[..., None]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is an unbounded support
         for k in range(horizon):
             np.matmul(m, steps[k], out=steps[k + 1])
@@ -149,7 +129,19 @@ def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
     NaN where a zero bound met an infinite one, with no warning.  Only
     :func:`assemble_fuzzy_attainable`, which builds fuzzy numbers, refuses it.
     """
-    m_lo, m_hi, x_lo, x_hi = _nonneg_cuts(sys, alphas)
+    levels = np.asarray(alphas, dtype=float)
+    m_lo, m_hi, x_lo, x_hi = _cuts(sys, levels)
+    bad_m = np.any(m_lo < 0, axis=(-2, -1)).ravel()
+    bad = bad_m | np.any(x_lo < 0, axis=-1).ravel()
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        condition, what = (("matrix_nonneg", "dynamic-matrix") if bad_m[i]
+                           else ("state_nonneg", "initial-state"))
+        alpha = float(levels.ravel()[i])
+        log_fallback(__name__, "exact envelope refused (%s) at alpha=%g", condition, alpha)
+        raise SignPreconditionError(
+            condition, f"{what} lower bound has a negative entry at alpha="
+            f"{alpha:g}; use mc_trajectories")
     return _steps(m_lo, x_lo, horizon), _steps(m_hi, x_hi, horizon)
 
 
@@ -194,15 +186,6 @@ def assemble_fuzzy_attainable(sys: FuzzySystem, horizon: int) -> FuzzyAttainable
         step, component = divmod(fault[0], sys.n)
         raise type(fault[1])(f"step {step}, component {component}: {fault[1]}")
     return FuzzyAttainable(sys.alphas, lo, hi)
-
-
-def transition_envelope(sys: FuzzySystem, alpha: float, horizon: int):
-    """Endpoint powers (lo, hi) of shape (horizon + 1, n, n), row k being
-    M_lo^k and M_hi^k: the recursion of :func:`envelope_endpoints` run from
-    the identity, with its sign preconditions and its overflow rule.  Row k
-    applied to the initial-state endpoints gives step k of the envelope."""
-    m_lo, m_hi, _, _ = _nonneg_cuts(sys, alpha)
-    return _steps(m_lo, np.eye(sys.n), horizon), _steps(m_hi, np.eye(sys.n), horizon)
 
 
 def mc_trajectories(sys: FuzzySystem, alpha: float, horizon: int, n: int,

@@ -2,10 +2,9 @@
 
 A fuzzy number here is a finite grid of alpha levels in [0, 1] (always
 containing 0 and 1) with one closed interval per level; between grid
-levels the endpoints are linear interpolations.  Every alpha-cut is
-therefore exact and arithmetic acts directly on the cuts.  Triangular
-numbers are the two-level special case.  Membership functions are the
-piecewise-linear curves traced by the cut endpoints.
+levels the endpoints are linear interpolations, so every alpha-cut is
+exact.  Triangular numbers are the two-level special case.  Membership
+functions are the piecewise-linear curves traced by the cut endpoints.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["FuzzyNumber", "FuzzyVector", "StackingViolation", "Tfn", "as_fuzzy", "fn_add",
-           "fn_mul_approx", "fn_scale", "tfn_alpha_cut", "validate_nested"]
+__all__ = ["FuzzyNumber", "FuzzyVector", "StackingViolation", "Tfn", "as_fuzzy",
+           "validate_nested"]
 
 #: Slack allowed when checking nestedness of levels; lo <= hi is exact.
 ORDER_TOL = 1e-12
@@ -44,12 +43,6 @@ class Tfn:
             raise ValueError(
                 f"triple must satisfy l <= c <= r, got ({self.l}, {self.c}, {self.r})"
             )
-
-
-def tfn_alpha_cut(t: Tfn, alpha: float) -> tuple[float, float]:
-    """Alpha-cut of a triangular number, linear from the support (l, r) at
-    alpha 0 to the peak (c, c) at alpha 1: the cut of ``as_fuzzy(t)``."""
-    return as_fuzzy(t).cut(alpha)
 
 
 def membership_limits(alphas, lo, hi, p) -> np.ndarray:
@@ -205,41 +198,6 @@ def as_fuzzy(x) -> FuzzyNumber:
     return x if isinstance(x, FuzzyNumber) else FuzzyNumber(*breakpoints(x))
 
 
-def fn_add(a, b) -> FuzzyNumber:
-    """Level-wise sum: cut endpoints add.  Grids are merged by interpolation."""
-    v = FuzzyVector([a, b])
-    with np.errstate(over="ignore"):  # an inf sum is refused as unbounded
-        return FuzzyNumber(v.alphas, v.lo[:, 0] + v.lo[:, 1], v.hi[:, 0] + v.hi[:, 1])
-
-
-def fn_scale(beta: float, a) -> FuzzyNumber:
-    """Level-wise scalar multiple; endpoints swap when ``beta`` is negative."""
-    a = as_fuzzy(a)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is refused as unbounded
-        p, q = beta * a.lo, beta * a.hi
-    return FuzzyNumber(a.alphas, np.minimum(p, q), np.maximum(p, q))
-
-
-def fn_mul_approx(a: Tfn, b: Tfn) -> Tfn:
-    """Triangular product approximation {a_l*b_l, a_c*b_c, a_r*b_r}.
-
-    Only defined for non-negative triples (a_l >= 0 and b_l >= 0): the
-    exact level-wise product of two triangular numbers is not triangular,
-    and this endpoint shortcut is only ordered correctly on that domain.
-    The result matches the exact product at alpha 0 and 1 but flattens its
-    curvature in between.  A product whose right endpoint, its largest, is
-    not finite raises ValueError.
-    """
-    if a.l < 0 or b.l < 0:
-        raise ValueError(
-            "triangular product approximation requires non-negative supports "
-            f"(got left endpoints {a.l} and {b.l})"
-        )
-    if not a.r * b.r < np.inf:
-        raise ValueError(f"triangular product approximation overflows: {a.r} * {b.r}")
-    return Tfn(a.l * b.l, a.c * b.c, a.r * b.r)
-
-
 class FuzzyVector:
     """Vector of fuzzy numbers stored as one level stack.
 
@@ -341,7 +299,7 @@ def level_groups(cells, label) -> list[tuple[np.ndarray, np.ndarray, np.ndarray,
         for p, cell in enumerate(cells):
             try:
                 alphas, lo, hi = breakpoints(cell)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError) as exc:
                 faults.append((p, ValueError(exc)))
                 break
             grids.setdefault(alphas, []).append((p, lo, hi))
@@ -419,27 +377,31 @@ def breakpoints(x) -> tuple[tuple, tuple, tuple]:
     """(alphas, lo, hi) tuples of a FuzzyNumber, Tfn, real number or JSON object.
 
     The numeric checks of :class:`FuzzyNumber` are left to the caller, so
-    that many numbers can be checked at once.
+    that many numbers can be checked at once.  A value that ``float`` cannot
+    hold raises ValueError.
     """
     if isinstance(x, FuzzyNumber):
         return tuple(x.alphas.tolist()), tuple(x.lo.tolist()), tuple(x.hi.tolist())
-    if isinstance(x, dict) and "tfn" in x:
-        if not (isinstance(x["tfn"], (list, tuple)) and len(x["tfn"]) == 3):
-            raise ValueError('"tfn" must be a list [l, c, r]')
-        x = Tfn(*(float(v) for v in x["tfn"]))
-    if isinstance(x, (int, float)):
-        x = Tfn(float(x), float(x), float(x))
-    if isinstance(x, Tfn):
-        return (0.0, 1.0), (float(x.l), float(x.c)), (float(x.r), float(x.c))
-    if not isinstance(x, dict):
-        raise ValueError(f"fuzzy number must be a JSON object, got {type(x).__name__}")
-    if "levels" not in x:
-        raise ValueError('fuzzy number object needs a "tfn" or "levels" field')
-    rows = x["levels"]
-    if not isinstance(rows, list) or not all(isinstance(r, (list, tuple)) and len(r) == 3
-                                             for r in rows):
-        raise ValueError('"levels" must be a list of [alpha, lo, hi] rows')
-    return tuple(zip(*((float(a), float(l), float(h)) for a, l, h in rows))) or ((),) * 3
+    try:
+        if isinstance(x, dict) and "tfn" in x:
+            if not (isinstance(x["tfn"], (list, tuple)) and len(x["tfn"]) == 3):
+                raise ValueError('"tfn" must be a list [l, c, r]')
+            x = Tfn(*(float(v) for v in x["tfn"]))
+        if isinstance(x, (int, float)):
+            x = Tfn(float(x), float(x), float(x))
+        if isinstance(x, Tfn):
+            return (0.0, 1.0), (float(x.l), float(x.c)), (float(x.r), float(x.c))
+        if not isinstance(x, dict):
+            raise ValueError(f"fuzzy number must be a JSON object, got {type(x).__name__}")
+        if "levels" not in x:
+            raise ValueError('fuzzy number object needs a "tfn" or "levels" field')
+        rows = x["levels"]
+        if not isinstance(rows, list) or not all(isinstance(r, (list, tuple)) and len(r) == 3
+                                                 for r in rows):
+            raise ValueError('"levels" must be a list of [alpha, lo, hi] rows')
+        return tuple(zip(*((float(a), float(l), float(h)) for a, l, h in rows))) or ((),) * 3
+    except OverflowError as exc:  # an integer no double can hold
+        raise ValueError(exc) from None
 
 
 def interp_levels(x, xp, fp) -> np.ndarray:

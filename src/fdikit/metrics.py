@@ -13,7 +13,7 @@ import numpy as np
 
 from .fuzzy_num import FuzzyVector, as_fuzzy, interp_levels, membership_limits
 
-__all__ = ["d_fuzzy_vec", "d_levelwise", "d_membership"]
+__all__ = ["d_fuzzy_vec", "d_membership"]
 
 
 def _membership_gaps(x, y) -> np.ndarray:
@@ -25,7 +25,9 @@ def _membership_gaps(x, y) -> np.ndarray:
 
 
 def _levelwise_gaps(x, y) -> np.ndarray:
-    # Per component: the largest endpoint gap over the union of both grids.
+    # Per component: the sup over alpha of the Hausdorff distance between
+    # cuts.  Cut endpoints are piecewise linear in alpha, so it is the largest
+    # endpoint gap over the union of both grids.
     grid = np.union1d(x.alphas, y.alphas)
     lo = np.abs(interp_levels(grid, x.alphas, x.lo) - interp_levels(grid, y.alphas, y.lo))
     hi = np.abs(interp_levels(grid, x.alphas, x.hi) - interp_levels(grid, y.alphas, y.hi))
@@ -43,21 +45,12 @@ def d_membership(x1, x2) -> float:
     return float(_membership_gaps(as_fuzzy(x1), as_fuzzy(x2))[0])
 
 
-def d_levelwise(x1, x2) -> float:
-    """Sup over alpha levels of the Hausdorff distance between cuts.
-
-    Cut endpoints are piecewise linear in alpha, so the sup over (0, 1]
-    is attained on the union of both grids (alpha 0 included as the
-    limit from above).
-    """
-    return float(_levelwise_gaps(as_fuzzy(x1), as_fuzzy(x2))[0])
-
-
 def d_fuzzy_vec(x: FuzzyVector, y: FuzzyVector, which: str = "membership") -> float:
     """Distance between fuzzy vectors: componentwise scalar metric, summed.
 
-    ``which`` selects the scalar metric: "membership" or "levelwise".
-    Components are added left to right, as the scalar distances would be.
+    ``which`` selects the scalar metric: "membership" or "levelwise", the
+    sup over alpha of the Hausdorff distance between cuts.  Components are
+    added left to right.
     """
     gaps = {"membership": _membership_gaps, "levelwise": _levelwise_gaps}.get(which)
     if gaps is None:

@@ -1,6 +1,6 @@
 """Shared random corpora for unit and acceptance tests, exact stability
-referees for one matrix and for 2x2 families, and a runner for fresh
-interpreters.
+referees for one matrix and for 2x2 families, a cell-by-cell referee for
+level groups, and a runner for fresh interpreters.
 
 All generators take an explicit numpy Generator so every test pins its
 own seed; nothing here draws from global state.
@@ -23,6 +23,9 @@ from fdikit import (
     Tfn,
     vertex_stack,
 )
+
+from fdikit import fuzzy_num
+from fdikit.fuzzy_num import level_cuts, stack_fault
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -99,6 +102,42 @@ def family_2x2_stable(m: IntervalMatrix) -> bool:
     :func:`schur_stable_2x2` is affine in each entry on its own, so its
     extreme over the box sits at a vertex."""
     return all(schur_stable_2x2(v) for v in vertex_stack(m))
+
+
+# -- level groups, read cell by cell -------------------------------------------
+
+def ref_level_groups(cells, label=str):
+    """level_groups read cell by cell: the breakpoints of each cell as floats,
+    one stack per grid in order of first appearance, the lowest-index fault."""
+    groups, faults = {}, []
+    for p, cell in enumerate(cells):
+        try:
+            alphas, lo, hi = (tuple(map(float, v)) for v in fuzzy_num.breakpoints(cell))
+        except (TypeError, ValueError, OverflowError) as exc:
+            faults.append((p, ValueError(exc)))
+            break
+        groups.setdefault(alphas, []).append((p, lo, hi))
+    stacks = [tuple(np.array(v) for v in (alphas, *zip(*members)))
+              for alphas, members in groups.items()]
+    for a, index, lo, hi in stacks:
+        fault = stack_fault(a, lo, hi)
+        if fault is not None:
+            faults.append((index[fault[0]], fault[1]))
+    if faults:
+        p, exc = min(faults, key=lambda fault: fault[0])
+        raise type(exc)(f"{label(p)}: {exc}")
+    return [(a, index, lo.T, hi.T) for a, index, lo, hi in stacks]
+
+
+def stack_outcome(read, cells):
+    """The groups ``read`` makes of ``cells`` and their cuts at some levels,
+    as shapes, dtypes and bytes, or the ValueError raised."""
+    try:
+        groups = read(cells)
+        cuts = level_cuts(groups, len(cells), [0.0, 0.25, 0.5, 0.7, 1.0])
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(a.shape, a.dtype, a.tobytes()) for g in [*groups, cuts] for a in g]
 
 
 # H entries of 1e200 overflow the envelope to inf by step 2; the zero lower

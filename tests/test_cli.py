@@ -26,8 +26,7 @@ from fdikit.cli import (
 )
 from fdikit.fdi_sim import envelope_endpoints, level_matrix, mc_trajectories
 
-from conftest import OVERFLOWING, run_python
-from test_fuzzy_num import ref_level_groups, stack_outcome
+from conftest import OVERFLOWING, ref_level_groups, run_python, stack_outcome
 
 SCALAR_STABLE = {
     "n": 1,

@@ -20,7 +20,6 @@ from fdikit import (
     level_matrix,
     level_state,
     mc_trajectories,
-    transition_envelope,
     validate_nested,
 )
 
@@ -368,11 +367,12 @@ def test_assemble_validates_against_stacker():
 
 
 def test_assemble_names_the_step_of_an_overflowing_endpoint():
-    # 1e200 * 1e200 overflows at step 2; one check of the whole stack names it
+    # 1e200 * 1e200 overflows at step 2; one check of the whole stack names it,
+    # without a RuntimeWarning (an error under pyproject.toml)
     s = FuzzySystem(h=[[Tfn(1e200, 1e200, 1e200)]], x0=[Tfn(1, 1, 1)], alphas=[0, 1])
-    with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+    with pytest.raises(ValueError) as err:
         assemble_fuzzy_attainable(s, 3)
-    assert str(err.value).startswith("step 2, component 0: support must be bounded")
+    assert str(err.value) == "step 2, component 0: support must be bounded (finite endpoints)"
 
 
 def test_assemble_steps_are_read_only_views_of_one_stack():
@@ -386,53 +386,12 @@ def test_assemble_steps_are_read_only_views_of_one_stack():
     assert not att.lo.flags.writeable and not att.hi.flags.writeable
 
 
-# -- transition envelopes ------------------------------------------------------------------------
-
-def test_transition_step_zero_identity():
-    s = scalar_system()
-    lo, hi = transition_envelope(s, 0.0, 3)
-    assert lo.shape == hi.shape == (4, 1, 1)
-    assert np.array_equal(lo[0], np.eye(1))
-    assert np.array_equal(hi[0], np.eye(1))
-
-
-def test_transition_scalar_cubes():
-    lo, hi = transition_envelope(scalar_system(), 0.0, 3)
-    assert lo[3, 0, 0] == pytest.approx(0.064, abs=1e-15)
-    assert hi[3, 0, 0] == pytest.approx(0.216, abs=1e-15)
-
-
-def test_transition_consistent_with_envelope():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        s = make_nonneg_system(rng, n_max=3)
-        horizon = 8
-        lo, hi = envelope_endpoints(s, 0.0, horizon)
-        p_lo, p_hi = transition_envelope(s, 0.0, horizon)
-        x = level_state(s, 0.0)
-        for k in range(horizon + 1):
-            assert np.allclose(p_lo[k] @ x.lo, lo[k], rtol=1e-12, atol=1e-12)
-            assert np.allclose(p_hi[k] @ x.hi, hi[k], rtol=1e-12, atol=1e-12)
-
-
-def test_transition_monte_carlo_containment():
-    rng = np.random.default_rng(4)
-    lo = rng.uniform(0, 0.5, (2, 2))
-    hi = lo + rng.uniform(0, 0.5, (2, 2))
-    s = FuzzySystem(h=[[Tfn(a, (a + b) / 2, b) for a, b in zip(*rows)] for rows in zip(lo, hi)],
-                    x0=FuzzyVector([Tfn(1, 1, 1)] * 2), alphas=[0, 1])
-    m = level_matrix(s, 0.0)
-    assert np.array_equal(m.lo, lo) and np.array_equal(m.hi, hi)
-    lo, hi = transition_envelope(s, 0.0, 3)
-    for _ in range(1000):
-        u3 = np.linalg.matrix_power(interval_linalg.sample_matrix(m, rng), 3)
-        assert np.all(u3 >= lo[3] - 1e-12) and np.all(u3 <= hi[3] + 1e-12)
-
+# -- overflow and refusals ------------------------------------------------------------------------
 
 def test_overflowed_endpoints_carry_nan_without_warnings():
     # The zero lower bound of H[0][0] meets an infinite endpoint: the state's
-    # lower endpoint is first NaN at step 2, the lower power's at step 3.  Both
-    # arrays carry it, without RuntimeWarnings (errors under pyproject.toml).
+    # lower endpoint is first NaN at step 2.  The arrays carry it, without
+    # RuntimeWarnings (errors under pyproject.toml).
     s = FuzzySystem(h=OVERFLOWING["H"], x0=OVERFLOWING["x0"])
 
     def nan_steps(x):
@@ -440,30 +399,14 @@ def test_overflowed_endpoints_carry_nan_without_warnings():
 
     lo, hi = envelope_endpoints(s, 0.0, 4)
     assert nan_steps(lo) == [2, 3, 4] and np.isinf(hi).any()
-    lo, hi = transition_envelope(s, 0.0, 4)
-    assert nan_steps(lo) == [3, 4] and np.isinf(hi).any()
-
-
-def test_transition_powers_step_the_level_matrix_from_one_cut(monkeypatch):
-    s = recursion_system(4, seed=1)
-    m = level_matrix(s, 0.3)
-    cut, cuts = fdi_sim._cuts, []
-    monkeypatch.setattr(fdi_sim, "_cuts", lambda *args: cuts.append(args) or cut(*args))
-    p_lo, p_hi = transition_envelope(s, 0.3, 12)
-    assert len(cuts) == 1 and p_lo.shape == p_hi.shape == (13, 4, 4)
-    lo = hi = np.eye(4)
-    for k in range(13):  # bit for bit the powers of the level matrix
-        assert p_lo[k].tobytes() == lo.tobytes() and p_hi[k].tobytes() == hi.tobytes()
-        lo, hi = m.lo @ lo, m.hi @ hi
 
 
 def test_refused_envelope_is_logged(caplog):
     caplog.set_level(logging.DEBUG, logger="fdikit")
     s = FuzzySystem(h=[[Tfn(-0.2, 0.1, 0.3)]], x0=FuzzyVector([Tfn(-1, 0, 1)]),
                     alphas=[0, 0.5, 1])
-    for refuse in (envelope_endpoints, transition_envelope):
-        with pytest.raises(SignPreconditionError):
-            refuse(s, 0.5, 3)  # the lower matrix is -0.05 at alpha 0.5
+    with pytest.raises(SignPreconditionError):
+        envelope_endpoints(s, 0.5, 3)  # the lower matrix is -0.05 at alpha 0.5
     # at alpha 1 the lower bounds are 0.1 and 0: nothing is refused or recorded
     envelope_endpoints(s, 1.0, 3)
     s = FuzzySystem(h=[[Tfn(0.1, 0.2, 0.3)]], x0=FuzzyVector([Tfn(-1, 0, 1)]),
@@ -472,7 +415,6 @@ def test_refused_envelope_is_logged(caplog):
         envelope_endpoints(s, s.alphas, 3)
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         ("fdikit.fdi_sim", logging.DEBUG, "exact envelope refused (matrix_nonneg) at alpha=0.5"),
-        ("fdikit.fdi_sim", logging.DEBUG, "exact envelope refused (matrix_nonneg) at alpha=0.5"),
         ("fdikit.fdi_sim", logging.DEBUG, "exact envelope refused (state_nonneg) at alpha=0")]
 
 
@@ -480,14 +422,14 @@ def test_refused_envelope_is_logged(caplog):
     (Tfn(-0.2, 0.1, 0.3), Tfn(-1, 0, 1), "matrix_nonneg"),  # the matrix is checked first
     (Tfn(0.1, 0.2, 0.3), Tfn(-1, 0, 1), "state_nonneg"),
 ])
-def test_transition_sign_errors_match_envelope(h, x0, condition):
+def test_envelope_sign_error_names_its_condition_and_level(h, x0, condition):
     s = FuzzySystem(h=[[h]], x0=FuzzyVector([x0]), alphas=[0, 1])
     with pytest.raises(SignPreconditionError) as err:
-        transition_envelope(s, 0.0, 3)
-    with pytest.raises(SignPreconditionError) as expected:
         envelope_endpoints(s, 0.0, 3)
-    assert err.value.condition == expected.value.condition == condition
-    assert str(err.value) == str(expected.value)
+    what = "dynamic-matrix" if condition == "matrix_nonneg" else "initial-state"
+    assert err.value.condition == condition
+    assert str(err.value) == (f"{what} lower bound has a negative entry at alpha=0; "
+                              "use mc_trajectories")
 
 
 # -- Monte Carlo ----------------------------------------------------------------------------------

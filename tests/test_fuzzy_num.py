@@ -1,4 +1,4 @@
-"""Unit tests for the nested alpha-cut representation and its arithmetic."""
+"""Unit tests for the nested alpha-cut representation."""
 
 import json
 import warnings
@@ -15,11 +15,8 @@ from fdikit import (
     StackingViolation,
     Tfn,
     as_fuzzy,
-    fn_add,
-    fn_mul_approx,
-    fn_scale,
+    d_membership,
     level_matrix,
-    tfn_alpha_cut,
     validate_nested,
 )
 from fdikit.cli import load_system
@@ -27,7 +24,7 @@ from fdikit.cli import load_system
 from fdikit import fuzzy_num
 from fdikit.fuzzy_num import ORDER_TOL, interp_levels, level_cuts, level_groups, stack_fault
 
-from conftest import rand_fuzzy_levels
+from conftest import rand_fuzzy_levels, ref_level_groups, stack_outcome
 
 
 # -- strategies ----------------------------------------------------------------
@@ -50,29 +47,28 @@ def fuzzy_numbers(draw):
 # -- triangular cuts -------------------------------------------------------------
 
 def test_tfn_alpha_cut_support():
-    assert tfn_alpha_cut(Tfn(2, 4, 6), 0.0) == (2.0, 6.0)
+    assert as_fuzzy(Tfn(2, 4, 6)).cut(0.0) == (2.0, 6.0)
 
 
 def test_tfn_alpha_cut_peak():
-    assert tfn_alpha_cut(Tfn(2, 4, 6), 1.0) == (4.0, 4.0)
+    assert as_fuzzy(Tfn(2, 4, 6)).cut(1.0) == (4.0, 4.0)
 
 
 def test_tfn_alpha_cut_midway():
-    assert tfn_alpha_cut(Tfn(2, 4, 6), 0.5) == (3.0, 5.0)
+    assert as_fuzzy(Tfn(2, 4, 6)).cut(0.5) == (3.0, 5.0)
 
 
 def test_tfn_alpha_cut_domain_error():
-    with pytest.raises(ValueError):
-        tfn_alpha_cut(Tfn(2, 4, 6), 1.5)
-    with pytest.raises(ValueError):
-        tfn_alpha_cut(Tfn(2, 4, 6), -0.1)
     with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.5$"):
         as_fuzzy(Tfn(2, 4, 6)).cut(1.5)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got -0.1$"):
+        as_fuzzy(Tfn(2, 4, 6)).cut(-0.1)
 
 
 def test_tfn_alpha_cut_is_the_level_stack_cut(tmp_path):
     # 400 seeded triples of mixed sign, some with a degenerate side, as the
-    # 20 x 20 H of a file: every route to a cut gives the same bits
+    # 20 x 20 H of a file: the triangle's cut, the vector's and the file's
+    # level matrix give the same bits
     rng = np.random.default_rng(35)
     x = np.sort(rng.uniform(-1e3, 1e3, (400, 3)), axis=1)
     x[::7, 1] = x[::7, 0]
@@ -88,8 +84,7 @@ def test_tfn_alpha_cut_is_the_level_stack_cut(tmp_path):
         m = level_matrix(system, alpha)
         v_lo, v_hi = vector.cut(alpha)
         for i, t in enumerate(tfns):
-            got = tfn_alpha_cut(t, alpha)
-            assert got == as_fuzzy(t).cut(alpha)
+            got = as_fuzzy(t).cut(alpha)
             assert got == (v_lo[i], v_hi[i]) == (m.lo.flat[i], m.hi.flat[i])
             if alpha == 0.0:
                 assert got == (t.l, t.r)
@@ -99,7 +94,7 @@ def test_tfn_alpha_cut_is_the_level_stack_cut(tmp_path):
 
 def test_tfn_alpha_cut_refuses_an_unbounded_support():
     with pytest.raises(ValueError, match="support must be bounded"):
-        tfn_alpha_cut(Tfn(0, 1, np.inf), 0.5)
+        as_fuzzy(Tfn(0, 1, np.inf)).cut(0.5)
 
 
 def test_tfn_ordering_enforced():
@@ -159,123 +154,11 @@ def test_fuzzy_convexity(x, t, phi):
     assert x.membership(mid) >= min(x.membership(p), x.membership(q)) - 1e-12
 
 
-# -- arithmetic -------------------------------------------------------------------
-
-def test_fn_add_triples():
-    s = fn_add(Tfn(2, 3, 4), Tfn(3.5, 4.5, 6.5))
-    assert s.cut(0.0) == (5.5, 10.5)
-    assert s.cut(1.0) == (7.5, 7.5)
-
-
-def test_fn_add_identity():
-    x = as_fuzzy(Tfn(2, 3, 4))
-    assert fn_add(x, Tfn(0, 0, 0)) == x
-
-
-def test_fn_add_symmetric():
-    s = fn_add(Tfn(-1, 0, 1), Tfn(-1, 0, 1))
-    assert s.cut(0.0) == (-2.0, 2.0)
-    assert s.cut(1.0) == (0.0, 0.0)
-
-
-def test_fn_add_merges_grids():
-    x = FuzzyNumber([0, 0.5, 1], [0, 1, 2], [4, 3, 2])
-    y = as_fuzzy(Tfn(1, 2, 3))
-    s = fn_add(x, y)
-    assert 0.5 in s.alphas
-    assert s.cut(0.5) == (1.0 + 1.5, 3.0 + 2.5)
-
-
-def test_fn_scale_positive():
-    assert fn_scale(2, Tfn(2, 3, 4)).cut(0.0) == (4.0, 8.0)
-
-
-def test_fn_scale_zero():
-    z = fn_scale(0, Tfn(2, 3, 4))
-    assert z.cut(0.0) == (0.0, 0.0)
-
-
-def test_fn_scale_negative_swaps_endpoints():
-    y = fn_scale(-1, Tfn(2, 3, 4))
-    assert y.cut(0.0) == (-4.0, -2.0)
-    assert y.cut(1.0) == (-3.0, -3.0)
-    # brute force: the image of sampled support points under p -> -p keeps grades
-    x = as_fuzzy(Tfn(2, 3, 4))
-    for p in np.linspace(1.5, 4.5, 31):
-        assert y.membership(-p) == pytest.approx(x.membership(p), abs=1e-12)
-
-
-@pytest.mark.parametrize("op", [lambda: fn_scale(1e308, Tfn(0, 1, 10)),
-                                lambda: fn_scale(np.inf, Tfn(0, 1, 10)),
-                                lambda: fn_add(Tfn(0, 1e308, 1.7e308), Tfn(0, 1e308, 1.7e308))],
-                         ids=["scale", "scale_inf", "add"])
-def test_arithmetic_overflow_is_refused_without_a_warning(op):
-    # pytest makes a RuntimeWarning an error, so an overflow warning fails here
-    with pytest.raises(ValueError, match=r"^support must be bounded \(finite endpoints\)$"):
-        op()
-
-
-@given(fuzzy_numbers(), fuzzy_numbers(), st.floats(min_value=0, max_value=1))
-def test_add_commutes_with_cuts(a, b, alpha):
-    s = fn_add(a, b)
-    alo, ahi = a.cut(alpha)
-    blo, bhi = b.cut(alpha)
-    slo, shi = s.cut(alpha)
-    assert slo == pytest.approx(alo + blo, abs=1e-9)
-    assert shi == pytest.approx(ahi + bhi, abs=1e-9)
-
-
-@given(fuzzy_numbers(), st.floats(min_value=-5, max_value=5),
-       st.floats(min_value=0, max_value=1))
-def test_scale_commutes_with_cuts(a, beta, alpha):
-    s = fn_scale(beta, a)
-    alo, ahi = a.cut(alpha)
-    slo, shi = s.cut(alpha)
-    assert slo == pytest.approx(min(beta * alo, beta * ahi), abs=1e-9)
-    assert shi == pytest.approx(max(beta * alo, beta * ahi), abs=1e-9)
-
-
 @given(fuzzy_numbers())
 def test_cuts_always_nested(x):
     lo, hi = x.cuts(np.linspace(0, 1, 23))
     assert np.all(np.diff(lo) >= -1e-12)
     assert np.all(np.diff(hi) <= 1e-12)
-
-
-# -- product approximation ---------------------------------------------------------
-
-def test_mul_approx_triples():
-    assert fn_mul_approx(Tfn(1, 2, 3), Tfn(0, 1, 2)) == Tfn(0, 2, 6)
-
-
-def test_mul_approx_crisp_one_identity():
-    b = Tfn(0.5, 1.5, 2.5)
-    assert fn_mul_approx(Tfn(1, 1, 1), b) == b
-
-
-def test_mul_approx_vs_exact_interval_products():
-    # exact cuts of {0,1,2}^2 are [a^2, (2-a)^2]; the triangular shortcut
-    # matches at alpha 0 and 1 and flattens curvature in between.
-    approx = fn_mul_approx(Tfn(0, 1, 2), Tfn(0, 1, 2))
-    assert approx == Tfn(0, 1, 4)
-    for alpha in np.linspace(0, 1, 11):
-        lo_a, hi_a = tfn_alpha_cut(approx, alpha)
-        exact_lo, exact_hi = alpha**2, (2 - alpha) ** 2
-        if alpha in (0.0, 1.0):
-            assert (lo_a, hi_a) == pytest.approx((exact_lo, exact_hi), abs=1e-12)
-        else:
-            assert lo_a >= exact_lo - 1e-12
-            assert hi_a >= exact_hi - 1e-12
-
-
-def test_mul_approx_refuses_an_overflowing_product():
-    with pytest.raises(ValueError, match="overflows"):
-        fn_mul_approx(Tfn(0, 1e308, 1e308), Tfn(0, 10, 10))
-
-
-def test_mul_approx_rejects_negative_support():
-    with pytest.raises(ValueError):
-        fn_mul_approx(Tfn(-1, 0, 1), Tfn(0, 1, 2))
 
 
 # -- stacking ------------------------------------------------------------------------
@@ -367,32 +250,8 @@ def test_json_rejects_malformed():
 #
 # level_groups gathers a list of {"tfn": [l, c, r]} cells, or of Tfn objects
 # with float fields, floats and FuzzyNumbers on [0, 1], in one flat pass, and
-# any other list cell by cell.  ref_level_groups, the cell-by-cell read alone,
-# is the reference for both.
-
-
-def ref_level_groups(cells, label=str):
-    """level_groups read cell by cell: the breakpoints of each cell as floats,
-    one stack per grid in order of first appearance, the lowest-index fault."""
-    groups, faults = {}, []
-    for p, cell in enumerate(cells):
-        try:
-            alphas, lo, hi = (tuple(map(float, v)) for v in fuzzy_num.breakpoints(cell))
-        except (TypeError, ValueError, OverflowError) as exc:
-            faults.append((p, ValueError(exc)))
-            break
-        groups.setdefault(alphas, []).append((p, lo, hi))
-    stacks = [tuple(np.array(v) for v in (alphas, *zip(*members)))
-              for alphas, members in groups.items()]
-    for a, index, lo, hi in stacks:
-        fault = stack_fault(a, lo, hi)
-        if fault is not None:
-            faults.append((index[fault[0]], fault[1]))
-    if faults:
-        p, exc = min(faults, key=lambda fault: fault[0])
-        raise type(exc)(f"{label(p)}: {exc}")
-    return [(a, index, lo.T, hi.T) for a, index, lo, hi in stacks]
-
+# any other list cell by cell.  conftest's ref_level_groups, the cell-by-cell
+# read alone, is the reference for both.
 
 SPECIAL_TRIPLES = [
     [-0.0, 0.0, 0.0], (-0.0, -0.0, -0.0), [5e-324, 1e-310, 2.2250738585072014e-308],
@@ -444,17 +303,6 @@ def test_string_tfn_cells_stack_like_tfn_objects():
     # float("0.1") is what the per-cell path reads from a string
     triples = [["0.1", "0.2", "0.3"], [0.5, 1.0, 1.5]]
     assert_same_stack([{"tfn": t} for t in triples], triples, ())
-
-
-def stack_outcome(read, cells):
-    """The groups ``read`` makes of ``cells`` and their cuts at some levels,
-    as shapes, dtypes and bytes, or the ValueError raised."""
-    try:
-        groups = read(cells)
-        cuts = level_cuts(groups, len(cells), [0.0, 0.25, 0.5, 0.7, 1.0])
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return [(a.shape, a.dtype, a.tobytes()) for g in [*groups, cuts] for a in g]
 
 
 def assert_same_as_reference(cells):
@@ -545,6 +393,17 @@ def test_integer_tfn_fields_beyond_int64_read_as_floats():
 def test_integer_tfn_fields_beyond_float_name_the_cell():
     with pytest.raises(ValueError, match=r'^"H"\[0\]\[0\]: int too large to convert to float$'):
         FuzzySystem([[Tfn(0, 2 ** 1100, 2 ** 1100)]], [Tfn(1, 1, 1)])
+
+
+@pytest.mark.parametrize("cell", [
+    Tfn(0, 1, 10 ** 400), {"tfn": [0, 1, 10 ** 400]}, -10 ** 400,
+    {"levels": [[0, 0, 10 ** 400], [1, 1, 1]]}, {"levels": [[0, 0, 2], [10 ** 400, 1, 1]]},
+], ids=["tfn-field", "tfn-value", "number", "levels-endpoint", "levels-alpha"])
+def test_integers_beyond_float_are_value_errors(cell):
+    # the message FuzzyVector and a system file prefix with the cell's name
+    for read in (as_fuzzy, lambda c: d_membership(c, Tfn(0, 1, 2)), lambda c: FuzzyVector([c])):
+        with pytest.raises(ValueError, match=r"int too large to convert to float$"):
+            read(cell)
 
 
 # -- stack_fault --------------------------------------------------------------------------

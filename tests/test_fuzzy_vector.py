@@ -17,7 +17,6 @@ from fdikit import (
     as_fuzzy,
     assemble_fuzzy_attainable,
     d_fuzzy_vec,
-    d_levelwise,
     d_membership,
     validate_nested,
 )
@@ -121,7 +120,8 @@ def test_d_membership_matches_breakpoint_loop():
             shift, widen = 0.5 * rng.integers(-2, 3), 0.5 * rng.integers(0, 2)
             y = FuzzyNumber(x.alphas, x.lo + shift, x.hi + shift + widen)
         assert bits(d_membership(x, y)) == bits(ref_d_membership(x, y))
-        assert bits(d_levelwise(x, y)) == bits(ref_d_levelwise(x, y))
+        levelwise = d_fuzzy_vec(FuzzyVector([x]), FuzzyVector([y]), "levelwise")
+        assert bits(levelwise) == bits(ref_d_levelwise(x, y))
 
 
 def test_membership_and_limits_match_scalar_search():

@@ -11,7 +11,6 @@ from fdikit import (
     Tfn,
     as_fuzzy,
     d_fuzzy_vec,
-    d_levelwise,
     d_membership,
     validate_nested,
 )
@@ -23,6 +22,11 @@ from conftest import rand_fuzzy_levels
 def fuzzy_numbers(draw):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return validate_nested(rand_fuzzy_levels(np.random.default_rng(seed)))[0]
+
+
+def levelwise(x, y) -> float:
+    """The level-wise distance of two fuzzy numbers, as one-component vectors."""
+    return d_fuzzy_vec(FuzzyVector([x]), FuzzyVector([y]), "levelwise")
 
 
 def interval_hausdorff(a, b) -> float:
@@ -83,11 +87,11 @@ def test_d_membership_one_when_core_outside_support():
 
 def test_d_levelwise_identity():
     x = Tfn(2, 3, 4)
-    assert d_levelwise(x, x) == 0.0
+    assert levelwise(x, x) == 0.0
 
 
 def test_d_levelwise_value_and_fine_grid_oracle():
-    got = d_levelwise(Tfn(2, 3, 4), Tfn(3.5, 4.5, 6.5))
+    got = levelwise(Tfn(2, 3, 4), Tfn(3.5, 4.5, 6.5))
     assert got == pytest.approx(2.5, abs=1e-12)
     x, y = as_fuzzy(Tfn(2, 3, 4)), as_fuzzy(Tfn(3.5, 4.5, 6.5))
     oracle = 0.0
@@ -97,17 +101,17 @@ def test_d_levelwise_value_and_fine_grid_oracle():
 
 
 def test_d_levelwise_crisp_distance():
-    assert d_levelwise(Tfn(0, 0, 0), Tfn(3, 3, 3)) == 3.0
+    assert levelwise(Tfn(0, 0, 0), Tfn(3, 3, 3)) == 3.0
 
 
 @given(fuzzy_numbers(), fuzzy_numbers())
 def test_d_levelwise_dominates_support_gap(x, y):
-    assert d_levelwise(x, y) >= interval_hausdorff(x.support, y.support) - 1e-12
+    assert levelwise(x, y) >= interval_hausdorff(x.support, y.support) - 1e-12
 
 
 # -- metric axioms ------------------------------------------------------------------------------
 
-@pytest.mark.parametrize("metric", [d_membership, d_levelwise])
+@pytest.mark.parametrize("metric", [d_membership, levelwise], ids=["d_membership", "d_levelwise"])
 def test_metric_axioms(metric):
     rng = np.random.default_rng(5)
     for _ in range(30):
