@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fuzzy_num import FuzzyVector, _freeze, check_grid, level_cuts, level_groups, stack_fault
+from .fuzzy_num import FuzzyVector, _freeze, _level_stack, check_grid, level_cuts, level_groups
 from .interval_linalg import IntervalMatrix, log_fallback, member_chunks, sample_matrix
 
 __all__ = ["FuzzySystem", "SignPreconditionError", "assemble_fuzzy_attainable",
@@ -181,10 +181,9 @@ def assemble_fuzzy_attainable(sys: FuzzySystem, horizon: int) -> FuzzyAttainable
     bug, not bad input.
     """
     lo, hi = envelope_endpoints(sys, sys.alphas, horizon)
-    fault = stack_fault(sys.alphas, lo.transpose(0, 2, 1), hi.transpose(0, 2, 1))
-    if fault is not None:
-        step, component = divmod(fault[0], sys.n)
-        raise type(fault[1])(f"step {step}, component {component}: {fault[1]}")
+    # levels first: views of the (L, horizon + 1, n) stack, not copies
+    _level_stack(sys.alphas, lo.transpose(1, 0, 2), hi.transpose(1, 0, 2), 3,
+                 "envelope endpoints must be (L, horizon + 1, n) arrays", "step {}, component {}")
     return FuzzyAttainable(sys.alphas, lo, hi)
 
 

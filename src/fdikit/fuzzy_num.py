@@ -16,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["FuzzyNumber", "FuzzyVector", "StackingViolation", "Tfn", "as_fuzzy",
-           "validate_nested"]
+__all__ = ["FuzzyNumber", "FuzzyVector", "StackingViolation", "Tfn", "as_fuzzy"]
 
 #: Slack allowed when checking nestedness of levels; lo <= hi is exact.
 ORDER_TOL = 1e-12
@@ -120,6 +119,28 @@ def stack_fault(alphas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return min(faults, key=lambda fault: fault[0], default=None)
 
 
+def _level_stack(alphas, lo, hi, ndim: int, shape: str, label: str = ""):
+    """The one rule of a level stack built from arrays, returned read as float
+    arrays (not copied when they already are): ``lo`` and ``hi`` have ``ndim``
+    axes, the levels ``alphas`` first, then one fuzzy number per index of the
+    others.  An integer no double can hold raises ValueError with ``float``'s
+    message, another shape or no number ValueError(shape); then :func:`check_grid`
+    runs, naming no number, and the first :func:`stack_fault` fault is raised,
+    prefixed with ``label.format(*index)`` of its number when there is a label."""
+    try:
+        alphas, lo, hi = (np.asarray(v, dtype=float) for v in (alphas, lo, hi))
+    except OverflowError as exc:  # an integer no double can hold
+        raise ValueError(exc) from None
+    if lo.ndim != ndim or lo.shape != hi.shape or lo.shape[0] != alphas.size or 0 in lo.shape[1:]:
+        raise ValueError(shape)
+    check_grid(alphas)
+    fault = stack_fault(alphas, np.moveaxis(lo, 0, -1), np.moveaxis(hi, 0, -1))
+    if fault is not None:
+        index, exc = np.unravel_index(fault[0], lo.shape[1:]), fault[1]
+        raise type(exc)(f"{label.format(*index)}: {exc}") if label else exc
+    return alphas, lo, hi
+
+
 def _freeze(x, alphas, lo, hi):
     # a level stack's arrays, read-only, as the attributes of x
     for a in (alphas, lo, hi):
@@ -147,13 +168,9 @@ class FuzzyNumber:
     __slots__ = ("alphas", "lo", "hi")
 
     def __init__(self, alphas, lo, hi):
-        alphas, lo, hi = (np.array(v, dtype=float) for v in (alphas, lo, hi))
-        if alphas.ndim != 1 or alphas.shape != lo.shape or alphas.shape != hi.shape:
-            raise ValueError("alphas, lo, hi must be one-dimensional and equally long")
-        fault = stack_fault(alphas, lo[np.newaxis], hi[np.newaxis])
-        if fault is not None:
-            raise fault[1]
-        _freeze(self, alphas, lo, hi)
+        stack = _level_stack(alphas, lo, hi, 1,
+                             "alphas, lo, hi must be one-dimensional and equally long")
+        _freeze(self, *(a.copy() for a in stack))  # copies: the caller's arrays stay writable
 
     # -- cuts ---------------------------------------------------------------
 
@@ -222,14 +239,10 @@ class FuzzyVector:
     def from_stack(cls, alphas, lo, hi) -> "FuzzyVector":
         """Vector whose component i has the cut endpoints lo[:, i] and hi[:, i]
         at the levels ``alphas``; every component is checked at once."""
-        alphas, lo, hi = (np.array(v, dtype=float) for v in (alphas, lo, hi))
-        if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[0] != alphas.size or not lo.shape[1]:
-            raise ValueError("lo and hi must be (L, n) arrays for L alpha levels, n >= 1")
-        check_grid(alphas)  # shared by every component, so no component is named
-        fault = stack_fault(alphas, lo.T, hi.T)
-        if fault is not None:
-            raise type(fault[1])(f"component {fault[0]}: {fault[1]}")
-        return _freeze(cls.__new__(cls), alphas, lo, hi)
+        stack = _level_stack(alphas, lo, hi, 2,
+                             "lo and hi must be (L, n) arrays for L alpha levels, n >= 1",
+                             "component {}")
+        return _freeze(cls.__new__(cls), *(a.copy() for a in stack))
 
     @property
     def n(self) -> int:
@@ -247,7 +260,8 @@ class FuzzyVector:
         return self.n
 
     def __getitem__(self, i) -> FuzzyNumber:
-        """Component i, built from column i of the stack (already checked)."""
+        """Component i, one integer, from column i of the stack (already checked)."""
+        i = operator.index(i)
         return _freeze(FuzzyNumber.__new__(FuzzyNumber), self.alphas, self.lo[:, i], self.hi[:, i])
 
     def __iter__(self):
@@ -257,25 +271,6 @@ class FuzzyVector:
 
     def __repr__(self):
         return f"FuzzyVector(n={self.n})"
-
-
-def validate_nested(levels) -> FuzzyVector:
-    """Stack per-alpha boxes into a FuzzyVector, enforcing containment.
-
-    ``levels`` is an iterable of (alpha, lo, hi) with lo/hi scalars or
-    length-N arrays.  Accepts iff the alphas pass :func:`check_grid` and the
-    boxes are nonincreasing; a box that is not raises StackingViolation
-    naming the offending alpha pair.
-    """
-    alphas, lo, hi = (np.array(v, dtype=float) for v in tuple(zip(*levels)) or ((),) * 3)
-    check_grid(alphas)
-    lo, hi = lo.reshape(alphas.size, -1), hi.reshape(alphas.size, -1)
-    wider = ((np.diff(lo, axis=0) < -ORDER_TOL) | (np.diff(hi, axis=0) > ORDER_TOL)).any(axis=1)
-    if wider.any():
-        i = int(np.argmax(wider))
-        raise StackingViolation(
-            f"box at alpha={alphas[i + 1]:g} is not contained in box at alpha={alphas[i]:g}")
-    return FuzzyVector.from_stack(alphas, lo, hi)
 
 
 def level_groups(cells, label) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:

@@ -25,7 +25,10 @@ class VertexBudgetError(ValueError):
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+    try:
+        a = np.array(a, dtype=float)
+    except OverflowError as exc:  # an integer no double can hold
+        raise ValueError(exc) from None
     a.setflags(write=False)
     return a
 

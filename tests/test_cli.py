@@ -12,7 +12,8 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from fdikit import FuzzyNumber, FuzzySystem, FuzzyVector, Tfn, cli, fuzzy_num, validate_nested
+from fdikit import (FuzzyNumber, FuzzySystem, FuzzyVector, StackingViolation, Tfn, cli,
+                    fuzzy_num)
 from fdikit.cli import (
     EXIT_FALSIFIED,
     EXIT_INCONCLUSIVE,
@@ -1039,7 +1040,6 @@ def test_every_grid_fault_reads_one_text_at_every_entry_point(tmp_path, capsys, 
     lo, hi = np.tile([0.0, 1.0], (size, 1)), np.tile([1.0, 2.0], (size, 1))
     api = {"FuzzyNumber": lambda: FuzzyNumber(grid, [0.0] * size, [1.0] * size),
            "FuzzyVector.from_stack": lambda: FuzzyVector.from_stack(grid, lo, hi),
-           "validate_nested": lambda: validate_nested(zip(grid, lo, hi)),
            "FuzzySystem": lambda: FuzzySystem([[0.5]], [1.0], alphas=grid)}
     got = {}
     for name, build in api.items():
@@ -1061,6 +1061,33 @@ def test_every_grid_fault_reads_one_text_at_every_entry_point(tmp_path, capsys, 
     want = dict.fromkeys([*api, *runs], message)
     want['{"levels"} cell'] = f'"H"[0][0]: {message}'
     assert got == want
+
+
+def test_every_nestedness_fault_reads_one_text_at_every_entry_point(tmp_path, capsys):
+    # a lower endpoint that falls from alpha 0 to alpha 1, as component 1 of
+    # two where a component is named
+    message = "alpha-cuts must be nested (nonincreasing in alpha)"
+    rows = [[0.0, 0.25, 0.75], [1.0, 0.0, 1.0]]
+    grid, lo, hi = zip(*rows)
+    builds = {"FuzzyNumber": lambda: FuzzyNumber(grid, lo, hi),
+              "FuzzyVector.from_stack": lambda: FuzzyVector.from_stack(
+                  grid, np.column_stack([[0.0, 0.5], lo]), np.column_stack([[1.0, 0.5], hi])),
+              'FuzzyVector of a {"levels"} cell': lambda: FuzzyVector(
+                  [Tfn(0.0, 0.5, 1.0), {"levels": rows}])}
+    got = {}
+    for name, build in builds.items():
+        with pytest.raises(StackingViolation) as err:
+            build()
+        got[name] = str(err.value)
+    path = write(tmp_path, "s.json", dict(SCALAR_STABLE, H=[[{"levels": rows}]]))
+    rc = main(["simulate", path, "--out", str(tmp_path / "out.csv")])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (EXIT_INPUT, "")
+    got["simulate"] = captured.err.removeprefix("input error: ").removesuffix("\n")
+    assert got == {"FuzzyNumber": message,
+                   "FuzzyVector.from_stack": f"component 1: {message}",
+                   'FuzzyVector of a {"levels"} cell': f"component 1: {message}",
+                   "simulate": f'"H"[0][0]: {message}'}
 
 
 # -- strict JSON on stdout -----------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fdikit import (
+    FuzzyNumber,
     FuzzySystem,
     FuzzyVector,
     SignPreconditionError,
@@ -20,7 +21,6 @@ from fdikit import (
     level_matrix,
     level_state,
     mc_trajectories,
-    validate_nested,
 )
 
 from fdikit import fdi_sim, interval_linalg
@@ -79,7 +79,7 @@ def random_entries(rng: np.random.Generator, mixed: bool, count: int) -> list:
         if kind == 0:
             out.append(rand_tfn_nonneg(rng))
         elif kind == 1:
-            out.append(validate_nested(rand_fuzzy_levels(rng))[0])
+            out.append(FuzzyNumber(*zip(*rand_fuzzy_levels(rng))))
         elif kind == 2:
             out.append(float(rng.uniform(-2.0, 2.0)))
         else:
@@ -358,10 +358,11 @@ def test_assemble_validates_against_stacker():
     s = make_nonneg_system(rng, n_max=3)
     horizon = 5
     att = assemble_fuzzy_attainable(s, horizon)
-    # re-stack the raw envelopes through the public validator
+    # re-stack the raw envelopes through the public array constructor
     envelopes = [envelope_endpoints(s, a, horizon) for a in s.alphas]
     for k in range(horizon + 1):
-        v = validate_nested([(a, lo[k], hi[k]) for a, (lo, hi) in zip(s.alphas, envelopes)])
+        v = FuzzyVector.from_stack(s.alphas, [lo[k] for lo, _ in envelopes],
+                                   [hi[k] for _, hi in envelopes])
         assert v.n == s.n
         assert att.steps[k][0].cut(0.0) == v[0].cut(0.0)
 

@@ -12,12 +12,12 @@ from fdikit import (
     FuzzyNumber,
     FuzzySystem,
     FuzzyVector,
+    IntervalMatrix,
     StackingViolation,
     Tfn,
     as_fuzzy,
     d_membership,
     level_matrix,
-    validate_nested,
 )
 from fdikit.cli import load_system
 
@@ -41,7 +41,7 @@ def tfns(draw):
 @st.composite
 def fuzzy_numbers(draw):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return validate_nested(rand_fuzzy_levels(np.random.default_rng(seed)))[0]
+    return FuzzyNumber(*zip(*rand_fuzzy_levels(np.random.default_rng(seed))))
 
 
 # -- triangular cuts -------------------------------------------------------------
@@ -161,38 +161,6 @@ def test_cuts_always_nested(x):
     assert np.all(np.diff(hi) <= 1e-12)
 
 
-# -- stacking ------------------------------------------------------------------------
-
-def test_validate_nested_accepts():
-    v = validate_nested([(0.0, 0.0, 4.0), (1.0, 1.0, 3.0)])
-    assert v.n == 1
-    assert v[0].cut(0.0) == (0.0, 4.0)
-    assert v[0].cut(1.0) == (1.0, 3.0)
-
-
-def test_validate_nested_rejects_reversed_containment():
-    with pytest.raises(StackingViolation) as err:
-        validate_nested([(0.0, 1.0, 3.0), (1.0, 0.0, 4.0)])
-    assert "alpha=1" in str(err.value) and "alpha=0" in str(err.value)
-
-
-def test_validate_nested_rejects_unsorted_alphas():
-    with pytest.raises(ValueError):
-        validate_nested([(1.0, 1.0, 3.0), (0.0, 0.0, 4.0)])
-
-
-def test_validate_nested_boxes():
-    v = validate_nested([
-        (0.0, np.array([0.0, -1.0]), np.array([4.0, 1.0])),
-        (0.5, np.array([1.0, -0.5]), np.array([3.0, 0.5])),
-        (1.0, np.array([2.0, 0.0]), np.array([2.0, 0.0])),
-    ])
-    assert v.n == 2
-    lo, hi = v.cut(0.5)
-    assert np.allclose(lo, [1.0, -0.5])
-    assert np.allclose(hi, [3.0, 0.5])
-
-
 # -- invariants and encoding -----------------------------------------------------------
 
 def test_constructor_rejects_non_nested():
@@ -216,6 +184,14 @@ def test_constructor_requires_full_grid():
 def test_constructor_rejects_endpoints_of_another_length():
     with pytest.raises(ValueError, match="^alphas, lo, hi must be one-dimensional and equally long$"):
         FuzzyNumber([0, 1], [0], [1])
+
+
+def test_a_two_dimensional_grid_reads_the_grid_text():
+    # check_grid's own rule, as in FuzzyVector.from_stack
+    with pytest.raises(ValueError, match="^alpha grid must run from 0 to 1$"):
+        FuzzyNumber([[0, 1]], [0, 1], [4, 3])
+    with pytest.raises(ValueError, match="^alpha grid must run from 0 to 1$"):
+        FuzzyVector.from_stack([[0, 1]], [[0], [1]], [[4], [3]])
 
 
 def test_constructor_rejects_overflowing_width():
@@ -404,6 +380,18 @@ def test_integers_beyond_float_are_value_errors(cell):
     for read in (as_fuzzy, lambda c: d_membership(c, Tfn(0, 1, 2)), lambda c: FuzzyVector([c])):
         with pytest.raises(ValueError, match=r"int too large to convert to float$"):
             read(cell)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FuzzyNumber([0, 1], [0, 1], [10 ** 400, 1]),
+    lambda: FuzzyVector.from_stack([0, 1], [[0], [1]], [[10 ** 400], [1]]),
+    lambda: IntervalMatrix([0.0], [10 ** 400]),
+], ids=["FuzzyNumber", "FuzzyVector.from_stack", "IntervalMatrix"])
+def test_array_constructors_read_integers_beyond_float_as_value_errors(build):
+    # float()'s message with no prefix: the arrays are read whole, before any
+    # component could be named
+    with pytest.raises(ValueError, match=r"^int too large to convert to float$"):
+        build()
 
 
 # -- stack_fault --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from fdikit import (
     assemble_fuzzy_attainable,
     d_fuzzy_vec,
     d_membership,
-    validate_nested,
 )
 from fdikit.fdi_sim import envelope_endpoints
 from fdikit.fuzzy_num import membership_limits
@@ -223,18 +222,14 @@ def test_repr_and_equality_with_another_type():
     assert v[0] == as_fuzzy(Tfn(0, 1, 2)) != Tfn(0, 1, 2)
 
 
-def test_validate_nested_is_the_stack():
-    alphas = np.linspace(0.0, 1.0, 6)
-    lo, hi = rand_stack(np.random.default_rng(26), alphas, 3)
-    v = validate_nested(zip(alphas, lo, hi))
-    assert v == FuzzyVector.from_stack(alphas, lo, hi)
-    wider = np.where(np.arange(6)[:, None] == 4, hi + 100.0, hi)  # level 0.8 outgrows 0.6
-    with pytest.raises(StackingViolation, match="alpha=0.8 is not contained in box at alpha=0.6"):
-        validate_nested(zip(alphas, lo, wider))
-    with pytest.raises(ValueError):  # boxes of two dimensions
-        validate_nested([(0.0, [0.0, 1.0], [1.0, 2.0]), (1.0, [0.5], [0.5])])
-    with pytest.raises(ValueError):
-        validate_nested([(0.0, [0.0, 1.0], [1.0]), (1.0, [0.5, 0.5], [0.5])])
+def test_a_component_is_read_by_one_integer():
+    v = FuzzyVector([Tfn(0, 1, 2), Tfn(1, 2, 3)])
+    assert v[-1] == v[np.int64(1)] == as_fuzzy(Tfn(1, 2, 3))
+    for index in (slice(0, 1), np.array([0]), 0.0):
+        with pytest.raises(TypeError):
+            v[index]
+    with pytest.raises(IndexError):
+        v[2]
 
 
 # -- assembly ----------------------------------------------------------------------------

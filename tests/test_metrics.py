@@ -12,7 +12,6 @@ from fdikit import (
     as_fuzzy,
     d_fuzzy_vec,
     d_membership,
-    validate_nested,
 )
 
 from conftest import rand_fuzzy_levels
@@ -21,7 +20,7 @@ from conftest import rand_fuzzy_levels
 @st.composite
 def fuzzy_numbers(draw):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return validate_nested(rand_fuzzy_levels(np.random.default_rng(seed)))[0]
+    return FuzzyNumber(*zip(*rand_fuzzy_levels(np.random.default_rng(seed))))
 
 
 def levelwise(x, y) -> float:
@@ -58,8 +57,8 @@ def test_d_membership_grid_search_oracle():
     # dense pointwise scan can only undershoot the breakpoint-exact sup
     rng = np.random.default_rng(3)
     for _ in range(25):
-        x = validate_nested(rand_fuzzy_levels(rng))[0]
-        y = validate_nested(rand_fuzzy_levels(rng))[0]
+        x = FuzzyNumber(*zip(*rand_fuzzy_levels(rng)))
+        y = FuzzyNumber(*zip(*rand_fuzzy_levels(rng)))
         got = d_membership(x, y)
         ps = np.linspace(min(x.lo[0], y.lo[0]) - 0.5,
                          max(x.hi[0], y.hi[0]) + 0.5, 4001)
@@ -77,7 +76,7 @@ def test_d_membership_bounded(x, y):
 def test_d_membership_one_when_core_outside_support():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        x = validate_nested(rand_fuzzy_levels(rng))[0]
+        x = FuzzyNumber(*zip(*rand_fuzzy_levels(rng)))
         shift = x.hi[0] - x.lo[-1] + rng.uniform(0.1, 2.0)
         y = FuzzyNumber(x.alphas, x.lo + shift, x.hi + shift)
         assert d_membership(x, y) == pytest.approx(1.0, abs=1e-12)
@@ -115,9 +114,9 @@ def test_d_levelwise_dominates_support_gap(x, y):
 def test_metric_axioms(metric):
     rng = np.random.default_rng(5)
     for _ in range(30):
-        x = validate_nested(rand_fuzzy_levels(rng))[0]
-        y = validate_nested(rand_fuzzy_levels(rng))[0]
-        z = validate_nested(rand_fuzzy_levels(rng))[0]
+        x = FuzzyNumber(*zip(*rand_fuzzy_levels(rng)))
+        y = FuzzyNumber(*zip(*rand_fuzzy_levels(rng)))
+        z = FuzzyNumber(*zip(*rand_fuzzy_levels(rng)))
         assert metric(x, y) >= 0.0
         assert metric(x, x) == 0.0
         assert metric(x, y) == pytest.approx(metric(y, x), abs=1e-12)
