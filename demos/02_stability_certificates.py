@@ -43,7 +43,7 @@ print(f"closed-form box: Re in [{box.r_lo:.3f}, {box.r_hi:.3f}], "
       f"Im in [{box.i_lo:.3f}, {box.i_hi:.3f}]")
 print(f"corner moduli: {np.round(box.corner_moduli(), 4)}")
 print(f"verdict: {condeig_check(box).status.value}")
-ray = eigen_box_rayleigh(m, n_starts=6, seed=1)
+ray = eigen_box_rayleigh(m)
 print(f"sign-vertex cross-check (exact at n = 2, inside the box): "
       f"Re [{ray.r_lo:.3f}, {ray.r_hi:.3f}], Im [{ray.i_lo:.3f}, {ray.i_hi:.3f}]")
 lams = np.concatenate([np.linalg.eigvals(sample_matrix(m, rng)) for _ in range(500)])

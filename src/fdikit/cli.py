@@ -24,7 +24,7 @@ from .fdi_sim import (
     level_matrix,
     mc_trajectories,
 )
-from .fuzzy_num import FuzzyVector
+from .fuzzy_num import FuzzyVector, _floats
 from .metrics import d_fuzzy_vec
 from .stability import StabilityStatus, analyze, member_radius_scan
 
@@ -257,10 +257,7 @@ def parse_system_obj(obj) -> tuple[FuzzySystem, np.ndarray | None]:
         if (not isinstance(t_rows, list) or len(t_rows) != n
                 or any(not isinstance(r, list) or len(r) != n for r in t_rows)):
             raise ValueError(f'"T": expected {n} rows of {n} numbers')
-        try:
-            transform = np.asarray(t_rows, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f'"T": {exc}') from None
+        transform = _floats(t_rows, '"T": ')
         if not np.all(np.isfinite(transform)):  # JSON null reads as NaN
             raise ValueError('"T": entries must be finite numbers')
     return system, transform

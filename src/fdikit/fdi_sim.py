@@ -19,7 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fuzzy_num import FuzzyVector, _freeze, _level_stack, check_grid, level_cuts, level_groups
+from .fuzzy_num import (FuzzyVector, _floats, _freeze, _level_stack, check_grid, level_cuts,
+                        level_groups)
 from .interval_linalg import IntervalMatrix, log_fallback, member_chunks, sample_matrix
 
 __all__ = ["FuzzySystem", "SignPreconditionError", "assemble_fuzzy_attainable",
@@ -69,10 +70,7 @@ class FuzzySystem:
             return f'"H"[{p // n}][{p % n}]' if p < n * n else f'"x0"[{p - n * n}]'
 
         self.n = n
-        try:
-            self.alphas = np.array(alphas, dtype=float)
-        except OverflowError as exc:  # a JSON integer no double can hold
-            raise ValueError(f'"alphas": {exc}') from None
+        self.alphas = _floats(alphas, '"alphas": ').copy()
         check_grid(self.alphas)
         self.alphas.setflags(write=False)
         self.groups = level_groups(cells, label)
@@ -129,7 +127,7 @@ def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
     NaN where a zero bound met an infinite one, with no warning.  Only
     :func:`assemble_fuzzy_attainable`, which builds fuzzy numbers, refuses it.
     """
-    levels = np.asarray(alphas, dtype=float)
+    levels = _floats(alphas)
     m_lo, m_hi, x_lo, x_hi = _cuts(sys, levels)
     bad_m = np.any(m_lo < 0, axis=(-2, -1)).ravel()
     bad = bad_m | np.any(x_lo < 0, axis=-1).ravel()

@@ -44,6 +44,24 @@ class Tfn:
             )
 
 
+def _floats(x, prefix: str = "") -> np.ndarray:
+    """``x`` read as a float array, not copied when it is one; a value that
+    ``float`` cannot read, such as an integer no double can hold, raises
+    ValueError with ``float``'s message after ``prefix``."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{prefix}{exc}") from None
+
+
+def _column_keys(columns, values) -> np.ndarray:
+    # complex keys (column, value), set part by part: 1j * inf has a NaN real
+    # part.  numpy sorts a key with a NaN part after all others, as before.
+    keys = np.empty(np.shape(values), complex)
+    keys.real, keys.imag = columns, values
+    return keys
+
+
 def membership_limits(alphas, lo, hi, p) -> np.ndarray:
     """Membership grades of the fuzzy numbers whose cut endpoints are the
     columns of ``lo`` and ``hi`` (L, n), at the points ``p`` (m, n) of each
@@ -61,11 +79,11 @@ def membership_limits(alphas, lo, hi, p) -> np.ndarray:
     base = np.arange(cols) * size  # flat index of each column's first level
     flat = vals.T.ravel()
     # np.searchsorted in every column at once: numpy orders complex numbers
-    # by real part first, so (column + 1j * value) keys run column by column.
-    keys = np.repeat(np.arange(cols), size) + 1j * flat
+    # by real part first, so (column, value) keys run column by column.
+    keys = _column_keys(np.repeat(np.arange(cols), size), flat)
     sups = []
     for side in ("right", "left"):
-        j = np.searchsorted(keys, np.arange(cols) + 1j * p, side=side) - base
+        j = np.searchsorted(keys, _column_keys(np.arange(cols), p), side=side) - base
         k = np.minimum(np.maximum(j, 1), size - 1)
         below, above = flat[base + k - 1], flat[base + k]
         # Where 0 < j < size, vals[k-1] and vals[k] straddle p strictly on
@@ -123,14 +141,11 @@ def _level_stack(alphas, lo, hi, ndim: int, shape: str, label: str = ""):
     """The one rule of a level stack built from arrays, returned read as float
     arrays (not copied when they already are): ``lo`` and ``hi`` have ``ndim``
     axes, the levels ``alphas`` first, then one fuzzy number per index of the
-    others.  An integer no double can hold raises ValueError with ``float``'s
-    message, another shape or no number ValueError(shape); then :func:`check_grid`
-    runs, naming no number, and the first :func:`stack_fault` fault is raised,
+    others.  A value :func:`_floats` cannot read raises its ValueError, another
+    shape or no number ValueError(shape); then :func:`check_grid` runs, naming
+    no number, and the first :func:`stack_fault` fault is raised,
     prefixed with ``label.format(*index)`` of its number when there is a label."""
-    try:
-        alphas, lo, hi = (np.asarray(v, dtype=float) for v in (alphas, lo, hi))
-    except OverflowError as exc:  # an integer no double can hold
-        raise ValueError(exc) from None
+    alphas, lo, hi = _floats(alphas), _floats(lo), _floats(hi)
     if lo.ndim != ndim or lo.shape != hi.shape or lo.shape[0] != alphas.size or 0 in lo.shape[1:]:
         raise ValueError(shape)
     check_grid(alphas)
@@ -192,7 +207,7 @@ class FuzzyNumber:
     def membership(self, p):
         """Grade of membership sup{alpha : p in cut(alpha)} of the point
         ``p``, or an array of the grades of an array of points."""
-        p = np.asarray(p, dtype=float)
+        p = _floats(p)
         grades = membership_limits(self.alphas, self.lo, self.hi, p)[0, :, 0]
         return float(grades[0]) if p.ndim == 0 else grades.reshape(p.shape)
 
@@ -351,7 +366,7 @@ def level_cuts(groups, size: int, levels) -> tuple[np.ndarray, np.ndarray]:
     """Cut endpoints (lo, hi), each of shape ``np.shape(levels) + (size,)``,
     of the ``size`` cells grouped by :func:`level_groups`, at ``levels``:
     each group is interpolated once, as ``np.interp`` would, bit for bit."""
-    levels = np.asarray(levels, dtype=float)
+    levels = _floats(levels)
     if len(groups) == 1:  # every cell in order; interp_levels returns new arrays
         grid, _, glo, ghi = groups[0]
         return interp_levels(levels, grid, glo), interp_levels(levels, grid, ghi)
@@ -407,7 +422,7 @@ def interp_levels(x, xp, fp) -> np.ndarray:
     fp.shape[1:]``.  Like ``np.interp``, this is the stored value at a
     breakpoint and ``slope * (x - xp[j]) + fp[j]`` between breakpoints.
     """
-    x = np.asarray(x, dtype=float)
+    x = _floats(x)
     if not np.all((xp[0] <= x) & (x <= xp[-1])):
         raise ValueError(f"alpha must lie in [{xp[0]:g}, {xp[-1]:g}], got {x}")
     flat = x.ravel()

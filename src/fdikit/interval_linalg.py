@@ -9,6 +9,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .fuzzy_num import _floats
+
 __all__ = ["IntervalMatrix", "VertexBudgetError", "mid_rad", "sample_matrix", "vertex_count",
            "vertex_matrices", "vertex_stack"]
 
@@ -25,10 +27,7 @@ class VertexBudgetError(ValueError):
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    try:
-        a = np.array(a, dtype=float)
-    except OverflowError as exc:  # an integer no double can hold
-        raise ValueError(exc) from None
+    a = _floats(a).copy()
     a.setflags(write=False)
     return a
 

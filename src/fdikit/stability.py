@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .fuzzy_num import _floats
 from .interval_linalg import (
     DEFAULT_VERTEX_BUDGET,
     IntervalMatrix,
@@ -48,7 +49,7 @@ SHAPE_TOL = 1e-9
 #: Condition-number cap above which a transform matrix is rejected.
 COND_CAP = 1e12
 
-#: Sign patterns the eigenvalue-box cross-check tries before sign ascent.
+#: Sign patterns an eigenvalue-box cross-check scan tries before it takes the closed form.
 SIGN_BUDGET = 2 ** 12
 
 #: Power-iteration steps that bracket the members of a sign-definite scan.
@@ -126,7 +127,7 @@ class EigenBox:
 
 def spectral_radius(m) -> float:
     """Spectral radius of a crisp matrix: :func:`spectral_radii` of one matrix."""
-    return float(spectral_radii(np.asarray(m, dtype=float)))
+    return float(spectral_radii(_floats(m)))
 
 
 def spectral_radii(stack: np.ndarray) -> np.ndarray:
@@ -222,68 +223,48 @@ def eigen_box_bounds(m: IntervalMatrix) -> EigenBox:
     return EigenBox(r_lo, r_hi, -i_hi, i_hi)
 
 
-def _sign_vertex_max(value, ascend, k: int, n_starts: int, rng: np.random.Generator) -> float:
-    """Largest objective over sign patterns t in {-1, 1}^k: exact up to
-    SIGN_BUDGET patterns, else a lower bound from ``n_starts`` seeded ascents.
-
-    ``value`` maps a (P, k) stack of patterns to their values; ``ascend``
-    maps it to their values and the patterns of their maximisers, which
-    never score lower."""
-    if 2 ** k <= SIGN_BUDGET:
-        bits = np.arange(2 ** k)[:, None] >> np.arange(k) & 1
-        return float(np.max(value(1.0 - 2.0 * bits)))
-    if n_starts < 1:
-        raise ValueError(f"2^{k} sign patterns exceed SIGN_BUDGET; ascent needs n_starts >= 1")
-    best = np.full(n_starts, -np.inf)
-    values, t = ascend(rng.choice([-1.0, 1.0], size=(n_starts, k)))
-    while np.any(values > best):
-        best = np.maximum(best, values)
-        values, t = ascend(t)
-    return float(np.max(best))
+def _sign_vertex_max(value, k: int) -> float:
+    """Largest objective over the 2^k sign patterns t in {-1, 1}^k, where
+    ``value`` maps a (P, k) stack of patterns to their values."""
+    bits = np.arange(2 ** k)[:, None] >> np.arange(k) & 1
+    return float(np.max(value(1.0 - 2.0 * bits)))
 
 
-def eigen_box_rayleigh(m: IntervalMatrix, n_starts: int = 8, seed: int = 0) -> EigenBox:
+def eigen_box_rayleigh(m: IntervalMatrix, n_starts=None, seed=None) -> EigenBox:
     """Sign-vertex cross-check of :func:`eigen_box_bounds`, with center C
     and radius D: the real bounds are the extreme lambda_max(+-sym(C) +
     S sym(D) S) over sign matrices S (Hertz 1992; Rohn 1994), the imaginary
     bound the largest ||A_t||_2 over antisymmetric A_t with upper entries
-    skew(C)_ij + t_ij sym(D)_ij.  Sign ascent beyond SIGN_BUDGET patterns
-    only undershoots, so the box always lies inside the closed-form box.
-    The exhaustive scans compute eigenvalues and singular values only; the
-    ascents also need the top vectors."""
+    skew(C)_ij + t_ij sym(D)_ij.  A scan of at most SIGN_BUDGET patterns
+    (2^(n-1) real, 2^(n(n-1)/2) imaginary) is exhaustive, a larger one the
+    closed-form coordinate, so the box always lies inside the closed-form
+    box.  ``n_starts`` and ``seed`` are ignored."""
     n = m.n
     c, d = mid_rad(m)
     i, j = np.triu_indices(n, 1)
     sym_d = _sym(d)
     skew, wide = halfsum(c, -c.T)[i, j], sym_d[i, j]
-    rng = np.random.default_rng(seed)
 
     def real(sym_c):
-        def stack(t):  # s and -s give one matrix, so s_0 = 1
+        def value(t):  # s and -s give one matrix, so s_0 = 1
             s = np.hstack([np.ones((len(t), 1)), t])
-            return sym_c + s[:, :, None] * sym_d * s[:, None, :]
+            return np.linalg.eigvalsh(sym_c + s[:, :, None] * sym_d * s[:, None, :])[:, -1]
+        return _sign_vertex_max(value, n - 1)
 
-        def ascend(t):
-            w, v = np.linalg.eigh(stack(t))
-            top = np.where(v[:, :, -1] >= 0, 1.0, -1.0)
-            return w[:, -1], top[:, 1:] * top[:, :1]
-        return _sign_vertex_max(lambda t: np.linalg.eigvalsh(stack(t))[:, -1], ascend,
-                                n - 1, n_starts, rng)
-
-    def antisym(t):
+    def imag(t):
         a = np.zeros((len(t), n, n))
         a[:, i, j] = skew + t * wide
-        return a - a.transpose(0, 2, 1)
+        return np.linalg.svd(a - a.transpose(0, 2, 1), compute_uv=False)[:, 0]
 
-    def ascend_imag(t):
-        u, sv, vt = np.linalg.svd(antisym(t))
-        x1, x2 = u[:, :, 0], vt[:, 0]
-        w = x1[:, i] * x2[:, j] - x2[:, i] * x1[:, j]  # upper entries of x1 x2' - x2 x1'
-        return sv[:, 0], np.where(w >= 0, 1.0, -1.0)
-
+    # the imaginary scan has the most patterns, n(n-1)/2 >= n-1
+    if 2 ** len(skew) <= SIGN_BUDGET:
+        i_hi = _sign_vertex_max(imag, len(skew))
+    else:
+        closed = eigen_box_bounds(m)
+        if 2 ** (n - 1) > SIGN_BUDGET:
+            return closed
+        i_hi = closed.i_hi
     r_hi, r_lo = real(_sym(c)), -real(-_sym(c))
-    i_hi = _sign_vertex_max(lambda t: np.linalg.svd(antisym(t), compute_uv=False)[:, 0],
-                            ascend_imag, len(skew), n_starts, rng)
     return EigenBox(min(r_lo, r_hi), r_hi, -i_hi, i_hi)
 
 
@@ -332,7 +313,7 @@ def marginal_test(m: IntervalMatrix, t) -> StabilityVerdict:
     would have both 1 and -1 as eigenvalues.  Success means Stable
     (marginal, not asymptotic), up to SHAPE_TOL.  T is never searched for.
     """
-    t = np.asarray(t, dtype=float)
+    t = _floats(t)
     n = m.n
     if t.shape != (n, n):
         raise ValueError(f"transform must be {n}x{n}, got {t.shape}")

@@ -648,7 +648,7 @@ def test_falsifier_memory_stays_below_full_stack():
 
 
 def test_import_leaves_scipy_unloaded():
-    # n = 6 runs both the exhaustive (real) and the ascent (imaginary) sign search;
+    # n = 6 runs the exhaustive (real) sign scans and the closed-form imaginary bound;
     # n = 520 checks that spectral_radius is the dense solve of spectral_radii at
     # any size, bit for bit
     code = ("import sys, numpy as np, fdikit.cli\n"

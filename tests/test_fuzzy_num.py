@@ -17,7 +17,12 @@ from fdikit import (
     Tfn,
     as_fuzzy,
     d_membership,
+    envelope_endpoints,
     level_matrix,
+    level_state,
+    marginal_test,
+    mc_trajectories,
+    spectral_radius,
 )
 from fdikit.cli import load_system
 
@@ -131,6 +136,21 @@ def test_membership_outside_support():
     x = as_fuzzy(Tfn(2, 3, 4))
     assert x.membership(1.0) == 0.0
     assert x.membership(9.0) == 0.0
+
+
+@pytest.mark.parametrize("x", [Tfn(0, 1, 2), {"levels": [[0, -1, 4], [0.5, 0, 3], [1, 1, 2]]}],
+                         ids=["triangle", "three-level"])
+def test_membership_at_infinity_is_zero(x):
+    # warnings are errors under tier-1, so each call also raises none
+    x = as_fuzzy(x)
+    assert x.membership(np.inf) == 0.0
+    assert x.membership(-np.inf) == 0.0
+    points = np.array([[-np.inf, 0.0, 1.0], [np.inf, 1.5, -np.inf]])
+    grades = x.membership(points)
+    assert grades.shape == (2, 3)
+    assert grades[0, 0] == grades[1, 0] == grades[1, 2] == 0.0
+    assert [grades[0, 1], grades[0, 2], grades[1, 1]] == [x.membership(p) for p in (0.0, 1.0, 1.5)]
+    assert np.isnan(x.membership(np.nan))
 
 
 @given(fuzzy_numbers(), st.floats(min_value=0, max_value=1))
@@ -382,11 +402,31 @@ def test_integers_beyond_float_are_value_errors(cell):
             read(cell)
 
 
+HUGE = 10 ** 400
+
+
+def tfn_system():
+    return FuzzySystem(h=[[Tfn(0.1, 0.2, 0.3)]], x0=[Tfn(1, 2, 3)])
+
+
 @pytest.mark.parametrize("build", [
-    lambda: FuzzyNumber([0, 1], [0, 1], [10 ** 400, 1]),
-    lambda: FuzzyVector.from_stack([0, 1], [[0], [1]], [[10 ** 400], [1]]),
-    lambda: IntervalMatrix([0.0], [10 ** 400]),
-], ids=["FuzzyNumber", "FuzzyVector.from_stack", "IntervalMatrix"])
+    lambda: FuzzyNumber([0, 1], [0, 1], [HUGE, 1]),
+    lambda: FuzzyVector.from_stack([0, 1], [[0], [1]], [[HUGE], [1]]),
+    lambda: IntervalMatrix([0.0], [HUGE]),
+    lambda: marginal_test(IntervalMatrix([[0.5]], [[0.5]]), [[HUGE]]),
+    lambda: spectral_radius([[HUGE]]),
+    lambda: as_fuzzy(Tfn(0, 1, 2)).cut(HUGE),
+    lambda: as_fuzzy(Tfn(0, 1, 2)).cuts([0.5, HUGE]),
+    lambda: as_fuzzy(Tfn(0, 1, 2)).membership(HUGE),
+    lambda: FuzzyVector([Tfn(0, 1, 2)]).cut(HUGE),
+    lambda: level_matrix(tfn_system(), HUGE),
+    lambda: level_state(tfn_system(), HUGE),
+    lambda: envelope_endpoints(tfn_system(), HUGE, 1),
+    lambda: mc_trajectories(tfn_system(), HUGE, 1, 1),
+], ids=["FuzzyNumber", "FuzzyVector.from_stack", "IntervalMatrix", "marginal_test",
+        "spectral_radius", "FuzzyNumber.cut", "FuzzyNumber.cuts", "FuzzyNumber.membership",
+        "FuzzyVector.cut", "level_matrix", "level_state", "envelope_endpoints",
+        "mc_trajectories"])
 def test_array_constructors_read_integers_beyond_float_as_value_errors(build):
     # float()'s message with no prefix: the arrays are read whole, before any
     # component could be named

@@ -62,7 +62,7 @@ def ref_d_membership(x1, x2):
     return best
 
 
-def ref_d_levelwise(x1, x2):
+def ref_levelwise_distance(x1, x2):
     grid = np.union1d(x1.alphas, x2.alphas)
     lo1, hi1 = x1.cuts(grid)
     lo2, hi2 = x2.cuts(grid)
@@ -70,7 +70,7 @@ def ref_d_levelwise(x1, x2):
 
 
 def ref_d_fuzzy_vec(xs, ys, which):
-    scalar = ref_d_membership if which == "membership" else ref_d_levelwise
+    scalar = ref_d_membership if which == "membership" else ref_levelwise_distance
     return float(sum(scalar(a, b) for a, b in zip(xs, ys)))
 
 
@@ -120,7 +120,7 @@ def test_d_membership_matches_breakpoint_loop():
             y = FuzzyNumber(x.alphas, x.lo + shift, x.hi + shift + widen)
         assert bits(d_membership(x, y)) == bits(ref_d_membership(x, y))
         levelwise = d_fuzzy_vec(FuzzyVector([x]), FuzzyVector([y]), "levelwise")
-        assert bits(levelwise) == bits(ref_d_levelwise(x, y))
+        assert bits(levelwise) == bits(ref_levelwise_distance(x, y))
 
 
 def test_membership_and_limits_match_scalar_search():

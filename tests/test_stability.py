@@ -26,6 +26,7 @@ from fdikit import (
     vertex_count,
     vertex_matrices,
 )
+from fdikit import stability
 from fdikit.stability import FALSIFY_TOL, SIGN_BUDGET
 
 from conftest import (
@@ -232,7 +233,7 @@ def test_eigen_box_rayleigh_inside_closed_form():
     for k in range(16):  # n >= 6 has more than SIGN_BUDGET imaginary patterns
         m = random_interval_matrix(rng, 1 + k % 8, scale=1.0, width=0.2)
         closed = eigen_box_bounds(m)
-        ray = eigen_box_rayleigh(m, n_starts=4, seed=k)
+        ray = eigen_box_rayleigh(m)
         assert closed.contains_box(ray, tol=1e-9)
 
 
@@ -240,7 +241,7 @@ def test_eigen_box_rayleigh_inside_closed_form():
 def test_eigen_box_rayleigh_crisp_symmetric_is_spectrum(n):
     a = np.random.default_rng(n).normal(size=(n, n))
     a = a + a.T
-    ray = eigen_box_rayleigh(IntervalMatrix(a, a), n_starts=2, seed=0)
+    ray = eigen_box_rayleigh(IntervalMatrix(a, a))
     lams = np.linalg.eigvalsh(a)
     assert ray.r_lo == pytest.approx(lams[0], abs=1e-12)
     assert ray.r_hi == pytest.approx(lams[-1], abs=1e-12)
@@ -257,7 +258,7 @@ def test_eigen_box_rayleigh_rotation_imaginary_bound(rho):
 @pytest.mark.parametrize("n", [4, 16])
 def test_eigen_box_rayleigh_zero_center_real_bound(n):
     d = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, n))
-    ray = eigen_box_rayleigh(imat(-d, d), n_starts=2, seed=0)
+    ray = eigen_box_rayleigh(imat(-d, d))
     top = np.linalg.eigvalsh((d + d.T) / 2.0)[-1]
     assert ray.r_hi == pytest.approx(top, abs=1e-12)
     assert ray.r_lo == pytest.approx(-top, abs=1e-12)
@@ -286,7 +287,7 @@ def test_eigen_box_rayleigh_dominates_sphere_objectives():
     for k in range(16):
         n = 1 + k % 8
         m = random_interval_matrix(rng, n, scale=1.0, width=0.4)
-        ray = eigen_box_rayleigh(m, n_starts=4, seed=k)
+        ray = eigen_box_rayleigh(m)
         re_hi, re_lo_neg, im = rayleigh_objectives(m, unit_rows(rng, 20_000, n),
                                                    unit_rows(rng, 20_000, 2 * n))
         assert re_hi.max() <= ray.r_hi + 1e-12
@@ -294,19 +295,17 @@ def test_eigen_box_rayleigh_dominates_sphere_objectives():
         assert im.max() <= ray.i_hi + 1e-12
 
 
-def test_eigen_box_rayleigh_exact_within_budget_needs_no_starts():
+def box_bits(box: EigenBox, fields=("r_lo", "r_hi", "i_lo", "i_hi")) -> bytes:
+    """The bytes of the box's ``fields``, so equal bits, not equal values, compare equal."""
+    return np.array([getattr(box, f) for f in fields]).tobytes()
+
+
+def test_eigen_box_rayleigh_ignores_starts_and_seed():
     rng = np.random.default_rng(12)
-    for n in range(1, 6):
+    for n in range(1, 9):
         m = random_interval_matrix(rng, n, scale=1.0, width=0.4)
-        assert eigen_box_rayleigh(m, n_starts=0) == eigen_box_rayleigh(m, n_starts=4, seed=9)
-
-
-@pytest.mark.parametrize("n", [6, 14])  # imaginary, then also real patterns over budget
-def test_eigen_box_rayleigh_no_starts_beyond_budget_raises(n):
-    assert 2 ** (n * (n - 1) // 2) > SIGN_BUDGET
-    m = random_interval_matrix(np.random.default_rng(n), n)
-    with pytest.raises(ValueError, match="n_starts >= 1"):
-        eigen_box_rayleigh(m, n_starts=0)
+        ignored = eigen_box_rayleigh(m, n_starts=4, seed=9)
+        assert box_bits(eigen_box_rayleigh(m)) == box_bits(ignored)
 
 
 def count_vector_solves(monkeypatch) -> dict:
@@ -326,25 +325,35 @@ def count_vector_solves(monkeypatch) -> dict:
     return calls
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])  # real and imaginary patterns within budget
+# n <= 5: every scan within budget; 8: the imaginary one over; 14: all three over
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 14])
 def test_eigen_box_rayleigh_exhaustive_scans_compute_values_only(n, monkeypatch):
-    assert 2 ** (n * (n - 1) // 2) <= SIGN_BUDGET
     m = random_interval_matrix(np.random.default_rng(n), n, width=0.4)
     calls = count_vector_solves(monkeypatch)
-    eigen_box_rayleigh(m, n_starts=4)
+    eigen_box_rayleigh(m)
     assert calls == {"eigh": 0, "svd_uv": 0}
 
 
-@pytest.mark.parametrize("n", [8, 14])  # imaginary, then also real patterns over budget
-def test_eigen_box_rayleigh_ascents_use_top_vectors(n, monkeypatch):
-    m = random_interval_matrix(np.random.default_rng(n), n, width=0.4)
-    calls = count_vector_solves(monkeypatch)
-    eigen_box_rayleigh(m, n_starts=2)
-    assert calls["svd_uv"] > 0
-    assert (calls["eigh"] > 0) == (2 ** (n - 1) > SIGN_BUDGET)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 14])
+def test_eigen_box_rayleigh_takes_the_closed_form_box_only_beyond_budget(n, monkeypatch):
+    assert (2 ** (n * (n - 1) // 2) > SIGN_BUDGET) == (n >= 6)
+    calls = []
+
+    def counting_bounds(m):
+        calls.append(m)
+        return eigen_box_bounds(m)
+    monkeypatch.setattr(stability, "eigen_box_bounds", counting_bounds)
+    eigen_box_rayleigh(random_interval_matrix(np.random.default_rng(n), n, width=0.4))
+    assert len(calls) == (n >= 6)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_eigen_box_rayleigh_beyond_budget_is_the_closed_form_box():
+    assert 2 ** 13 > SIGN_BUDGET  # n = 14: real and imaginary scans over budget
+    m = random_interval_matrix(np.random.default_rng(14), 14, width=0.4)
+    assert box_bits(eigen_box_rayleigh(m)) == box_bits(eigen_box_bounds(m))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_eigen_box_rayleigh_exhaustive_bounds_match_brute_force(n):
     m = random_interval_matrix(np.random.default_rng(40 + n), n, width=0.4)
     c, d = (m.lo + m.hi) / 2.0, (m.hi - m.lo) / 2.0
@@ -352,15 +361,19 @@ def test_eigen_box_rayleigh_exhaustive_bounds_match_brute_force(n):
     signs = [np.diag(s) for s in itertools.product((-1.0, 1.0), repeat=n)]
     r_hi = max(np.linalg.eigvalsh(sym_c + s @ sym_d @ s)[-1] for s in signs)
     r_lo = -max(np.linalg.eigvalsh(-sym_c + s @ sym_d @ s)[-1] for s in signs)
+    ray = eigen_box_rayleigh(m)
+    assert ray.r_hi == pytest.approx(r_hi, abs=1e-12)
+    assert ray.r_lo == pytest.approx(r_lo, abs=1e-12)
+    if n == 6:  # 2^15 imaginary patterns: the closed-form coordinate, bit for bit
+        closed = eigen_box_bounds(m)
+        assert box_bits(ray, ("i_lo", "i_hi")) == box_bits(closed, ("i_lo", "i_hi"))
+        return
     i, j = np.triu_indices(n, 1)
     i_hi = 0.0
     for t in itertools.product((-1.0, 1.0), repeat=len(i)):
         a = np.zeros((n, n))
         a[i, j] = (c - c.T)[i, j] + np.array(t) * (d + d.T)[i, j]
         i_hi = max(i_hi, np.linalg.norm(a - a.T, 2) / 2.0)
-    ray = eigen_box_rayleigh(m, n_starts=0)
-    assert ray.r_hi == pytest.approx(r_hi, abs=1e-12)
-    assert ray.r_lo == pytest.approx(r_lo, abs=1e-12)
     assert ray.i_hi == pytest.approx(i_hi, abs=1e-12)
 
 
