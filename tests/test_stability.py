@@ -27,6 +27,7 @@ from fdikit import (
     vertex_matrices,
 )
 from fdikit import stability
+from fdikit.interval_linalg import halfsum, mid_rad
 from fdikit.stability import FALSIFY_TOL, SIGN_BUDGET
 
 from conftest import (
@@ -226,6 +227,28 @@ def test_eigen_box_of_huge_entries_has_no_nan():
     assert eigen_box_bounds(imat(c, c)) == EigenBox(0.0, np.inf, 0.0, 0.0)
     c = np.array([[1e308, -1e308], [1e308, 1e308]])
     assert eigen_box_bounds(imat(c, c)) == EigenBox(1e308, 1e308, -1e308, 1e308)
+
+
+def block_eigen_box(m: IntervalMatrix) -> EigenBox:
+    """The closed-form box built as first written: one solve each for sym(C)
+    and sym(D), and the skew embedding assembled by ``np.block``."""
+    n = m.n
+    c, d = mid_rad(m)
+    sym_c = np.linalg.eigvalsh(halfsum(c, c.T))
+    spread = float(np.linalg.eigvalsh(halfsum(d, d.T))[-1])
+    skew = halfsum(c, -c.T)
+    emb = np.block([[np.zeros((n, n)), skew], [skew.T, np.zeros((n, n))]])
+    i_hi = float(np.linalg.eigvalsh(emb)[-1]) + spread
+    return EigenBox(float(sym_c[0]) - spread, float(sym_c[-1]) + spread, -i_hi, i_hi)
+
+
+def test_eigen_box_bounds_matches_the_block_construction_bit_for_bit():
+    rng = np.random.default_rng(39)
+    families = [random_interval_matrix(rng, n, width=0.4) for n in range(1, 25)]
+    # every entry {"tfn": [1e308, 1e308, 1e308]}: at n >= 2 the top eigenvalue of sym(C) is inf
+    families += [imat(np.full((n, n), 1e308), np.full((n, n), 1e308)) for n in (1, 2, 5)]
+    for m in families:
+        assert box_bits(eigen_box_bounds(m)) == box_bits(block_eigen_box(m)), m.n
 
 
 def test_eigen_box_rayleigh_inside_closed_form():
@@ -623,8 +646,8 @@ def test_analyze_eigen_box_when_sign_tests_inapplicable():
     assert v.status is StabilityStatus.ASYMPTOTICALLY_STABLE
     assert v.criterion == "eigen_box"
     box = v.witness["eigen_box"]
-    assert box.r_lo == pytest.approx(-0.5, abs=1e-12)
-    assert box.r_hi == pytest.approx(0.5, abs=1e-12)
+    assert box["r_lo"] == pytest.approx(-0.5, abs=1e-12)
+    assert box["r_hi"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_analyze_inconclusive_report():
@@ -644,21 +667,49 @@ def test_verdict_json_shape():
     assert "witness" in obj
 
 
-def test_verdict_json_converts_only_eigen_boxes_and_numpy_values():
-    matrix = [[0.5, -0.25], [0.0, 1.5]]
-    reports = [analyze(imat([[0.4]], [[0.6]])).to_json_obj()]
-    v = StabilityVerdict(StabilityStatus.INCONCLUSIVE, "none", {
-        "eigen_box": EigenBox(-0.5, 0.75, -0.125, 0.125), "radius": np.float64(1.5),
-        "count": np.int64(3), "margins": np.array([0.25, 0.5]), "matrix": matrix,
-        "sub_reports": reports, "reason": "text"})
-    obj = v.to_json_obj()
-    assert obj == {"status": "Inconclusive", "criterion": "none", "witness": {
-        "eigen_box": {"r_lo": -0.5, "r_hi": 0.75, "i_lo": -0.125, "i_hi": 0.125},
-        "radius": 1.5, "count": 3, "margins": [0.25, 0.5], "matrix": matrix,
-        "sub_reports": reports, "reason": "text"}}
-    assert [type(obj["witness"][k]) for k in ("radius", "count", "margins")] == [float, int, list]
-    assert obj["witness"]["matrix"] is matrix  # plain lists are not walked or copied
-    assert json.loads(json.dumps(obj)) == obj
+def test_every_witness_is_json_as_stored():
+    h = np.array([[0.5, 0.0], [0.0, 1.0]])
+    indefinite = imat([[0.2, -0.05], [0.0, 1.0]], [[0.5, 0.05], [0.0, 1.0]])
+    verdicts = [
+        gershgorin_nonneg_test(imat([[0.4]], [[0.6]])),
+        gershgorin_nonneg_test(imat([[-0.5]], [[0.5]])),
+        gershgorin_nonneg_test(imat([[0.5]], [[1.5]])),
+        gershgorin_nonpos_test(imat([[-0.6]], [[-0.4]])),
+        gershgorin_nonpos_test(imat([[-1.5]], [[-0.5]])),
+        condeig_check(eigen_box_bounds(imat([[-0.5]], [[0.5]]))),
+        condeig_check(eigen_box_bounds(imat([[-1.0]], [[1.0]]))),
+        marginal_test(imat(h, h), np.eye(2)),
+        marginal_test(indefinite, np.eye(2)),
+        marginal_test(imat([[0.5, 0.0], [0.0, 0.9]], [[0.5, 0.0], [0.0, 0.9]]), np.eye(2)),
+        sampled_falsifier(imat([[1.2]], [[1.3]]), n_samples=0, seed=0),
+        sampled_falsifier(imat([[-0.5]], [[0.5]]), n_samples=5, seed=0),
+        analyze(imat([[-1.0]], [[1.0]]), t=np.eye(1), n_samples=5),
+    ]
+    assert [(v.criterion, v.status.value) for v in verdicts] == [
+        ("gershgorin_nonneg", "AsymptoticallyStable"), ("gershgorin_nonneg", "Inconclusive"),
+        ("gershgorin_nonneg", "Inconclusive"), ("gershgorin_nonpos", "AsymptoticallyStable"),
+        ("gershgorin_nonpos", "Inconclusive"), ("eigen_box", "AsymptoticallyStable"),
+        ("eigen_box", "Inconclusive"), ("marginal_transform", "Stable"),
+        ("marginal_transform", "Stable"), ("marginal_transform", "Inconclusive"),
+        ("sampled_falsifier", "Falsified"), ("sampled_falsifier", "Inconclusive"),
+        ("none", "Inconclusive")]
+    assert [verdicts[i].witness.get("case") for i in (7, 8)] == ["nonneg", "general"]
+    for v in verdicts:
+        json.dumps(v.witness, allow_nan=False)
+    assert all(v.to_json_obj()["witness"] is v.witness for v in verdicts)
+    assert verdicts[5].witness["eigen_box"] == {"r_lo": -0.5, "r_hi": 0.5, "i_lo": -0.5,
+                                                "i_hi": 0.5}
+    assert type(verdicts[8].witness["reduced_box"]) is dict
+
+
+def test_falsifier_reads_a_numpy_sample_count_as_a_json_int():
+    v = analyze(imat([[-1.0]], [[1.0]]), n_samples=np.int64(5))
+    assert v.criterion == "none"
+    witness = v.witness["sub_reports"][-1]["witness"]
+    json.dumps(v.witness, allow_nan=False)
+    assert type(witness["n_checked"]) is int and witness["n_checked"] == 2 + 5
+    with pytest.raises(TypeError):
+        sampled_falsifier(imat([[1.5]], [[1.5]]), n_samples=5.0)
 
 
 # -- soundness against the spectral oracle ------------------------------------------------------
