@@ -52,7 +52,7 @@ def _fmt(x: float) -> str:
 # byte the CSV separator.
 
 #: Rows per chunk of the CSV writer.  With two value columns a chunk holds about
-#: 0.3 KB per row at its peak, so 2,048 rows take about 0.6 MB.
+#: 0.3 KB per row at its peak, so 2,048 rows take about 0.6 MB, plus one label block.
 CSV_CHUNK_ROWS = 2048
 _FIELD = 40  # bytes; no '%.12g' string is longer than 19
 _E_MIN, _E_MAX = -280, 280  # decimal exponents of the fast path (1e-280 <= |x| <= 1e280)
@@ -161,19 +161,16 @@ def _write_csv(path: str, header: str, labels, keys, columns) -> None:
     inner, one value of each column as ``%.12g``), CSV_CHUNK_ROWS rows at a
     time.  An I/O failure raises OSError("cannot write <path>: <error>").
 
-    The ``key,i,`` prefixes of one label's rows, its block, are the same for
-    every label: they are built once (repeated to a chunk's length if the
-    block is shorter), and each chunk copies the labels of its rows and a
-    cyclic slice of the block, in at most two pieces."""
+    The ``key,i,`` prefixes of one label's B = len(keys) * n rows, its block,
+    are the same for every label and are built once; row r takes label
+    r // B and block row r % B."""
     n = columns[0].shape[-1]
     flat = [np.ravel(c) for c in columns]
     outer, middle, inner = (_ascii_rows(items) for items in (labels, keys, range(1, n + 1)))
-    size = len(middle) * n  # rows per label
-    repeats = -(-min(CSV_CHUNK_ROWS, flat[0].size) // size)
-    block = np.empty((repeats, len(middle), n, middle.shape[1] + inner.shape[1]), np.uint8)
+    block = np.empty((len(middle), n, middle.shape[1] + inner.shape[1]), np.uint8)
     block[..., :middle.shape[1]] = middle[:, None]
     block[..., middle.shape[1]:] = inner
-    block = block.reshape(repeats * size, -1)
+    block = block.reshape(len(middle) * n, -1)
     width = outer.shape[1] + block.shape[1]
     seps = np.array([ord(",")] * (len(flat) - 1) + [ord("\n")], np.uint8)
     try:
@@ -182,14 +179,10 @@ def _write_csv(path: str, header: str, labels, keys, columns) -> None:
             for start in range(0, flat[0].size, CSV_CHUNK_ROWS):
                 stop = min(start + CSV_CHUNK_ROWS, flat[0].size)
                 chunk = np.empty((stop - start, width + len(flat) * _FIELD), np.uint8)
-                first, last = start // size, (stop - 1) // size
-                edges = np.arange(first, last + 2) * size  # label boundaries
-                edges[0], edges[-1] = start, stop
-                chunk[:, :outer.shape[1]] = outer[first:last + 1].repeat(np.diff(edges), axis=0)
-                offset = start % len(block)
-                head = min(len(block) - offset, stop - start)
-                chunk[:head, outer.shape[1]:width] = block[offset:offset + head]
-                chunk[head:, outer.shape[1]:width] = block[:stop - start - head]
+                label, row = np.divmod(np.arange(start, stop), len(block))
+                chunk[:, :outer.shape[1]] = outer.take(label, axis=0)
+                chunk[:, outer.shape[1]:width] = block.take(row, axis=0)
+                del label, row  # the chunk's memory peaks below
                 values = chunk[:, width:].reshape(stop - start, len(flat), _FIELD)
                 values[:] = _g12_fields(np.stack([f[start:stop] for f in flat], axis=1).ravel()
                                         ).reshape(values.shape)

@@ -202,17 +202,14 @@ def mc_trajectories(sys: FuzzySystem, alpha: float, horizon: int, n: int,
     h_lo, h_hi, x0_lo, x0_hi = _cuts(sys, alpha)
     m = IntervalMatrix(h_lo, h_hi)
     rng = np.random.default_rng(seed)
-    x = sample_matrix(IntervalMatrix(x0_lo, x0_hi), rng, n)
     out = np.empty((n, horizon + 1, sys.n))
-    out[:, 0] = x
+    out[:, 0] = sample_matrix(IntervalMatrix(x0_lo, x0_hi), rng, n)
     if mode == "constant":
         for rows, u in member_chunks(m, 0, n, rng):
             for k in range(1, horizon + 1):
-                x[rows] = np.einsum("nij,nj->ni", u, x[rows])
-                out[rows, k] = x[rows]
+                out[rows, k] = np.einsum("nij,nj->ni", u, out[rows, k - 1])
     else:
         for k in range(1, horizon + 1):
             for rows, u in member_chunks(m, 0, n, rng):
-                x[rows] = np.einsum("nij,nj->ni", u, x[rows])
-            out[:, k] = x
+                out[rows, k] = np.einsum("nij,nj->ni", u, out[rows, k - 1])
     return out

@@ -866,6 +866,20 @@ def test_oracle_csv_and_report_match_row_reference(tmp_path, capsys, monkeypatch
         assert report["containment"]["max_violation"] is None and count == 1
 
 
+@pytest.mark.parametrize("chunk_rows", [7, 2048])
+def test_oracle_csv_with_one_row_per_run_matches_row_reference(tmp_path, capsys, monkeypatch,
+                                                               chunk_rows):
+    # n = 1 and k = 0: each run's block is one row, so every row is its own
+    # label; 3,000 runs fill chunks of 7 rows, and a full and a partial chunk
+    # of 2,048
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+    doc = random_nonneg_doc(np.random.default_rng(11), 1, 3)
+    out_csv = tmp_path / "runs.csv"
+    assert main(["oracle", write(tmp_path, "s.json", doc), "--k", "0", "--n", "3000",
+                 "--seed", "5", "--out", str(out_csv)]) == EXIT_OK
+    assert out_csv.read_text() == oracle_ref(doc, 0, 3000, 5, "constant")[0]
+
+
 def test_endpoints_overflowing_to_inf_print_null_without_warnings(tmp_path, capsys):
     # both endpoints reach inf, so widths and violations are inf - inf
     path = write(tmp_path, "s.json", {"n": 1, "H": [[1e200]], "x0": [1e200]})

@@ -51,26 +51,26 @@ def fuzzy_numbers(draw):
 
 # -- triangular cuts -------------------------------------------------------------
 
-def test_tfn_alpha_cut_support():
+def test_triangle_cut_at_zero_is_its_support():
     assert as_fuzzy(Tfn(2, 4, 6)).cut(0.0) == (2.0, 6.0)
 
 
-def test_tfn_alpha_cut_peak():
+def test_triangle_cut_at_one_is_its_peak():
     assert as_fuzzy(Tfn(2, 4, 6)).cut(1.0) == (4.0, 4.0)
 
 
-def test_tfn_alpha_cut_midway():
+def test_triangle_cut_midway():
     assert as_fuzzy(Tfn(2, 4, 6)).cut(0.5) == (3.0, 5.0)
 
 
-def test_tfn_alpha_cut_domain_error():
+def test_triangle_cut_refuses_a_level_outside_0_1():
     with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.5$"):
         as_fuzzy(Tfn(2, 4, 6)).cut(1.5)
     with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got -0.1$"):
         as_fuzzy(Tfn(2, 4, 6)).cut(-0.1)
 
 
-def test_tfn_alpha_cut_is_the_level_stack_cut(tmp_path):
+def test_triangle_cut_is_the_level_stack_cut(tmp_path):
     # 400 seeded triples of mixed sign, some with a degenerate side, as the
     # 20 x 20 H of a file: the triangle's cut, the vector's and the file's
     # level matrix give the same bits
@@ -97,7 +97,7 @@ def test_tfn_alpha_cut_is_the_level_stack_cut(tmp_path):
                 assert got == (t.c, t.c)
 
 
-def test_tfn_alpha_cut_refuses_an_unbounded_support():
+def test_triangle_cut_refuses_an_unbounded_support():
     with pytest.raises(ValueError, match="support must be bounded"):
         as_fuzzy(Tfn(0, 1, np.inf)).cut(0.5)
 

@@ -84,12 +84,12 @@ def test_d_membership_one_when_core_outside_support():
 
 # -- level-wise metric ----------------------------------------------------------------------
 
-def test_d_levelwise_identity():
+def test_levelwise_identity():
     x = Tfn(2, 3, 4)
     assert levelwise(x, x) == 0.0
 
 
-def test_d_levelwise_value_and_fine_grid_oracle():
+def test_levelwise_value_and_fine_grid_oracle():
     got = levelwise(Tfn(2, 3, 4), Tfn(3.5, 4.5, 6.5))
     assert got == pytest.approx(2.5, abs=1e-12)
     x, y = as_fuzzy(Tfn(2, 3, 4)), as_fuzzy(Tfn(3.5, 4.5, 6.5))
@@ -99,18 +99,18 @@ def test_d_levelwise_value_and_fine_grid_oracle():
     assert got == pytest.approx(oracle, abs=1e-9)
 
 
-def test_d_levelwise_crisp_distance():
+def test_levelwise_crisp_distance():
     assert levelwise(Tfn(0, 0, 0), Tfn(3, 3, 3)) == 3.0
 
 
 @given(fuzzy_numbers(), fuzzy_numbers())
-def test_d_levelwise_dominates_support_gap(x, y):
+def test_levelwise_dominates_support_gap(x, y):
     assert levelwise(x, y) >= interval_hausdorff(x.support, y.support) - 1e-12
 
 
 # -- metric axioms ------------------------------------------------------------------------------
 
-@pytest.mark.parametrize("metric", [d_membership, levelwise], ids=["d_membership", "d_levelwise"])
+@pytest.mark.parametrize("metric", [d_membership, levelwise], ids=["d_membership", "levelwise"])
 def test_metric_axioms(metric):
     rng = np.random.default_rng(5)
     for _ in range(30):
