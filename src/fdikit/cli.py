@@ -192,29 +192,43 @@ def _write_csv(path: str, header: str, labels, keys, columns) -> None:
         raise OSError(f"cannot write {path}: {exc}") from None
 
 
+#: ``json.dumps(obj, allow_nan=False)`` as one encoder, built once.
+_STRICT = json.JSONEncoder(allow_nan=False)
+
+
 def _print_json(obj: dict) -> None:
     """Print obj as strict JSON: a NaN or infinite number prints as null,
     and a last top-level field "non_finite" counts them.  Only an object
     that fails strict encoding is encoded with NaN allowed and decoded again,
     each NaN or Infinity constant read as None."""
     try:
-        text = json.dumps(obj, allow_nan=False)
+        text = _STRICT.encode(obj)
     except ValueError:
         nulls = []
         obj = json.loads(json.dumps(obj), parse_constant=nulls.append)
         obj["non_finite"] = len(nulls)
-        text = json.dumps(obj, allow_nan=False)
+        text = _STRICT.encode(obj)
     print(text)
 
 
 def _load_json(path: str):
+    """The JSON document in the file ``path``, read as text mode reads it:
+    UTF-8, with CRLF and a lone CR read as LF.  A byte that is
+    not UTF-8 raises UnicodeDecodeError; a file that cannot be read, is not
+    JSON or nests too deep for the decoder raises ValueError naming ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise ValueError(f"{path}: cannot read file: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: nesting too deep to read") from None
 
 
 def parse_system_obj(obj) -> tuple[FuzzySystem, np.ndarray | None]:
@@ -251,7 +265,7 @@ def parse_system_obj(obj) -> tuple[FuzzySystem, np.ndarray | None]:
                 or any(not isinstance(r, list) or len(r) != n for r in t_rows)):
             raise ValueError(f'"T": expected {n} rows of {n} numbers')
         transform = _floats(t_rows, '"T": ')
-        if not np.all(np.isfinite(transform)):  # JSON null reads as NaN
+        if not np.isfinite(transform).all():  # JSON null reads as NaN
             raise ValueError('"T": entries must be finite numbers')
     return system, transform
 

@@ -38,11 +38,12 @@ class SignPreconditionError(ValueError):
 
 
 def _entries(v, n: int, path: str) -> list:
-    # the n entries of a row of H or of x0; ``path`` names it as in a system file
-    entries = None if isinstance(v, (str, bytes, Mapping)) or not np.iterable(v) else list(v)
-    if entries is None or len(entries) != n:
+    # the n entries of a row of H or of x0 (a JSON list as it is), named ``path`` in a file
+    if type(v) is not list:
+        v = None if isinstance(v, (str, bytes, Mapping)) or not np.iterable(v) else list(v)
+    if v is None or len(v) != n:
         raise ValueError(f"{path}: expected {n} entries")
-    return entries
+    return v
 
 
 class FuzzySystem:
@@ -129,9 +130,9 @@ def envelope_endpoints(sys: FuzzySystem, alphas, horizon: int):
     """
     levels = _floats(alphas)
     m_lo, m_hi, x_lo, x_hi = _cuts(sys, levels)
-    bad_m = np.any(m_lo < 0, axis=(-2, -1)).ravel()
-    bad = bad_m | np.any(x_lo < 0, axis=-1).ravel()
-    if np.any(bad):
+    bad_m = (m_lo < 0).any(axis=(-2, -1)).ravel()
+    bad = bad_m | (x_lo < 0).any(axis=-1).ravel()
+    if bad.any():
         i = int(np.argmax(bad))
         condition, what = (("matrix_nonneg", "dynamic-matrix") if bad_m[i]
                            else ("state_nonneg", "initial-state"))

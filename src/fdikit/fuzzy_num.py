@@ -196,7 +196,7 @@ class FuzzyNumber:
 
     def cuts(self, alphas) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`cut` over an array of levels."""
-        return tuple(interp_levels(alphas, self.alphas, v) for v in (self.lo, self.hi))
+        return interp_levels(alphas, self.alphas, self.lo, self.hi)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -269,7 +269,7 @@ class FuzzyVector:
 
     def cut(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """Box cut: per-coordinate lower and upper endpoint vectors."""
-        return tuple(interp_levels(alpha, self.alphas, v) for v in (self.lo, self.hi))
+        return interp_levels(alpha, self.alphas, self.lo, self.hi)
 
     def __len__(self):
         return self.n
@@ -328,6 +328,16 @@ def level_groups(cells, label) -> list[tuple[np.ndarray, np.ndarray, np.ndarray,
     return groups
 
 
+_UNIT = _TFN_LEVELS.tobytes()
+
+#: (l, c, r) of each kind of cell of :func:`_unit_stack`; a FuzzyNumber gives
+#: () unless it lies on exactly [0, 1] and its lo(1) and hi(1) have the same bits.
+_TRIPLE = {dict: operator.itemgetter("tfn"), Tfn: operator.attrgetter("l", "c", "r"),
+           float: lambda x: (x, x, x), int: lambda x: (x, x, x),
+           FuzzyNumber: lambda x: (*x.lo.tolist(), x.hi[0]) if x.alphas.tobytes() == _UNIT
+           and x.lo[1:].tobytes() == x.hi[1:].tobytes() else ()}
+
+
 def _unit_stack(cells) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] | None:
     """The one stack (grid, index, lo, hi) on the grid [0, 1] that
     :func:`level_groups` would gather cell by cell, with lo and hi of shape
@@ -337,15 +347,8 @@ def _unit_stack(cells) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     and every cell reads l <= c <= r, so that NaN and unordered triples are
     left to :class:`Tfn`.
     """
-    unit = _TFN_LEVELS.tobytes()
-    # (l, c, r) of each kind of cell; a FuzzyNumber gives () unless it lies
-    # on exactly [0, 1] and its lo(1) and hi(1) have the same bits
-    triple = {dict: operator.itemgetter("tfn"), Tfn: operator.attrgetter("l", "c", "r"),
-              float: lambda x: (x, x, x), int: lambda x: (x, x, x),
-              FuzzyNumber: lambda x: (*x.lo.tolist(), x.hi[0]) if x.alphas.tobytes() == unit
-              and x.lo[1:].tobytes() == x.hi[1:].tobytes() else ()}
     try:
-        triples = [triple[type(cell)](cell) for cell in cells]
+        triples = [_TRIPLE[type(cell)](cell) for cell in cells]
     except KeyError:  # another kind of cell, or a dict without "tfn"
         return None
     if not set(map(type, triples)) <= {list, tuple} or set(map(len, triples)) != {3}:
@@ -369,12 +372,11 @@ def level_cuts(groups, size: int, levels) -> tuple[np.ndarray, np.ndarray]:
     levels = _floats(levels)
     if len(groups) == 1:  # every cell in order; interp_levels returns new arrays
         grid, _, glo, ghi = groups[0]
-        return interp_levels(levels, grid, glo), interp_levels(levels, grid, ghi)
+        return interp_levels(levels, grid, glo, ghi)
     lo = np.empty(levels.shape + (size,))
     hi = np.empty_like(lo)
     for grid, index, glo, ghi in groups:
-        lo[..., index] = interp_levels(levels, grid, glo)
-        hi[..., index] = interp_levels(levels, grid, ghi)
+        lo[..., index], hi[..., index] = interp_levels(levels, grid, glo, ghi)
     return lo, hi
 
 
@@ -414,29 +416,34 @@ def breakpoints(x) -> tuple[tuple, tuple, tuple]:
         raise ValueError(exc) from None
 
 
-def interp_levels(x, xp, fp) -> np.ndarray:
-    """``np.interp(x, xp, f)`` for every column ``f`` of ``fp``, bit for bit.
+def interp_levels(x, xp, *fps) -> tuple[np.ndarray, ...]:
+    """``np.interp(x, xp, f)`` for every column ``f`` of each stack in
+    ``fps``, bit for bit: one array per stack, the levels searched once.
 
-    ``fp`` holds levels on its first axis and ``xp`` is a strictly
-    increasing grid of alpha levels; the result has shape ``x.shape +
-    fp.shape[1:]``.  Like ``np.interp``, this is the stored value at a
-    breakpoint and ``slope * (x - xp[j]) + fp[j]`` between breakpoints.
+    Each stack holds levels on its first axis and ``xp`` is a strictly
+    increasing grid of alpha levels; the result for ``fp`` has shape
+    ``x.shape + fp.shape[1:]``.  Like ``np.interp``, this is the stored
+    value at a breakpoint and ``slope * (x - xp[j]) + fp[j]`` between
+    breakpoints.
     """
     x = _floats(x)
-    if not np.all((xp[0] <= x) & (x <= xp[-1])):
+    if not ((xp[0] <= x) & (x <= xp[-1])).all():
         raise ValueError(f"alpha must lie in [{xp[0]:g}, {xp[-1]:g}], got {x}")
     flat = x.ravel()
     j = np.searchsorted(xp, flat, side="right") - 1
     on = xp[j] == flat
     if on.all():  # every level on the grid: a row lookup
-        return fp[j].reshape(x.shape + fp.shape[1:])
+        return tuple(fp[j].reshape(x.shape + fp.shape[1:]) for fp in fps)
     k = np.minimum(j, xp.size - 2)
-    col = (-1,) + (1,) * (fp.ndim - 1)
     # one slope per interval from the first to the last in use, gathered per level
     first, last = k.min(), k.max()
-    out = ((fp[first + 1:last + 2] - fp[first:last + 1])
-           / (xp[first + 1:last + 2] - xp[first:last + 1]).reshape(col))[k - first]
-    out *= (flat - xp[k]).reshape(col)
-    out += fp[k]
-    out[on] = fp[j[on]]
-    return out.reshape(x.shape + fp.shape[1:])
+    step, offset, j_on = xp[first + 1:last + 2] - xp[first:last + 1], flat - xp[k], j[on]
+    outs = []
+    for fp in fps:
+        col = (-1,) + (1,) * (fp.ndim - 1)
+        out = ((fp[first + 1:last + 2] - fp[first:last + 1]) / step.reshape(col))[k - first]
+        out *= offset.reshape(col)
+        out += fp[k]
+        out[on] = fp[j_on]
+        outs.append(out.reshape(x.shape + fp.shape[1:]))
+    return tuple(outs)

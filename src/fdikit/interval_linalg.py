@@ -46,7 +46,7 @@ class IntervalMatrix:
         object.__setattr__(self, "hi", _freeze(self.hi))
         if self.lo.ndim not in (1, 2) or self.lo.shape != self.hi.shape:
             raise ValueError("lo and hi must be vectors or matrices of equal shape")
-        if not np.all(self.lo <= self.hi):
+        if not (self.lo <= self.hi).all():
             raise ValueError("interval box needs lo <= hi elementwise")
 
     @property
@@ -78,7 +78,8 @@ def halfsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         out = (a + b) / 2.0
     over = np.isinf(out)
-    out[over] = a[over] / 2.0 + b[over] / 2.0
+    if over.any():
+        out[over] = a[over] / 2.0 + b[over] / 2.0
     return out
 
 
@@ -150,7 +151,7 @@ def sample_matrix(m: IntervalMatrix, rng, size: int | None = None) -> np.ndarray
     """
     with np.errstate(over="ignore", invalid="ignore"):
         width = np.subtract(m.hi, m.lo)
-    if not np.all(np.isfinite(width)):
+    if not np.isfinite(width).all():
         raise OverflowError("Range exceeds valid bounds")
     u = np.random.default_rng(rng).random(m.shape if size is None else (size, *m.shape))
     u *= width

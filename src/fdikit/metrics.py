@@ -29,9 +29,8 @@ def _levelwise_gaps(x, y) -> np.ndarray:
     # cuts.  Cut endpoints are piecewise linear in alpha, so it is the largest
     # endpoint gap over the union of both grids.
     grid = np.union1d(x.alphas, y.alphas)
-    lo = np.abs(interp_levels(grid, x.alphas, x.lo) - interp_levels(grid, y.alphas, y.lo))
-    hi = np.abs(interp_levels(grid, x.alphas, x.hi) - interp_levels(grid, y.alphas, y.hi))
-    return np.maximum(lo, hi).reshape(grid.size, -1).max(axis=0)
+    (x_lo, x_hi), (y_lo, y_hi) = (interp_levels(grid, v.alphas, v.lo, v.hi) for v in (x, y))
+    return np.maximum(np.abs(x_lo - y_lo), np.abs(x_hi - y_hi)).reshape(grid.size, -1).max(axis=0)
 
 
 def d_membership(x1, x2) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -29,7 +29,6 @@ from .interval_linalg import (
     member_chunks,
     mid_rad,
     vertex_count,
-    vertex_stack,
 )
 
 __all__ = ["EigenBox", "StabilityStatus", "StabilityVerdict", "analyze", "condeig_check",
@@ -129,7 +128,7 @@ def spectral_radii(stack: np.ndarray) -> np.ndarray:
 def _sign(m: IntervalMatrix) -> int:
     """1 when every member is non-negative, -1 when every member is
     non-positive, else 0."""
-    return 1 if np.all(m.lo >= 0) else -1 if np.all(m.hi <= 0) else 0
+    return 1 if (m.lo >= 0).all() else -1 if (m.hi <= 0).all() else 0
 
 
 def _first_row_not_below_one(rows: np.ndarray, slack: np.ndarray) -> Optional[int]:
@@ -139,7 +138,7 @@ def _first_row_not_below_one(rows: np.ndarray, slack: np.ndarray) -> Optional[in
     slack.  Rows it passes are summed by ``math.fsum``, which rounds
     correctly, so a sum below 1 proves the exact sum below 1; the first row
     whose sum is not is reported.  Passed rows cannot overflow."""
-    if not np.all(slack > 0):
+    if not (slack > 0).all():
         return int(np.argmin(slack))
     exact = [math.fsum(row) < 1.0 for row in rows.tolist()]
     return None if all(exact) else exact.index(False)
@@ -149,7 +148,7 @@ def _row_test(lo: np.ndarray, hi: np.ndarray, sign: float, criterion: str,
               reason: str) -> StabilityVerdict:
     """Strict row test on the non-negative family [lo, hi], which is the
     tested family times ``sign``; witness values carry the tested signs."""
-    if np.any(lo < 0):
+    if (lo < 0).any():
         i, j = np.argwhere(lo < 0)[0]
         return StabilityVerdict(
             StabilityStatus.INCONCLUSIVE, criterion,
@@ -262,8 +261,8 @@ def condeig_check(box: EigenBox) -> StabilityVerdict:
     """Certify when the box's four corner moduli all sit strictly inside the
     unit circle; the max modulus over a rectangle is attained at a corner."""
     moduli = box.corner_moduli()
-    witness = {"eigen_box": asdict(box), "corner_moduli": moduli.tolist()}
-    if float(np.max(moduli)) < 1.0:
+    witness = {"eigen_box": dict(vars(box)), "corner_moduli": moduli.tolist()}
+    if float(moduli.max()) < 1.0:
         return StabilityVerdict(StabilityStatus.ASYMPTOTICALLY_STABLE,
                                 "eigen_box", witness)
     return StabilityVerdict(StabilityStatus.INCONCLUSIVE, "eigen_box", witness)
@@ -280,13 +279,13 @@ def _transformed_block(c: np.ndarray, r: np.ndarray, t_inv: np.ndarray,
     A transform that is not finite passes no shape test."""
     with np.errstate(over="ignore", invalid="ignore"):
         c2, r2 = t_inv @ c @ t, np.abs(t_inv) @ r @ np.abs(t)
-    if not (np.all(np.isfinite(c2)) and np.all(np.isfinite(r2))):
+    if not (np.isfinite(c2).all() and np.isfinite(r2).all()):
         return None, "transformed matrix is not finite"
     if abs(c2[-1, -1] - 1.0) + r2[-1, -1] > SHAPE_TOL:
         spread = f" +- {float(r2[-1, -1]):g}" if r2[-1, -1] else ""
         return None, f"corner entry is {float(c2[-1, -1]):g}{spread}, not 1"
-    row_zero = np.all(np.abs(c2[-1, :-1]) + r2[-1, :-1] <= SHAPE_TOL)
-    col_zero = np.all(np.abs(c2[:-1, -1]) + r2[:-1, -1] <= SHAPE_TOL)
+    row_zero = (np.abs(c2[-1, :-1]) + r2[-1, :-1] <= SHAPE_TOL).all()
+    col_zero = (np.abs(c2[:-1, -1]) + r2[:-1, -1] <= SHAPE_TOL).all()
     if not (row_zero or col_zero):
         return None, "transformed matrix is not block-triangular"
     return (c2[:-1, :-1], r2[:-1, :-1]), ""
@@ -483,7 +482,8 @@ def sampled_falsifier(m: IntervalMatrix, n_samples: int = 1000,
     n_vertices = count if count <= DEFAULT_VERTEX_BUDGET else 0
     sign, best = (_sign(m) if n_vertices else 0), None
     if sign:
-        top = vertex_stack(m, count - 1, count) if sign > 0 else vertex_stack(m, 0, 1)
+        # the last vertex (hi at every wide entry) or the first (lo everywhere)
+        top = (np.where(m.hi > m.lo, m.hi, m.lo) if sign > 0 else m.lo)[None]
         wide, other = np.flatnonzero(m.hi > m.lo), m.lo if sign > 0 else m.hi
         stack = np.repeat(top, wide.size + 1, axis=0)
         stack.reshape(wide.size + 1, -1)[np.arange(1, wide.size + 1), wide] = other.ravel()[wide]

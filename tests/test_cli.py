@@ -412,6 +412,51 @@ def test_analyze_missing_file(capsys):
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["simulate", "--out", "{out}"],
+                                  ["oracle", "--out", "{out}"], ["distance", "{file}"]],
+                         ids=["analyze", "simulate", "oracle", "distance"])
+def test_too_deep_nesting_is_one_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [a.format(out=tmp_path / "out.csv", file=path) for a in argv]
+    rc = main([argv[0], str(path)] + argv[1:])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (EXIT_INPUT, "")
+    assert captured.err == f"input error: {path}: nesting too deep to read\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def load_json_text_mode(path: str):
+    """The reader that _load_json replaced, in text mode: the reference text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+
+
+@pytest.mark.parametrize("data", [
+    b'{"n": 1,\r\n "H": [[0.5]],\r\n "x0": [1]\r\n "alphas": [0, 1]}',  # CRLF
+    b'{"n": 1,\r "H": [[0.5]],\r "x0": [1]\r "alphas": [0, 1]}',  # lone CR
+    '{"n": 1, "H": [[0.5]], "x0": [1]}'.encode("utf-16"),
+    b'{"n": 1, "H": [[0.5]], "x0": ["\xff"]}',  # not UTF-8
+    b"",
+], ids=["crlf", "cr", "utf-16", "invalid-utf-8", "empty"])
+def test_byte_reader_errors_read_as_the_text_mode_reader(tmp_path, capsys, monkeypatch, data):
+    path = tmp_path / "s.json"
+    path.write_bytes(data)
+    errors = []
+    for reader in (cli._load_json, load_json_text_mode):
+        monkeypatch.setattr(cli, "_load_json", reader)
+        assert main(["analyze", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+
+
 # -- simulate -----------------------------------------------------------------------
 
 def test_simulate_spec_row(tmp_path, capsys):

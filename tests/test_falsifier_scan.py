@@ -496,6 +496,38 @@ def test_proven_top_draws_no_samples(monkeypatch, sign, top, status):
     assert solved == [10]  # the top and its nine neighbours, and nothing else
 
 
+#: The verdicts a copy of the tree in which the top vertex came from
+#: vertex_stack printed for the family of test_top_vertex_keeps_a_signed_zero.
+SIGNED_ZERO_TOP = {
+    1.0: '{"status": "Falsified", "criterion": "sampled_falsifier", "witness": {"matrix": '
+         '[[0.6, 0.4, -0.0], [0.4, 0.6, 0.4], [0.30000000000000004, 0.4, 0.6]], '
+         '"spectral_radius": 1.2294860467395512}}',
+    -1.0: '{"status": "Falsified", "criterion": "sampled_falsifier", "witness": {"matrix": '
+          '[[-0.6, -0.4, -0.0], [-0.4, -0.6, -0.4], [-0.30000000000000004, -0.4, -0.6]], '
+          '"spectral_radius": 1.2294860467395512}}',
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_top_vertex_keeps_a_signed_zero(tmp_path, capsys, monkeypatch, sign):
+    # entry (0, 2) is [-0.0, 0.0]: not wide, so the top takes its lo, -0.0,
+    # in both signs; the top proves the verdict, so no member scan runs
+    lo = np.array([[0.5, 0.3, -0.0], [0.3, 0.5, 0.3], [0.2, 0.3, 0.5]])
+    hi = lo + 0.1
+    hi[0, 2] = 0.0
+    m = IntervalMatrix(lo, hi) if sign > 0 else IntervalMatrix(-hi, -lo)
+    assert (m.lo[0, 2], m.hi[0, 2]) == (0.0, 0.0) and np.signbit(m.lo[0, 2])
+    monkeypatch.setattr(stability, "member_radius_scan", None)
+    assert json.dumps(sampled_falsifier(m, 5, 0).to_json_obj()) == SIGNED_ZERO_TOP[sign]
+    doc = {"n": 3, "x0": [1, 1, 1],
+           "H": [[{"tfn": [a, b, b]} for a, b in zip(*rows)] for rows in zip(m.lo.tolist(),
+                                                                           m.hi.tolist())]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(path), "--n", "5"]) == EXIT_FALSIFIED
+    assert capsys.readouterr().out == SIGNED_ZERO_TOP[sign] + "\n"
+
+
 def test_tied_top_still_scans_vertices_and_samples(caplog, monkeypatch):
     caplog.set_level(logging.DEBUG, logger="fdikit")
     tied = IntervalMatrix(np.diag([0.1] * 3), np.diag([0.9] * 3))

@@ -528,7 +528,7 @@ def test_interp_levels_matches_reference_bit_for_bit():
                             rng.choice(xp, 3)))
         for query in (x, x[: x.size // 2].reshape(-1, 1), float(rng.choice(x)), 1.0):
             with np.errstate(over="ignore", invalid="ignore"):
-                got, ref = interp_levels(query, xp, fp), interp_levels_ref(query, xp, fp)
+                (got,), ref = interp_levels(query, xp, fp), interp_levels_ref(query, xp, fp)
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
         columns = fp.reshape(xp.size, -1).T
@@ -536,7 +536,32 @@ def test_interp_levels_matches_reference_bit_for_bit():
             slopes = np.diff(columns, axis=1) / np.diff(xp)
         if np.isfinite(slopes).all():  # np.interp retries NaN blends; interp_levels does not
             expected = np.stack([np.interp(x, xp, c) for c in columns], axis=-1)
-            assert np.array_equal(interp_levels(x, xp, fp).reshape(x.size, -1), expected)
+            assert np.array_equal(interp_levels(x, xp, fp)[0].reshape(x.size, -1), expected)
+
+
+@pytest.mark.parametrize("levels", [
+    [0.0, 0.2, 1.0, 0.7],  # every level on the grid
+    [0.05, 0.5, 0.95],  # none on it
+    [0.3, 0.25, 0.0, 1.0, 0.6],  # a mix
+    [1.0], [0.4],
+])
+def test_interp_levels_of_two_stacks_is_two_calls_and_np_interp(levels):
+    # one call on (lo, hi) searches the levels once and returns what a call
+    # per stack returns, bit for bit, and np.interp per column
+    rng = np.random.default_rng(8)
+    xp = np.array([0.0, 0.2, 0.3, 0.7, 1.0])
+    x = np.array(levels)
+    for tail in ((), (3,), (2, 4)):
+        lo = np.sort(rng.normal(size=(xp.size, *tail)), axis=0) * 10.0 ** rng.integers(-5, 5)
+        hi = lo[::-1] + 1.0
+        got = interp_levels(x, xp, lo, hi)
+        assert len(got) == 2
+        for one, fp in zip(got, (lo, hi)):
+            (alone,) = interp_levels(x, xp, fp)
+            assert one.shape == alone.shape == x.shape + tail
+            assert one.dtype == alone.dtype and one.tobytes() == alone.tobytes()
+            expected = np.stack([np.interp(x, xp, c) for c in fp.reshape(xp.size, -1).T], -1)
+            assert one.reshape(x.size, -1).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("levels", [
@@ -552,13 +577,13 @@ def test_interp_levels_grid_lookup_is_bit_equal_to_the_general_path(levels):
     for tail in ((), (3,), (2, 4)):
         fp = rng.normal(size=(xp.size, *tail)) * 10.0 ** rng.integers(-5, 5, size=(xp.size, *tail))
         x = np.array(levels)
-        got = interp_levels(x, xp, fp)
-        general = interp_levels(np.append(x, 0.45), xp, fp)[:-1]
+        (got,), (general,) = interp_levels(x, xp, fp), interp_levels(np.append(x, 0.45), xp, fp)
+        general = general[:-1]
         assert got.shape == general.shape == x.shape + tail
         assert got.dtype == general.dtype and got.tobytes() == general.tobytes()
         assert got.tobytes() == interp_levels_ref(x, xp, fp).tobytes()
         if x.size == 1:  # a scalar level, as level_matrix passes it
-            scalar = interp_levels(float(x[0]), xp, fp)
+            (scalar,) = interp_levels(float(x[0]), xp, fp)
             assert scalar.shape == tail and scalar.tobytes() == got[0].tobytes()
         got[...] = 0.0  # a fresh array, never a view of fp
-        assert np.all(interp_levels(x, xp, fp) == general)
+        assert np.all(interp_levels(x, xp, fp)[0] == general)

@@ -1,5 +1,6 @@
 """Unit tests for the stability criteria, validated against spectral oracles."""
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -423,6 +424,19 @@ def test_condeig_boundary_inconclusive():
 def test_condeig_zero_box():
     v = condeig_check(EigenBox(0.0, 0.0, 0.0, 0.0))
     assert v.status is StabilityStatus.ASYMPTOTICALLY_STABLE
+
+
+@pytest.mark.parametrize("box", [EigenBox(0.3, 0.5, -0.1, 0.1), EigenBox(-0.0, 0.0, -0.0, 0.0),
+                                 EigenBox(-2.5, 1e308, -np.inf, np.inf),
+                                 EigenBox(np.float64(0.25), 1, -1, np.float64(3.0))],
+                         ids=["small", "signed-zeros", "unbounded", "mixed-types"])
+def test_condeig_witness_box_is_asdict(box):
+    # keys, order, values and their types, as dataclasses.asdict gives them
+    got = condeig_check(box).witness["eigen_box"]
+    want = dataclasses.asdict(box)
+    assert list(got) == list(want) == ["r_lo", "r_hi", "i_lo", "i_hi"]
+    assert [(type(v), repr(v)) for v in got.values()] == [(type(v), repr(v))
+                                                         for v in want.values()]
 
 
 def test_eigen_box_rejects_reversed_axes():
