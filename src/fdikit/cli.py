@@ -1,10 +1,11 @@
 """Command-line front end: JSON system files in, verdict JSON and CSV out.
 
 Subcommands: analyze, simulate, oracle, distance.  Exit codes: 0 stable
-verdicts / success, 1 input error (a malformed file, a bad argument or an
-array too large to allocate), 2 falsified, 3 inconclusive, 4 sign-precondition
-violation, 5 I/O failure.  Subcommands return 0, 2 or 3; :func:`main` alone
-turns a failure into exit code 1, 4 or 5 and one line on stderr.
+verdicts / success, 1 input error (a malformed file, a usage error, a bad
+argument or an array too large to allocate), 2 falsified, 3 inconclusive,
+4 sign-precondition violation, 5 I/O failure.  Subcommands return 0, 2 or 3;
+:func:`main` alone turns a failure into exit code 1, 4 or 5 and one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -367,10 +368,17 @@ def cmd_distance(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # A usage error raises ValueError, so that main reports it as an input
+    # error (exit 1) and not with argparse's exit 2, the Falsified code.
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fdikit",
         description="Stability analysis and level-wise simulation of linear "
                     "stationary fuzzy systems.")
@@ -409,16 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SignPreconditionError as exc:
         print(f"precondition violated ({exc.condition}): {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ValueError, MemoryError) as exc:
-        # fdikit raises ValueError for every malformed input and bad argument
-        # value, such as --k -1 or --n 0 with no member left to check; numpy
-        # raises MemoryError for an array too large to allocate.
+        # fdikit raises ValueError for every malformed input, usage error and
+        # bad argument value, such as --k -1 or --n 0 with no member left to
+        # check; numpy raises MemoryError for an array too large to allocate.
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:  # _write_csv names the path of a failed write

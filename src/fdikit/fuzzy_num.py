@@ -54,48 +54,42 @@ def _floats(x, prefix: str = "") -> np.ndarray:
         raise ValueError(f"{prefix}{exc}") from None
 
 
-def _column_keys(columns, values) -> np.ndarray:
-    # complex keys (column, value), set part by part: 1j * inf has a NaN real
-    # part.  numpy sorts a key with a NaN part after all others, as before.
-    keys = np.empty(np.shape(values), complex)
-    keys.real, keys.imag = columns, values
-    return keys
-
-
 def membership_limits(alphas, lo, hi, p) -> np.ndarray:
     """Membership grades of the fuzzy numbers whose cut endpoints are the
     columns of ``lo`` and ``hi`` (L, n), at the points ``p`` (m, n) of each
     column: an (3, m, n) array of the grade sup{alpha : p in cut(alpha)},
     its limit from the left and its limit from the right.  The limits
     differ from the grade where repeated endpoints make the grade jump.
+    A NaN point has NaN in all three, and the points inf and -inf grade 0.
     One-dimensional ``lo``, ``hi`` and ``p`` are one fuzzy number.
     """
     lo, hi = lo.reshape(alphas.size, -1), hi.reshape(alphas.size, -1)
-    p = np.reshape(p, (-1, lo.shape[1]))
+    p = np.reshape(p, (-1, lo.shape[1])).T
     # sup{alpha : vals(alpha) <= p} ("right") and sup{alpha : vals(alpha) < p}
-    # ("left") for the nondecreasing columns vals of lo and of -hi.
-    vals, p = np.concatenate([lo, -hi], axis=1), np.concatenate([p, -p], axis=1)
-    size, cols = vals.shape
-    base = np.arange(cols) * size  # flat index of each column's first level
-    flat = vals.T.ravel()
-    # np.searchsorted in every column at once: numpy orders complex numbers
-    # by real part first, so (column, value) keys run column by column.
-    keys = _column_keys(np.repeat(np.arange(cols), size), flat)
+    # ("left") for the nondecreasing columns vals of lo and of -hi, each held
+    # as one contiguous row and searched on its own.
+    rows, points = np.concatenate([lo.T, -hi.T]), np.concatenate([p, -p])
+    cols, size = rows.shape
+    base = np.arange(cols)[:, None] * size  # flat index of each row's first level
+    flat = rows.ravel()
     sups = []
     for side in ("right", "left"):
-        j = np.searchsorted(keys, _column_keys(np.arange(cols), p), side=side) - base
+        j = np.array([r.searchsorted(q, side) for r, q in zip(rows, points)])
         k = np.minimum(np.maximum(j, 1), size - 1)
         below, above = flat[base + k - 1], flat[base + k]
         # Where 0 < j < size, vals[k-1] and vals[k] straddle p strictly on
-        # one side, so no 0/0; elsewhere the quotient is discarded.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (p - below) / (above - below)
+        # one side, so no 0/0; elsewhere the quotient, which may be 0/0 or
+        # overflow beside a subnormal step, is discarded.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t = (points - below) / (above - below)
         a = alphas[k - 1] + t * (alphas[k] - alphas[k - 1])
         sup = np.where(j == 0, 0.0, np.where(j == size, 1.0, a))  # empty set: 0, all: 1
-        sups.append((sup[:, :cols // 2], sup[:, cols // 2:]))
+        sups.append((sup[:cols // 2], sup[cols // 2:]))
     (left, right), (left_strict, right_strict) = sups
-    return np.array([np.minimum(left, right), np.minimum(left_strict, right),
-                     np.minimum(left, right_strict)])
+    grades = np.array([np.minimum(left, right), np.minimum(left_strict, right),
+                       np.minimum(left, right_strict)])
+    np.copyto(grades, p, where=np.isnan(p))  # the search puts NaN above every level
+    return grades.transpose(0, 2, 1)
 
 
 def check_grid(alphas: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 """Shared random corpora for unit and acceptance tests, exact stability
 referees for one matrix and for 2x2 families, a cell-by-cell referee for
-level groups, and a runner for fresh interpreters.
+level groups, a one-search referee for membership grades, a runner for
+fresh interpreters and the hypothesis profiles.
 
 All generators take an explicit numpy Generator so every test pins its
 own seed; nothing here draws from global state.
@@ -15,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from fdikit import (
     FuzzySystem,
@@ -29,6 +31,15 @@ from fdikit.fuzzy_num import level_cuts, stack_fault
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Hypothesis profiles, loaded by name from HYPOTHESIS_PROFILE: "ci" draws the
+# same examples on every run and sets no per-example deadline, so that a run
+# can be repeated on a loaded runner; "default" is hypothesis's own defaults.
+# Unset, hypothesis chooses as it would without this file.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.register_profile("default", settings.get_profile("default"))
+if "HYPOTHESIS_PROFILE" in os.environ:
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def run_python(*args, timeout: float = 60, **kwargs) -> subprocess.CompletedProcess:
@@ -127,6 +138,37 @@ def ref_level_groups(cells, label=str):
         p, exc = min(faults, key=lambda fault: fault[0])
         raise type(exc)(f"{label(p)}: {exc}")
     return [(a, index, lo.T, hi.T) for a, index, lo, hi in stacks]
+
+
+def ref_membership_limits(alphas, lo, hi, p) -> np.ndarray:
+    """fuzzy_num.membership_limits by one search over every column at once:
+    complex keys (column, value), which numpy orders by column first, run
+    column by column, and a NaN value sorts after every other key."""
+    def keys(columns, values):  # set part by part: 1j * inf has a NaN real part
+        out = np.empty(np.shape(values), complex)
+        out.real, out.imag = columns, values
+        return out
+
+    lo, hi = lo.reshape(alphas.size, -1), hi.reshape(alphas.size, -1)
+    p = np.reshape(p, (-1, lo.shape[1]))
+    vals, p = np.concatenate([lo, -hi], axis=1), np.concatenate([p, -p], axis=1)
+    size, cols = vals.shape
+    base = np.arange(cols) * size
+    flat = vals.T.ravel()
+    sorted_keys = keys(np.repeat(np.arange(cols), size), flat)
+    sups = []
+    for side in ("right", "left"):
+        j = np.searchsorted(sorted_keys, keys(np.arange(cols), p), side=side) - base
+        k = np.minimum(np.maximum(j, 1), size - 1)
+        below, above = flat[base + k - 1], flat[base + k]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t = (p - below) / (above - below)
+        a = alphas[k - 1] + t * (alphas[k] - alphas[k - 1])
+        sup = np.where(j == 0, 0.0, np.where(j == size, 1.0, a))
+        sups.append((sup[:, :cols // 2], sup[:, cols // 2:]))
+    (left, right), (left_strict, right_strict) = sups
+    return np.array([np.minimum(left, right), np.minimum(left_strict, right),
+                     np.minimum(left, right_strict)])
 
 
 def stack_outcome(read, cells):

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface and file formats."""
 
+import copy
 import hashlib
 import json
 import logging
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -11,6 +13,8 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fdikit import (FuzzyNumber, FuzzySystem, FuzzyVector, StackingViolation, Tfn, cli,
                     fuzzy_num)
@@ -327,7 +331,7 @@ def test_main_repeats_in_one_process_like_fresh_processes(tmp_path, capsys):
             (["simulate", "{stable}", "--out", "{out}"], EXIT_OK),
             (["simulate", "{wide}", "--out", "{out}"], EXIT_PRECONDITION),
             (["simulate", "{stable}", "--out", "{missing}"], EXIT_IO),
-            (["simulate", "{wide}"], 2),  # no --out: argparse exits with 2
+            (["simulate", "{wide}"], EXIT_INPUT),  # no --out: a usage error
             (["analyze", "{wide}", "--n", "20"], EXIT_INCONCLUSIVE)]
     for argv, want in runs:
         argv = [a.format(**files) for a in argv]
@@ -424,6 +428,114 @@ def test_too_deep_nesting_is_one_input_error(tmp_path, capsys, argv):
     assert (rc, captured.out) == (EXIT_INPUT, "")
     assert captured.err == f"input error: {path}: nesting too deep to read\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: fdikit [-h]"),
+                                         (["simulate", "--help"], "usage: fdikit simulate")],
+                         ids=["fdikit", "simulate"])
+def test_help_prints_usage_to_stdout_and_exits_0(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    assert captured.out.startswith(usage)
+
+
+def test_distance_beside_a_subnormal_step_prints_no_warning(tmp_path, capsys):
+    a = write(tmp_path, "a.json", {"tfn": [0, 5e-324, 1]})
+    b = write(tmp_path, "b.json", {"tfn": [2, 3, 4]})
+    rc = main(["distance", a, b])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (EXIT_OK, "1\n", "")
+
+
+# -- the exit-code contract under mutated files -----------------------------------
+
+#: Stands for brackets nested deeper than the JSON decoder reads.
+DEEP = "<deep>"
+#: JSON values that a mutation puts in place of a part of a valid system file.
+ATOMS = [1e308, -1e308, 10 ** 400, True, False, "x", "", [], {}, None, DEEP,
+         {"tfn": []}, {"tfn": [1, 0]}, {"tfn": [0, "1", 2]}, {"tfn": "0,1,2"},
+         {"tfn": [0, True, 1e308]}, {"tfn": [-1e308, 0, 1e308]}, {"tfn": [0, 10 ** 400, 1]},
+         {"levels": []}, {"levels": "x"}, {"levels": [[0, 1]]}, {"levels": [[0, 2, 1], [1, 1, 1]]},
+         {"levels": [[0, 0, 1], [0.5, 0.5, 0.5]]}, {"levels": [[1, 0, 1], [0, 0, 1]]},
+         {"levels": [[0, 0, 2], [0.5, -1, 3], [1, 1, 1]]},
+         [0.5, 1], [0, 0.5, 0.5, 1], [1, 0], [0, 10 ** 400, 1], [0, "0.5", 1], [[0]],
+         [[0, 0], [0, 0]], [[1e308, 1], [1, 1e308]], [[1, 0], [0]]]
+#: Seconds one in-process command may take on a system of at most 3 states.
+CALL_BOUND_S = 2.0
+
+
+def json_paths(doc, path=()):
+    """Every path into ``doc``, the root's () first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+@st.composite
+def mutated_system_texts(draw):
+    """A valid system file of 1 to 3 states, maybe with a grid and a transform,
+    then up to three mutations: a part replaced by an atom, a top-level field
+    set to one, or a top-level field removed."""
+    n = draw(st.integers(1, 3))
+    cell = st.floats(-0.5, 1.5) | st.lists(st.floats(-0.5, 1.5), min_size=3, max_size=3).map(
+        lambda t: {"tfn": sorted(t)})
+    doc = {"n": n, "H": draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                      min_size=n, max_size=n)),
+           "x0": draw(st.lists(cell, min_size=n, max_size=n))}
+    if draw(st.booleans()):
+        doc["alphas"] = draw(st.sampled_from([[0, 1], [0, 0.5, 1], [0.0, 0.25, 0.75, 1.0]]))
+    if draw(st.booleans()):
+        doc["T"] = np.eye(n).tolist()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["part", "field", "drop"]))
+        atom = copy.deepcopy(draw(st.sampled_from(ATOMS)))  # later mutations may reach into it
+        if kind == "part":
+            path = draw(st.sampled_from(list(json_paths(doc))))
+            if not path:
+                doc = atom
+                continue
+            target = doc
+            for part in path[:-1]:
+                target = target[part]
+            target[path[-1]] = atom
+        elif isinstance(doc, dict):
+            field = draw(st.sampled_from(["n", "H", "x0", "alphas", "T"]))
+            if kind == "field":
+                doc[field] = atom
+            else:
+                doc.pop(field, None)
+    return json_text(doc)
+
+
+def json_text(doc) -> str:
+    """``doc`` as JSON, each DEEP nested 10,000 deep."""
+    return json.dumps(doc).replace(json.dumps(DEEP), "[" * 10_000 + "]" * 10_000)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_system_texts())
+@example(json_text({"n": 1, "H": [[DEEP]], "x0": [1]}))  # drawn in about 2% of files
+def test_mutated_system_files_exit_with_a_named_code(tmp_path, capsys, text):
+    path, out = tmp_path / "s.json", str(tmp_path / "out.csv")
+    path.write_text(text)
+    for argv in (["analyze", str(path), "--n", "20"],
+                 ["simulate", str(path), "--k", "3", "--out", out],
+                 ["oracle", str(path), "--k", "3", "--n", "5", "--out", out]):
+        start = time.perf_counter()
+        rc = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc in range(6), argv
+        if rc in (EXIT_INPUT, EXIT_PRECONDITION, EXIT_IO):
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), argv
+        else:
+            assert captured.err == "", argv
+        assert "Traceback" not in captured.err
+        assert elapsed < CALL_BOUND_S, argv
 
 
 def load_json_text_mode(path: str):
@@ -968,11 +1080,17 @@ BAD_INPUTS = [
     (["analyze", "{n_zero}"], '"n": must be positive'),
     (["analyze", "{short_t}"], '"T": expected 2 rows of 2 numbers'),
     (["distance", "{empty}", "{empty}"], "{empty}: fuzzy vector needs at least one component"),
+    # usage errors: argparse's own exit code, 2, is the Falsified code
+    (["analyze", "{scalar}", "--n", "x"], "fdikit analyze: argument --n: invalid int value: 'x'"),
+    (["analyze", "{scalar}", "--bogus"], "fdikit: unrecognized arguments: --bogus"),
+    (["simulate", "{scalar}"], "fdikit simulate: the following arguments are required: --out"),
+    ([], "fdikit: the following arguments are required: command"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", BAD_INPUTS, ids=[f"argv{i}" for i in range(8)] + [
-    "not-json", "top-level-list", "no-n", "n-zero", "T-shape", "empty-vector"])
+    "not-json", "top-level-list", "no-n", "n-zero", "T-shape", "empty-vector",
+    "usage-bad-int", "usage-unknown-flag", "usage-missing-out", "usage-no-subcommand"])
 def test_bad_argument_is_input_error(tmp_path, capsys, argv, message):
     not_json = tmp_path / "j.json"
     not_json.write_text("not json")

@@ -29,7 +29,8 @@ from fdikit.cli import load_system
 from fdikit import fuzzy_num
 from fdikit.fuzzy_num import ORDER_TOL, interp_levels, level_cuts, level_groups, stack_fault
 
-from conftest import rand_fuzzy_levels, ref_level_groups, stack_outcome
+from conftest import (rand_fuzzy_levels, ref_level_groups, ref_membership_limits,
+                      stack_outcome)
 
 
 # -- strategies ----------------------------------------------------------------
@@ -151,6 +152,48 @@ def test_membership_at_infinity_is_zero(x):
     assert grades[0, 0] == grades[1, 0] == grades[1, 2] == 0.0
     assert [grades[0, 1], grades[0, 2], grades[1, 1]] == [x.membership(p) for p in (0.0, 1.0, 1.5)]
     assert np.isnan(x.membership(np.nan))
+
+
+def test_membership_beside_a_subnormal_step_raises_no_warning():
+    # the quotient beside a 5e-324 step overflows where it is discarded
+    x = as_fuzzy(Tfn(0.0, 5e-324, 1.0))
+    assert x.membership(np.array([2.0, -2.0, 0.5])).tolist() == [0.0, 0.0, 0.5]
+
+
+#: Endpoints drawn from a few values repeat within a stack, so that grades jump.
+ENDPOINTS = [-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]
+
+
+@st.composite
+def membership_cases(draw):
+    """(alphas, lo, hi, p): n numbers on one grid, with endpoints from
+    ENDPOINTS or anywhere in [-4, 4], and m points of each, at those values,
+    at +-inf or NaN of either sign; one number is one-dimensional half of
+    the time."""
+    n, size, m = draw(st.integers(1, 3)), draw(st.integers(2, 5)), draw(st.integers(0, 6))
+    inner = draw(st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True),
+                          min_size=size - 2, max_size=size - 2, unique=True))
+    alphas = np.array([0.0, *sorted(inner), 1.0])
+
+    def values(shape, extra=()):
+        value = st.sampled_from(ENDPOINTS + list(extra)) | st.floats(-4, 4)
+        count = shape[0] * shape[1]
+        return np.array(draw(st.lists(value, min_size=count, max_size=count))).reshape(shape)
+
+    lo = np.sort(values((size, n)), axis=0)
+    hi = np.maximum(-np.sort(-values((size, n)), axis=0), lo[-1])  # nonincreasing, >= lo
+    p = values((m, n), [np.inf, -np.inf, np.nan, -np.nan])
+    if n == 1 and draw(st.booleans()):
+        lo, hi, p = lo[:, 0], hi[:, 0], p[:, 0]
+    return alphas, lo, hi, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_cases())
+def test_membership_limits_equal_the_one_search_referee_bit_for_bit(case):
+    # the bytes hold every sign bit and NaN payload
+    got, want = fuzzy_num.membership_limits(*case), ref_membership_limits(*case)
+    assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
 @given(fuzzy_numbers(), st.floats(min_value=0, max_value=1))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdikit import (
@@ -10,11 +10,12 @@ from fdikit import (
     FuzzyVector,
     Tfn,
     as_fuzzy,
+    assemble_fuzzy_attainable,
     d_fuzzy_vec,
     d_membership,
 )
 
-from conftest import rand_fuzzy_levels
+from conftest import make_nonneg_system, rand_fuzzy_levels, ref_membership_limits
 
 
 @st.composite
@@ -124,6 +125,25 @@ def test_metric_axioms(metric):
 
 
 # -- vector metric ------------------------------------------------------------------------------
+
+def ref_membership_distance(x, y) -> float:
+    """d_fuzzy_vec(x, y, "membership") from the grades of ref_membership_limits."""
+    p = np.concatenate([x.lo, x.hi, y.lo, y.hi])
+    gaps = (ref_membership_limits(x.alphas, x.lo, x.hi, p)
+            - ref_membership_limits(y.alphas, y.lo, y.hi, p))
+    return float(sum(np.abs(gaps).max(axis=(0, 1)).tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_membership_distance_of_assembled_steps_equals_the_referee_bit_for_bit(seed, k):
+    rng = np.random.default_rng(seed)
+    system = make_nonneg_system(rng, n_levels=int(rng.integers(2, 12)))
+    steps = assemble_fuzzy_attainable(system, k).steps
+    for a, b in [(0, k), (k // 2, k), (k, k)]:
+        got = d_fuzzy_vec(steps[a], steps[b], "membership")
+        assert got.hex() == ref_membership_distance(steps[a], steps[b]).hex()
+
 
 def test_d_fuzzy_vec_identity():
     v = FuzzyVector([as_fuzzy(Tfn(1, 2, 3)), as_fuzzy(Tfn(0, 1, 2))])
