@@ -70,13 +70,12 @@ def membership_limits(alphas, lo, hi, p) -> np.ndarray:
     # as one contiguous row and searched on its own.
     rows, points = np.concatenate([lo.T, -hi.T]), np.concatenate([p, -p])
     cols, size = rows.shape
-    base = np.arange(cols)[:, None] * size  # flat index of each row's first level
-    flat = rows.ravel()
+    row = np.arange(cols)[:, None]
     sups = []
     for side in ("right", "left"):
         j = np.array([r.searchsorted(q, side) for r, q in zip(rows, points)])
         k = np.minimum(np.maximum(j, 1), size - 1)
-        below, above = flat[base + k - 1], flat[base + k]
+        below, above = rows[row, k - 1], rows[row, k]
         # Where 0 < j < size, vals[k-1] and vals[k] straddle p strictly on
         # one side, so no 0/0; elsewhere the quotient, which may be 0/0 or
         # overflow beside a subnormal step, is discarded.

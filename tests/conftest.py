@@ -1,7 +1,7 @@
 """Shared random corpora for unit and acceptance tests, exact stability
 referees for one matrix and for 2x2 families, a cell-by-cell referee for
-level groups, a one-search referee for membership grades, a runner for
-fresh interpreters and the hypothesis profiles.
+level groups, a one-search referee for membership grades and a runner for
+fresh interpreters.
 
 All generators take an explicit numpy Generator so every test pins its
 own seed; nothing here draws from global state.
@@ -16,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from hypothesis import settings
 
 from fdikit import (
     FuzzySystem,
@@ -31,15 +30,6 @@ from fdikit.fuzzy_num import level_cuts, stack_fault
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-# Hypothesis profiles, loaded by name from HYPOTHESIS_PROFILE: "ci" draws the
-# same examples on every run and sets no per-example deadline, so that a run
-# can be repeated on a loaded runner; "default" is hypothesis's own defaults.
-# Unset, hypothesis chooses as it would without this file.
-settings.register_profile("ci", derandomize=True, deadline=None)
-settings.register_profile("default", settings.get_profile("default"))
-if "HYPOTHESIS_PROFILE" in os.environ:
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def run_python(*args, timeout: float = 60, **kwargs) -> subprocess.CompletedProcess:
