@@ -417,7 +417,9 @@ def interp_levels(x, xp, *fps) -> tuple[np.ndarray, ...]:
     increasing grid of alpha levels; the result for ``fp`` has shape
     ``x.shape + fp.shape[1:]``.  Like ``np.interp``, this is the stored
     value at a breakpoint and ``slope * (x - xp[j]) + fp[j]`` between
-    breakpoints.
+    breakpoints.  A cut that is not finite, where a slope beside a tiny
+    alpha step overflowed and ``np.interp`` returns inf, raises ValueError
+    naming its level.
     """
     x = _floats(x)
     if not ((xp[0] <= x) & (x <= xp[-1])).all():
@@ -434,9 +436,13 @@ def interp_levels(x, xp, *fps) -> tuple[np.ndarray, ...]:
     outs = []
     for fp in fps:
         col = (-1,) + (1,) * (fp.ndim - 1)
-        out = ((fp[first + 1:last + 2] - fp[first:last + 1]) / step.reshape(col))[k - first]
-        out *= offset.reshape(col)
-        out += fp[k]
+        with np.errstate(over="ignore", invalid="ignore"):  # a slope beside a tiny step
+            out = ((fp[first + 1:last + 2] - fp[first:last + 1]) / step.reshape(col))[k - first]
+            out *= offset.reshape(col)
+            out += fp[k]
         out[on] = fp[j_on]
+        if not np.isfinite(out).all():  # of finite endpoints, only an overflowed slope
+            level = flat[~np.isfinite(out.reshape(flat.size, -1)).all(axis=1)][0]
+            raise ValueError(f"cut at alpha={float(level)!r} overflows beside a tiny alpha step")
         outs.append(out.reshape(x.shape + fp.shape[1:]))
     return tuple(outs)

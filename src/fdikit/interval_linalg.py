@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -26,12 +26,6 @@ class VertexBudgetError(ValueError):
     """Vertex enumeration would exceed the configured budget."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = _floats(a).copy()
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class IntervalMatrix:
     """Elementwise box [lo, hi] of vectors (1-D) or matrices (2-D).
@@ -42,8 +36,10 @@ class IntervalMatrix:
     hi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _freeze(self.lo))
-        object.__setattr__(self, "hi", _freeze(self.hi))
+        for name in ("lo", "hi"):  # read-only float copies
+            a = _floats(getattr(self, name)).copy()
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         if self.lo.ndim not in (1, 2) or self.lo.shape != self.hi.shape:
             raise ValueError("lo and hi must be vectors or matrices of equal shape")
         if not (self.lo <= self.hi).all():
@@ -64,13 +60,6 @@ class IntervalMatrix:
         return f"IntervalMatrix(shape={self.lo.shape}, max_width={np.max(self.hi - self.lo):g})"
 
 
-class MidRad(NamedTuple):
-    """Midpoint/radius split of an interval matrix: center +- radius."""
-
-    center: np.ndarray
-    radius: np.ndarray
-
-
 def halfsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a + b) / 2 of finite arrays.  Where a + b overflows, a / 2 + b / 2,
     the same rounded value there; elsewhere halving first could round
@@ -83,10 +72,10 @@ def halfsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def mid_rad(m: IntervalMatrix) -> MidRad:
+def mid_rad(m: IntervalMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Center (lo+hi)/2 and radius (hi-lo)/2 of an interval matrix, both
     by :func:`halfsum`."""
-    return MidRad(halfsum(m.lo, m.hi), halfsum(m.hi, -m.lo))
+    return halfsum(m.lo, m.hi), halfsum(m.hi, -m.lo)
 
 
 def vertex_count(m: IntervalMatrix) -> int:

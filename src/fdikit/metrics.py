@@ -30,7 +30,9 @@ def _levelwise_gaps(x, y) -> np.ndarray:
     # endpoint gap over the union of both grids.
     grid = np.union1d(x.alphas, y.alphas)
     (x_lo, x_hi), (y_lo, y_hi) = (interp_levels(grid, v.alphas, v.lo, v.hi) for v in (x, y))
-    return np.maximum(np.abs(x_lo - y_lo), np.abs(x_hi - y_hi)).reshape(grid.size, -1).max(axis=0)
+    with np.errstate(over="ignore"):  # a gap beyond the largest double is inf
+        gaps = np.maximum(np.abs(x_lo - y_lo), np.abs(x_hi - y_hi))
+    return gaps.reshape(grid.size, -1).max(axis=0)
 
 
 def d_membership(x1, x2) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -34,7 +34,7 @@ from .interval_linalg import (
 __all__ = ["EigenBox", "StabilityStatus", "StabilityVerdict", "analyze", "condeig_check",
            "eigen_box_bounds", "eigen_box_rayleigh", "gershgorin_nonneg_test",
            "gershgorin_nonpos_test", "marginal_test", "member_radius_scan", "sampled_falsifier",
-           "spectral_radii", "spectral_radius"]
+           "spectral_radii"]
 
 #: Slack required before a sampled member counts as a falsification witness.
 FALSIFY_TOL = 1e-9
@@ -71,7 +71,7 @@ class StabilityVerdict:
 
     status: StabilityStatus
     criterion: str
-    witness: Optional[dict] = field(default=None)
+    witness: dict
 
     @property
     def is_stable(self) -> bool:
@@ -81,10 +81,8 @@ class StabilityVerdict:
     def to_json_obj(self) -> dict:
         """The verdict as a dict for ``json.dumps``.  Every criterion stores
         its witness as JSON values, which pass through as they are."""
-        out = {"status": self.status.value, "criterion": self.criterion}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+        return {"status": self.status.value, "criterion": self.criterion,
+                "witness": self.witness}
 
 
 @dataclass(frozen=True)
@@ -111,11 +109,6 @@ class EigenBox:
     def contains_box(self, other: "EigenBox", tol: float = 0.0) -> bool:
         return (self.r_lo - tol <= other.r_lo and other.r_hi <= self.r_hi + tol
                 and self.i_lo - tol <= other.i_lo and other.i_hi <= self.i_hi + tol)
-
-
-def spectral_radius(m) -> float:
-    """Spectral radius of a crisp matrix: :func:`spectral_radii` of one matrix."""
-    return float(spectral_radii(_floats(m)))
 
 
 def spectral_radii(stack: np.ndarray) -> np.ndarray:

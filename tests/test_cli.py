@@ -449,10 +449,48 @@ def test_distance_beside_a_subnormal_step_prints_no_warning(tmp_path, capsys):
     assert (rc, captured.out, captured.err) == (EXIT_OK, "1\n", "")
 
 
+def test_levelwise_distance_beyond_the_largest_double_prints_inf(tmp_path, capsys):
+    a = write(tmp_path, "a.json", {"tfn": [-1e308, -1e308, -1e308]})
+    b = write(tmp_path, "b.json", {"tfn": [1e308, 1e308, 1e308]})
+    rc = main(["distance", a, b, "--metric", "levelwise"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (EXIT_OK, "inf\n", "")
+
+
+def test_simulate_off_the_grid_beside_a_tiny_alpha_step(tmp_path, capsys):
+    # a slope beside the subnormal step overflows; the on-grid cut at 0 is the
+    # stored one, so the envelope is exact and nothing warns
+    out = tmp_path / "g.csv"
+    system = write(tmp_path, "g.json", {"n": 1, "H": [[TINY_STEP]], "x0": [1]})
+    rc = main(["simulate", system, "--k", "1", "--alphas", "0,0.5,1", "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (EXIT_OK, "")
+    assert out.read_text() == ("k,alpha,i,lo,hi\n0,0,1,1,1\n0,0.5,1,1,1\n0,1,1,1,1\n"
+                               "1,0,1,0.1,0.5\n1,0.5,1,0.25,0.35\n1,1,1,0.3,0.3\n")
+
+
+def test_simulate_cut_overflowing_beside_a_tiny_alpha_step_is_an_input_error(tmp_path, capsys):
+    # the exact cut at 5e-309 is [5, 15]; the interpolated one overflows, as
+    # np.interp's does, so no envelope is written
+    out = tmp_path / "g3.csv"
+    system = write(tmp_path, "g3.json", {"n": 1, "H": [[TINY_STEP_WIDE]], "x0": [1]})
+    rc = main(["simulate", system, "--k", "1", "--alphas", "0,5e-309,1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (EXIT_INPUT, "")
+    assert captured.err == ("input error: cut at alpha=5e-309 overflows beside a tiny "
+                            "alpha step\n")
+    assert not out.exists()
+
+
 # -- the exit-code contract under mutated files -----------------------------------
 
 #: Stands for brackets nested deeper than the JSON decoder reads.
 DEEP = "<deep>"
+#: Cells with a tiny first alpha step, whose slopes there overflow: cut off
+#: the grid, the first has finite cuts and the second an overflowing one.
+TINY_STEP = {"levels": [[0.0, 0.1, 0.5], [5e-324, 0.2, 0.4], [1.0, 0.3, 0.3]]}
+TINY_STEP_WIDE = {"levels": [[0.0, 0, 20], [1e-308, 10, 10], [1.0, 10, 10]]}
+#: An --alphas override off every cell's grid, beside both tiny steps too.
+OFF_GRID = "0,5e-309,0.5,1"
 #: JSON values that a mutation puts in place of a part of a valid system file.
 ATOMS = [1e308, -1e308, 10 ** 400, True, False, "x", "", [], {}, None, DEEP,
          {"tfn": []}, {"tfn": [1, 0]}, {"tfn": [0, "1", 2]}, {"tfn": "0,1,2"},
@@ -460,6 +498,7 @@ ATOMS = [1e308, -1e308, 10 ** 400, True, False, "x", "", [], {}, None, DEEP,
          {"levels": []}, {"levels": "x"}, {"levels": [[0, 1]]}, {"levels": [[0, 2, 1], [1, 1, 1]]},
          {"levels": [[0, 0, 1], [0.5, 0.5, 0.5]]}, {"levels": [[1, 0, 1], [0, 0, 1]]},
          {"levels": [[0, 0, 2], [0.5, -1, 3], [1, 1, 1]]},
+         TINY_STEP, TINY_STEP_WIDE,
          [0.5, 1], [0, 0.5, 0.5, 1], [1, 0], [0, 10 ** 400, 1], [0, "0.5", 1], [[0]],
          [[0, 0], [0, 0]], [[1e308, 1], [1, 1e308]], [[1, 0], [0]]]
 #: Seconds one in-process command may take on a system of at most 3 states.
@@ -475,10 +514,10 @@ def json_paths(doc, path=()):
 
 
 @st.composite
-def mutated_system_texts(draw):
-    """A valid system file of 1 to 3 states, maybe with a grid and a transform,
-    then up to three mutations: a part replaced by an atom, a top-level field
-    set to one, or a top-level field removed."""
+def mutated_systems(draw):
+    """A valid system document of 1 to 3 states, maybe with a grid and a
+    transform, then up to three mutations: a part replaced by an atom, a
+    top-level field set to one, or a top-level field removed."""
     n = draw(st.integers(1, 3))
     cell = st.floats(-0.5, 1.5) | st.lists(st.floats(-0.5, 1.5), min_size=3, max_size=3).map(
         lambda t: {"tfn": sorted(t)})
@@ -507,7 +546,7 @@ def mutated_system_texts(draw):
                 doc[field] = atom
             else:
                 doc.pop(field, None)
-    return json_text(doc)
+    return doc
 
 
 def json_text(doc) -> str:
@@ -517,14 +556,26 @@ def json_text(doc) -> str:
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(mutated_system_texts())
-@example(json_text({"n": 1, "H": [[DEEP]], "x0": [1]}))  # drawn in about 2% of files
-def test_mutated_system_files_exit_with_a_named_code(tmp_path, capsys, text):
+@given(mutated_systems())
+@example({"n": 1, "H": [[DEEP]], "x0": [1]})  # drawn in about 2% of files
+@example({"n": 1, "H": [[{"tfn": [1e308] * 3}]], "x0": [{"tfn": [-1e308] * 3}]})
+@example({"n": 1, "H": [[TINY_STEP]], "x0": [1]})
+@example({"n": 1, "H": [[TINY_STEP_WIDE]], "x0": [1]})
+def test_mutated_system_files_exit_with_a_named_code(tmp_path, capsys, doc):
+    # distance compares "x0" with the first row of "H" (or the whole document
+    # where that part is missing), two vector files from the same draw
     path, out = tmp_path / "s.json", str(tmp_path / "out.csv")
-    path.write_text(text)
+    path.write_text(json_text(doc))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    h = doc.get("H", doc) if isinstance(doc, dict) else doc
+    a.write_text(json_text(doc.get("x0", doc) if isinstance(doc, dict) else doc))
+    b.write_text(json_text(h[0] if isinstance(h, list) and h else h))
     for argv in (["analyze", str(path), "--n", "20"],
                  ["simulate", str(path), "--k", "3", "--out", out],
-                 ["oracle", str(path), "--k", "3", "--n", "5", "--out", out]):
+                 ["simulate", str(path), "--k", "3", "--alphas", OFF_GRID, "--out", out],
+                 ["oracle", str(path), "--k", "3", "--n", "5", "--out", out],
+                 ["distance", str(a), str(b)],
+                 ["distance", str(a), str(b), "--metric", "levelwise"]):
         start = time.perf_counter()
         rc = main(argv)
         elapsed = time.perf_counter() - start

@@ -17,8 +17,11 @@ def test_digest_prints_one_line_per_warmup_op(tmp_path):
         assert (proc.returncode, proc.stderr) == (0, "")
     manifest = json.loads((tmp_path / "envelope-levels" / "0" / "manifest.json").read_text())
     lines = [line.split(" ") for line in runs[0].stdout.splitlines()]
-    assert [line[:3] for line in lines] == [
-        ["envelope-levels", "0", op["id"]] for op in manifest["warmup"]]
+    # a distance op is followed by its run through the command line
+    ids = [i for op in manifest["warmup"]
+           for i in [op["id"]] + ([f"{op['id']}/cli"] if op["kind"] == "distance" else [])]
+    assert [line[:3] for line in lines] == [["envelope-levels", "0", i] for i in ids]
+    assert [i for i in ids if i.endswith("/cli")] == ["warm-dist-m/cli", "warm-dist-l/cli"]
     assert all(re.fullmatch("[0-9a-f]{64}", line[3]) for line in lines)
     # the same directory gives the same digests; every CSV was read and deleted
     assert runs[1].stdout == runs[0].stdout

@@ -22,7 +22,6 @@ from fdikit import (
     level_state,
     marginal_test,
     mc_trajectories,
-    spectral_radius,
 )
 from fdikit.cli import load_system
 
@@ -457,7 +456,6 @@ def tfn_system():
     lambda: FuzzyVector.from_stack([0, 1], [[0], [1]], [[HUGE], [1]]),
     lambda: IntervalMatrix([0.0], [HUGE]),
     lambda: marginal_test(IntervalMatrix([[0.5]], [[0.5]]), [[HUGE]]),
-    lambda: spectral_radius([[HUGE]]),
     lambda: as_fuzzy(Tfn(0, 1, 2)).cut(HUGE),
     lambda: as_fuzzy(Tfn(0, 1, 2)).cuts([0.5, HUGE]),
     lambda: as_fuzzy(Tfn(0, 1, 2)).membership(HUGE),
@@ -467,7 +465,7 @@ def tfn_system():
     lambda: envelope_endpoints(tfn_system(), HUGE, 1),
     lambda: mc_trajectories(tfn_system(), HUGE, 1, 1),
 ], ids=["FuzzyNumber", "FuzzyVector.from_stack", "IntervalMatrix", "marginal_test",
-        "spectral_radius", "FuzzyNumber.cut", "FuzzyNumber.cuts", "FuzzyNumber.membership",
+        "FuzzyNumber.cut", "FuzzyNumber.cuts", "FuzzyNumber.membership",
         "FuzzyVector.cut", "level_matrix", "level_state", "envelope_endpoints",
         "mc_trajectories"])
 def test_array_constructors_read_integers_beyond_float_as_value_errors(build):
@@ -580,6 +578,18 @@ def test_interp_levels_matches_reference_bit_for_bit():
         if np.isfinite(slopes).all():  # np.interp retries NaN blends; interp_levels does not
             expected = np.stack([np.interp(x, xp, c) for c in columns], axis=-1)
             assert np.array_equal(interp_levels(x, xp, fp)[0].reshape(x.size, -1), expected)
+
+
+def test_interp_levels_refuses_a_cut_that_overflows_beside_a_tiny_step():
+    # the slope over [0, 1e-308] overflows: np.interp returns inf at 5e-309,
+    # interp_levels names that level; its other cuts are np.interp's, silently
+    xp = np.array([0.0, 1e-308, 1.0])
+    lo, hi = np.array([0.0, 10.0, 10.0]), np.array([20.0, 10.0, 10.0])
+    with pytest.raises(ValueError, match=r"^cut at alpha=5e-309 overflows beside a tiny alpha step$"):
+        interp_levels([0.5, 5e-309], xp, lo, hi)
+    x = np.array([0.0, 0.5, 1.0])
+    for got, fp in zip(interp_levels(x, xp, lo, hi), (lo, hi)):
+        assert got.tobytes() == np.interp(x, xp, fp).tobytes()
 
 
 @pytest.mark.parametrize("levels", [

@@ -72,21 +72,21 @@ def test_interval_box_rejects_nan_endpoints(case):
 # -- midpoint / radius --------------------------------------------------------------
 
 def test_mid_rad_zero():
-    mr = mid_rad(imat([[0.0]], [[0.0]]))
-    assert mr.center[0, 0] == 0.0 and mr.radius[0, 0] == 0.0
+    c, r = mid_rad(imat([[0.0]], [[0.0]]))
+    assert c[0, 0] == 0.0 and r[0, 0] == 0.0
 
 
 def test_mid_rad_crisp():
     m = np.array([[1.0, -2.0], [0.5, 3.0]])
-    mr = mid_rad(IntervalMatrix(m, m))
-    assert np.array_equal(mr.center, m)
-    assert np.all(mr.radius == 0.0)
+    c, r = mid_rad(IntervalMatrix(m, m))
+    assert np.array_equal(c, m)
+    assert np.all(r == 0.0)
 
 
 def test_mid_rad_scalar():
-    mr = mid_rad(imat([[0.4]], [[0.6]]))
-    assert mr.center[0, 0] == pytest.approx(0.5, abs=1e-15)
-    assert mr.radius[0, 0] == pytest.approx(0.1, abs=1e-15)
+    c, r = mid_rad(imat([[0.4]], [[0.6]]))
+    assert c[0, 0] == pytest.approx(0.5, abs=1e-15)
+    assert r[0, 0] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_mid_rad_bits_match_the_plain_split():
@@ -96,22 +96,22 @@ def test_mid_rad_bits_match_the_plain_split():
             for _ in range(2))
     a[0, :2] = b[0, :2] = 5e-324
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    mr = mid_rad(IntervalMatrix(lo, hi))
-    assert mr.center.tobytes() == ((lo + hi) / 2.0).tobytes()
-    assert mr.radius.tobytes() == ((hi - lo) / 2.0).tobytes()
-    assert mr.center[0, 0] == 5e-324
+    c, r = mid_rad(IntervalMatrix(lo, hi))
+    assert c.tobytes() == ((lo + hi) / 2.0).tobytes()
+    assert r.tobytes() == ((hi - lo) / 2.0).tobytes()
+    assert c[0, 0] == 5e-324
 
 
 def test_mid_rad_center_does_not_overflow():
     top = np.finfo(float).max
-    mr = mid_rad(imat([[1e308, -top, 1.0]], [[1e308, -1e308, 2.0]]))
-    assert mr.center.tolist() == [[1e308, -top / 2 - 5e307, 1.5]]
+    c, r = mid_rad(imat([[1e308, -top, 1.0]], [[1e308, -1e308, 2.0]]))
+    assert c.tolist() == [[1e308, -top / 2 - 5e307, 1.5]]
 
 
 def test_mid_rad_radius_does_not_overflow():
     top = np.finfo(float).max
-    mr = mid_rad(imat([[-1e308, -top, 1.0]], [[1e308, top, 2.0]]))
-    assert mr.radius.tolist() == [[1e308, top, 0.5]]
+    c, r = mid_rad(imat([[-1e308, -top, 1.0]], [[1e308, top, 2.0]]))
+    assert r.tolist() == [[1e308, top, 0.5]]
 
 
 # -- vertices -----------------------------------------------------------------------------

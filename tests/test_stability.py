@@ -23,7 +23,6 @@ from fdikit import (
     sample_matrix,
     sampled_falsifier,
     spectral_radii,
-    spectral_radius,
     vertex_count,
     vertex_matrices,
 )
@@ -55,9 +54,9 @@ def member_radii(m: IntervalMatrix, n_samples: int, seed: int) -> np.ndarray:
 # -- spectral radius helper ------------------------------------------------------
 
 def test_spectral_radius_known():
-    assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9, abs=1e-12)
+    assert float(spectral_radii(np.diag([0.5, -0.9]))) == pytest.approx(0.9, abs=1e-12)
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert spectral_radius(rot) == pytest.approx(1.0, abs=1e-12)
+    assert float(spectral_radii(rot)) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- non-negative Gershgorin test ---------------------------------------------------
@@ -570,7 +569,7 @@ def test_marginal_general_case_with_an_empty_reduced_block():
     # member radius is about 1 + 1e-9 > 1, so this Stable is the fixed-tolerance
     # defect of ROADMAP item 1; the test pins today's behaviour until it lands.
     m = imat([[1.0000000009999996]], [[1.0000000009999999]])
-    assert spectral_radius(m.lo) > 1.0
+    assert float(spectral_radii(m.lo)) > 1.0
     v = marginal_test(m, [[3.2648481991983838]])
     assert v.to_json_obj() == {"status": "Stable", "criterion": "marginal_transform",
                                "witness": {"case": "general", "reduced": []}}
@@ -638,8 +637,8 @@ def test_falsifier_never_fires_inside_certified_region():
 def test_falsified_witness_recomputable():
     v = sampled_falsifier(imat([[1.2]], [[1.3]]), n_samples=0, seed=0)
     w = np.asarray(v.witness["matrix"])
-    assert spectral_radius(w) == pytest.approx(v.witness["spectral_radius"], abs=1e-12)
-    assert spectral_radius(w) > 1.0 + 1e-9
+    assert float(spectral_radii(w)) == pytest.approx(v.witness["spectral_radius"], abs=1e-12)
+    assert float(spectral_radii(w)) > 1.0 + 1e-9
 
 
 # -- dispatcher ----------------------------------------------------------------------------------
@@ -875,8 +874,8 @@ def test_exact_member_referee():
     for _ in range(150):
         n = int(rng.integers(1, 9))
         a = rng.normal(size=(n, n))
-        a *= rng.uniform(0.5, 1.5) / spectral_radius(a)
-        rho = spectral_radius(a)
+        a *= rng.uniform(0.5, 1.5) / float(spectral_radii(a))
+        rho = float(spectral_radii(a))
         if abs(rho - 1.0) >= 1e-6:
             assert schur_stable(a) == (rho < 1.0), a
             verdicts.add(rho < 1.0)

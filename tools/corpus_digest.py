@@ -13,7 +13,10 @@ one BLAS thread, as the benchmark worker runs them.  Prints one line per op:
 A ``cli`` op hashes its exit code, stdout, stderr and the bytes of the
 CSV it wrote, which is then deleted; any other op hashes the arrays or
 values it returned; an op that raised hashes its exception's type and
-message.  ``simulate`` and ``oracle`` print their CSV's path, so two trees
+message.  Each ``distance`` op is followed by a line for its id suffixed
+``/cli``: the outcome of ``fdikit distance`` on the op's two attainable
+steps, written under OUT_DIR as JSON ``{"levels"}`` vectors (floats exact
+by ``repr``).  ``simulate`` and ``oracle`` print their CSV's path, so two trees
 print equal lines only when both write into the same OUT_DIR: run this
 tool from one checkout, then from the other with the same OUT_DIR, and
 ``diff`` the two outputs.  Nothing is written into the checkout.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -73,6 +77,23 @@ def outcome(runner: worker.Runner, op) -> list[bytes]:
     return [f"{a.dtype.str}{a.shape}".encode() + a.tobytes() for a in arrays]
 
 
+def cli_distance(runner: worker.Runner, op, out_dir: Path) -> list[bytes]:
+    """The outcome of ``fdikit distance`` on the two steps of a distance op,
+    each written to ``out_dir`` as a list of ``{"levels"}`` components."""
+    att = runner.attainable.get(op["source"])
+    if att is None:
+        return [f"input op {op['source']} did not succeed".encode()]
+    files = []
+    for side, step in zip("ab", op["steps"]):
+        v = att.steps[step]
+        doc = [{"levels": np.column_stack([v.alphas, lo, hi]).tolist()}
+               for lo, hi in zip(v.lo.T, v.hi.T)]
+        files.append(out_dir / f"{op['id']}-{side}.json")
+        files[-1].write_text(json.dumps(doc))
+    argv = ["distance", *map(str, files), "--metric", op["metric"]]
+    return outcome(runner, {"kind": "cli", "system": op["system"], "argv": argv})
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out_dir", type=Path,
@@ -87,11 +108,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for workload in args.workload or corpus.WORKLOADS:
         for seed in args.seed or range(4):
-            manifest = corpus.generate(workload, seed, args.out_dir / workload / str(seed))
+            out_dir = args.out_dir / workload / str(seed)
+            manifest = corpus.generate(workload, seed, out_dir)
             runner = worker.Runner(tracer=None)
             ops = manifest["warmup"] + ([] if args.warmup_only else manifest["ops"])
             for op in ops:
                 print(workload, seed, op["id"], sha256(outcome(runner, op)), flush=True)
+                if op["kind"] == "distance":
+                    print(workload, seed, f"{op['id']}/cli",
+                          sha256(cli_distance(runner, op, out_dir)), flush=True)
     return 0
 
 
