@@ -10,10 +10,10 @@ stderr.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -218,8 +218,8 @@ def _load_json(path: str):
     not UTF-8 raises UnicodeDecodeError; a file that cannot be read, is not
     JSON or nests too deep for the decoder raises ValueError naming ``path``."""
     try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+        with open(path, "rb", buffering=0) as fh:  # no buffer: one read of the whole file
+            text = fh.readall().decode("utf-8")
     except OSError as exc:
         raise ValueError(f"{path}: cannot read file: {exc}") from exc
     if "\r" in text:
@@ -368,57 +368,87 @@ def cmd_distance(args) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    # A usage error raises ValueError, so that main reports it as an input
-    # error (exit 1) and not with argparse's exit 2, the Falsified code.
-    def error(self, message):
-        raise ValueError(f"{self.prog}: {message}")
+# -- command line ---------------------------------------------------------------
+
+#: Each subcommand's help, function and arguments (argparse's keywords), for both parsers.
+_GRAMMAR = {
+    "analyze": ("run the stability criteria on a system file", cmd_analyze, {
+        "file": {}, "--n": dict(type=int, default=1000, help="falsifier sample count"),
+        "--seed": dict(type=int, default=0)}),
+    "simulate": ("write per-level envelope boxes as CSV", cmd_simulate, {
+        "file": {}, "--k": dict(type=int, default=10, help="horizon (number of steps)"),
+        "--out": dict(required=True, help="CSV output path"),
+        "--alphas": dict(default=None, help="comma-separated grid override, e.g. 0,0.5,1")}),
+    "oracle": ("sample member trajectories and check them", cmd_oracle, {
+        "file": {}, "--k": dict(type=int, default=10, help="horizon (number of steps)"),
+        "--n": dict(type=int, default=1000, help="trajectory count"),
+        "--seed": dict(type=int, default=0),
+        "--mode": dict(choices=("constant", "timevarying"), default="constant"),
+        "--out": dict(required=True, help="CSV output path")}),
+    "distance": ("distance between two fuzzy numbers/vectors", cmd_distance, {
+        "file_a": {}, "file_b": {},
+        "--metric": dict(choices=("membership", "levelwise"), default="membership")}),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing leaves it unchanged)."""
-    parser = _Parser(
-        prog="fdikit",
-        description="Stability analysis and level-wise simulation of linear "
-                    "stationary fuzzy systems.")
+    """The argument parser of _GRAMMAR, built once per process (parsing leaves it unchanged)."""
+    import argparse  # here alone: only an argv that _plain_args declines builds the parser
+
+    class _Parser(argparse.ArgumentParser):
+        # A usage error raises ValueError, so that main reports it as an input
+        # error (exit 1) and not with argparse's exit 2, the Falsified code.
+        def error(self, message):
+            raise ValueError(f"{self.prog}: {message}")
+
+        def _get_values(self, action, strings):  # Python 3.11's argparse reads "--name=--" as []
+            if strings == ["--"] and action.option_strings:
+                self.error(f"argument {action.option_strings[0]}: expected one argument")
+            return super()._get_values(action, strings)
+
+    parser = _Parser(prog="fdikit", description="Stability analysis and level-wise "
+                     "simulation of linear stationary fuzzy systems.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="run the stability criteria on a system file")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, default=1000, help="falsifier sample count")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("simulate", help="write per-level envelope boxes as CSV")
-    p.add_argument("file")
-    p.add_argument("--k", type=int, default=10, help="horizon (number of steps)")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--alphas", default=None,
-                   help="comma-separated grid override, e.g. 0,0.5,1")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("oracle", help="sample member trajectories and check them")
-    p.add_argument("file")
-    p.add_argument("--k", type=int, default=10, help="horizon (number of steps)")
-    p.add_argument("--n", type=int, default=1000, help="trajectory count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("constant", "timevarying"), default="constant")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("distance", help="distance between two fuzzy numbers/vectors")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("--metric", choices=("membership", "levelwise"),
-                   default="membership")
-    p.set_defaults(func=cmd_distance)
+    for command, (text, func, grammar) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=text)
+        for name, keywords in grammar.items():
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=func)
     return parser
+
+
+def _plain_args(argv):
+    """argparse's namespace of a plain ``argv``, else None: a subcommand, then exactly
+    its positionals and its options by full name, each with a value of its type and
+    choices, every required one given, and no value or positional starting with "-"."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, func, grammar = _GRAMMAR[argv[0]]
+    names = [name for name in grammar if not name.startswith("-")]  # the positionals
+    values = {name[2:]: kw.get("default") for name, kw in grammar.items() if name not in names}
+    given, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        kw, value = grammar.get(token), next(tokens, "-")
+        if kw is None or value.startswith("-") or value not in kw.get("choices", (value,)):
+            return None  # (an option with choices reads strings: no type to apply first)
+        try:
+            values[token[2:]] = kw.get("type", str)(value)
+        except ValueError:
+            return None
+    if len(given) != len(names) or any(
+            kw.get("required") and values[name[2:]] is None for name, kw in grammar.items()):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **dict(zip(names, given)), **values)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = (_plain_args(sys.argv[1:] if argv is None else argv)
+                or build_parser().parse_args(argv))
         return args.func(args)
     except SignPreconditionError as exc:
         print(f"precondition violated ({exc.condition}): {exc}", file=sys.stderr)

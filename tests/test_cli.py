@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import math
+import random
 import time
 import tracemalloc
 import warnings
@@ -587,6 +588,110 @@ def test_mutated_system_files_exit_with_a_named_code(tmp_path, capsys, doc):
             assert captured.err == "", argv
         assert "Traceback" not in captured.err
         assert elapsed < CALL_BOUND_S, argv
+
+
+# -- the plain command-line reader and the exit-code contract under mutated argv --
+
+#: Every full option name of the grammar, and each shorter prefix of one.
+OPTIONS = sorted({name for _, _, grammar in cli._GRAMMAR.values() for name in grammar
+                  if name.startswith("-")})
+PREFIXES = sorted({name[:i] for name in OPTIONS for i in range(1, len(name))})
+#: Numbers that int reads, " 7 ", "+5" and "1_000" among them; none is above 10^3.
+NUMBERS = ["0", "3", "20", " 7 ", "+5", "1_000"]
+#: Values and stray tokens: numbers, ones int does not read, negative numbers,
+#: choices and a bad one, subcommands, flags and junk.
+WORDS = NUMBERS + ["F", "", "1.5", "x", "-1", "-0.5", "0,0.5,1", "constant", "timevarying",
+                   "membership", "levelwise", "bogus", "analyze", "distance", "--", "-",
+                   "-h", "--help", "a=b"]
+#: The usual values of each positional and string option.
+PLAIN_VALUES = {"file": ["F", "a b"], "file_a": ["A"], "file_b": ["B"], "--out": ["O"],
+                "--alphas": ["0,0.5,1", ""]}
+
+
+def command_line(choice, usual) -> list[str]:
+    """An argv from the grammar's vocabulary, each pick made by ``choice(seq)``.
+    Mostly a subcommand, its positionals and options by full name, each with a
+    usual value apart: from ``usual``, NUMBERS for an integer, a choice for an
+    option with choices.  Else a stray word, another option name or a prefix, a
+    value joined by "=", missing or left out, or a stray word (never a usual
+    positional).  Then words inserted, a piece repeated and the order shuffled."""
+    def mostly(common, other):  # five picks in six
+        return choice([common] * 5 + [other])
+
+    words = WORDS + [v for name, values in usual.items() if name[0] == "-" for v in values]
+    command = mostly(choice(list(cli._GRAMMAR)), choice(words))
+    grammar = cli._GRAMMAR[command][2] if command in cli._GRAMMAR else {}
+    pieces = []
+    for name, kw in grammar.items():
+        own = kw.get("choices") or (NUMBERS if kw.get("type") is int else usual[name])
+        value = mostly(choice(own), choice(words))
+        if not name.startswith("-"):
+            pieces.append([value])
+            continue
+        flag = mostly(name, choice(OPTIONS + PREFIXES))
+        pieces.append(mostly([flag, value], choice([[f"{flag}={value}"], [flag], []])))
+    for _ in range(choice([0, 0, 0, 0, 1, 2])):
+        pieces.insert(choice(range(len(pieces) + 1)), [choice(words + OPTIONS + PREFIXES)])
+    if pieces and choice([False, False, False, True]):
+        pieces.append(choice(pieces))
+    if choice([False, True]):
+        pieces = [pieces.pop(choice(range(len(pieces)))) for _ in range(len(pieces))]
+    return [command] + [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_the_plain_reader_reads_as_argparse_does(data):
+    argv = command_line(lambda seq: data.draw(st.sampled_from(seq)), PLAIN_VALUES)
+    plain = cli._plain_args(argv)
+    if plain is not None:  # else argparse reads argv, as before
+        assert vars(plain) == vars(cli.build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "F"],
+    ["analyze", "F", "--n", "200", "--seed", "0"],
+    ["simulate", "F", "--k", "5", "--out", "O", "--alphas", "0,0.5,1"],
+    ["oracle", "F", "--k", "20", "--n", "1000", "--seed", "0", "--mode", "timevarying",
+     "--out", "O"],
+    ["distance", "A", "B", "--metric", "membership"],
+], ids=["analyze", "analyze-n-seed", "simulate", "oracle", "distance"])
+def test_canonical_argv_takes_the_plain_reader(argv):
+    # the shapes README and the benchmark corpus write do not reach argparse
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_mutated_command_lines_exit_with_a_named_code(tmp_path, capsys, monkeypatch):
+    # argv drawn by command_line over real files: a stable, an unstable and a
+    # sign-indefinite system, a fuzzy number, a file that is not JSON, a missing
+    # file and a CSV path in a missing directory.  A stray --out value writes into
+    # the working directory, tmp_path.  No --k or --n value exceeds 10^3.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "j.json").write_text("not json")
+    systems = [write(tmp_path, f"{name}.json", doc) for name, doc in
+               (("s", SCALAR_STABLE), ("u", SCALAR_UNSTABLE), ("m", MIXED_SIGN))]
+    vector, bad = write(tmp_path, "v.json", {"tfn": [0, 1, 2]}), str(tmp_path / "j.json")
+    usual = {"file": systems * 2 + [vector, bad, str(tmp_path / "missing.json")],
+             "file_a": [vector] * 3 + systems[:1] + [bad], "file_b": [vector] * 3 + [bad],
+             "--out": [str(tmp_path / "out.csv")] * 3 + [str(tmp_path / "no" / "out.csv")],
+             "--alphas": ["0,0.5,1", "0,1", "0.5,1", ""]}
+    rng = random.Random(0)
+    for _ in range(3000):
+        argv = command_line(rng.choice, usual)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # help, printed on stdout
+            assert exc.code == 0, argv
+            rc = None
+        captured = capsys.readouterr()
+        if rc in (EXIT_INPUT, EXIT_PRECONDITION, EXIT_IO):
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), argv
+        else:
+            assert rc in (EXIT_OK, EXIT_FALSIFIED, EXIT_INCONCLUSIVE, None), argv
+            assert captured.err == "", argv
+            assert rc is not None or captured.out.startswith("usage: fdikit"), argv
 
 
 def load_json_text_mode(path: str):

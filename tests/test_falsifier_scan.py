@@ -687,3 +687,22 @@ def test_import_leaves_scipy_unloaded():
             "print(any(k.startswith('scipy') for k in sys.modules))")
     proc = run_python("-c", code, timeout=CLI_TIMEOUT_S)
     assert proc.stdout.split() == ["False", "False"], proc.stderr
+
+
+def test_well_formed_commands_leave_argparse_unloaded(tmp_path):
+    # one plain command of each subcommand, then a usage error, which argparse reports
+    system, vector = tmp_path / "s.json", tmp_path / "v.json"
+    system.write_text(json.dumps({"n": 1, "H": [[{"tfn": [0.4, 0.5, 0.6]}]],
+                                  "x0": [{"tfn": [0.8, 1.0, 1.2]}]}))
+    vector.write_text(json.dumps({"tfn": [0, 1, 2]}))
+    s, v, out = str(system), str(vector), str(tmp_path / "out.csv")
+    plain = [["analyze", s, "--n", "20"], ["simulate", s, "--k", "3", "--out", out],
+             ["oracle", s, "--k", "3", "--n", "5", "--out", out], ["distance", v, v]]
+    code = ("import contextlib, io, sys, fdikit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [fdikit.cli.main(argv) for argv in {plain!r}]\n"
+            "print(codes, 'argparse' in sys.modules)\n"
+            f"print(fdikit.cli.main({['analyze', s, '--n', 'x']!r}), 'argparse' in sys.modules)")
+    proc = run_python("-c", code, timeout=CLI_TIMEOUT_S)
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0] False", "1 True"], proc.stderr
+    assert proc.stderr == "input error: fdikit analyze: argument --n: invalid int value: 'x'\n"

@@ -13,10 +13,14 @@ one BLAS thread, as the benchmark worker runs them.  Prints one line per op:
 A ``cli`` op hashes its exit code, stdout, stderr and the bytes of the
 CSV it wrote, which is then deleted; any other op hashes the arrays or
 values it returned; an op that raised hashes its exception's type and
-message.  Each ``distance`` op is followed by a line for its id suffixed
-``/cli``: the outcome of ``fdikit distance`` on the op's two attainable
-steps, written under OUT_DIR as JSON ``{"levels"}`` vectors (floats exact
-by ``repr``).  ``simulate`` and ``oracle`` print their CSV's path, so two trees
+message.  Each ``cli`` op is followed by a line for its id suffixed
+``/argparse``: the outcome of the same argv with every option written
+``--name=value``, a form that fdikit's plain reader leaves to argparse, so
+the two lines of an op are equal when both readers read it alike.  Each
+``distance`` op is followed by a line for its id suffixed ``/cli``: the
+outcome of ``fdikit distance`` on the op's two attainable steps, written
+under OUT_DIR as JSON ``{"levels"}`` vectors (floats exact by ``repr``).
+``simulate`` and ``oracle`` print their CSV's path, so two trees
 print equal lines only when both write into the same OUT_DIR: run this
 tool from one checkout, then from the other with the same OUT_DIR, and
 ``diff`` the two outputs.  Nothing is written into the checkout.
@@ -53,6 +57,16 @@ def sha256(parts) -> str:
     return h.hexdigest()
 
 
+def equals_form(argv: list[str]) -> list[str]:
+    """argv with each option and its value joined into one ``--name=value``;
+    an option already joined stays as it is."""
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        apart = token.startswith("--") and "=" not in token
+        joined.append(f"{token}={next(tokens)}" if apart else token)
+    return joined
+
+
 def outcome(runner: worker.Runner, op) -> list[bytes]:
     """The byte strings that stand for one op's outcome."""
     try:
@@ -61,10 +75,10 @@ def outcome(runner: worker.Runner, op) -> list[bytes]:
         return [f"{type(exc).__name__}: {exc}".encode()]
     if op["kind"] == "cli":
         parts = [str(out["code"]).encode(), out["stdout"].encode(), out["stderr"].encode()]
-        argv = op["argv"]
-        if "--out" in argv:
+        options = dict(t.split("=", 1) for t in equals_form(op["argv"]) if t.startswith("--"))
+        if "--out" in options:
             with contextlib.suppress(FileNotFoundError):
-                csv = Path(argv[argv.index("--out") + 1])
+                csv = Path(options["--out"])
                 parts.append(csv.read_bytes())
                 csv.unlink()
         return parts
@@ -114,6 +128,10 @@ def main(argv=None) -> int:
             ops = manifest["warmup"] + ([] if args.warmup_only else manifest["ops"])
             for op in ops:
                 print(workload, seed, op["id"], sha256(outcome(runner, op)), flush=True)
+                if op["kind"] == "cli":
+                    argparse_op = dict(op, argv=equals_form(op["argv"]))
+                    print(workload, seed, f"{op['id']}/argparse",
+                          sha256(outcome(runner, argparse_op)), flush=True)
                 if op["kind"] == "distance":
                     print(workload, seed, f"{op['id']}/cli",
                           sha256(cli_distance(runner, op, out_dir)), flush=True)
